@@ -2,11 +2,10 @@
 
 For every paper application this script measures steady-state local
 processing under each backend the measured autotuner knows —
-``scalar``/``vectorized`` (the NumPy kernel layer), ``codegen`` (the
-generated per-``k`` Python kernel), and ``native`` (the specialized C
-loop from :mod:`repro.core.native`) — on the same speculated chunk plan,
-and reports the native speedup over the NumPy path plus the compile-cache
-statistics (compiles, disk/memory hits, provider).
+``vectorized`` (the NumPy kernel layer) and ``native`` (the specialized
+C loop from :mod:`repro.core.native`) — on the same speculated chunk
+plan, and reports the native speedup over the NumPy path plus the
+compile-cache statistics (compiles, disk/memory hits).
 
 Run standalone (it is an argparse script, not a pytest-benchmark module)::
 
@@ -31,7 +30,6 @@ when no compiler exists.)
           "application": str, "num_items": int, "num_states": int,
           "num_classes": int, "k": int, "kernel": str,
           "selected": str,        # backend the autotuner chose
-          "native_provider": str | null,
           "native_speedup_vs_numpy": float | null,
           "backends": {name: {"measured_s": float,
                                "throughput_items_per_s": float,
@@ -64,7 +62,6 @@ def bench_app(
     num_chunks: int,
     k: int | None,
     repeats: int,
-    include_scalar: bool,
     seed: int = 1,
 ) -> dict:
     """Measure every backend on one application; return a JSON-ready row."""
@@ -73,9 +70,6 @@ def bench_app(
     k_eff = app.best_k if k is None else k
     if k_eff is None:
         k_eff = dfa.num_states
-    candidates = ["vectorized", "codegen", "native"]
-    if include_scalar:
-        candidates.append("scalar")
     choice = choose_backend(
         dfa,
         inputs,
@@ -84,7 +78,6 @@ def bench_app(
         lookback=app.default_lookback,
         probe_items=inputs.size,
         repeats=repeats,
-        candidates=tuple(candidates),
     )
     base = choice.measured_s.get("vectorized")
     native = choice.measured_s.get("native")
@@ -96,7 +89,6 @@ def bench_app(
         "k": k_eff,
         "kernel": choice.kernel,
         "selected": choice.backend,
-        "native_provider": choice.native_provider,
         "native_speedup_vs_numpy": (
             base / native if base and native else None
         ),
@@ -120,7 +112,7 @@ def check_rows(rows: list[dict]) -> list[str]:
         if sp is None:
             problems.append(
                 f"{row['application']}: native ineligible "
-                f"(no provider loaded)"
+                f"(no kernel loaded)"
             )
         elif sp >= CHECK_MIN_SPEEDUP:
             fast += 1
@@ -153,10 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         help="small CI-sized run (128k items, 256 chunks, 2 repeats)",
     )
     ap.add_argument(
-        "--scalar", action="store_true",
-        help="also measure the scalar backend (slow on large inputs)",
-    )
-    ap.add_argument(
         "--check", action="store_true",
         help=(
             f"exit 1 unless native is >= {CHECK_MIN_SPEEDUP}x NumPy on "
@@ -171,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         args.repeats = min(args.repeats, 2)
 
     if not native_available():
-        print("no native provider available (no compiler, no numba)")
+        print("native unavailable: no C compiler")
         if args.check:
             return 1
 
@@ -184,7 +172,6 @@ def main(argv: list[str] | None = None) -> int:
             num_chunks=args.chunks,
             k=args.k,
             repeats=args.repeats,
-            include_scalar=args.scalar,
         )
         row["bench_wall_s"] = round(time.perf_counter() - t0, 3)
         rows.append(row)

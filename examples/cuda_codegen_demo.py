@@ -5,7 +5,7 @@ The paper generates CUDA kernels with Clang libtooling, specializing on
 ``num_guess`` and selecting the runtime-check implementation. This example
 plans kernels for several configurations, prints the generator's decisions,
 writes the emitted ``.cu`` sources next to this script, and shows the
-generated *Python* kernels the engine can actually execute here.
+specialized C source that ``backend="native"`` compiles and executes here.
 
 Run:  python examples/cuda_codegen_demo.py
 """
@@ -13,11 +13,9 @@ Run:  python examples/cuda_codegen_demo.py
 from pathlib import Path
 
 from repro.apps.registry import get_application
-from repro.core.codegen import (
-    generate_cuda_kernel,
-    generate_local_source,
-    plan_kernel,
-)
+from repro.core.codegen import generate_cuda_kernel, plan_kernel
+from repro.core.kernels import plan_kernel as plan_stepping_kernel
+from repro.core.native import NativeSpec, generate_source
 
 OUT = Path(__file__).parent / "generated_kernels"
 
@@ -41,8 +39,17 @@ def main() -> None:
         path.write_text(cu)
         print(f"wrote {path} ({len(cu)} bytes)\n")
 
-    print("generated Python kernel for spec-2 (engine backend='codegen'):\n")
-    print(generate_local_source(2))
+    kplan = plan_stepping_kernel(
+        dfa, chunk_len=1 << 12, num_chunks=64, k=2, kernel="stride2"
+    )
+    spec = NativeSpec(
+        k=2,
+        m=kplan.m,
+        num_classes=kplan.compaction.num_classes,
+        num_states=kplan.compaction.num_states,
+    )
+    print("generated C kernel for spec-2, stride-2 (engine backend='native'):\n")
+    print(generate_source(spec))
 
 
 if __name__ == "__main__":

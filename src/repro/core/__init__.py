@@ -20,7 +20,7 @@ Pipeline (one call to :func:`repro.core.engine.run_speculative`):
 ``backend="native"`` (:mod:`repro.core.native`) runs steps 3-4's hot loops
 through C specialized per machine and compiled at first use, with a
 fingerprint-keyed JIT cache for warm restarts; the NumPy path remains the
-bit-exact fallback whenever no provider is available.
+bit-exact fallback whenever no C compiler is available.
 
 Every step increments :class:`repro.core.types.ExecStats` counters that the
 GPU cost model (:mod:`repro.gpu.cost`) prices into modeled V100 time.

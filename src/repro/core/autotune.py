@@ -377,17 +377,19 @@ def choose_collapse(
     )
 
 
+BACKEND_CANDIDATES = ("vectorized", "native")
+
+
 @dataclass(frozen=True)
 class BackendChoice:
     """Outcome of the local-processing backend auto-tuner.
 
-    ``measured_s`` maps each eligible backend (``"scalar"``,
-    ``"vectorized"``, ``"codegen"``, ``"native"``) to its best measured
-    execution time on the probe; ``build_s`` carries one-time costs
-    (stride-table build, codegen ``exec`` compile, native C compile or
-    artifact load) separately because they amortize across runs. An
-    unavailable backend (no compiler, over-budget table) is simply absent
-    from ``measured_s`` — it can never be chosen.
+    ``measured_s`` maps each eligible backend (``"vectorized"``,
+    ``"native"``) to its best measured execution time on the probe;
+    ``build_s`` carries one-time costs (stride-table build, native C
+    compile or artifact load) separately because they amortize across
+    runs. An unavailable backend (no compiler, over-budget table) is
+    simply absent from ``measured_s`` — it can never be chosen.
     """
 
     backend: str
@@ -395,7 +397,6 @@ class BackendChoice:
     build_s: dict
     probe_items: int
     kernel: str
-    native_provider: str | None = None
 
     @property
     def speedup_vs_numpy(self) -> float:
@@ -415,9 +416,7 @@ def choose_backend(
     lookback: int = 8,
     probe_items: int = 1 << 16,
     repeats: int = 3,
-    candidates: tuple[str, ...] = (
-        "scalar", "vectorized", "codegen", "native",
-    ),
+    candidates: tuple[str, ...] = BACKEND_CANDIDATES,
     kernel: str = "auto",
     collapse=None,
     table_budget_bytes: int | None = None,
@@ -428,12 +427,11 @@ def choose_backend(
     every candidate executes the same speculated chunk plan over a prefix
     of ``inputs``, timed as best-of-``repeats``. ``"vectorized"`` runs the
     planned NumPy kernel (``kernel="auto"`` resolves per machine),
-    ``"codegen"`` the generated per-``k`` Python kernel, ``"native"`` the
-    compiled C loop (:mod:`repro.core.native`) — which is only *eligible*
-    when a provider loads and smoke-checks, so "no compiler" can never win
-    by accident, and only *chosen* when it actually measures faster. The
-    serving layer calls this at tenant-registration time, off the request
-    path.
+    ``"native"`` the compiled C loop (:mod:`repro.core.native`) — which is
+    only *eligible* when a kernel compiles, loads and smoke-checks, so "no
+    compiler" can never win by accident, and only *chosen* when it
+    actually measures faster. The serving layer calls this at
+    tenant-registration time, off the request path.
     """
     from repro.core.kernels import (
         DEFAULT_TABLE_BUDGET_BYTES,
@@ -445,6 +443,12 @@ def choose_backend(
     from repro.core.native import load_native_plan
     from repro.workloads.chunking import plan_chunks, transform_layout
 
+    for name in candidates:
+        if name not in BACKEND_CANDIDATES:
+            raise ValueError(
+                f"unknown backend candidate {name!r}; "
+                f"expected one of {BACKEND_CANDIDATES}"
+            )
     if table_budget_bytes is None:
         table_budget_bytes = DEFAULT_TABLE_BUDGET_BYTES
     inputs = np.asarray(inputs)
@@ -468,7 +472,6 @@ def choose_backend(
 
     measured: dict = {}
     build: dict = {"kernel_plan": kplan.build_s}
-    native_provider: str | None = None
     runners: dict = {}
     for name in candidates:
         if name == "vectorized":
@@ -482,26 +485,7 @@ def choose_backend(
                     dfa, probe, plan, spec, kplan,
                     transformed=transformed, collapse=collapse,
                 )
-        elif name == "scalar":
-            scalar_kp = plan_kernel(
-                dfa, chunk_len=plan.max_len, num_chunks=plan.num_chunks,
-                k=k_eff, kernel="scalar",
-                table_budget_bytes=table_budget_bytes,
-            )
-            runners[name] = lambda kp=scalar_kp: process_chunks_kernel(
-                dfa, probe, plan, spec, kp, collapse=collapse,
-            )
-        elif name == "codegen":
-            from repro.core.codegen.pykernel import compile_local_kernel
-
-            t0 = time.perf_counter()
-            fn = compile_local_kernel(k_eff)
-            build[name] = time.perf_counter() - t0
-            runners[name] = lambda f=fn: f(
-                dfa.table, spec, plan.starts, plan.lengths, probe,
-                transformed.main, transformed.tail,
-            )
-        elif name == "native":
+        else:
             t0 = time.perf_counter()
             nk = load_native_plan(
                 dfa, k=k_eff, kplan=kplan, collapse=collapse,
@@ -509,11 +493,8 @@ def choose_backend(
             )
             build[name] = time.perf_counter() - t0
             if nk is None:
-                continue  # no compiler / provider: ineligible
-            native_provider = nk.provider
+                continue  # no compiler: ineligible
             runners[name] = lambda n=nk: n.process_chunks(probe, plan, spec)
-        else:
-            raise ValueError(f"unknown backend candidate {name!r}")
     for name, runner in runners.items():
         best = float("inf")
         for _ in range(max(1, repeats)):
@@ -528,7 +509,6 @@ def choose_backend(
         build_s=build,
         probe_items=int(probe.size),
         kernel=kplan.kernel,
-        native_provider=native_provider,
     )
 
 

@@ -8,24 +8,20 @@ subpackage reproduces both halves:
 * :mod:`repro.core.codegen.select` — the selection logic: check
   implementation (hash iff k > 12), spec-k vs spec-N path, register/spill
   assessment, hot-state cache sizing;
-* :mod:`repro.core.codegen.pykernel` — generates *executable Python*
-  kernels specialized on ``k`` (states unrolled into scalar locals), used
-  by the engine's ``backend="codegen"`` path and equivalence-tested against
-  the vectorized kernel;
 * :mod:`repro.core.codegen.cuda_src` — emits the CUDA C source the paper's
   generator would produce (local-processing kernel, warp/block/global merge
   stages, checks, optional shared-memory cache). There is no ``nvcc`` here,
   so the output is structurally tested, not compiled.
+
+The executable form of the same idea — C specialized on ``k`` and compiled
+at first use — lives in :mod:`repro.core.native`.
 """
 
 from repro.core.codegen.cuda_src import generate_cuda_kernel
-from repro.core.codegen.pykernel import compile_local_kernel, generate_local_source
 from repro.core.codegen.select import KernelPlan, plan_kernel
 
 __all__ = [
     "KernelPlan",
-    "compile_local_kernel",
     "generate_cuda_kernel",
-    "generate_local_source",
     "plan_kernel",
 ]

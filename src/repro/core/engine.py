@@ -105,10 +105,10 @@ class EngineConfig:
         ``"barrier"`` (lock-step stage pipeline) or ``"ooo"`` (chunk
         scoreboard, :mod:`repro.core.scoreboard`).
     backend:
-        The local-processing backend that actually ran: ``"vectorized"``,
-        ``"codegen"``, or ``"native"`` (requested ``"native"`` resolves
-        to ``"vectorized"`` when no compiler or provider is usable —
-        visible here and under the ``native.fallback`` counter).
+        The local-processing backend that actually ran: ``"vectorized"``
+        or ``"native"`` (requested ``"native"`` resolves to
+        ``"vectorized"`` when no C compiler is usable — visible here and
+        under the ``native.fallback`` counter).
     """
 
     k: int
@@ -261,18 +261,16 @@ def run_speculative(
         CPU baseline cost per input item (defaults to the calibrated
         constant; pass a Table 3-derived value for paper-scale speedups).
     backend:
-        ``"vectorized"`` (one ``(n, k)`` gather per step), ``"codegen"``
-        (the generated, per-``k`` specialized Python kernel from
-        :mod:`repro.core.codegen.pykernel` — the paper's code-generation
-        path), or ``"native"`` (the same generator idea compiled to
-        machine code: :mod:`repro.core.native` emits specialized C for
+        ``"vectorized"`` (one ``(n, k)`` gather per step) or ``"native"``
+        (the paper's code-generation path compiled to machine code:
+        :mod:`repro.core.native` emits specialized C for
         ``(k, kernel, collapse)``, JIT-compiles it with the system
         compiler, and caches artifacts by DFA fingerprint; automatically
-        falls back to ``"vectorized"`` when no compiler or provider is
-        usable). Functionally identical; codegen and native do not
-        support ``cache_table`` or ``accept_count``. ``"dist"`` hands the
-        whole run to the cross-host layer (:mod:`repro.dist`) — see the
-        ``dist`` parameter; only ``k`` and ``lookback`` carry over, the
+        falls back to ``"vectorized"`` when no compiler is usable).
+        Functionally identical; native does not support ``cache_table``
+        or ``accept_count``. ``"dist"`` hands the whole run to the
+        cross-host layer (:mod:`repro.dist`) — see the ``dist``
+        parameter; only ``k`` and ``lookback`` carry over, the
         modeled-GPU knobs do not apply across hosts.
     kernel:
         Local-processing stepping kernel: ``"lockstep"`` (default — the
@@ -384,9 +382,7 @@ def run_speculative(
     check_in_set("check", check, ("auto", "nested", "hash"))
     check_in_set("reexec", reexec, ("delayed", "eager"))
     check_in_set("layout", layout, ("transformed", "natural"))
-    check_in_set(
-        "backend", backend, ("vectorized", "codegen", "native", "dist")
-    )
+    check_in_set("backend", backend, ("vectorized", "native", "dist"))
     if backend == "dist":
         return _run_dist(dfa, inputs, k=k, lookback=lookback, dist=dist)
     check_in_set("kernel", kernel, ("auto",) + tuple(sorted(KERNELS)))
@@ -421,10 +417,6 @@ def run_speculative(
         # Skewed plans model stragglers; only the natural-layout lockstep
         # paths (vectorized NumPy or the compiled per-chunk loop)
         # understand them.
-        if backend == "codegen":
-            raise ValueError(
-                "skewed plans require backend='vectorized' or 'native'"
-            )
         if kernel not in ("auto", "lockstep"):
             raise ValueError(f"skewed plans require kernel='lockstep', got {kernel!r}")
         kernel = "lockstep"
@@ -447,9 +439,7 @@ def run_speculative(
     # collapse_requested gates the coverage/converged bookkeeping (cheap,
     # and the merges exploit it even when the probe said lane collapse
     # itself would not pay); collapse_cfg is the resolved scan config, or
-    # None when lane collapse stays off. The codegen backend's compiled
-    # kernel has no collapse hook; converged-chunk merge skipping still
-    # applies there.
+    # None when lane collapse stays off.
     collapse_requested = not (
         collapse is None
         or collapse == "off"
@@ -497,12 +487,12 @@ def run_speculative(
             # starts/lengths per chunk); skip the transform copy.
             layout = "natural"
     if nplan is None and kernel not in ("lockstep",):
-        if backend == "codegen" or needs_per_symbol:
+        if needs_per_symbol:
             if kernel != "auto":
                 raise ValueError(
                     f"kernel={kernel!r} requires per-symbol-free local "
-                    "processing; cache_table, accept_count, and "
-                    "backend='codegen' support only kernel='lockstep'"
+                    "processing; cache_table and accept_count support "
+                    "only kernel='lockstep'"
                 )
         else:
             kplan = plan_kernel(
@@ -619,28 +609,6 @@ def run_speculative(
             # below, like any barrier backend.
             end = nplan.process_chunks(inputs, plan, spec, stats=stats)
             acc = None
-        elif backend == "codegen":
-            if cache_mask is not None or "accept_count" in collect:
-                raise ValueError(
-                    "backend='codegen' does not support cache_table or accept_count; "
-                    "use the default vectorized backend"
-                )
-            from repro.core.codegen.pykernel import compile_local_kernel
-
-            kernel = compile_local_kernel(k_eff)
-            end = kernel(
-                dfa.table,
-                spec,
-                plan.starts,
-                plan.lengths,
-                inputs,
-                transformed.main if transformed is not None else None,
-                transformed.tail if transformed is not None else None,
-            )
-            acc = None
-            stats.local_steps += plan.max_len
-            stats.local_transitions += int(plan.lengths.sum()) * k_eff
-            stats.local_input_reads += int(plan.lengths.sum())
         elif kplan is not None:
             end = process_chunks_kernel(
                 dfa, inputs, plan, spec, kplan,

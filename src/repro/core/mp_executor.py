@@ -725,11 +725,15 @@ def fold_segment_map(
 _LIVE_POOLS: weakref.WeakSet = weakref.WeakSet()
 
 
-def _close_live_pools() -> None:
-    """Close any pool still registered at interpreter shutdown."""
+def _close_live_pools(*, unmap: bool = True) -> None:
+    """Close any pool still registered at interpreter shutdown.
+
+    ``unmap=False`` (the signal path) stops workers and unlinks segment
+    names but leaves the mappings to process exit — see ``_release``.
+    """
     for pool in list(_LIVE_POOLS):
         try:
-            pool.close()
+            pool._release(unmap=unmap)
         except Exception:  # pragma: no cover - best effort at shutdown
             pass
 
@@ -745,13 +749,15 @@ atexit.register(_close_live_pools)
 # and then owns teardown — the atexit path still covers it if its handler
 # exits cleanly). The handler closes every live pool, then re-delivers the
 # signal's default behaviour so exit status and KeyboardInterrupt semantics
-# are unchanged.
+# are unchanged. The handler runs on the main thread while a run thread may
+# still be copying into or gathering over a segment, so it only unlinks
+# names and never unmaps: unmapping under that thread is a segfault.
 _SIGNAL_TEARDOWN_INSTALLED = False
 
 
 def _signal_teardown(signum: int, frame) -> None:
-    """Close live pools, then re-deliver the signal's default action."""
-    _close_live_pools()
+    """Release live pools, then re-deliver the signal's default action."""
+    _close_live_pools(unmap=False)
     if signum == signal.SIGINT:
         signal.signal(signum, signal.default_int_handler)
         raise KeyboardInterrupt
@@ -1129,12 +1135,10 @@ class ScaleoutPool:
     def _native_task_fields(self) -> tuple:
         """The ``(artifact_path, meta)`` pair shipped inside task tuples.
 
-        ``(None, None)`` when native is off or the provider has no
-        on-disk artifact to ship (numba) — workers then run NumPy while
-        the parent still re-executes natively.
+        ``(None, None)`` when native is off — workers then run NumPy.
         """
         nk = self._native
-        if nk is None or nk.artifact_path is None:
+        if nk is None:
             return None, None
         return nk.artifact_path, nk.meta
 
@@ -1746,9 +1750,7 @@ class ScaleoutPool:
         seg_plan = plan_chunks(n, w)
         nkern = self._ensure_native_multi()
         native_path, native_meta = (
-            (None, None)
-            if nkern is None or nkern.artifact_path is None
-            else (nkern.artifact_path, nkern.meta)
+            (None, None) if nkern is None else (nkern.artifact_path, nkern.meta)
         )
 
         # Per-pattern boundary speculation over the class machines,
@@ -2463,6 +2465,15 @@ class ScaleoutPool:
         Pools left open at interpreter exit are closed by an ``atexit``
         hook, so abnormal teardown never leaks ``/dev/shm`` segments.
         """
+        self._release(unmap=True)
+
+    def _release(self, *, unmap: bool) -> None:
+        """Stop workers and unlink every segment; unmap too if ``unmap``.
+
+        The signal-teardown handler passes ``unmap=False``: another thread
+        may still be inside a NumPy copy or gather over a mapping, and the
+        unlinked mappings are reclaimed at process exit anyway.
+        """
         if getattr(self, "_closed", True):
             return
         with self._shm_lock:
@@ -2489,6 +2500,8 @@ class ScaleoutPool:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
+            if not unmap:
+                continue
             try:
                 shm.close()
             except BufferError:  # a live view pins the mapping

@@ -10,9 +10,9 @@ and on disk keyed by
 ``(dfa_fingerprint, k, kernel, collapse, dtype, abi_version)`` so
 repeated tenants and restarted servers perform zero compiles.
 
-No hard dependency is added. Provider ladder: numba ``@njit`` (optional
-``native`` extra) → compiled artifact via cffi (optional) → compiled
-artifact via stdlib ctypes → pure NumPy (by falling back at the caller).
+No hard dependency is added: artifacts are built by the system C
+compiler and loaded with stdlib ctypes; with no working compiler the
+caller falls back to pure NumPy.
 :func:`load_native_plan` returns ``None`` on any failure; autotune
 (:func:`repro.core.autotune.choose_backend`) only selects
 ``backend="native"`` when it measures faster than the NumPy path.

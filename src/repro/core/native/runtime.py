@@ -9,17 +9,11 @@ no compiler, compile error, load error, smoke-check mismatch — returns
 ``None`` (counted as ``native.fallback.*``) so callers degrade to NumPy
 without special-casing.
 
-Provider ladder (first available wins):
-
-1. **numba** — optional accelerator from the ``native`` extra: an
-   ``@njit`` mirror of the generated C, no compiler or artifact needed;
-2. **cffi** — optional accelerator: ``dlopen`` of the compiled artifact;
-3. **ctypes** — the zero-dependency floor, stdlib only;
-4. NumPy — by returning ``None`` from :func:`load_native_plan`.
-
-Each provider is smoke-checked at load time against a pure-Python table
-walk on a short random segment; a provider that disagrees (or raises) is
-demoted down the ladder rather than trusted.
+Artifacts are loaded with stdlib ``ctypes`` over the system C compiler's
+output; when that fails, :func:`load_native_plan` returns ``None`` and the
+caller stays on NumPy. Every loaded kernel is smoke-checked against a
+pure-Python table walk on a short random segment; a kernel that disagrees
+(or raises) is dropped rather than trusted.
 """
 
 from __future__ import annotations
@@ -80,8 +74,6 @@ def _i64(a: np.ndarray) -> np.ndarray:
 class _CtypesLib:
     """stdlib loader: raw pointers passed as integers through ``c_void_p``."""
 
-    provider = "ctypes"
-
     def __init__(self, path: str) -> None:
         lib = ctypes.CDLL(path)
         P = ctypes.c_void_p
@@ -139,282 +131,6 @@ class _CtypesLib:
         )
 
 
-_CFFI_CDEF = """
-int32_t nk_abi(void);
-int32_t nk_meta(int32_t which);
-int32_t nk_run_segment(const int32_t *in, int64_t len, int32_t s,
-                       const int32_t *class_of, const int32_t *Tc,
-                       const int32_t *Tm);
-void nk_process_chunks(const int32_t *inputs, const int64_t *starts,
-                       const int64_t *lengths, int64_t nchunks,
-                       const int32_t *spec, int32_t *end,
-                       const int32_t *class_of, const int32_t *Tc,
-                       const int32_t *Tm, int64_t *counters);
-void nk_fold_maps(const int32_t *spec, const int32_t *end, int64_t nmaps,
-                  const int32_t *inputs, const int64_t *starts,
-                  const int64_t *lengths, const uint8_t *converged,
-                  const int32_t *class_of, const int32_t *Tc,
-                  const int32_t *Tm, int32_t *row, int64_t *counters);
-"""
-
-
-class _CffiLib:
-    """cffi loader used when the ``native`` extra is installed."""
-
-    provider = "cffi"
-
-    def __init__(self, path: str) -> None:
-        import cffi
-
-        self._ffi = cffi.FFI()
-        self._ffi.cdef(_CFFI_CDEF)
-        self._lib = self._ffi.dlopen(path)
-
-    def _p32(self, a: np.ndarray | None):
-        if a is None:
-            return self._ffi.NULL
-        return self._ffi.cast("const int32_t *", a.ctypes.data)
-
-    def _p64(self, a: np.ndarray | None):
-        if a is None:
-            return self._ffi.NULL
-        return self._ffi.cast("const int64_t *", a.ctypes.data)
-
-    def abi(self) -> int:
-        return int(self._lib.nk_abi())
-
-    def meta(self, which: int) -> int:
-        return int(self._lib.nk_meta(which))
-
-    def run_segment(self, inputs, start, class_of, Tc, Tm) -> int:
-        return int(
-            self._lib.nk_run_segment(
-                self._p32(inputs), inputs.size, int(start),
-                self._p32(class_of), self._p32(Tc), self._p32(Tm),
-            )
-        )
-
-    def process_chunks(
-        self, inputs, starts, lengths, spec, end, class_of, Tc, Tm, counters
-    ) -> None:
-        ffi = self._ffi
-        self._lib.nk_process_chunks(
-            self._p32(inputs), self._p64(starts), self._p64(lengths),
-            int(starts.size), self._p32(spec),
-            ffi.cast("int32_t *", end.ctypes.data),
-            self._p32(class_of), self._p32(Tc), self._p32(Tm),
-            ffi.cast("int64_t *", counters.ctypes.data),
-        )
-
-    def fold_maps(
-        self, spec, end, inputs, starts, lengths, converged,
-        class_of, Tc, Tm, row, counters,
-    ) -> None:
-        ffi = self._ffi
-        conv = (
-            ffi.NULL
-            if converged is None
-            else ffi.cast("const uint8_t *", converged.ctypes.data)
-        )
-        self._lib.nk_fold_maps(
-            self._p32(spec), self._p32(end), int(starts.size),
-            self._p32(inputs), self._p64(starts), self._p64(lengths),
-            conv, self._p32(class_of), self._p32(Tc), self._p32(Tm),
-            ffi.cast("int32_t *", row.ctypes.data),
-            ffi.cast("int64_t *", counters.ctypes.data),
-        )
-
-
-class _NumbaLib:
-    """numba provider: an ``@njit`` mirror of the generated C.
-
-    Needs no compiler and no artifact — the loops take ``k``/``m`` as
-    runtime arguments, so one jit compilation serves every plan. Only
-    constructed when numba imports; any jit failure demotes the ladder.
-    """
-
-    provider = "numba"
-    _fns = None
-    _fns_lock = threading.Lock()
-
-    def __init__(self, spec: NativeSpec) -> None:
-        self._spec = spec
-        fns = self._compiled()
-        self._run_segment, self._process, self._fold = fns
-
-    @classmethod
-    def _compiled(cls):
-        with cls._fns_lock:
-            if cls._fns is not None:
-                return cls._fns
-            import numba  # noqa: F401  (raises when the extra is absent)
-            from numba import njit
-
-            @njit(cache=True)
-            def nb_run_segment(inputs, start, class_of, Tc, Tm, m, nc):
-                s = start
-                t = 0
-                n = inputs.shape[0]
-                if m > 1 and Tm.shape[0] > 0:
-                    while t + m <= n:
-                        idx = np.int64(class_of[inputs[t]])
-                        for i in range(1, m):
-                            idx = idx * nc + class_of[inputs[t + i]]
-                        s = Tm[idx, s]
-                        t += m
-                while t < n:
-                    s = Tc[class_of[inputs[t]], s]
-                    t += 1
-                return s
-
-            @njit(cache=True)
-            def nb_process(inputs, starts, lengths, spec, end, class_of,
-                           Tc, Tm, m, nc, cad, backoff, counters):
-                k = spec.shape[1]
-                for c in range(starts.shape[0]):
-                    lo = starts[c]
-                    length = lengths[c]
-                    lanes = spec[c].copy()
-                    t = 0
-                    next_scan = cad
-                    interval = cad
-                    collapsed = False
-                    if m > 1 and Tm.shape[0] > 0:
-                        while t + m <= length:
-                            idx = np.int64(class_of[inputs[lo + t]])
-                            for i in range(1, m):
-                                idx = idx * nc + class_of[inputs[lo + t + i]]
-                            for j in range(k):
-                                lanes[j] = Tm[idx, lanes[j]]
-                            t += m
-                            counters[0] += k
-                            if cad > 0 and k > 1 and t >= next_scan:
-                                counters[1] += 1
-                                same = True
-                                for j in range(1, k):
-                                    if lanes[j] != lanes[0]:
-                                        same = False
-                                        break
-                                if same:
-                                    counters[2] += k - 1
-                                    collapsed = True
-                                    break
-                                interval *= backoff
-                                next_scan = t + interval
-                    if not collapsed:
-                        while t < length:
-                            row = class_of[inputs[lo + t]]
-                            for j in range(k):
-                                lanes[j] = Tc[row, lanes[j]]
-                            t += 1
-                            counters[0] += k
-                            if cad > 0 and k > 1 and t >= next_scan:
-                                counters[1] += 1
-                                same = True
-                                for j in range(1, k):
-                                    if lanes[j] != lanes[0]:
-                                        same = False
-                                        break
-                                if same:
-                                    counters[2] += k - 1
-                                    collapsed = True
-                                    break
-                                interval *= backoff
-                                next_scan = t + interval
-                    if collapsed:
-                        s = nb_run_segment(
-                            inputs[lo + t: lo + length], lanes[0],
-                            class_of, Tc, Tm, m, nc,
-                        )
-                        counters[0] += length - t
-                        for j in range(k):
-                            lanes[j] = s
-                    for j in range(k):
-                        end[c, j] = lanes[j]
-
-            @njit(cache=True)
-            def nb_fold(spec, end, inputs, starts, lengths, converged,
-                        class_of, Tc, Tm, m, nc, row, counters):
-                k = spec.shape[1]
-                nxt = np.empty(k, dtype=np.int32)
-                for c in range(1, spec.shape[0]):
-                    if converged.shape[0] > 0 and converged[c]:
-                        for j in range(k):
-                            row[j] = end[c, 0]
-                        counters[5] += k
-                        continue
-                    misses = 0
-                    for j in range(k):
-                        v = row[j]
-                        hit = -1
-                        for jj in range(k):
-                            if spec[c, jj] == v:
-                                hit = jj
-                                break
-                        if hit >= 0:
-                            nxt[j] = end[c, hit]
-                        else:
-                            nxt[j] = nb_run_segment(
-                                inputs[starts[c]: starts[c] + lengths[c]],
-                                v, class_of, Tc, Tm, m, nc,
-                            )
-                            misses += 1
-                    if misses:
-                        counters[3] += 1
-                        counters[4] += lengths[c] * misses
-                    for j in range(k):
-                        row[j] = nxt[j]
-
-            cls._fns = (nb_run_segment, nb_process, nb_fold)
-            return cls._fns
-
-    def abi(self) -> int:
-        return _build.ABI_VERSION
-
-    def meta(self, which: int) -> int:
-        sp = self._spec
-        vals = (sp.k, sp.m, sp.num_classes, sp.num_states, sp.cadence)
-        return vals[which] if 0 <= which < len(vals) else -1
-
-    @staticmethod
-    def _tm(Tm):
-        return Tm if Tm is not None else np.zeros((0, 1), dtype=np.int32)
-
-    def run_segment(self, inputs, start, class_of, Tc, Tm) -> int:
-        sp = self._spec
-        return int(
-            self._run_segment(
-                inputs, np.int32(start), class_of, Tc, self._tm(Tm),
-                sp.m, sp.num_classes,
-            )
-        )
-
-    def process_chunks(
-        self, inputs, starts, lengths, spec, end, class_of, Tc, Tm, counters
-    ) -> None:
-        sp = self._spec
-        self._process(
-            inputs, starts, lengths, spec, end, class_of, Tc,
-            self._tm(Tm), sp.m, sp.num_classes, sp.cadence, sp.backoff,
-            counters,
-        )
-
-    def fold_maps(
-        self, spec, end, inputs, starts, lengths, converged,
-        class_of, Tc, Tm, row, counters,
-    ) -> None:
-        sp = self._spec
-        conv = (
-            converged
-            if converged is not None
-            else np.zeros(0, dtype=np.uint8)
-        )
-        self._fold(
-            spec, end, inputs, starts, lengths, conv, class_of, Tc,
-            self._tm(Tm), sp.m, sp.num_classes, row, counters,
-        )
-
-
 # --------------------------------------------------------------------------- #
 # the public wrapper
 # --------------------------------------------------------------------------- #
@@ -436,8 +152,8 @@ class NativeKernel:
     """One loaded, specialized native kernel bound to its tables.
 
     Holds the resolved :class:`KernelPlan` (class map + stride table),
-    the compile :class:`~repro.core.native.cgen.NativeSpec`, and a
-    provider backend. Methods accept the same arrays as the NumPy path
+    the compile :class:`~repro.core.native.cgen.NativeSpec`, and the
+    loaded artifact. Methods accept the same arrays as the NumPy path
     and coerce to the contiguous int32/int64 layout the C expects.
     """
 
@@ -447,7 +163,7 @@ class NativeKernel:
         spec: NativeSpec,
         kplan: KernelPlan,
         *,
-        artifact_path: str | None,
+        artifact_path: str,
         key: str,
     ) -> None:
         self._lib = lib
@@ -455,7 +171,6 @@ class NativeKernel:
         self.kplan = kplan
         self.artifact_path = artifact_path
         self.key = key
-        self.provider = lib.provider
         self._class_of = _i32(kplan.compaction.class_of)
         self._Tc = _i32(kplan.compaction.table)
         self._Tm = (
@@ -521,8 +236,7 @@ class NativeKernel:
         end = np.empty_like(spec)
         counters = np.zeros(NUM_SLOTS, dtype=np.int64)
         with trace_span(
-            "native.process_chunks", chunks=plan.num_chunks, k=self.spec.k,
-            provider=self.provider,
+            "native.process_chunks", chunks=plan.num_chunks, k=self.spec.k
         ):
             self._lib.process_chunks(
                 inputs, starts, lengths, spec, end,
@@ -590,7 +304,7 @@ class NativeKernel:
 
 
 def _smoke_check(nk: NativeKernel, dfa: DFA) -> bool:
-    """Cross-check the provider against a pure-Python table walk."""
+    """Cross-check the loaded kernel against a pure-Python table walk."""
     rng = np.random.default_rng(12345)
     n = max(2 * nk.spec.m + 3, 11)
     seg = rng.integers(0, dfa.num_inputs, size=n, dtype=np.int32)
@@ -604,50 +318,24 @@ def _smoke_check(nk: NativeKernel, dfa: DFA) -> bool:
     return True
 
 
-def _load_lib(path: str, spec: NativeSpec):
-    """Try cffi then ctypes on a compiled artifact; validate its metadata."""
-    last_exc: Exception | None = None
-    for cls in (_CffiLib, _CtypesLib):
-        try:
-            lib = cls(path)
-        except Exception as exc:  # ImportError, OSError, cdef errors
-            last_exc = exc
-            continue
-        if lib.abi() != _build.ABI_VERSION:
-            last_exc = RuntimeError(
-                f"artifact {path} has ABI {lib.abi()}, "
-                f"expected {_build.ABI_VERSION}"
-            )
-            continue
-        expect = (spec.k, spec.m, spec.num_classes, spec.num_states)
-        got = tuple(lib.meta(i) for i in range(4))
-        if got != expect:
-            last_exc = RuntimeError(
-                f"artifact {path} metadata {got} != plan {expect}"
-            )
-            continue
-        return lib
-    if last_exc is not None:
-        raise last_exc
-    raise RuntimeError("no loader available")
-
-
-def _try_numba(spec: NativeSpec):
-    try:
-        return _NumbaLib(spec)
-    except Exception:
-        return None
+def _load_lib(path: str, spec: NativeSpec) -> _CtypesLib:
+    """Load a compiled artifact with ctypes; validate its ABI and metadata."""
+    lib = _CtypesLib(path)
+    if lib.abi() != _build.ABI_VERSION:
+        raise RuntimeError(
+            f"artifact {path} has ABI {lib.abi()}, "
+            f"expected {_build.ABI_VERSION}"
+        )
+    expect = (spec.k, spec.m, spec.num_classes, spec.num_states)
+    got = tuple(lib.meta(i) for i in range(4))
+    if got != expect:
+        raise RuntimeError(f"artifact {path} metadata {got} != plan {expect}")
+    return lib
 
 
 def native_available() -> bool:
-    """Whether *some* native provider can work in this process."""
-    if _build.find_compiler() is not None:
-        return True
-    try:
-        import numba  # noqa: F401
-        return True
-    except Exception:
-        return False
+    """Whether a C compiler is available to build native kernels."""
+    return _build.find_compiler() is not None
 
 
 def _native_spec(
@@ -765,18 +453,6 @@ def _materialize(
     key: str,
     cache_dir: str | None,
 ) -> NativeKernel | None:
-    # Ladder rung 1: numba (no compiler needed).
-    lib = _try_numba(spec)
-    if lib is not None:
-        nk = NativeKernel(lib, spec, kplan, artifact_path=None, key=key)
-        try:
-            if _smoke_check(nk, dfa):
-                return nk
-        except Exception:
-            pass
-        _build.note_fallback("numba_smoke")
-
-    # Ladder rungs 2-3: compiled artifact via cffi, then ctypes.
     try:
         path = _build.ensure_artifact(
             key, lambda: generate_source(spec), directory=cache_dir

@@ -456,7 +456,6 @@ class FSMServer:
             lookback=cfg.lookback,
             probe_items=probe.size,
             repeats=2,
-            candidates=("vectorized", "native"),
         )
         self.trace.count("serve.backend_probes", 1)
         if choice.backend != "native":

@@ -1,15 +1,10 @@
-"""Tests for the kernel code generator (Python kernels + CUDA source)."""
+"""Tests for the kernel code generator (selection + CUDA source)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-import repro
 from repro.core.codegen.cuda_src import generate_cuda_kernel
-from repro.core.codegen.pykernel import compile_local_kernel, generate_local_source
 from repro.core.codegen.select import plan_kernel
-from repro.fsm.run import run_reference
-from tests.conftest import make_random_dfa, random_input
+from tests.conftest import make_random_dfa
 
 
 class TestSelect:
@@ -45,37 +40,6 @@ class TestSelect:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             plan_kernel(make_random_dfa(5, 2, seed=0), 0)
-
-
-class TestPyKernel:
-    def test_source_unrolls_k(self):
-        src = generate_local_source(3)
-        assert "s0 = " in src and "s2 = " in src and "s3" not in src
-
-    def test_source_invalid_k(self):
-        with pytest.raises(ValueError):
-            generate_local_source(0)
-
-    def test_kernel_memoized(self):
-        assert compile_local_kernel(4) is compile_local_kernel(4)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 500),
-        k=st.integers(1, 6),
-        n=st.integers(0, 300),
-        layout=st.sampled_from(["transformed", "natural"]),
-    )
-    def test_codegen_backend_equals_vectorized(self, seed, k, n, layout):
-        dfa = make_random_dfa(max(k, 4), 3, seed=seed)
-        inp = random_input(3, n, seed=seed + 1)
-        kwargs = dict(
-            k=k, num_blocks=1, threads_per_block=32, layout=layout,
-            lookback=2, price=False,
-        )
-        rv = repro.run_speculative(dfa, inp, **kwargs)
-        rc = repro.run_speculative(dfa, inp, backend="codegen", **kwargs)
-        assert rv.final_state == rc.final_state == run_reference(dfa, inp)
 
 
 class TestCudaSource:

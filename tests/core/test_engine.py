@@ -162,6 +162,8 @@ class TestOutputs:
         assert r.stats.cache_hits + r.stats.cache_misses > 0
 
     def test_codegen_rejects_cache(self, small_case):
+        # backend="codegen" is no longer an engine backend; the request is
+        # refused before any cache plan is built, naming the bad value.
         dfa, inp = small_case
         with pytest.raises(ValueError, match="codegen"):
             repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
