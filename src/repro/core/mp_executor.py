@@ -53,6 +53,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,6 +213,12 @@ class BatchRunResult:
 # the current task are stale (the parent grew the input buffer) and are closed.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
+# Every pool publishes its input as int32 symbols, range-checked and
+# copied in blocks of this many (1 MiB: the check's read stays in cache
+# for the copy).
+_INPUT_DTYPE = np.dtype(np.int32)
+_PUBLISH_BLOCK = 1 << 18
+
 # Native artifacts load once per worker process and are reused across tasks
 # (the parent ships the compiled .so *path* the same way it ships SHM segment
 # names). A failed load caches None so every retry doesn't re-attempt dlopen.
@@ -298,6 +305,7 @@ def _evict_stale(keep: frozenset) -> None:
 
 def _segment_match_positions(
     dfa: DFA,
+    kplan: KernelPlan,
     segment: np.ndarray,
     true_start: int,
     *,
@@ -318,316 +326,299 @@ def _segment_match_positions(
     segment = np.asarray(segment)
     if segment.size == 0:
         return np.zeros(0, dtype=np.int64)
+    if int(dfa.start) != int(true_start):
+        dfa = dfa.with_start(int(true_start))
     plan = plan_chunks(segment.size, sub_chunks)
-    n_states = dfa.num_states
-    if k is None or k >= n_states:
-        spec = np.tile(
-            np.arange(n_states, dtype=np.int32), (plan.num_chunks, 1)
-        )
-    else:
-        spec = speculate(dfa, segment, plan, k, lookback=lookback, prior=prior)
-        if not (spec[0] == true_start).any():
-            spec[0, 0] = true_start
-    end, _ = process_chunks(dfa, segment, plan, spec)
+    # No boundary row: speculation leads chunk 0 with dfa.start, the truth.
+    spec, end, _ = _segment_maps(
+        dfa, kplan, segment, plan, None, k=k, lookback=lookback, prior=prior
+    )
     results = ChunkResults(
         spec=spec, end=end, valid=np.ones_like(spec, dtype=bool)
     )
-    dfa_seg = dfa if int(dfa.start) == int(true_start) else dfa.with_start(int(true_start))
-    _, tstarts = true_boundary_walk(dfa_seg, segment, plan, results)
-    return recover_accepts(dfa_seg, segment, plan, tstarts)
+    _, tstarts = true_boundary_walk(dfa, segment, plan, results)
+    return recover_accepts(dfa, segment, plan, tstarts)
 
 
-def _worker_run(task: tuple) -> tuple[np.ndarray, np.ndarray, object, int, tuple, tuple]:
-    """Run one segment task; return its result plus per-worker timings.
+class _Task(NamedTuple):
+    """One worker task: the pool's shared-segment names plus one slice.
 
-    Four task modes, selected by the task's ``mode`` field:
-
-    * ``"fold"`` (the classic path): run ``sub_chunks`` speculative chunks
-      and fold their maps left to right; return shape ``(spec_row,
-      end_row, reexec_chunks, reexec_items, timings, counters)``.
-    * ``"maps"`` (scoreboard streaming): run the chunks but do **not**
-      fold — return the full per-chunk matrices ``(spec, end,
-      converged_mask_or_None, 0, timings, counters)`` so the parent's
-      :class:`repro.core.scoreboard.ChunkScoreboard` consumes each chunk
-      map individually as worker results arrive.
-    * ``"bmaps"`` (coalesced-batch streaming, :meth:`ScaleoutPool.run_batch`):
-      like ``"maps"``, but the segment is a contiguous span of a
-      multi-request batch with *ragged* chunk lengths: ``aux_start``
-      carries ``(chunk_lengths, pins)`` where ``pins`` are
-      ``(local_chunk, state)`` request heads inside the span whose true
-      incoming state is known and gets pinned into the speculation row.
-      Chunks run under the divergent ragged driver; the return shape
-      matches ``"maps"`` with a ``None`` converged mask.
-    * ``"collect"`` (second pass): the parent ships the segment's *true*
-      starting state in ``aux_start``; return ``(global_positions,
-      empty, 0, 0, timings, counters)`` where ``global_positions`` are
-      the accepting positions inside the segment offset to global input
-      coordinates.
-
-    ``timings`` is ``(attach_s, exec_s, fold_s, total_s, new_attaches)``
-    and ``counters`` is ``(local_gathers, collapse_scans,
-    lanes_collapsed, chunks_converged, checks_skipped)`` — they ride the
-    result path because worker processes cannot see the parent's ambient
-    :class:`repro.obs.RunTrace`; the parent folds them into
-    :class:`WorkerTiming` / :class:`ExecStats` and its trace.
-
-    Executed inside a worker process. Attaches the pool's shared segments
-    (cached across calls), runs the lock-step kernel over ``sub_chunks``
-    chunks of its input slice; in fold mode a speculation miss re-executes
-    the sub-chunk locally, so the returned map is always complete over
-    ``spec_row``. When the parent shipped a collapse cadence, duplicate
-    lanes are collapsed mid-advancement and the fold short-circuits
-    converged sub-chunks (constant maps over achievable incoming states) —
-    the collapse state is rebuilt from the task alone, so a retried or
-    respawned worker reproduces it exactly.
-
-    When the parent shipped a compiled native artifact (``native_path`` +
-    ``native_meta``, riding the task tuple like the SHM segment names),
-    the worker dlopens it once per process and runs local processing and
-    the fold through :mod:`repro.core.native` — bit-identical to the
-    NumPy path, which remains the fallback whenever the artifact cannot
-    be loaded (e.g. the cache directory is not shared with the worker).
+    Built only by :meth:`ScaleoutPool._task`, the single place the field
+    order lives; tasks carry names and one boundary row, never a table or
+    the input. ``mode`` selects the worker output: ``"fold"`` (the
+    segment's folded map over ``boundary_row``), ``"maps"`` (the per-chunk
+    maps), ``"bmaps"`` (per-chunk maps over a batch span, whose ``aux`` is
+    ``(chunk_lengths, pins)``) or ``"collect"`` (accepting positions;
+    ``aux`` is the segment's true start state).
     """
-    (
-        table_name,
-        num_inputs,
-        num_states,
-        acc_name,
-        prior_name,
-        input_name,
-        input_len,
-        input_dtype,
-        lo,
-        hi,
-        start,
-        k,
-        sub_chunks,
-        lookback,
-        boundary_row,
-        kernel_name,
-        num_classes,
-        stride_m,
-        class_of_name,
-        class_table_name,
-        stride_name,
-        collapse_spec,
-        mode,
-        aux_start,
-        native_path,
-        native_meta,
-    ) = task
-    t_task = time.perf_counter()
+
+    table: str
+    accepting: str
+    prior: str
+    class_of: str
+    class_table: str
+    stride: str | None
+    input: str
+    input_len: int
+    num_inputs: int
+    num_states: int
+    num_classes: int
+    stride_m: int
+    kernel: str
+    k: int | None
+    sub_chunks: int
+    lookback: int
+    collapse: tuple[int, int] | None
+    native_path: str | None
+    native_meta: tuple | None
+    mode: str
+    lo: int
+    hi: int
+    boundary_row: np.ndarray | None
+    aux: object
+
+
+def _attach_task(task: _Task):
+    """Attach ``task``'s shared segments (cached for the worker's life).
+
+    Returns ``(dfa, kplan, prior, segment, new_attaches)``. The kernel plan
+    is rebuilt as *views* on the pool's shared segments: the parent paid
+    compaction and table composition once at publish time, workers pay
+    one attach.
+    """
     _tracker_inherited()  # snapshot before the first attach registers anything
-    keep = {table_name, acc_name, prior_name, input_name,
-            class_of_name, class_table_name}
-    if stride_name is not None:
-        keep.add(stride_name)
-    _evict_stale(frozenset(keep))
+    names = (task.table, task.accepting, task.prior, task.input,
+             task.class_of, task.class_table, task.stride)
+    _evict_stale(frozenset(n for n in names if n is not None))
     attached_before = len(_ATTACHED)
-    table = _attached_array(table_name, (num_inputs, num_states), np.int32)
-    accepting = _attached_array(acc_name, (num_states,), np.bool_)
-    prior = _attached_array(prior_name, (num_states,), np.float64)
-    inputs = _attached_array(input_name, (input_len,), np.dtype(input_dtype))
-    class_of = _attached_array(class_of_name, (num_inputs,), np.int32)
-    class_table = _attached_array(
-        class_table_name, (num_classes, num_states), np.int32
-    )
+    S, C = task.num_states, task.num_classes
+    table = _attached_array(task.table, (task.num_inputs, S), np.int32)
+    accepting = _attached_array(task.accepting, (S,), np.bool_)
+    prior = _attached_array(task.prior, (S,), np.float64)
+    inputs = _attached_array(task.input, (task.input_len,), _INPUT_DTYPE)
+    class_of = _attached_array(task.class_of, (task.num_inputs,), np.int32)
+    class_table = _attached_array(task.class_table, (C, S), np.int32)
     tables = None
-    if stride_name is not None:
-        table_m = _attached_array(
-            stride_name, (num_classes ** stride_m, num_states), np.int32
-        )
-        tables = StrideTables(m=stride_m, table_m=table_m, build_s=0.0)
-    # The kernel plan is rebuilt as *views* on the pool's shared segments:
-    # the parent paid compaction and table composition once at publish
-    # time, workers pay one attach.
+    if task.stride is not None:
+        table_m = _attached_array(task.stride, (C ** task.stride_m, S), np.int32)
+        tables = StrideTables(m=task.stride_m, table_m=table_m, build_s=0.0)
     kplan = KernelPlan(
-        kernel=kernel_name,
+        kernel=task.kernel,
         compaction=AlphabetCompaction(
-            class_of=class_of, table=class_table, num_symbols=num_inputs
+            class_of=class_of, table=class_table, num_symbols=task.num_inputs
         ),
         tables=tables,
         build_s=0.0,
         predicted_cost_s={},
     )
-    segment = inputs[lo:hi]
+    # Chunk 0 enters at the shipped boundary row and the collect pass
+    # re-roots at its true start, so the machine's own start is never read.
+    dfa = DFA(table=table, start=0, accepting=accepting)
     new_attaches = len(_ATTACHED) - attached_before
-    t_attach = time.perf_counter()
+    return dfa, kplan, prior, inputs[task.lo:task.hi], new_attaches
 
-    dfa = DFA(table=table, start=start, accepting=accepting)
-    if mode == "collect":
-        positions = _segment_match_positions(
-            dfa, segment, int(aux_start),
-            sub_chunks=sub_chunks, k=k, lookback=lookback, prior=prior,
-        )
-        positions = positions + lo  # globalize to input coordinates
-        t_done = time.perf_counter()
-        timings = (
-            t_attach - t_task, t_done - t_attach, 0.0, t_done - t_task,
-            new_attaches,
-        )
-        return positions, np.zeros(0, dtype=np.int32), 0, 0, timings, (0, 0, 0, 0, 0)
-    if mode == "bmaps":
-        chunk_lengths, pins = aux_start
-        plan = plan_from_lengths(np.asarray(chunk_lengths, dtype=np.int64))
-        if k is None or k >= num_states:
-            spec = np.tile(
-                np.arange(num_states, dtype=np.int32), (plan.num_chunks, 1)
-            )
-        else:
-            spec = speculate(dfa, segment, plan, k, lookback=lookback, prior=prior)
-            # Chunk 0's look-back crosses into the previous span, which
-            # only the parent can see — use the boundary row it shipped.
-            spec[0] = boundary_row
-            for ci, s in pins:
-                if not (spec[ci] == s).any():
-                    spec[ci, -1] = s
-        wstats = ExecStats()
-        nk = _worker_native(native_path, native_meta, kplan)
-        if nk is not None and nk.spec.k == spec.shape[1]:
-            end = nk.process_chunks(segment, plan, spec, stats=wstats)
-        else:
-            end = process_chunks_ragged(dfa, segment, plan, spec, stats=wstats)
-        t_done = time.perf_counter()
-        timings = (
-            t_attach - t_task, t_done - t_attach, 0.0, t_done - t_task,
-            new_attaches,
-        )
-        counters = (
-            int(wstats.local_gathers),
-            int(wstats.collapse_scans),
-            int(wstats.lanes_collapsed),
-            0,
-            0,
-        )
-        return spec, end, None, 0, timings, counters
-    plan = plan_chunks(segment.size, sub_chunks)
-    collapse_cfg = (
-        CollapseConfig(cadence=collapse_spec[0], backoff=collapse_spec[1])
-        if collapse_spec is not None
-        else None
-    )
+
+def _segment_maps(
+    dfa: DFA,
+    kplan: KernelPlan,
+    segment: np.ndarray,
+    plan,
+    boundary_row: np.ndarray | None,
+    *,
+    k: int | None,
+    lookback: int,
+    prior: np.ndarray | None,
+    collapse: CollapseConfig | None = None,
+    pins=None,
+    native=None,
+    stats: ExecStats | None = None,
+):
+    """Per-chunk ``(spec, end)`` maps of one segment, plus a converged mask.
+
+    Chunk 0 enters at ``boundary_row`` when one is given: its look-back
+    crosses into the left neighbour's segment, which only the parent can
+    see. ``pins`` are ``(chunk, state)`` pairs of a batch span: its
+    chunks are ragged (stepped by the ragged driver) and a pinned request
+    head's known incoming state is forced into its row. With
+    ``collapse``, duplicate lanes collapse mid-advancement and the mask
+    flags converged chunks (constant maps over every achievable incoming
+    state); it is None otherwise. The native, stride, lockstep and ragged
+    drivers are bit-identical.
+    """
     covered = None
-    if k is None or k >= num_states:
-        spec = np.tile(np.arange(num_states, dtype=np.int32), (sub_chunks, 1))
-        if collapse_cfg is not None:
-            covered = np.ones(sub_chunks, dtype=bool)
-    elif collapse_cfg is not None:
+    if k is None or k >= dfa.num_states:
+        spec = np.tile(
+            np.arange(dfa.num_states, dtype=np.int32), (plan.num_chunks, 1)
+        )
+        if collapse is not None:
+            covered = np.ones(plan.num_chunks, dtype=bool)
+    elif collapse is not None:
         spec, covered = speculate(
             dfa, segment, plan, k, lookback=lookback, prior=prior,
             return_coverage=True,
         )
-        # Chunk 0's incoming states are the *segment boundary's*, which only
-        # the parent can see (they depend on the left neighbour's tail); use
-        # the boundary row it shipped. Its coverage is unknown here — the
-        # parent assesses segment-boundary coverage itself.
-        spec[0] = boundary_row
-        covered[0] = False
+        covered[0] = False  # the parent assesses segment-boundary coverage
     else:
         spec = speculate(dfa, segment, plan, k, lookback=lookback, prior=prior)
+    if boundary_row is not None:
         spec[0] = boundary_row
-    wstats = ExecStats()
-    nk = _worker_native(native_path, native_meta, kplan)
-    if nk is not None and nk.spec.k == spec.shape[1]:
+    for c, s in pins or ():
+        if not (spec[c] == s).any():
+            spec[c, -1] = s
+    if native is not None and native.spec.k == spec.shape[1]:
         # Collapse (when enabled) is baked into the artifact's cadence.
-        end = nk.process_chunks(segment, plan, spec, stats=wstats)
-    elif kernel_name == "lockstep":
+        end = native.process_chunks(segment, plan, spec, stats=stats)
+    elif pins is not None:
+        end = process_chunks_ragged(dfa, segment, plan, spec, stats=stats)
+    elif kplan.kernel == "lockstep":
         end, _ = process_chunks(
-            dfa, segment, plan, spec, stats=wstats, collapse=collapse_cfg
+            dfa, segment, plan, spec, stats=stats, collapse=collapse
         )
     else:
         end = process_chunks_kernel(
-            dfa, segment, plan, spec, kplan, stats=wstats, collapse=collapse_cfg
+            dfa, segment, plan, spec, kplan, stats=stats, collapse=collapse
         )
-    converged = (
-        converged_chunks(end, covered) if covered is not None else None
-    )
-    chunks_conv = int(converged.sum()) if converged is not None else 0
-    t_exec = time.perf_counter()
+    converged = None if covered is None else converged_chunks(end, covered)
+    return spec, end, converged
 
-    if mode == "maps":
-        # Scoreboard streaming: no fold — the parent consumes each chunk's
-        # (speculated -> ending) map individually, in arrival order.
-        timings = (
-            t_attach - t_task, t_exec - t_attach, 0.0, t_exec - t_task,
-            new_attaches,
-        )
-        counters = (
-            int(wstats.local_gathers),
-            int(wstats.collapse_scans),
-            int(wstats.lanes_collapsed),
-            chunks_conv,
-            0,
-        )
-        return spec, end, converged, 0, timings, counters
 
-    # Fold chunk maps into one segment map over chunk 0's speculation row:
-    # repeated semi-join composition, vectorized over the k entries.
-    if nk is not None and nk.spec.k == spec.shape[1]:
-        # Native fold: first-match semi-join with in-C re-execution on
-        # misses and the same converged-chunk short-circuit.
-        row, fc = nk.fold_maps(
-            spec, end, segment, plan.starts, plan.lengths, converged=converged
-        )
-        t_done = time.perf_counter()
-        timings = (
-            t_attach - t_task, t_exec - t_attach, t_done - t_exec,
-            t_done - t_task, new_attaches,
-        )
-        counters = (
-            int(wstats.local_gathers) + fc.gathers,
-            int(wstats.collapse_scans),
-            int(wstats.lanes_collapsed),
-            chunks_conv,
-            fc.checks_skipped,
-        )
-        return (
-            spec[0].copy(), row, fc.reexec_chunks, fc.reexec_items,
-            timings, counters,
-        )
-    spec_row = spec[0].copy()
-    cur_end = end[0][None, :].copy()
-    all_valid = np.ones((1, spec.shape[1]), dtype=bool)
-    reexec_chunks = 0
-    reexec_items = 0
-    checks_skipped = 0
-    for c in range(1, sub_chunks):
+def _fold_left(row, spec, end, reexec, *, converged=None, incoming=None):
+    """Carry ``row`` left to right through the maps ``spec[c] -> end[c]``.
+
+    The one left fold of the pool: every lane steps by semi-join
+    (:func:`repro.core.merge_par.compose_maps`, which takes a row of any
+    width against the maps' width). A lane whose state map ``c`` did not
+    speculate re-executes as ``reexec(c, state)``, so the result is exact.
+    A ``converged[c]`` map is constant over every achievable incoming
+    state: all lanes take ``end[c, 0]`` without a probe. ``incoming``,
+    when given, receives the row entering each map. Returns ``(row,
+    misses)`` where ``misses[c]`` counts the lanes map ``c`` re-executed.
+    """
+    cur = np.asarray(row, dtype=np.int32)[None, :]
+    valid_left = np.ones(cur.shape, dtype=bool)
+    valid_right = np.ones((1, spec.shape[1]), dtype=bool)
+    misses = np.zeros(len(spec), dtype=np.int64)
+    for c in range(len(spec)):
+        if incoming is not None:
+            incoming[c] = cur[0]
         if converged is not None and converged[c]:
-            # Converged sub-chunk: constant map over achievable incoming
-            # states — every running entry composes to the same known
-            # ending state, no semi-join and no possible local miss.
-            cur_end = np.full_like(cur_end, end[c, 0])
-            checks_skipped += int(cur_end.shape[1])
+            cur = np.full_like(cur, end[c, 0])
             continue
         nxt, found, _ = compose_maps(
-            cur_end, all_valid, spec[c][None, :], end[c][None, :], all_valid
+            cur, valid_left, spec[c][None, :], end[c][None, :], valid_right
         )
-        misses = np.flatnonzero(~found[0])
-        if misses.size:
-            # Kernel-dispatched re-execution: class-mapped, stride-packed
-            # scalar stepping — ceil(L/m) lookups instead of L per miss.
-            sub = segment[plan.chunk_slice(c)]
-            for j in misses:
-                nxt[0, j] = run_segment_kernel(kplan, sub, int(cur_end[0, j]))
-            reexec_chunks += 1
-            reexec_items += int(sub.size) * int(misses.size)
-        cur_end = nxt
+        lanes = np.flatnonzero(~found[0])
+        for j in lanes:
+            nxt[0, j] = reexec(c, int(cur[0, j]))
+        misses[c] = lanes.size
+        cur = nxt
+    return cur[0].copy(), misses
+
+
+def _fold_chunks(spec, end, segment, plan, kplan, *, converged=None, native=None):
+    """Fold one segment's chunk maps into its map over ``spec[0]``.
+
+    Returns ``(row, reexec_chunks, reexec_items, gathers, checks_skipped)``.
+    Misses re-execute on the kernel plan (class-mapped, stride-packed),
+    or in C when a native kernel of the row's width is given.
+    """
+    if native is not None and native.spec.k == spec.shape[1]:
+        row, fc = native.fold_maps(
+            spec, end, segment, plan.starts, plan.lengths, converged=converged
+        )
+        return row, fc.reexec_chunks, fc.reexec_items, fc.gathers, fc.checks_skipped
+    tail = None if converged is None else converged[1:]
+    row, misses = _fold_left(
+        end[0], spec[1:], end[1:],
+        lambda c, s: run_segment_kernel(kplan, segment[plan.chunk_slice(c + 1)], s),
+        converged=tail,
+    )
+    skipped = 0 if tail is None else int(tail.sum()) * spec.shape[1]
+    reexec_items = int(misses @ plan.lengths[1:])
+    return row, int(np.count_nonzero(misses)), reexec_items, 0, skipped
+
+
+def _worker_run(task: _Task) -> tuple:
+    """Run one segment task inside a worker process.
+
+    Returns the 6-tuple ``(a, b, c, d, timings, counters)`` the parent
+    validates, with ``(a, b, c, d)`` set by ``task.mode``:
+
+    * ``"fold"``: ``(spec_row, end_row, reexec_chunks, reexec_items)`` —
+      the segment's ``sub_chunks`` speculative chunk maps folded left to
+      right; a speculation miss re-executes the chunk locally, so the row
+      is complete over ``spec_row``;
+    * ``"maps"`` / ``"bmaps"``: ``(spec, end, converged_or_None, 0)`` —
+      the per-chunk matrices, unfolded, for the parent's
+      :class:`repro.core.scoreboard.ChunkScoreboard`; ``"bmaps"`` runs a
+      batch span with ragged chunk lengths and pinned request heads;
+    * ``"collect"``: ``(global_positions, empty, 0, 0)`` — the accepting
+      positions inside the segment, from its shipped true start.
+
+    ``timings`` is ``(attach_s, exec_s, fold_s, total_s, new_attaches)``
+    and ``counters`` is ``(local_gathers, collapse_scans,
+    lanes_collapsed, chunks_converged, checks_skipped)`` — they ride the
+    result because worker processes cannot see the parent's ambient
+    :class:`repro.obs.RunTrace`.
+
+    The collapse cadence and the native artifact path ride the task like
+    the segment names: a retried or respawned worker rebuilds the same
+    collapse state, and the worker dlopens the artifact once per process,
+    falling back to the bit-identical NumPy path when it cannot.
+    """
+    t_task = time.perf_counter()
+    dfa, kplan, prior, segment, new_attaches = _attach_task(task)
+    t_attach = time.perf_counter()
+    counters = (0, 0, 0, 0, 0)
+    if task.mode == "collect":
+        positions = _segment_match_positions(
+            dfa, kplan, segment, int(task.aux),
+            sub_chunks=task.sub_chunks, k=task.k, lookback=task.lookback,
+            prior=prior,
+        )
+        out = (positions + task.lo, np.zeros(0, dtype=np.int32), 0, 0)
+        t_exec = time.perf_counter()
+    else:
+        pins = None
+        if task.mode == "bmaps":
+            lengths, pins = task.aux
+            plan = plan_from_lengths(np.asarray(lengths, dtype=np.int64))
+        else:
+            plan = plan_chunks(segment.size, task.sub_chunks)
+        collapse = None
+        if task.collapse is not None:
+            collapse = CollapseConfig(
+                cadence=task.collapse[0], backoff=task.collapse[1]
+            )
+        nk = _worker_native(task.native_path, task.native_meta, kplan)
+        wstats = ExecStats()
+        spec, end, converged = _segment_maps(
+            dfa, kplan, segment, plan, task.boundary_row,
+            k=task.k, lookback=task.lookback, prior=prior,
+            collapse=collapse, pins=pins, native=nk, stats=wstats,
+        )
+        t_exec = time.perf_counter()
+        gathers = skipped = 0
+        if task.mode == "fold":
+            row, reexec_chunks, reexec_items, gathers, skipped = _fold_chunks(
+                spec, end, segment, plan, kplan, converged=converged, native=nk
+            )
+            out = (spec[0].copy(), row, reexec_chunks, reexec_items)
+        else:
+            out = (spec, end, converged, 0)
+        counters = (
+            int(wstats.local_gathers) + gathers,
+            int(wstats.collapse_scans),
+            int(wstats.lanes_collapsed),
+            0 if converged is None else int(converged.sum()),
+            skipped,
+        )
     t_done = time.perf_counter()
     timings = (
-        t_attach - t_task,  # attach_s
-        t_exec - t_attach,  # exec_s
-        t_done - t_exec,  # fold_s
-        t_done - t_task,  # total_s
-        new_attaches,
+        t_attach - t_task, t_exec - t_attach, t_done - t_exec,
+        t_done - t_task, new_attaches,
     )
-    counters = (
-        int(wstats.local_gathers),
-        int(wstats.collapse_scans),
-        int(wstats.lanes_collapsed),
-        chunks_conv,
-        checks_skipped,
-    )
-    return spec_row, cur_end[0], reexec_chunks, reexec_items, timings, counters
+    return out + (timings, counters)
 
 
 def fold_segment_map(
@@ -675,48 +666,32 @@ def fold_segment_map(
     inputs = np.ascontiguousarray(np.asarray(inputs, dtype=np.int32))
     if inputs.size == 0:
         return boundary_row.copy()
-    sub_chunks = max(1, min(int(sub_chunks), int(inputs.size)))
-    plan = plan_chunks(int(inputs.size), sub_chunks)
-    if k is None or k >= dfa.num_states:
-        spec = np.tile(
-            np.arange(dfa.num_states, dtype=np.int32), (sub_chunks, 1)
-        )
-    else:
-        spec = speculate(
-            dfa, inputs, plan, k_eff, lookback=lookback, prior=prior
-        )
-    spec[0] = boundary_row
-    wstats = ExecStats()
-    if native is not None and native.spec.k == spec.shape[1]:
-        end = native.process_chunks(inputs, plan, spec, stats=wstats)
-        row, _fc = native.fold_maps(
-            spec, end, inputs, plan.starts, plan.lengths
-        )
-        return row
-    if kplan.kernel == "lockstep":
-        end, _ = process_chunks(dfa, inputs, plan, spec, stats=wstats)
-    else:
-        end = process_chunks_kernel(
-            dfa, inputs, plan, spec, kplan, stats=wstats
-        )
-    cur_end = end[0][None, :].copy()
-    all_valid = np.ones((1, spec.shape[1]), dtype=bool)
-    for c in range(1, sub_chunks):
-        nxt, found, _ = compose_maps(
-            cur_end, all_valid, spec[c][None, :], end[c][None, :], all_valid
-        )
-        misses = np.flatnonzero(~found[0])
-        if misses.size:
-            sub = inputs[plan.chunk_slice(c)]
-            for j in misses:
-                nxt[0, j] = run_segment_kernel(kplan, sub, int(cur_end[0, j]))
-        cur_end = nxt
-    return cur_end[0].copy()
+    plan = plan_chunks(int(inputs.size), max(1, min(int(sub_chunks), int(inputs.size))))
+    spec, end, _ = _segment_maps(
+        dfa, kplan, inputs, plan, boundary_row,
+        k=k, lookback=lookback, prior=prior, native=native,
+    )
+    return _fold_chunks(spec, end, inputs, plan, kplan, native=native)[0]
 
 
 # --------------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------------- #
+
+
+@dataclass
+class _Round:
+    """What one :meth:`ScaleoutPool._round` hands back to its caller.
+
+    ``outs`` holds the worker results by task, or None when supervision
+    gave up (the caller then finishes in-process). Timestamps are the
+    parent's ``perf_counter`` after dispatch and after the wait.
+    """
+
+    outs: list | None
+    timings: tuple[WorkerTiming, ...]
+    t_dispatch: float
+    t_wait: float
 
 # Pools still open at interpreter exit: abnormal teardown (an exception that
 # skips `close`, a test harness that drops the reference) must not leak
@@ -928,7 +903,6 @@ class ScaleoutPool:
             self.sub_chunks_per_worker = int(sub_chunks_per_worker)
             self.lookback = int(lookback)
             self.calls = 0
-            self._input_dtype = np.dtype(np.int32)
             self.resilience = resilience
             if fault_plan is None and resilience is not None:
                 fault_plan = chaos_plan_from_env(self.num_workers)
@@ -938,8 +912,6 @@ class ScaleoutPool:
             self._stack = None
             self._mp_widths: tuple = ()
             self._mp_k: int | None = None
-            self._mp_native = None
-            self._mp_native_loaded = False
 
             # Resolve the stepping kernel once, for the pool's whole life.
             # The chunk length is unknown until inputs arrive, so selection
@@ -997,20 +969,30 @@ class ScaleoutPool:
         return shm
 
     def _ensure_input_capacity(self, n: int) -> None:
-        if n <= self._input_capacity and self._input_shm is not None:
-            return
-        capacity = max(n, 2 * self._input_capacity, 1)
-        # Create *inside* the lock: close() flips ``_closed`` and snapshots
-        # the segment list under the same lock, so a segment is either
-        # refused (pool already closed) or registered before the closing
-        # sweep runs — never created-but-unregistered when a signal
-        # handler tears the pool down concurrently.
+        if n > self._input_capacity or self._input_shm is None:
+            self._swap_input_segment(max(n, 2 * self._input_capacity, 1))
+
+    def _swap_input_segment(
+        self, capacity: int, fill: np.ndarray | None = None
+    ) -> None:
+        """Replace the input segment with a fresh one, optionally filled.
+
+        Created *inside* the lock: close() flips ``_closed`` and snapshots
+        the segment list under the same lock, so a segment is either
+        refused (pool already closed) or registered before the closing
+        sweep runs — never created-but-unregistered when a signal handler
+        tears the pool down concurrently. A ``fill`` is copied under the
+        lock too, so a concurrent close cannot unmap the fresh segment
+        mid-copy (only the rare unlink-race republish fills here).
+        """
         with self._shm_lock:
             if self._closed:
                 raise PoolClosedError("ScaleoutPool is closed")
             new = shared_memory.SharedMemory(
-                create=True, size=capacity * self._input_dtype.itemsize
+                create=True, size=capacity * _INPUT_DTYPE.itemsize
             )
+            if fill is not None:
+                np.ndarray(fill.shape, dtype=_INPUT_DTYPE, buffer=new.buf)[:] = fill
             old = self._input_shm
             self._input_shm = new
             self._input_capacity = capacity
@@ -1063,32 +1045,13 @@ class ScaleoutPool:
     def _republish_input(self, inputs: np.ndarray) -> None:
         """Publish the input under a fresh segment name (after an unlink).
 
-        Retried tasks are rebuilt via :meth:`_make_task`, which reads the
-        live segment name, so workers re-attach the new segment on their
-        next attempt.
+        Retried tasks are rebuilt via :meth:`_task`, which reads the live
+        segment name, so workers re-attach the new segment on their next
+        attempt.
         """
-        n = int(inputs.size)
-        capacity = max(self._input_capacity, n, 1)
-        # Same create-inside-the-lock discipline as _ensure_input_capacity;
-        # the fill stays under the lock too, so a concurrent close cannot
-        # unmap the fresh segment mid-copy (republishes are rare — this
-        # only runs on the injected unlink-race fault path).
-        with self._shm_lock:
-            if self._closed:
-                raise PoolClosedError("ScaleoutPool is closed")
-            new = shared_memory.SharedMemory(
-                create=True, size=capacity * self._input_dtype.itemsize
-            )
-            np.ndarray((n,), dtype=self._input_dtype, buffer=new.buf)[:] = inputs
-            old = self._input_shm
-            self._input_shm = new
-            self._input_capacity = capacity
-        if old is not None:
-            old.close()
-            try:
-                old.unlink()
-            except FileNotFoundError:  # the injected race already removed it
-                pass
+        self._swap_input_segment(
+            max(self._input_capacity, int(inputs.size), 1), fill=inputs
+        )
 
     def _valid_worker_map(self, payload: tuple) -> bool:
         """Reject corrupted worker results (states outside the machine)."""
@@ -1111,12 +1074,17 @@ class ScaleoutPool:
         resolved collapse changes after an early load (a single-worker
         or batch call preceding the first multi-worker run), the kernel
         is reloaded under the new tag — cheap through the memory/disk
-        caches. Returns None whenever native execution is unavailable;
-        callers use the NumPy path unchanged.
+        caches. Group pools (:meth:`for_group`) always load with collapse
+        off: worker speculation rows over the union are not
+        group-structured, and cadence-0 stepping is layout-agnostic.
+        Returns None whenever native execution is unavailable; callers
+        use the NumPy path unchanged.
         """
         if self._backend != "native":
             return None
-        cfg = self._collapse_cfg if self._collapse_resolved else None
+        cfg = None
+        if self._collapse_resolved and self._stack is None:
+            cfg = self._collapse_cfg
         tag = None if cfg is None else (cfg.enabled, cfg.cadence, cfg.backoff)
         if tag == self._native_tag:
             return self._native
@@ -1132,15 +1100,268 @@ class ScaleoutPool:
         self._native_tag = tag
         return self._native
 
-    def _native_task_fields(self) -> tuple:
-        """The ``(artifact_path, meta)`` pair shipped inside task tuples.
+    def _run_segment(self, segment: np.ndarray, state: int) -> int:
+        """Re-execute ``segment`` from ``state`` in the parent.
 
-        ``(None, None)`` when native is off — workers then run NumPy.
+        Through the native kernel when one is loaded, else the kernel
+        layer's class-mapped stride stepping from the construction-time
+        tables.
         """
+        nk = self._ensure_native()
+        if nk is not None:
+            return nk.run_segment(segment, state)
+        return run_segment_kernel(self._kplan, segment, state)
+
+    def _resolve_collapse(self, inputs: np.ndarray) -> None:
+        """Resolve ``"auto"`` collapse on the first non-empty input (cached)."""
+        if not self._collapse_resolved:
+            self._collapse_cfg = resolve_collapse(
+                self._collapse_mode, self.dfa, inputs, k=self.k_eff
+            )
+            self._collapse_resolved = True
+
+    def _symbols(self, inputs, what: str = "inputs") -> np.ndarray:
+        """``inputs`` as a contiguous 1-D int32 symbol stream."""
+        arr = np.ascontiguousarray(np.asarray(inputs, dtype=_INPUT_DTYPE))
+        if arr.ndim != 1:
+            raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
+        return arr
+
+    def _check_symbols(self, symbols: np.ndarray) -> None:
+        """Reject symbols outside the machine's alphabet.
+
+        Negatives wrap to huge values under the unsigned view, so one
+        ``max`` covers both ends. Every path checks before any kernel
+        steps the symbols: the native kernel would read past its table.
+        """
+        num_inputs = self.dfa.num_inputs
+        if symbols.size and int(symbols.view(np.uint32).max()) >= num_inputs:
+            raise ValueError(
+                f"inputs contain symbols outside [0, {num_inputs})"
+            )
+
+    def _publish_input(
+        self, data: np.ndarray, stats: ExecStats, report: SupervisionReport
+    ) -> None:
+        """Copy ``data`` into the input segment, range-checking it first.
+
+        Each block is checked just before it is copied, so the copy reads
+        cache-hot symbols and the check costs a fraction of a separate
+        pass; a bad symbol raises before anything is speculated or
+        dispatched. Then fires any parent-side fault due on this call.
+        """
+        n = int(data.size)
+        with trace_span("pool.publish_input", bytes=int(data.nbytes)):
+            self._ensure_input_capacity(n)
+            buf = np.ndarray((n,), dtype=_INPUT_DTYPE, buffer=self._input_shm.buf)
+            for lo in range(0, n, _PUBLISH_BLOCK):
+                block = data[lo:lo + _PUBLISH_BLOCK]
+                self._check_symbols(block)
+                buf[lo:lo + _PUBLISH_BLOCK] = block
+        stats.pool_shm_bytes = self.shm_bytes
+        add_count("pool.shm.input_bytes", int(data.nbytes))
+        for fault in self._fault_plan.parent_faults(self.calls):
+            self._apply_parent_fault(fault, report)
+
+    def _new_stats(self, n: int, k: int) -> ExecStats:
+        stats = ExecStats(
+            num_items=n,
+            num_chunks=self.num_workers,
+            k=k,
+            num_states=self.dfa.num_states,
+            num_inputs=self.dfa.num_inputs,
+        )
+        stats.pool_calls += 1
+        return stats
+
+    def _local_matches(self, inputs: np.ndarray, start: int) -> np.ndarray:
+        """Accepting positions of the whole input, in-process."""
+        return _segment_match_positions(
+            self.dfa, self._kplan, inputs, start,
+            sub_chunks=self.sub_chunks_per_worker, k=self.k,
+            lookback=self.lookback, prior=self._prior,
+        )
+
+    def _task(
+        self, mode: str, n: int, lo: int, hi: int, row=None, aux=None
+    ) -> _Task:
+        """Build one worker task — the only constructor of :class:`_Task`.
+
+        Reads the *live* input segment name, so a task rebuilt for retry
+        after a republish points workers at the fresh segment. The
+        collapse cadence rides only the evenly split modes of a
+        single-machine pool: batch spans are ragged, and group rows cannot
+        collapse at full-row grain.
+        """
+        cfg = self._collapse_cfg
+        collapse = None
+        if cfg is not None and mode in ("fold", "maps") and self._stack is None:
+            collapse = (cfg.cadence, cfg.backoff)
         nk = self._native
-        if nk is None:
-            return None, None
-        return nk.artifact_path, nk.meta
+        return _Task(
+            table=self._table_shm.name,
+            accepting=self._acc_shm.name,
+            prior=self._prior_shm.name,
+            class_of=self._class_of_shm.name,
+            class_table=self._class_table_shm.name,
+            stride=None if self._stride_shm is None else self._stride_shm.name,
+            input=self._input_shm.name,
+            input_len=n,
+            num_inputs=self.dfa.num_inputs,
+            num_states=self.dfa.num_states,
+            num_classes=self._kplan.compaction.num_classes,
+            stride_m=self._kplan.m,
+            kernel=self.kernel,
+            k=self.k,
+            sub_chunks=self.sub_chunks_per_worker,
+            lookback=self.lookback,
+            collapse=collapse,
+            native_path=None if nk is None else nk.artifact_path,
+            native_meta=None if nk is None else nk.meta,
+            mode=mode,
+            lo=lo,
+            hi=hi,
+            boundary_row=row,
+            aux=aux,
+        )
+
+    def _round(
+        self,
+        data: np.ndarray,
+        spans,
+        stats: ExecStats,
+        report: SupervisionReport,
+        *,
+        mode: str,
+        schedule: str,
+        rows=None,
+        aux=None,
+        validate=None,
+        board: ChunkScoreboard | None = None,
+        board_bounds=None,
+        deadline_cap_s: float | None = None,
+    ) -> _Round:
+        """One pool round: dispatch one task per span, wait, account.
+
+        ``data`` is the symbol stream the tasks index, already copied into
+        the input segment by :meth:`_publish_input`. ``spans`` is the
+        :class:`~repro.workloads.chunking.ChunkPlan` of per-task item
+        ranges; ``rows[i]`` and ``aux[i]`` are task ``i``'s boundary row
+        and mode payload. Per-chunk maps stream onto ``board`` the moment
+        each result is accepted, task ``t`` owning chunks
+        ``board_bounds[t]:board_bounds[t + 1]``, so merging (and any
+        provably necessary re-execution) overlaps the remaining workers; a
+        retried or hedged task rewinds its chunks to SPECULATED. A worker
+        that cannot find the input segment hit an unlink race: the segment
+        is republished under a fresh name before the retry fires. Worker
+        counters fold into ``stats``; each worker adds a
+        :class:`WorkerTiming` row, a ``pool.worker`` span and a throughput
+        sample for the deadline model. ``outs`` is None when supervision
+        gave up — the caller then finishes in-process.
+        """
+        obs = current_trace()
+        n = int(data.size)
+        num_tasks = spans.num_chunks
+
+        def build(i: int) -> _Task:
+            lo = int(spans.starts[i])
+            return self._task(
+                mode, n, lo, lo + int(spans.lengths[i]),
+                None if rows is None else rows[i],
+                None if aux is None else aux[i],
+            )
+
+        def on_error(
+            tid: int, exc_type: str, exc_repr: str, rep: SupervisionReport
+        ) -> None:
+            if exc_type == "FileNotFoundError" and self._input_segment_missing():
+                self._republish_input(data)
+                rep.shm_republishes += 1
+                add_count("fault.shm_republished")
+                rep.record("shm_republish", task=tid, detail=exc_repr)
+
+        on_result = on_retry = None
+        if board is not None:
+
+            def on_result(tid: int, payload: tuple) -> None:
+                smat, emat, conv = payload[0], payload[1], payload[2]
+                for c in range(smat.shape[0]):
+                    board.post(
+                        int(board_bounds[tid]) + c, smat[c], emat[c],
+                        converged=conv is not None and bool(conv[c]),
+                    )
+
+            def on_retry(tid: int) -> None:
+                for c in range(int(board_bounds[tid]), int(board_bounds[tid + 1])):
+                    board.reissue(c)
+
+        with trace_span(
+            "pool.dispatch", workers=num_tasks, schedule=schedule
+        ) as dispatch_span:
+            tasks = [build(i) for i in range(num_tasks)]
+            task_bytes = sum(len(pickle.dumps(t)) for t in tasks)
+            stats.pool_task_bytes += task_bytes
+            dispatch_span.set(task_bytes=task_bytes)
+        nbytes = [int(x) * _INPUT_DTYPE.itemsize for x in spans.lengths]
+        t_dispatch = time.perf_counter()
+        try:
+            with trace_span("pool.wait", workers=num_tasks, schedule=schedule):
+                outs = self._sup.run_tasks(
+                    tasks,
+                    task_nbytes=nbytes,
+                    bytes_per_sec=self._bps_ewma,
+                    rebuild=build,
+                    validate=validate
+                    or (lambda _tid, payload: self._valid_worker_map(payload)),
+                    on_error=on_error,
+                    on_result=on_result,
+                    on_retry=on_retry,
+                    report=report,
+                    deadline_cap_s=deadline_cap_s,
+                )
+        except DegradedExecution:
+            self._check_open_for_fallback()
+            t_wait = time.perf_counter()
+            return _Round(None, (), t_dispatch, t_wait)
+        t_wait = time.perf_counter()
+
+        timings = []
+        for i, (m, nb) in enumerate(zip(outs, nbytes)):
+            if mode == "fold":
+                stats.reexec_chunks_seq += m[2]
+                stats.reexec_items_seq += m[3]
+            gathers, scans, lanes, conv, skipped = m[5]
+            stats.local_gathers += gathers
+            stats.collapse_scans += scans
+            stats.lanes_collapsed += lanes
+            stats.chunks_converged += conv
+            stats.checks_skipped += skipped
+            attach_s, exec_s, fold_s, total_s, new_attaches = m[4]
+            timings.append(WorkerTiming(attach_s, exec_s, fold_s, total_s))
+            if total_s > 1e-9:
+                # The deadline model's measured throughput: an EWMA across
+                # workers and calls, newest observation weighted 0.3.
+                bps = nb / total_s
+                self._bps_ewma = (
+                    bps
+                    if self._bps_ewma is None
+                    else 0.7 * self._bps_ewma + 0.3 * bps
+                )
+            if obs is not None:
+                # Workers run on their own clocks; draw each one inside the
+                # parent's wait window (start-aligned) on its own trace row.
+                wait_t0 = obs.to_trace_time(t_dispatch)
+                sp = obs.add_span(
+                    "pool.worker", wait_t0, wait_t0 + total_s,
+                    tid=i + 1, worker=i,
+                    attach_s=attach_s, exec_s=exec_s, fold_s=fold_s,
+                )
+                if mode == "fold":
+                    sp.set(reexec_chunks=m[2], reexec_items=m[3])
+                obs.count("pool.shm.attaches", new_attaches)
+                obs.observe("pool.worker_exec_s", exec_s)
+                obs.observe("pool.worker_fold_s", fold_s)
+        return _Round(outs, tuple(timings), t_dispatch, t_wait)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -1189,86 +1410,42 @@ class ScaleoutPool:
                 f"schedule must be 'barrier' or 'ooo', got {schedule!r}"
             )
         t_run = time.perf_counter()
-        obs = current_trace()
         dfa = self.dfa
         start = dfa.start if start is None else int(start)
         if not 0 <= start < dfa.num_states:
             raise ValueError(f"start state {start} out of range [0, {dfa.num_states})")
-        inputs = np.ascontiguousarray(np.asarray(inputs, dtype=self._input_dtype))
-        if inputs.ndim != 1:
-            raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
+        inputs = self._symbols(inputs)
         n = int(inputs.size)
         w = self.num_workers
         self.calls += 1
-
-        stats = ExecStats(
-            num_items=n,
-            num_chunks=w,
-            k=self.k_eff,
-            num_states=dfa.num_states,
-            num_inputs=dfa.num_inputs,
-        )
-        stats.pool_calls += 1
-        empty_pos = np.zeros(0, dtype=np.int64)
+        stats = self._new_stats(n, self.k_eff)
         if n == 0:
             return MultiprocessResult(
                 start, w, 0, stats,
-                match_positions=empty_pos if collect_matches else None,
+                match_positions=(
+                    np.zeros(0, dtype=np.int64) if collect_matches else None
+                ),
             )
         if w == 1:
-            # Single-worker degenerate case: no dispatch, run in-process —
-            # through the native kernel when available, else the kernel
-            # layer's stride stepping from the tables built at construction.
-            nk1 = self._ensure_native()
-            final = (
-                nk1.run_segment(inputs, start)
-                if nk1 is not None
-                else run_segment_kernel(self._kplan, inputs, start)
-            )
+            # Single-worker degenerate case: no dispatch, run in-process.
+            self._check_symbols(inputs)
+            final = self._run_segment(inputs, start)
             stats.pool_shm_bytes = self.shm_bytes
-            positions = None
-            if collect_matches:
-                positions = _segment_match_positions(
-                    dfa, inputs, start,
-                    sub_chunks=self.sub_chunks_per_worker, k=self.k,
-                    lookback=self.lookback, prior=self._prior,
-                )
+            positions = self._local_matches(inputs, start) if collect_matches else None
             return MultiprocessResult(
                 final, 1, 0, stats, match_positions=positions,
             )
 
-        with trace_span("pool.publish_input", bytes=int(inputs.nbytes)):
-            self._ensure_input_capacity(n)
-            shm = self._input_shm
-            assert shm is not None
-            buf = np.ndarray((n,), dtype=self._input_dtype, buffer=shm.buf)
-            buf[:] = inputs
-        t_publish = time.perf_counter()
-        stats.pool_shm_bytes = self.shm_bytes
-        if obs is not None:
-            obs.count("pool.shm.input_bytes", int(inputs.nbytes))
-
         report = SupervisionReport()
-        for fault in self._fault_plan.parent_faults(self.calls):
-            self._apply_parent_fault(fault, report)
+        self._publish_input(inputs, stats, report)
+        t_publish = time.perf_counter()
 
         seg_plan = plan_chunks(n, w)
         run_dfa = dfa if start == dfa.start else dfa.with_start(start)
-
-        if not self._collapse_resolved:
-            self._collapse_cfg = resolve_collapse(
-                self._collapse_mode, dfa, inputs, k=self.k_eff
-            )
-            self._collapse_resolved = True
-        collapse_spec = (
-            (self._collapse_cfg.cadence, self._collapse_cfg.backoff)
-            if self._collapse_cfg is not None
-            else None
-        )
-        # Native kernel (compiled once per pool, after collapse resolution
-        # so the cadence is baked); its artifact path rides the task tuple.
-        nkern = self._ensure_native()
-        native_path, native_meta = self._native_task_fields()
+        self._resolve_collapse(inputs)
+        # Compiled once per pool, after collapse resolution so the cadence
+        # is baked; its artifact path rides every task.
+        self._ensure_native()
 
         # Segment-boundary speculation rows, from look-back over the global
         # input (one vectorized call covering every boundary). Worker 0's
@@ -1301,47 +1478,11 @@ class ScaleoutPool:
                 seg_covered = np.ones(w, dtype=bool)
         t_spec = time.perf_counter()
 
-        run_mode = "maps" if schedule == "ooo" else "fold"
-
-        def make_task(i: int, mode: str | None = None, aux: int = -1) -> tuple:
-            # Reads the *live* input segment name: a task rebuilt for retry
-            # after a republish points workers at the fresh segment.
-            return (
-                self._table_shm.name,
-                dfa.num_inputs,
-                dfa.num_states,
-                self._acc_shm.name,
-                self._prior_shm.name,
-                self._input_shm.name,
-                n,
-                self._input_dtype.str,
-                int(seg_plan.starts[i]),
-                int(seg_plan.starts[i] + seg_plan.lengths[i]),
-                start,
-                self.k,
-                self.sub_chunks_per_worker,
-                self.lookback,
-                None if boundary is None else boundary[i],
-                self.kernel,
-                self._kplan.compaction.num_classes,
-                self._kplan.m,
-                self._class_of_shm.name,
-                self._class_table_shm.name,
-                None if self._stride_shm is None else self._stride_shm.name,
-                collapse_spec,
-                run_mode if mode is None else mode,
-                aux,
-                native_path,
-                native_meta,
-            )
-
         # Out-of-order schedule: a parent-side scoreboard over every
         # worker's sub-chunks, fed by the supervision loop's result stream.
         board: ChunkScoreboard | None = None
         gplan = None
         sub = self.sub_chunks_per_worker
-        on_result = None
-        on_retry = None
         if schedule == "ooo":
             gplan = plan_from_lengths(
                 np.concatenate([
@@ -1349,122 +1490,26 @@ class ScaleoutPool:
                     for i in range(w)
                 ])
             )
-            if nkern is not None:
-                reexec_fn = lambda c, s: nkern.run_segment(  # noqa: E731
-                    inputs[gplan.chunk_slice(c)], s
-                )
-            else:
-                reexec_fn = lambda c, s: run_segment_kernel(  # noqa: E731
-                    self._kplan, inputs[gplan.chunk_slice(c)], s
-                )
             board = ChunkScoreboard(
                 run_dfa, inputs, gplan, self.k_eff, mode="parallel",
                 stats=stats,
-                reexec_fn=reexec_fn,
+                reexec_fn=lambda c, s: self._run_segment(
+                    inputs[gplan.chunk_slice(c)], s
+                ),
             )
 
-            def on_result(tid: int, payload: tuple) -> None:
-                # Stream this worker's chunk maps onto the scoreboard the
-                # moment its result is accepted — merging (and any provably
-                # necessary re-execution) overlaps the remaining workers.
-                smat, emat, conv = payload[0], payload[1], payload[2]
-                base = tid * sub
-                for c in range(smat.shape[0]):
-                    board.post(
-                        base + c, smat[c], emat[c],
-                        converged=bool(conv[c]) if conv is not None else False,
-                    )
-
-            def on_retry(tid: int) -> None:
-                # A retried/hedged task is a scoreboard re-issue: its chunks
-                # rewind to SPECULATED and wait for the next attempt's post.
-                base = tid * sub
-                for c in range(base, base + sub):
-                    board.reissue(c)
-
-        def on_error(
-            tid: int, exc_type: str, exc_repr: str, rep: SupervisionReport
-        ) -> None:
-            # A worker that cannot find the input segment hit an unlink
-            # race: republish under a fresh name before the retry fires.
-            if exc_type == "FileNotFoundError" and self._input_segment_missing():
-                self._republish_input(inputs)
-                rep.shm_republishes += 1
-                add_count("fault.shm_republished")
-                rep.record("shm_republish", task=tid, detail=exc_repr)
-
-        with trace_span("pool.dispatch", workers=w) as dispatch_span:
-            tasks = [make_task(i) for i in range(w)]
-            task_bytes = sum(len(pickle.dumps(t)) for t in tasks)
-            stats.pool_task_bytes += task_bytes
-            dispatch_span.set(task_bytes=task_bytes)
-        seg_nbytes = [
-            int(seg_plan.lengths[i]) * self._input_dtype.itemsize for i in range(w)
-        ]
-        t_dispatch = time.perf_counter()
-        try:
-            with trace_span("pool.wait", workers=w, schedule=schedule):
-                maps = self._sup.run_tasks(
-                    tasks,
-                    task_nbytes=seg_nbytes,
-                    bytes_per_sec=self._bps_ewma,
-                    rebuild=make_task,
-                    validate=lambda _tid, payload: self._valid_worker_map(payload),
-                    on_error=on_error,
-                    on_result=on_result,
-                    on_retry=on_retry,
-                    report=report,
-                )
-        except DegradedExecution:
+        rnd = self._round(
+            inputs, seg_plan, stats, report,
+            mode="maps" if schedule == "ooo" else "fold", schedule=schedule,
+            rows=boundary, board=board, board_bounds=np.arange(w + 1) * sub,
+        )
+        if rnd.outs is None:
             return self._degraded_result(
                 inputs, start, stats, report,
                 t_run=t_run, t_publish=t_publish, t_spec=t_spec,
-                t_dispatch=t_dispatch, collect_matches=collect_matches,
+                t_dispatch=rnd.t_dispatch, collect_matches=collect_matches,
             )
-        t_wait = time.perf_counter()
-
-        worker_timings = []
-        for i, m in enumerate(maps):
-            if schedule == "barrier":
-                stats.reexec_chunks_seq += m[2]
-                stats.reexec_items_seq += m[3]
-            gathers, scans, lanes, conv, skipped = m[5]
-            stats.local_gathers += gathers
-            stats.collapse_scans += scans
-            stats.lanes_collapsed += lanes
-            stats.chunks_converged += conv
-            stats.checks_skipped += skipped
-            attach_s, exec_s, fold_s, total_s, new_attaches = m[4]
-            worker_timings.append(
-                WorkerTiming(
-                    attach_s=attach_s, exec_s=exec_s, fold_s=fold_s, total_s=total_s
-                )
-            )
-            if obs is not None:
-                # Workers run on their own clocks; draw each one inside the
-                # parent's wait window (start-aligned) on its own trace row.
-                wait_t0 = obs.to_trace_time(t_dispatch)
-                sp = obs.add_span(
-                    "pool.worker", wait_t0, wait_t0 + total_s,
-                    tid=i + 1, worker=i,
-                    attach_s=attach_s, exec_s=exec_s, fold_s=fold_s,
-                )
-                if schedule == "barrier":
-                    sp.set(reexec_chunks=m[2], reexec_items=m[3])
-                obs.count("pool.shm.attaches", new_attaches)
-                obs.observe("pool.worker_exec_s", exec_s)
-                obs.observe("pool.worker_fold_s", fold_s)
-
-        # Refresh the measured throughput the deadline model feeds on (EWMA
-        # across workers and calls, newest observation weighted 0.3).
-        for nbytes_i, wt in zip(seg_nbytes, worker_timings):
-            if wt.total_s > 1e-9:
-                bps = nbytes_i / wt.total_s
-                self._bps_ewma = (
-                    bps
-                    if self._bps_ewma is None
-                    else 0.7 * self._bps_ewma + 0.3 * bps
-                )
+        maps = rnd.outs
 
         true_chunk_starts = None
         if schedule == "ooo":
@@ -1504,6 +1549,7 @@ class ScaleoutPool:
             stats.success_total += w - 1
             stats.success_hits += (w - 1) - sum(1 for c in reexec_segments if c > 0)
         t_merge = time.perf_counter()
+        obs = current_trace()
         if obs is not None:
             if stats.collapse_scans:
                 obs.count("spec.collapse_scans", stats.collapse_scans)
@@ -1530,9 +1576,6 @@ class ScaleoutPool:
             else:
                 _, seg_true = true_boundary_walk(run_dfa, inputs, seg_plan, results)
 
-            def make_collect_task(i: int) -> tuple:
-                return make_task(i, mode="collect", aux=int(seg_true[i]))
-
             def valid_positions(tid: int, payload: object) -> bool:
                 if not (isinstance(payload, tuple) and len(payload) == 6):
                     return False
@@ -1543,44 +1586,35 @@ class ScaleoutPool:
                 hi = lo + int(seg_plan.lengths[tid])
                 return not pos.size or bool(((pos >= lo) & (pos < hi)).all())
 
-            try:
-                with trace_span("pool.collect", workers=w):
-                    outs = self._sup.run_tasks(
-                        [make_collect_task(i) for i in range(w)],
-                        task_nbytes=seg_nbytes,
-                        bytes_per_sec=self._bps_ewma,
-                        rebuild=make_collect_task,
-                        validate=valid_positions,
-                        on_error=on_error,
-                        report=report,
-                    )
-                match_positions = np.concatenate(
-                    [np.asarray(o[0], dtype=np.int64) for o in outs]
+            with trace_span("pool.collect", workers=w):
+                col = self._round(
+                    inputs, seg_plan, stats, report,
+                    mode="collect", schedule="collect",
+                    aux=[int(s) for s in seg_true], validate=valid_positions,
                 )
-            except DegradedExecution:
+            if col.outs is None:
                 # The final state is already exact; only the output pass
                 # degrades — recover the positions in-process.
-                self._check_open_for_fallback()
                 degraded = True
-                match_positions = _segment_match_positions(
-                    dfa, inputs, start,
-                    sub_chunks=self.sub_chunks_per_worker, k=self.k,
-                    lookback=self.lookback, prior=self._prior,
+                match_positions = self._local_matches(inputs, start)
+            else:
+                match_positions = np.concatenate(
+                    [np.asarray(o[0], dtype=np.int64) for o in col.outs]
                 )
             t_collect = time.perf_counter()
 
         timing = PoolRunTiming(
             speculate_s=t_spec - t_publish,
             publish_s=t_publish - t_run,
-            dispatch_s=t_dispatch - t_spec,
-            wait_s=t_wait - t_dispatch,
-            merge_s=t_merge - t_wait,
+            dispatch_s=rnd.t_dispatch - t_spec,
+            wait_s=rnd.t_wait - rnd.t_dispatch,
+            merge_s=t_merge - rnd.t_wait,
             total_s=t_collect - t_run,
             collect_s=t_collect - t_merge,
         )
         return MultiprocessResult(
             int(final), w, len(reexec_segments), stats, reexec_segments,
-            timing=timing, worker_timings=tuple(worker_timings),
+            timing=timing, worker_timings=rnd.timings,
             degraded=degraded,
             recovery=report if report.events else None,
             match_positions=match_positions,
@@ -1616,32 +1650,6 @@ class ScaleoutPool:
         pool._mp_k = k
         return pool
 
-    def _ensure_native_multi(self):
-        """Native kernel for group runs: total lane width, collapse off.
-
-        Worker-internal speculation rows over the union are not
-        group-structured (lanes land wherever the prior puts them), so
-        the group-aware collapse fast path cannot be enabled here — the
-        artifact is compiled with ``cadence=0``, where lane stepping is
-        layout-agnostic. Compiled once per pool; ``None`` (NumPy path)
-        on any failure.
-        """
-        if self._backend != "native" or self._stack is None:
-            return None
-        if self._mp_native_loaded:
-            return self._mp_native
-        from repro.core.native import load_native_plan
-
-        self._mp_native = load_native_plan(
-            self.dfa,
-            k=self.k_eff,
-            kplan=self._kplan,
-            collapse=None,
-            num_chunks=self.num_workers * self.sub_chunks_per_worker,
-        )
-        self._mp_native_loaded = True
-        return self._mp_native
-
     def run_multi(self, inputs: np.ndarray, *, collect_matches: bool = False):
         """Answer "which patterns fired, and where" in one scaled-out pass.
 
@@ -1650,10 +1658,11 @@ class ScaleoutPool:
         (one gather), published to the shared input segment, and every
         worker folds its segment's per-chunk maps over the union machine
         — all patterns advance through one table gather per symbol. The
-        parent then resolves each pattern independently: a left-to-right
-        semi-join fold over the workers' segment maps, probing each
-        pattern's trajectory against the returned speculation rows, with
-        a provable miss re-executed on the kernel plan. Returns a
+        parent then carries all P pattern trajectories through one left
+        fold over the workers' segment maps (the same fold as
+        :meth:`run_map`'s lanes), re-executing a segment on the kernel
+        plan for each pattern whose true incoming state was not
+        speculated. Returns a
         :class:`repro.core.multipattern.MultiPatternResult` with
         ``route="pool"``; bit-exact against the per-pattern sequential
         reference. An unrecoverable pool degrades to the in-process
@@ -1663,7 +1672,6 @@ class ScaleoutPool:
             MultiPatternResult,
             PatternResult,
             _batched_accept_matrix,
-            _pattern_widths,
             _recover_group_matches,
             run_multipattern,
         )
@@ -1676,7 +1684,6 @@ class ScaleoutPool:
             raise ValueError(
                 "run_multi requires a pool built with ScaleoutPool.for_group"
             )
-        t_run = time.perf_counter()
         union = self.dfa
         P = stack.num_patterns
         widths = np.asarray(self._mp_widths, dtype=np.int64)
@@ -1691,17 +1698,12 @@ class ScaleoutPool:
         if inputs.ndim != 1:
             raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
         cls_stream = np.ascontiguousarray(
-            stack.joint.remap(inputs).astype(self._input_dtype)
+            stack.joint.remap(inputs).astype(_INPUT_DTYPE)
         )
         n = int(cls_stream.size)
         w = self.num_workers
         self.calls += 1
-
-        stats = ExecStats(
-            num_items=n, num_chunks=w, k=K_total,
-            num_states=union.num_states, num_inputs=union.num_inputs,
-        )
-        stats.pool_calls += 1
+        stats = self._new_stats(n, K_total)
 
         def _local(reason: str):
             # Degenerate / degraded path: the in-process batched route on
@@ -1735,23 +1737,10 @@ class ScaleoutPool:
         if w == 1:
             return _local("single_worker")
 
-        with trace_span("pool.publish_input", bytes=int(cls_stream.nbytes)):
-            self._ensure_input_capacity(n)
-            shm = self._input_shm
-            assert shm is not None
-            buf = np.ndarray((n,), dtype=self._input_dtype, buffer=shm.buf)
-            buf[:] = cls_stream
-        stats.pool_shm_bytes = self.shm_bytes
-
         report = SupervisionReport()
-        for fault in self._fault_plan.parent_faults(self.calls):
-            self._apply_parent_fault(fault, report)
-
+        self._publish_input(cls_stream, stats, report)
         seg_plan = plan_chunks(n, w)
-        nkern = self._ensure_native_multi()
-        native_path, native_meta = (
-            (None, None) if nkern is None else (nkern.artifact_path, nkern.meta)
-        )
+        self._ensure_native()
 
         # Per-pattern boundary speculation over the class machines,
         # stacked into union lanes; segment 0 pins every pattern's start.
@@ -1772,128 +1761,46 @@ class ScaleoutPool:
                 if not (boundary[0, lo:hi] == starts_u[p]).any():
                     boundary[0, lo] = starts_u[p]
 
-        def make_task(i: int, mode: str | None = None, aux: int = -1) -> tuple:
-            return (
-                self._table_shm.name,
-                union.num_inputs,
-                union.num_states,
-                self._acc_shm.name,
-                self._prior_shm.name,
-                self._input_shm.name,
-                n,
-                self._input_dtype.str,
-                int(seg_plan.starts[i]),
-                int(seg_plan.starts[i] + seg_plan.lengths[i]),
-                union.start,
-                K_total if K_total < union.num_states else None,
-                self.sub_chunks_per_worker,
-                self.lookback,
-                boundary[i],
-                self.kernel,
-                self._kplan.compaction.num_classes,
-                self._kplan.m,
-                self._class_of_shm.name,
-                self._class_table_shm.name,
-                None if self._stride_shm is None else self._stride_shm.name,
-                None,  # multi-block rows cannot collapse at full-row grain
-                "fold" if mode is None else mode,
-                aux,
-                native_path,
-                native_meta,
-            )
+        rnd = self._round(
+            cls_stream, seg_plan, stats, report,
+            mode="fold", schedule="multi", rows=boundary,
+        )
+        if rnd.outs is None:
+            return _local("degraded")
 
-        def on_error(
-            tid: int, exc_type: str, exc_repr: str, rep: SupervisionReport
-        ) -> None:
-            if exc_type == "FileNotFoundError" and self._input_segment_missing():
-                self._republish_input(cls_stream)
-                rep.shm_republishes += 1
-                add_count("fault.shm_republished")
-                rep.record("shm_republish", task=tid, detail=exc_repr)
-
-        seg_nbytes = [
-            int(seg_plan.lengths[i]) * self._input_dtype.itemsize
-            for i in range(w)
-        ]
-        with trace_span("pool.dispatch", workers=w) as dispatch_span:
-            tasks = [make_task(i) for i in range(w)]
-            task_bytes = sum(len(pickle.dumps(t)) for t in tasks)
-            stats.pool_task_bytes += task_bytes
-            dispatch_span.set(task_bytes=task_bytes)
-        try:
-            with trace_span("pool.wait", workers=w, schedule="multi"):
-                maps = self._sup.run_tasks(
-                    tasks,
-                    task_nbytes=seg_nbytes,
-                    bytes_per_sec=self._bps_ewma,
-                    rebuild=make_task,
-                    validate=lambda _tid, payload: self._valid_worker_map(payload),
-                    on_error=on_error,
-                    report=report,
-                )
-        except DegradedExecution:
-            self._check_open_for_fallback()
-            res = _local("degraded")
-            return res
-
-        for m in maps:
-            stats.reexec_chunks_seq += m[2]
-            stats.reexec_items_seq += m[3]
-            gathers, scans, lanes, conv, skipped = m[5]
-            stats.local_gathers += gathers
-            stats.collapse_scans += scans
-            stats.lanes_collapsed += lanes
-            stats.chunks_converged += conv
-            stats.checks_skipped += skipped
-
-        # Parent-side resolution: one left-to-right semi-join fold per
-        # pattern over the workers' segment maps. All P trajectories probe
-        # each segment's speculation row at once; a pattern whose true
-        # incoming state was not speculated re-executes that segment on
-        # the kernel plan (class-mapped, stride-packed).
-        seg_true = np.empty((w, P), dtype=np.int64)
-        vec = starts_u.copy()
+        # One left fold carries every pattern's true state across the
+        # workers' segment maps; seg_true records each segment's entry.
+        seg_true = np.empty((w, P), dtype=np.int32)
         with trace_span("pool.merge", workers=w, schedule="multi", patterns=P):
-            for i in range(w):
-                seg_true[i] = vec
-                sp_row, en_row = maps[i][0], maps[i][1]
-                eq = sp_row[None, :] == vec[:, None]
-                found = eq.any(axis=1)
-                first = eq.argmax(axis=1)
-                nxt = en_row[first].astype(np.int64)
-                misses = np.flatnonzero(~found)
-                if misses.size:
-                    seg = cls_stream[
-                        seg_plan.starts[i]:
-                        seg_plan.starts[i] + seg_plan.lengths[i]
-                    ]
-                    for p in misses:
-                        if nkern is not None:
-                            nxt[p] = nkern.run_segment(seg, int(vec[p]))
-                        else:
-                            nxt[p] = run_segment_kernel(
-                                self._kplan, seg, int(vec[p])
-                            )
-                    stats.reexec_chunks_seq += 1
-                    stats.reexec_items_seq += int(seg.size) * int(misses.size)
-                vec = nxt
-            stats.success_total += (w - 1) * P
-            stats.success_hits += (w - 1) * P - int(stats.reexec_chunks_seq)
+            final, misses = _fold_left(
+                starts_u,
+                np.stack([m[0] for m in rnd.outs]),
+                np.stack([m[1] for m in rnd.outs]),
+                lambda i, s: self._run_segment(
+                    cls_stream[seg_plan.chunk_slice(i)], s
+                ),
+                incoming=seg_true,
+            )
+        stats.reexec_chunks_seq += int(np.count_nonzero(misses))
+        stats.reexec_items_seq += int(misses @ seg_plan.lengths)
+        # Segment 0 enters at every pattern's pinned start; each later
+        # (segment, pattern) boundary is one speculation check.
+        stats.success_total += (w - 1) * P
+        stats.success_hits += (w - 1) * P - int(misses[1:].sum())
 
         matches: list = [None] * P
         if collect_matches:
             with trace_span("pool.collect", route="pool", patterns=P):
-                accept_matrix = _batched_accept_matrix(stack)
                 matches = _recover_group_matches(
-                    union.table, accept_matrix, cls_stream, seg_plan,
-                    seg_true.astype(np.int32),
+                    union.table, _batched_accept_matrix(stack), cls_stream,
+                    seg_plan, seg_true,
                 )
 
         patterns = tuple(
             PatternResult(
                 name=stack.machines[p].name or f"pattern_{p}",
-                accepted=bool(union.accepting[int(vec[p])]),
-                final_state=int(vec[p] - stack.offsets[p]),
+                accepted=bool(union.accepting[int(final[p])]),
+                final_state=int(final[p] - stack.offsets[p]),
                 match_positions=matches[p],
                 true_starts=(seg_true[:, p] - int(stack.offsets[p])).astype(
                     np.int32
@@ -1902,10 +1809,7 @@ class ScaleoutPool:
             for p in range(P)
         )
         add_count("mp.pool.runs")
-        obs = current_trace()
-        if obs is not None:
-            obs.count("mp.patterns", P)
-            obs.observe("pool.multi_total_s", time.perf_counter() - t_run)
+        add_count("mp.patterns", P)
         return MultiPatternResult(
             route="pool", patterns=patterns, stats=stats,
             plan=seg_plan, stack=stack,
@@ -1954,19 +1858,19 @@ class ScaleoutPool:
             raise ValueError(
                 "spec-N pools need boundary_row to enumerate every state"
             )
-        inputs = np.ascontiguousarray(np.asarray(inputs, dtype=self._input_dtype))
-        if inputs.ndim != 1:
-            raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
+        inputs = self._symbols(inputs)
         n = int(inputs.size)
         if n == 0:
             return boundary_row.copy()
         self.calls += 1
         w = self.num_workers
-        if not self._collapse_resolved:
-            self._collapse_cfg = resolve_collapse(
-                self._collapse_mode, dfa, inputs, k=self.k_eff
-            )
-            self._collapse_resolved = True
+        local = w == 1 or n < w
+        stats, report = ExecStats(), SupervisionReport()
+        if local:
+            self._check_symbols(inputs)
+        else:
+            self._publish_input(inputs, stats, report)
+        self._resolve_collapse(inputs)
         nkern = self._ensure_native()
 
         def local_map() -> np.ndarray:
@@ -1976,129 +1880,42 @@ class ScaleoutPool:
                 lookback=self.lookback, prior=self._prior, native=nkern,
             )
 
-        if w == 1 or n < w:
+        if local:
             return local_map()
 
-        with trace_span("pool.publish_input", bytes=int(inputs.nbytes)):
-            self._ensure_input_capacity(n)
-            shm = self._input_shm
-            assert shm is not None
-            buf = np.ndarray((n,), dtype=self._input_dtype, buffer=shm.buf)
-            buf[:] = inputs
-
-        report = SupervisionReport()
         seg_plan = plan_chunks(n, w)
-        collapse_spec = (
-            (self._collapse_cfg.cadence, self._collapse_cfg.backoff)
-            if self._collapse_cfg is not None
-            else None
-        )
-        native_path, native_meta = self._native_task_fields()
         # Interior worker boundaries speculate from look-back inside the
         # shard; worker 0 enters at the coordinator's row, unpinned.
         if self.k is not None:
-            boundary = speculate(
+            rows = speculate(
                 dfa, inputs, seg_plan, self.k,
                 lookback=self.lookback, prior=self._prior,
             )
-            boundary[0] = boundary_row
+            rows[0] = boundary_row
         else:
-            boundary = None
-
-        def make_task(i: int) -> tuple:
-            return (
-                self._table_shm.name,
-                dfa.num_inputs,
-                dfa.num_states,
-                self._acc_shm.name,
-                self._prior_shm.name,
-                self._input_shm.name,
-                n,
-                self._input_dtype.str,
-                int(seg_plan.starts[i]),
-                int(seg_plan.starts[i] + seg_plan.lengths[i]),
-                int(dfa.start),
-                self.k,
-                self.sub_chunks_per_worker,
-                self.lookback,
-                None if boundary is None else boundary[i],
-                self.kernel,
-                self._kplan.compaction.num_classes,
-                self._kplan.m,
-                self._class_of_shm.name,
-                self._class_table_shm.name,
-                None if self._stride_shm is None else self._stride_shm.name,
-                collapse_spec,
-                "fold",
-                -1,
-                native_path,
-                native_meta,
-            )
-
-        def on_error(
-            tid: int, exc_type: str, exc_repr: str, rep: SupervisionReport
-        ) -> None:
-            if exc_type == "FileNotFoundError" and self._input_segment_missing():
-                self._republish_input(inputs)
-                rep.shm_republishes += 1
-                add_count("fault.shm_republished")
-                rep.record("shm_republish", task=tid, detail=exc_repr)
-
-        seg_nbytes = [
-            int(seg_plan.lengths[i]) * self._input_dtype.itemsize
-            for i in range(w)
-        ]
-        try:
-            with trace_span("pool.wait", workers=w, schedule="map"):
-                maps = self._sup.run_tasks(
-                    [make_task(i) for i in range(w)],
-                    task_nbytes=seg_nbytes,
-                    bytes_per_sec=self._bps_ewma,
-                    rebuild=make_task,
-                    validate=lambda _t, payload: self._valid_worker_map(payload),
-                    on_error=on_error,
-                    report=report,
-                )
-        except DegradedExecution:
-            self._check_open_for_fallback()
+            rows = [boundary_row] + [None] * (w - 1)
+        rnd = self._round(
+            inputs, seg_plan, stats, report, mode="fold", schedule="map", rows=rows,
+        )
+        if rnd.outs is None:
             with trace_span("fault.degrade", reason=report.degrade_reason):
                 return local_map()
 
         # Fold worker maps left to right over the coordinator's lanes —
         # the k-lane generalization of the true-start walk in run().
-        spec0 = maps[0][0]
-        cur = np.asarray(maps[0][1], dtype=np.int32)
-        if not np.array_equal(spec0, boundary_row):
-            # spec-N workers return maps over arange(num_states); align
-            # the lane order to the coordinator's row.
-            if not np.array_equal(
-                spec0, np.arange(dfa.num_states, dtype=np.int32)
-            ):  # pragma: no cover - worker protocol guarantees one of the two
-                return local_map()
-            cur = cur[boundary_row]
-        cur = cur[None, :].copy()
-        all_valid = np.ones((1, self.k_eff), dtype=bool)
+        maps = rnd.outs
         with trace_span("pool.merge", workers=w, schedule="map"):
-            for i in range(1, w):
-                spec_i = np.asarray(maps[i][0], dtype=np.int32)
-                end_i = np.asarray(maps[i][1], dtype=np.int32)
-                nxt, found, _ = compose_maps(
-                    cur, all_valid, spec_i[None, :], end_i[None, :], all_valid
-                )
-                misses = np.flatnonzero(~found[0])
-                if misses.size:
-                    seg = inputs[seg_plan.chunk_slice(i)]
-                    for j in misses:
-                        nxt[0, j] = (
-                            nkern.run_segment(seg, int(cur[0, j]))
-                            if nkern is not None
-                            else run_segment_kernel(
-                                self._kplan, seg, int(cur[0, j])
-                            )
-                        )
-                    add_count("pool.map_lane_reexecs", int(misses.size))
-                cur = nxt
-        return cur[0].copy()
+            row, misses = _fold_left(
+                maps[0][1],
+                np.stack([m[0] for m in maps[1:]]),
+                np.stack([m[1] for m in maps[1:]]),
+                lambda i, s: self._run_segment(
+                    inputs[seg_plan.chunk_slice(i + 1)], s
+                ),
+            )
+        if misses.any():
+            add_count("pool.map_lane_reexecs", int(misses.sum()))
+        return row
 
     def run_batch(
         self,
@@ -2128,7 +1945,6 @@ class ScaleoutPool:
         """
         if self._closed:
             raise PoolClosedError("ScaleoutPool is closed")
-        obs = current_trace()
         dfa = self.dfa
         num_requests = len(segments)
         if starts is None:
@@ -2144,24 +1960,12 @@ class ScaleoutPool:
                 starts_arr.min() < 0 or starts_arr.max() >= dfa.num_states
             ):
                 raise ValueError("starts contain states outside the machine")
-        segs = []
-        for i, seg in enumerate(segments):
-            seg = np.ascontiguousarray(np.asarray(seg, dtype=self._input_dtype))
-            if seg.ndim != 1:
-                raise ValueError(f"segment {i} must be 1-D, got shape {seg.shape}")
-            segs.append(seg)
+        segs = [self._symbols(s, f"segment {i}") for i, s in enumerate(segments)]
         w = self.num_workers
-        stats = ExecStats(
-            num_chunks=w,
-            k=self.k_eff,
-            num_states=dfa.num_states,
-            num_inputs=dfa.num_inputs,
-        )
-        stats.pool_calls += 1
+        total = sum(int(s.size) for s in segs)
+        stats = self._new_stats(total, self.k_eff)
 
         final_states = np.empty(num_requests, dtype=np.int32)
-        total = sum(int(s.size) for s in segs)
-        stats.num_items = total
         # Target chunk length: fill every worker sub-slot, but never chunk
         # finer than the requests themselves require.
         target = max(1, -(-total // max(1, w * self.sub_chunks_per_worker)))
@@ -2186,20 +1990,17 @@ class ScaleoutPool:
         gplan = plan_from_lengths(np.asarray(lengths, dtype=np.int64))
         n_chunks = gplan.num_chunks
         self.calls += 1
-        nkern = self._ensure_native()
-        native_path, native_meta = self._native_task_fields()
+        self._ensure_native()
 
-        def _resolve_one(seg: np.ndarray, s0: int) -> int:
-            if nkern is not None:
-                return nkern.run_segment(seg, s0)
-            return run_segment_kernel(self._kplan, seg, s0)
-
-        if w == 1:
-            # Degenerate single worker: no dispatch — resolve in-process
-            # through the native kernel or the kernel layer.
+        def resolve_alone() -> None:
             for r, seg in enumerate(segs):
                 if seg.size:
-                    final_states[r] = _resolve_one(seg, int(starts_arr[r]))
+                    final_states[r] = self._run_segment(seg, int(starts_arr[r]))
+
+        if w == 1:
+            # Degenerate single worker: no dispatch — resolve in-process.
+            self._check_symbols(concat)
+            resolve_alone()
             stats.pool_shm_bytes = self.shm_bytes
             return BatchRunResult(
                 final_states, accepted(), num_requests, 1, stats,
@@ -2209,20 +2010,8 @@ class ScaleoutPool:
             "pool.batch", requests=num_requests, chunks=n_chunks,
             items=total, workers=w,
         ):
-            with trace_span("pool.publish_input", bytes=int(concat.nbytes)):
-                self._ensure_input_capacity(total)
-                shm = self._input_shm
-                assert shm is not None
-                np.ndarray(
-                    (total,), dtype=self._input_dtype, buffer=shm.buf
-                )[:] = concat
-            stats.pool_shm_bytes = self.shm_bytes
-            if obs is not None:
-                obs.count("pool.shm.input_bytes", int(concat.nbytes))
             report = SupervisionReport()
-            for fault in self._fault_plan.parent_faults(self.calls):
-                self._apply_parent_fault(fault, report)
-
+            self._publish_input(concat, stats, report)
             # Contiguous per-worker chunk spans, balanced by item count.
             csum = np.cumsum(gplan.lengths)
             num_tasks = min(w, n_chunks)
@@ -2236,145 +2025,51 @@ class ScaleoutPool:
             )
             bounds = np.unique(np.concatenate(([0], cuts, [n_chunks])))
             num_tasks = bounds.size - 1
-            span_items = np.diff(
-                np.concatenate(([0], csum[bounds[1:] - 1]))
+            span_plan = plan_from_lengths(
+                np.diff(np.concatenate(([0], csum[bounds[1:] - 1])))
             )
+            # Each span ships its chunk lengths plus the request heads
+            # inside it, whose known starts the worker pins.
+            aux = [
+                (
+                    tuple(int(x) for x in gplan.lengths[lo:hi]),
+                    tuple((c - lo, heads[c]) for c in heads if lo <= c < hi),
+                )
+                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+            ]
 
             # Span-boundary speculation rows over the global concatenation
-            # (workers cannot see their left neighbour's tail). Spans that
-            # open on a request head get the known start pinned via pins.
+            # (workers cannot see their left neighbour's tail).
             boundary = None
             with trace_span("pool.speculate", workers=num_tasks, k=self.k_eff):
                 if self.k is not None:
                     boundary = speculate(
-                        dfa,
-                        concat,
-                        plan_from_lengths(span_items),
-                        self.k,
-                        lookback=self.lookback,
-                        prior=self._prior,
-                        stats=stats,
+                        dfa, concat, span_plan, self.k,
+                        lookback=self.lookback, prior=self._prior, stats=stats,
                     )
 
             board = ChunkScoreboard(
                 dfa, concat, gplan, self.k_eff, mode="parallel",
                 stats=stats, seeds=heads,
-                reexec_fn=lambda c, s: _resolve_one(
+                reexec_fn=lambda c, s: self._run_segment(
                     concat[gplan.chunk_slice(c)], s
                 ),
             )
 
-            def make_btask(t: int) -> tuple:
-                lo_c, hi_c = int(bounds[t]), int(bounds[t + 1])
-                lo_item = 0 if lo_c == 0 else int(csum[lo_c - 1])
-                hi_item = int(csum[hi_c - 1])
-                span_lengths = tuple(
-                    int(x) for x in gplan.lengths[lo_c:hi_c]
-                )
-                pins = tuple(
-                    (c - lo_c, heads[c]) for c in heads if lo_c <= c < hi_c
-                )
-                return (
-                    self._table_shm.name,
-                    dfa.num_inputs,
-                    dfa.num_states,
-                    self._acc_shm.name,
-                    self._prior_shm.name,
-                    self._input_shm.name,
-                    total,
-                    self._input_dtype.str,
-                    lo_item,
-                    hi_item,
-                    dfa.start,
-                    self.k,
-                    hi_c - lo_c,
-                    self.lookback,
-                    None if boundary is None else boundary[t],
-                    self.kernel,
-                    self._kplan.compaction.num_classes,
-                    self._kplan.m,
-                    self._class_of_shm.name,
-                    self._class_table_shm.name,
-                    None if self._stride_shm is None else self._stride_shm.name,
-                    None,
-                    "bmaps",
-                    (span_lengths, pins),
-                    native_path,
-                    native_meta,
-                )
-
-            def on_result(tid: int, payload: tuple) -> None:
-                smat, emat = payload[0], payload[1]
-                base = int(bounds[tid])
-                for c in range(smat.shape[0]):
-                    board.post(base + c, smat[c], emat[c])
-
-            def on_retry(tid: int) -> None:
-                for c in range(int(bounds[tid]), int(bounds[tid + 1])):
-                    board.reissue(c)
-
-            def on_error(
-                tid: int, exc_type: str, exc_repr: str, rep: SupervisionReport
-            ) -> None:
-                if (
-                    exc_type == "FileNotFoundError"
-                    and self._input_segment_missing()
-                ):
-                    self._republish_input(concat)
-                    rep.shm_republishes += 1
-                    add_count("fault.shm_republished")
-                    rep.record("shm_republish", task=tid, detail=exc_repr)
-
-            tasks = [make_btask(t) for t in range(num_tasks)]
-            stats.pool_task_bytes += sum(len(pickle.dumps(t)) for t in tasks)
-            span_nbytes = [
-                int(x) * self._input_dtype.itemsize for x in span_items
-            ]
-            t_dispatch = time.perf_counter()
-            try:
-                with trace_span("pool.wait", workers=num_tasks, schedule="batch"):
-                    maps = self._sup.run_tasks(
-                        tasks,
-                        task_nbytes=span_nbytes,
-                        bytes_per_sec=self._bps_ewma,
-                        rebuild=make_btask,
-                        validate=lambda _t, p: self._valid_worker_map(p),
-                        on_error=on_error,
-                        on_result=on_result,
-                        on_retry=on_retry,
-                        report=report,
-                        deadline_cap_s=deadline_s,
-                    )
-            except DegradedExecution:
-                self._check_open_for_fallback()
+            rnd = self._round(
+                concat, span_plan, stats, report, mode="bmaps", schedule="batch",
+                rows=boundary, aux=aux, board=board, board_bounds=bounds,
+                deadline_cap_s=deadline_s,
+            )
+            if rnd.outs is None:
                 with trace_span(
                     "fault.degrade", reason=report.degrade_reason, workers=w
                 ):
-                    for r, seg in enumerate(segs):
-                        if seg.size:
-                            final_states[r] = _resolve_one(
-                                seg, int(starts_arr[r])
-                            )
+                    resolve_alone()
                 return BatchRunResult(
                     final_states, accepted(), num_requests, w, stats,
                     degraded=True, recovery=report,
                 )
-            t_wait = time.perf_counter()
-
-            for m in maps:
-                stats.local_gathers += m[5][0]
-            for nbytes_t, m in zip(span_nbytes, maps):
-                total_s = m[4][3]
-                if total_s > 1e-9:
-                    bps = nbytes_t / total_s
-                    self._bps_ewma = (
-                        bps
-                        if self._bps_ewma is None
-                        else 0.7 * self._bps_ewma + 0.3 * bps
-                    )
-            if obs is not None:
-                obs.observe("pool.batch_wait_s", t_wait - t_dispatch)
-
             with trace_span("pool.merge", workers=num_tasks, schedule="batch"):
                 board.resolve()
             live = tail_chunk >= 0
@@ -2416,7 +2111,6 @@ class ScaleoutPool:
         The returned result is flagged ``degraded=True`` and carries the
         full :class:`SupervisionReport` of everything tried first.
         """
-        self._check_open_for_fallback()
         with trace_span(
             "fault.degrade", reason=report.degrade_reason,
             workers=self.num_workers,
@@ -2424,13 +2118,7 @@ class ScaleoutPool:
             fallback = run_inprocess_fallback(
                 self.dfa, inputs, start=start, k=self.k, kernel="lockstep"
             )
-        positions = None
-        if collect_matches:
-            positions = _segment_match_positions(
-                self.dfa, inputs, start,
-                sub_chunks=self.sub_chunks_per_worker, k=self.k,
-                lookback=self.lookback, prior=self._prior,
-            )
+        positions = self._local_matches(inputs, start) if collect_matches else None
         t_done = time.perf_counter()
         stats = stats.merged_with(fallback.stats)
         stats.pool_shm_bytes = self.shm_bytes
