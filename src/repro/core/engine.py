@@ -14,6 +14,8 @@ execution (spec-N), anything between is enumerative speculation (spec-k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,19 +42,23 @@ from repro.core.lookback import enumerative_spec, speculate, state_prior
 from repro.core.merge_par import MergeTree, merge_parallel
 from repro.core.merge_seq import merge_sequential
 from repro.core.predictor import HistoryPredictor
+from repro.core.replay import ChunkReplay, replay_path
 from repro.core.scoreboard import ChunkScoreboard, run_chunks_active
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.dfa import DFA
 from repro.gpu.cost import CostModel, TimeBreakdown
 from repro.gpu.device import DeviceSpec, TESLA_V100, launch_geometry
 from repro.obs.trace import RunTrace, current_trace, trace_span
-from repro.util.validation import check_in_set
+from repro.util.validation import check_in_set, check_symbols
 from repro.workloads.chunking import (
     ChunkPlan,
     plan_chunks,
     plan_from_lengths,
     transform_layout,
 )
+
+if TYPE_CHECKING:
+    from repro.core.native import NativeKernel
 
 __all__ = [
     "BatchExecutionResult",
@@ -173,6 +179,11 @@ class SpecExecutionResult:
     trace:
         The :class:`repro.obs.RunTrace` that observed this run (None when
         observability was disabled).
+    native:
+        The loaded :class:`repro.core.native.NativeKernel` that stepped
+        the run (None on the vectorized path). Its accept pass lets a
+        caller that recovers outputs from ``true_starts`` itself replay
+        on the same compiled kernel.
     """
 
     final_state: int
@@ -187,6 +198,7 @@ class SpecExecutionResult:
     cache: HotStateCache | None = None
     merge_tree: MergeTree | None = field(default=None, repr=False)
     trace: RunTrace | None = field(default=None, repr=False)
+    native: NativeKernel | None = field(default=None, repr=False)
 
     @property
     def success_rate(self) -> float:
@@ -383,6 +395,10 @@ def run_speculative(
     check_in_set("reexec", reexec, ("delayed", "eager"))
     check_in_set("layout", layout, ("transformed", "natural"))
     check_in_set("backend", backend, ("vectorized", "native", "dist"))
+    inputs = np.ascontiguousarray(np.asarray(inputs))
+    if inputs.ndim != 1:
+        raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
+    check_symbols(inputs, dfa.num_inputs)
     if backend == "dist":
         return _run_dist(dfa, inputs, k=k, lookback=lookback, dist=dist)
     check_in_set("kernel", kernel, ("auto",) + tuple(sorted(KERNELS)))
@@ -392,9 +408,6 @@ def run_speculative(
     for item in collect:
         check_in_set("collect item", item, ("accept_count", "match_positions", "emissions"))
 
-    inputs = np.ascontiguousarray(np.asarray(inputs))
-    if inputs.ndim != 1:
-        raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
     geo = launch_geometry(device, num_blocks, threads_per_block)
     n = geo.total_threads
 
@@ -633,6 +646,13 @@ def run_speculative(
         stats.chunks_converged += int(converged.sum())
 
     # --- merge ------------------------------------------------------------------
+    # Every re-execution and truth walk below replays on the compiled
+    # kernel when one stepped the chunks; None keeps run_segment.
+    replay = (
+        ChunkReplay(nplan.run_segment, inputs, plan, path="native")
+        if nplan is not None
+        else None
+    )
     tree = None
     true_starts: np.ndarray | None = None
     with trace_span(
@@ -640,15 +660,9 @@ def run_speculative(
         schedule=schedule,
     ):
         if schedule == "ooo":
-            reexec_fn = None
-            if nplan is not None:
-                # Provable speculation misses re-execute inside the
-                # compiled loop instead of the Python step loop.
-                def reexec_fn(c: int, s: int) -> int:
-                    return nplan.run_segment(inputs[plan.chunk_slice(c)], s)
             board = ChunkScoreboard(
                 dfa, inputs, plan, k_eff, mode=merge, check=check, stats=stats,
-                reexec_fn=reexec_fn,
+                replay=replay,
             )
             if end is None:
                 # Ragged plan: the active-list driver executes the chunks
@@ -681,7 +695,8 @@ def run_speculative(
             )
             if merge == "sequential":
                 final_state, true_starts = merge_sequential(
-                    dfa, inputs, plan, results, check=check, stats=stats
+                    dfa, inputs, plan, results, check=check, stats=stats,
+                    replay=replay,
                 )
             else:
                 final_state, tree = merge_parallel(
@@ -694,6 +709,7 @@ def run_speculative(
                     threads_per_block=threads_per_block,
                     warp_size=device.warp_size,
                     stats=stats,
+                    replay=replay,
                 )
 
     # --- truth recovery (instrumentation; uncounted) --------------------------- #
@@ -705,7 +721,9 @@ def run_speculative(
         if need_truth:
             from repro.core.merge_seq import true_boundary_walk
 
-            _, true_starts = true_boundary_walk(dfa, inputs, plan, results)
+            _, true_starts = true_boundary_walk(
+                dfa, inputs, plan, results, replay=replay
+            )
         if (
             merge == "parallel"
             and schedule == "barrier"  # the scoreboard counts during resolution
@@ -727,8 +745,16 @@ def run_speculative(
     match_positions = None
     emissions = None
     if collect:
-        with trace_span("engine.output_recovery", collect=list(collect)):
-            if "match_positions" in collect:
+        with trace_span(
+            "engine.output_recovery", collect=list(collect),
+            replay=replay_path(replay),
+        ):
+            if "match_positions" in collect and nplan is not None:
+                match_positions, _, _ = nplan.accept_positions(
+                    inputs, plan.starts, plan.lengths, true_starts[:, None],
+                    dfa.accepting,
+                )
+            elif "match_positions" in collect:
                 match_positions = recover_accepts(dfa, inputs, plan, true_starts)
             if "emissions" in collect:
                 emissions = recover_emissions(dfa, inputs, plan, true_starts)
@@ -781,6 +807,7 @@ def run_speculative(
         cache=cache,
         merge_tree=tree if keep_merge_tree else None,
         trace=run_trace,
+        native=nplan,
     )
 
 
@@ -905,6 +932,7 @@ def run_speculative_batch(
         seg = np.ascontiguousarray(np.asarray(seg))
         if seg.ndim != 1:
             raise ValueError(f"segment {i} must be 1-D, got shape {seg.shape}")
+        check_symbols(seg, dfa.num_inputs)
         segs.append(seg)
     if chunk_items < 1:
         raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
@@ -973,18 +1001,16 @@ def run_speculative_batch(
                 for h, s in heads.items():
                     if not (spec[h] == s).any():
                         spec[h, -1] = s
-        reexec_fn = None
+        replay = None
         if native is not None and native.spec.k == k_eff:
-            def reexec_fn(c: int, s: int) -> int:
-                return native.run_segment(concat[plan.chunk_slice(c)], s)
+            replay = ChunkReplay(native.run_segment, concat, plan, path="native")
         elif kernel_plan is not None:
-            def reexec_fn(c: int, s: int) -> int:
-                return run_segment_kernel(
-                    kernel_plan, concat[plan.chunk_slice(c)], s
-                )
+            replay = ChunkReplay(
+                partial(run_segment_kernel, kernel_plan), concat, plan
+            )
         board = ChunkScoreboard(
             dfa, concat, plan, k_eff, mode="parallel", check=check,
-            stats=stats, reexec_fn=reexec_fn, seeds=heads,
+            stats=stats, replay=replay, seeds=heads,
         )
         if native is not None and native.spec.k == k_eff:
             # Execute the whole batch in one compiled call, then post the

@@ -41,9 +41,9 @@ from repro.core.checks import (
     match_pairs,
     select_check,
 )
+from repro.core.replay import Replay, default_replay, replay_path
 from repro.core.types import ChunkResults, ExecStats, SegmentMaps
 from repro.fsm.dfa import DFA
-from repro.fsm.run import run_segment
 from repro.obs.trace import current_trace, trace_span
 from repro.workloads.chunking import ChunkPlan
 
@@ -119,12 +119,15 @@ def merge_parallel(
     threads_per_block: int = 256,
     warp_size: int = 32,
     stats: ExecStats | None = None,
+    replay: Replay | None = None,
 ) -> tuple[int, MergeTree]:
     """Tree-merge all chunk results; return ``(final_state, tree)``.
 
     ``reexec`` selects the strategy described in the module docstring. The
     returned tree is the full reduction history (used by the fix-up pass
-    and by tests that inspect intermediate validity).
+    and by tests that inspect intermediate validity). Eager resolutions
+    and fix-up misses re-execute through ``replay`` when given
+    (:mod:`repro.core.replay`); only who steps the symbols changes.
     """
     if reexec not in ("eager", "delayed"):
         raise ValueError(f"reexec must be 'eager' or 'delayed', got {reexec!r}")
@@ -138,14 +141,16 @@ def merge_parallel(
     eager_chain = 0
 
     obs = current_trace()
+    path = replay_path(replay)
+    replay = default_replay(dfa, inputs, plan, replay)
     while maps.num_segments > 1:
         with trace_span(
             "merge.level", level=level_index, segments=maps.num_segments
         ) as span:
             level_t0 = time.perf_counter() if obs is not None else 0.0
             maps, had_reexec = _merge_level(
-                dfa, inputs, plan, results, maps,
-                impl=impl, reexec=reexec, stats=stats,
+                plan, results, maps,
+                impl=impl, reexec=reexec, stats=stats, replay=replay,
             )
             if obs is not None:
                 obs.observe("merge.level_s", time.perf_counter() - level_t0)
@@ -173,8 +178,8 @@ def merge_parallel(
 
     # Root entry for the true initial state is invalid (possible only with
     # the delayed strategy, or when chunk 0's spec row was corrupted).
-    with trace_span("merge.fixup"):
-        final = _fixup(dfa, inputs, plan, tree, dfa.start, stats)
+    with trace_span("merge.fixup", replay=path):
+        final = _fixup(plan, tree, dfa.start, stats, replay)
     return final, tree
 
 
@@ -184,8 +189,6 @@ def merge_parallel(
 
 
 def _merge_level(
-    dfa: DFA,
-    inputs: np.ndarray,
     plan: ChunkPlan,
     results: ChunkResults,
     maps: SegmentMaps,
@@ -193,6 +196,7 @@ def _merge_level(
     impl: str,
     reexec: str,
     stats: ExecStats | None,
+    replay: Replay,
 ) -> tuple[SegmentMaps, bool]:
     m = maps.num_segments
     npairs = m // 2
@@ -270,9 +274,8 @@ def _merge_level(
             state = int(el[p, j])
             before = stats.reexec_items_eager if stats is not None else 0
             resolved = _resolve_segment(
-                dfa, inputs, plan, results,
-                state, int(right_lo[p]), int(right_hi[p]),
-                stats, bucket="eager",
+                plan, results, state, int(right_lo[p]), int(right_hi[p]),
+                stats, replay, bucket="eager",
             )
             if stats is not None:
                 level_max_items = max(
@@ -313,22 +316,22 @@ def _merge_level(
 
 
 def _resolve_segment(
-    dfa: DFA,
-    inputs: np.ndarray,
     plan: ChunkPlan,
     results: ChunkResults,
     state: int,
     lo: int,
     hi: int,
     stats: ExecStats | None,
+    replay: Replay,
     *,
     bucket: str,
 ) -> int:
     """Exact ending state of chunks ``[lo, hi)`` started from ``state``.
 
     Walks chunk results, reusing each chunk's speculation map on a hit and
-    re-executing the chunk's input on a miss — the re-execution work a GPU
-    thread would perform, charged to ``bucket`` ('eager' or 'fixup').
+    re-executing the chunk through ``replay`` on a miss — the re-execution
+    work a GPU thread would perform, charged to ``bucket`` ('eager' or
+    'fixup').
     """
     obs = current_trace()
     t0 = time.perf_counter() if obs is not None else 0.0
@@ -339,16 +342,16 @@ def _resolve_segment(
         if hit is not None:
             cur = hit
             continue
-        seg = inputs[plan.chunk_slice(c)]
-        cur = run_segment(dfa, seg, cur)
-        items += int(seg.size)
+        cur = replay(c, cur)
+        size = int(plan.lengths[c])
+        items += size
         if stats is not None:
             if bucket == "eager":
                 stats.reexec_chunks_eager += 1
-                stats.reexec_items_eager += int(seg.size)
+                stats.reexec_items_eager += size
             else:
                 stats.fixup_chunks += 1
-                stats.fixup_items += int(seg.size)
+                stats.fixup_items += size
     if obs is not None and items:
         obs.observe(f"reexec.{bucket}_s", time.perf_counter() - t0)
         obs.count(f"reexec.{bucket}.items", items)
@@ -361,12 +364,11 @@ def _resolve_segment(
 
 
 def _fixup(
-    dfa: DFA,
-    inputs: np.ndarray,
     plan: ChunkPlan,
     tree: MergeTree,
     state: int,
     stats: ExecStats | None,
+    replay: Replay,
 ) -> int:
     """Resolve ``state`` through the whole input using the stored tree.
 
@@ -378,7 +380,7 @@ def _fixup(
     """
     top = len(tree.levels) - 1
     reexecuted = tree.reexecuted
-    out = _fixup_node(dfa, inputs, plan, tree, state, top, 0, stats, reexecuted)
+    out = _fixup_node(plan, tree, state, top, 0, stats, reexecuted, replay)
     if stats is not None and reexecuted:
         chain = best = 1
         for prev, cur in zip(reexecuted, reexecuted[1:]):
@@ -389,8 +391,6 @@ def _fixup(
 
 
 def _fixup_node(
-    dfa: DFA,
-    inputs: np.ndarray,
     plan: ChunkPlan,
     tree: MergeTree,
     state: int,
@@ -398,6 +398,7 @@ def _fixup_node(
     idx: int,
     stats: ExecStats | None,
     reexecuted: list[int],
+    replay: Replay,
 ) -> int:
     maps = tree.levels[level]
     if maps.converged is not None and maps.converged[idx]:
@@ -413,24 +414,24 @@ def _fixup_node(
     if level == 0:
         obs = current_trace()
         t0 = time.perf_counter() if obs is not None else 0.0
-        seg = inputs[plan.chunk_slice(idx)]
-        out = run_segment(dfa, seg, int(state))
+        out = replay(idx, int(state))
+        size = int(plan.lengths[idx])
         reexecuted.append(idx)
         if stats is not None:
             stats.fixup_chunks += 1
-            stats.fixup_items += int(seg.size)
+            stats.fixup_items += size
         if obs is not None:
             obs.observe("reexec.fixup_s", time.perf_counter() - t0)
-            obs.count("reexec.fixup.items", int(seg.size))
+            obs.count("reexec.fixup.items", size)
         return out
     prev_m = tree.levels[level - 1].num_segments
     left = 2 * idx
     right = 2 * idx + 1
-    mid = _fixup_node(dfa, inputs, plan, tree, state, level - 1, left, stats, reexecuted)
+    mid = _fixup_node(plan, tree, state, level - 1, left, stats, reexecuted, replay)
     if right >= prev_m:  # carried segment: no right child
         return mid
     return _fixup_node(
-        dfa, inputs, plan, tree, mid, level - 1, right, stats, reexecuted
+        plan, tree, mid, level - 1, right, stats, reexecuted, replay
     )
 
 

@@ -17,9 +17,9 @@ import time
 import numpy as np
 
 from repro.core.checks import count_hash, count_nested, count_skipped, select_check
+from repro.core.replay import Replay, default_replay
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.dfa import DFA
-from repro.fsm.run import run_segment
 from repro.obs.trace import current_trace, trace_span
 from repro.workloads.chunking import ChunkPlan
 
@@ -34,6 +34,8 @@ def true_boundary_walk(
     inputs: np.ndarray,
     plan: ChunkPlan,
     results: ChunkResults,
+    *,
+    replay: Replay | None = None,
 ) -> tuple[int, np.ndarray]:
     """Uncounted truth recovery: ``(final_state, true_starts)``.
 
@@ -43,24 +45,27 @@ def true_boundary_walk(
     a scalar chain of O(1) indexings instead of per-chunk searches. Used
     by the engine for success-rate measurement and output recovery after a
     parallel merge (instrumentation, not part of the algorithm's cost).
+    A chunk whose map misses the true state re-executes through
+    ``replay`` (:mod:`repro.core.replay`) when given.
     """
     n, n_states = results.num_chunks, dfa.num_states
     if n * n_states > _LUT_ENTRY_BUDGET:
-        return merge_sequential(dfa, inputs, plan, results, stats=None)
+        return merge_sequential(
+            dfa, inputs, plan, results, stats=None, replay=replay
+        )
     lut = np.full((n, n_states), -1, dtype=np.int32)
     rows = np.repeat(np.arange(n), results.k)
     valid = results.valid.ravel()
     lut[rows[valid], results.spec.ravel()[valid]] = results.end.ravel()[valid]
+    replay = default_replay(dfa, inputs, plan, replay)
 
     true_starts = np.empty(n, dtype=np.int32)
     cur = int(dfa.start)
-    starts, lengths = plan.starts, plan.lengths
     for c in range(n):
         true_starts[c] = cur
         nxt = int(lut[c, cur])
         if nxt < 0:
-            lo = int(starts[c])
-            nxt = run_segment(dfa, inputs[lo : lo + int(lengths[c])], cur)
+            nxt = replay(c, cur)
         cur = nxt
     return cur, true_starts
 
@@ -73,13 +78,15 @@ def merge_sequential(
     *,
     check: str = "auto",
     stats: ExecStats | None = None,
+    replay: Replay | None = None,
 ) -> tuple[int, np.ndarray]:
     """Walk chunk results sequentially; return ``(final_state, true_starts)``.
 
     ``true_starts[c]`` is the exact state the machine is in when chunk ``c``
     begins — ground truth for success-rate measurement. When ``stats`` is
     None the walk is uncounted (the engine uses that mode to obtain truth
-    for parallel-merge runs without polluting their cost profile).
+    for parallel-merge runs without polluting their cost profile). Misses
+    re-execute through ``replay`` when given (:mod:`repro.core.replay`).
     """
     n = results.num_chunks
     k = results.k
@@ -111,6 +118,7 @@ def merge_sequential(
             dfa, inputs, plan, spec, end, valid, results.converged,
             true_starts, cur,
             n=n, k=k, impl=impl, stats=stats, counted=counted, obs=obs,
+            replay=default_replay(dfa, inputs, plan, replay),
         )
     if counted and reexec_runs:
         # In the sequential walk, every re-execution is on the critical path.
@@ -143,6 +151,7 @@ def _walk(
     stats: ExecStats | None,
     counted: bool,
     obs,
+    replay: Replay,
 ) -> tuple[np.int32, int, int, int, float, int]:
     """The sequential walk body; returns the carried state and accumulators."""
     semijoin_match = 0
@@ -190,7 +199,7 @@ def _walk(
         else:
             t0 = time.perf_counter() if obs is not None else 0.0
             seg = inputs[plan.chunk_slice(c)]
-            cur = np.int32(run_segment(dfa, seg, int(cur)))
+            cur = np.int32(replay(c, int(cur)))
             reexec_runs += 1
             if counted:
                 stats.reexec_chunks_seq += 1

@@ -52,6 +52,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import shared_memory
 from typing import NamedTuple
 
@@ -77,6 +78,7 @@ from repro.core.local import process_chunks, process_chunks_ragged, recover_acce
 from repro.core.lookback import speculate, state_prior
 from repro.core.merge_par import compose_maps, merge_parallel
 from repro.core.merge_seq import true_boundary_walk
+from repro.core.replay import ChunkReplay
 from repro.core.scoreboard import ChunkScoreboard
 from repro.core.resilience import (
     DEFAULT_RESILIENCE,
@@ -90,6 +92,7 @@ from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.alphabet import AlphabetCompaction
 from repro.fsm.dfa import DFA
 from repro.obs.trace import add_count, current_trace, trace_span
+from repro.util.validation import check_symbols
 from repro.workloads.chunking import plan_chunks, plan_from_lengths
 
 __all__ = [
@@ -313,19 +316,27 @@ def _segment_match_positions(
     k: int | None,
     lookback: int,
     prior: np.ndarray | None = None,
+    native=None,
 ) -> np.ndarray:
     """Accepting positions over one segment whose true start is known.
 
-    The standard two-pass output recovery, self-contained per segment:
-    speculative chunk maps, an uncounted truth walk pinned at
-    ``true_start``, then :func:`repro.core.local.recover_accepts` from the
-    true per-chunk states. Positions are segment-relative (the caller adds
-    the segment's global offset). Runs identically in a worker process and
-    in the parent (single-worker and degraded paths).
+    With a loaded native kernel this is its accept pass over the whole
+    segment from ``true_start`` — one compiled lane needs no speculation.
+    Without one it is the standard two-pass NumPy recovery: speculative
+    chunk maps, an uncounted truth walk pinned at ``true_start``, then
+    :func:`repro.core.local.recover_accepts` from the true per-chunk
+    states. Positions are segment-relative (the caller adds the segment's
+    global offset). Runs identically in a worker process and in the
+    parent (single-worker and degraded paths).
     """
     segment = np.asarray(segment)
     if segment.size == 0:
         return np.zeros(0, dtype=np.int64)
+    if native is not None:
+        pos, _, _ = native.accept_positions(
+            segment, [0], [segment.size], [[int(true_start)]], dfa.accepting
+        )
+        return pos
     if int(dfa.start) != int(true_start):
         dfa = dfa.with_start(int(true_start))
     plan = plan_chunks(segment.size, sub_chunks)
@@ -530,7 +541,7 @@ def _fold_chunks(spec, end, segment, plan, kplan, *, converged=None, native=None
     tail = None if converged is None else converged[1:]
     row, misses = _fold_left(
         end[0], spec[1:], end[1:],
-        lambda c, s: run_segment_kernel(kplan, segment[plan.chunk_slice(c + 1)], s),
+        ChunkReplay(partial(run_segment_kernel, kplan), segment, plan, first=1),
         converged=tail,
     )
     skipped = 0 if tail is None else int(tail.sum()) * spec.shape[1]
@@ -570,11 +581,12 @@ def _worker_run(task: _Task) -> tuple:
     dfa, kplan, prior, segment, new_attaches = _attach_task(task)
     t_attach = time.perf_counter()
     counters = (0, 0, 0, 0, 0)
+    nk = _worker_native(task.native_path, task.native_meta, kplan)
     if task.mode == "collect":
         positions = _segment_match_positions(
             dfa, kplan, segment, int(task.aux),
             sub_chunks=task.sub_chunks, k=task.k, lookback=task.lookback,
-            prior=prior,
+            prior=prior, native=nk,
         )
         out = (positions + task.lo, np.zeros(0, dtype=np.int32), 0, 0)
         t_exec = time.perf_counter()
@@ -590,7 +602,6 @@ def _worker_run(task: _Task) -> tuple:
             collapse = CollapseConfig(
                 cadence=task.collapse[0], backoff=task.collapse[1]
             )
-        nk = _worker_native(task.native_path, task.native_meta, kplan)
         wstats = ExecStats()
         spec, end, converged = _segment_maps(
             dfa, kplan, segment, plan, task.boundary_row,
@@ -1112,6 +1123,16 @@ class ScaleoutPool:
             return nk.run_segment(segment, state)
         return run_segment_kernel(self._kplan, segment, state)
 
+    def _replay(self, inputs: np.ndarray, plan, *, first: int = 0) -> ChunkReplay:
+        """The call's one replay hook: :meth:`_run_segment` over ``plan``."""
+        return ChunkReplay(
+            self._run_segment, inputs, plan, path=self._replay_path(),
+            first=first,
+        )
+
+    def _replay_path(self) -> str:
+        return "native" if self._ensure_native() is not None else "numpy"
+
     def _resolve_collapse(self, inputs: np.ndarray) -> None:
         """Resolve ``"auto"`` collapse on the first non-empty input (cached)."""
         if not self._collapse_resolved:
@@ -1126,19 +1147,6 @@ class ScaleoutPool:
         if arr.ndim != 1:
             raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
         return arr
-
-    def _check_symbols(self, symbols: np.ndarray) -> None:
-        """Reject symbols outside the machine's alphabet.
-
-        Negatives wrap to huge values under the unsigned view, so one
-        ``max`` covers both ends. Every path checks before any kernel
-        steps the symbols: the native kernel would read past its table.
-        """
-        num_inputs = self.dfa.num_inputs
-        if symbols.size and int(symbols.view(np.uint32).max()) >= num_inputs:
-            raise ValueError(
-                f"inputs contain symbols outside [0, {num_inputs})"
-            )
 
     def _publish_input(
         self, data: np.ndarray, stats: ExecStats, report: SupervisionReport
@@ -1156,7 +1164,7 @@ class ScaleoutPool:
             buf = np.ndarray((n,), dtype=_INPUT_DTYPE, buffer=self._input_shm.buf)
             for lo in range(0, n, _PUBLISH_BLOCK):
                 block = data[lo:lo + _PUBLISH_BLOCK]
-                self._check_symbols(block)
+                check_symbols(block, self.dfa.num_inputs)
                 buf[lo:lo + _PUBLISH_BLOCK] = block
         stats.pool_shm_bytes = self.shm_bytes
         add_count("pool.shm.input_bytes", int(data.nbytes))
@@ -1180,6 +1188,7 @@ class ScaleoutPool:
             self.dfa, self._kplan, inputs, start,
             sub_chunks=self.sub_chunks_per_worker, k=self.k,
             lookback=self.lookback, prior=self._prior,
+            native=self._ensure_native(),
         )
 
     def _task(
@@ -1428,7 +1437,7 @@ class ScaleoutPool:
             )
         if w == 1:
             # Single-worker degenerate case: no dispatch, run in-process.
-            self._check_symbols(inputs)
+            check_symbols(inputs, self.dfa.num_inputs)
             final = self._run_segment(inputs, start)
             stats.pool_shm_bytes = self.shm_bytes
             positions = self._local_matches(inputs, start) if collect_matches else None
@@ -1492,10 +1501,7 @@ class ScaleoutPool:
             )
             board = ChunkScoreboard(
                 run_dfa, inputs, gplan, self.k_eff, mode="parallel",
-                stats=stats,
-                reexec_fn=lambda c, s: self._run_segment(
-                    inputs[gplan.chunk_slice(c)], s
-                ),
+                stats=stats, replay=self._replay(inputs, gplan),
             )
 
         rnd = self._round(
@@ -1543,7 +1549,7 @@ class ScaleoutPool:
                 )
                 final, tree = merge_parallel(
                     run_dfa, inputs, seg_plan, results, reexec="delayed",
-                    stats=stats,
+                    stats=stats, replay=self._replay(inputs, seg_plan),
                 )
             reexec_segments = tuple(tree.reexecuted)
             stats.success_total += w - 1
@@ -1571,10 +1577,16 @@ class ScaleoutPool:
                 if true_chunk_starts is not None:
                     seg_true = true_chunk_starts[seg_first]
                 else:
-                    _, tfull = true_boundary_walk(run_dfa, inputs, gplan, results)
+                    _, tfull = true_boundary_walk(
+                        run_dfa, inputs, gplan, results,
+                        replay=self._replay(inputs, gplan),
+                    )
                     seg_true = tfull[seg_first]
             else:
-                _, seg_true = true_boundary_walk(run_dfa, inputs, seg_plan, results)
+                _, seg_true = true_boundary_walk(
+                    run_dfa, inputs, seg_plan, results,
+                    replay=self._replay(inputs, seg_plan),
+                )
 
             def valid_positions(tid: int, payload: object) -> bool:
                 if not (isinstance(payload, tuple) and len(payload) == 6):
@@ -1586,7 +1598,7 @@ class ScaleoutPool:
                 hi = lo + int(seg_plan.lengths[tid])
                 return not pos.size or bool(((pos >= lo) & (pos < hi)).all())
 
-            with trace_span("pool.collect", workers=w):
+            with trace_span("pool.collect", workers=w, replay=self._replay_path()):
                 col = self._round(
                     inputs, seg_plan, stats, report,
                     mode="collect", schedule="collect",
@@ -1672,7 +1684,7 @@ class ScaleoutPool:
             MultiPatternResult,
             PatternResult,
             _batched_accept_matrix,
-            _recover_group_matches,
+            _group_matches,
             run_multipattern,
         )
         from repro.core.lookback import enumerative_spec
@@ -1697,6 +1709,7 @@ class ScaleoutPool:
         inputs = np.ascontiguousarray(np.asarray(inputs))
         if inputs.ndim != 1:
             raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
+        check_symbols(inputs, stack.joint.num_symbols)
         cls_stream = np.ascontiguousarray(
             stack.joint.remap(inputs).astype(_INPUT_DTYPE)
         )
@@ -1776,9 +1789,7 @@ class ScaleoutPool:
                 starts_u,
                 np.stack([m[0] for m in rnd.outs]),
                 np.stack([m[1] for m in rnd.outs]),
-                lambda i, s: self._run_segment(
-                    cls_stream[seg_plan.chunk_slice(i)], s
-                ),
+                self._replay(cls_stream, seg_plan),
                 incoming=seg_true,
             )
         stats.reexec_chunks_seq += int(np.count_nonzero(misses))
@@ -1790,10 +1801,14 @@ class ScaleoutPool:
 
         matches: list = [None] * P
         if collect_matches:
-            with trace_span("pool.collect", route="pool", patterns=P):
-                matches = _recover_group_matches(
-                    union.table, _batched_accept_matrix(stack), cls_stream,
-                    seg_plan, seg_true,
+            with trace_span(
+                "pool.collect", route="pool", patterns=P,
+                replay=self._replay_path(),
+            ):
+                matches = _group_matches(
+                    self._ensure_native(), union.table,
+                    _batched_accept_matrix(stack), cls_stream, seg_plan,
+                    seg_true,
                 )
 
         patterns = tuple(
@@ -1867,7 +1882,7 @@ class ScaleoutPool:
         local = w == 1 or n < w
         stats, report = ExecStats(), SupervisionReport()
         if local:
-            self._check_symbols(inputs)
+            check_symbols(inputs, self.dfa.num_inputs)
         else:
             self._publish_input(inputs, stats, report)
         self._resolve_collapse(inputs)
@@ -1909,9 +1924,7 @@ class ScaleoutPool:
                 maps[0][1],
                 np.stack([m[0] for m in maps[1:]]),
                 np.stack([m[1] for m in maps[1:]]),
-                lambda i, s: self._run_segment(
-                    inputs[seg_plan.chunk_slice(i + 1)], s
-                ),
+                self._replay(inputs, seg_plan, first=1),
             )
         if misses.any():
             add_count("pool.map_lane_reexecs", int(misses.sum()))
@@ -1999,7 +2012,7 @@ class ScaleoutPool:
 
         if w == 1:
             # Degenerate single worker: no dispatch — resolve in-process.
-            self._check_symbols(concat)
+            check_symbols(concat, self.dfa.num_inputs)
             resolve_alone()
             stats.pool_shm_bytes = self.shm_bytes
             return BatchRunResult(
@@ -2050,10 +2063,7 @@ class ScaleoutPool:
 
             board = ChunkScoreboard(
                 dfa, concat, gplan, self.k_eff, mode="parallel",
-                stats=stats, seeds=heads,
-                reexec_fn=lambda c, s: self._run_segment(
-                    concat[gplan.chunk_slice(c)], s
-                ),
+                stats=stats, seeds=heads, replay=self._replay(concat, gplan),
             )
 
             rnd = self._round(

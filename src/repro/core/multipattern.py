@@ -32,14 +32,16 @@ machine. Only viable when the product stays under a state budget.
 batched; :func:`repro.core.autotune.choose_route` is the measured version.
 
 Per-pattern match positions are recovered from one additional truth pass
-shared by the whole group (not one pass per pattern), and are bit-exact
-against the sequential reference on every kernel / schedule / collapse
-combination — the property tests assert exactly that.
+shared by the whole group (not one pass per pattern) — the native accept
+pass when a compiled kernel stepped the group, NumPy lock-step otherwise —
+and are bit-exact against the sequential reference on every kernel /
+schedule / collapse combination — the property tests assert exactly that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from repro.core.lookback import enumerative_spec, speculate, state_prior
 from repro.core.local import process_chunks_ragged
 from repro.core.merge_par import merge_parallel
 from repro.core.merge_seq import merge_sequential, true_boundary_walk
+from repro.core.replay import ChunkReplay
 from repro.core.scoreboard import ChunkScoreboard
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.alphabet import (
@@ -74,7 +77,7 @@ from repro.fsm.product import (
     product_dfa,
 )
 from repro.obs.trace import RunTrace, current_trace, trace_span
-from repro.util.validation import check_in_set
+from repro.util.validation import check_in_set, check_symbols
 from repro.workloads.chunking import ChunkPlan, plan_chunks, transform_layout
 
 __all__ = [
@@ -361,6 +364,47 @@ def _recover_group_matches(
     return out
 
 
+def _group_matches(
+    native,
+    table: np.ndarray,
+    accept_matrix: np.ndarray,
+    cls: np.ndarray,
+    plan: ChunkPlan,
+    states0: np.ndarray,
+    *,
+    shared_trajectory: bool = False,
+) -> list[np.ndarray]:
+    """Per-pattern match positions, on the kernel that did the stepping.
+
+    With a loaded :class:`repro.core.native.NativeKernel` the truth pass
+    is its accept pass: it records ``(position, lane, state)`` for every
+    step into a state that accepts for some pattern, and the pattern is
+    the lane (batched union, one lane per pattern) or every pattern
+    ``accept_matrix[state]`` credits (shared product trajectory). Without
+    one it is :func:`_recover_group_matches`, the NumPy oracle; both
+    return the same arrays.
+    """
+    if native is None:
+        return _recover_group_matches(
+            table, accept_matrix, cls, plan, states0,
+            shared_trajectory=shared_trajectory,
+        )
+    P = accept_matrix.shape[1]
+    pos, lane, state = native.accept_positions(
+        cls, plan.starts, plan.lengths, states0, accept_matrix.any(axis=1)
+    )
+    if shared_trajectory:
+        rows, pats = np.nonzero(accept_matrix[state])
+        pos = pos[rows]
+    else:
+        pats = lane
+    # Within one lane (or the one shared lane) positions already ascend;
+    # a stable sort by pattern keeps that order inside each pattern.
+    order = np.argsort(pats, kind="stable")
+    bounds = np.cumsum(np.bincount(pats, minlength=P))[:-1]
+    return np.split(pos[order], bounds)
+
+
 def _batched_accept_matrix(stack: MachineStack) -> np.ndarray:
     """``(S_total, P)`` panel: union state ``s`` accepts for pattern ``p``.
 
@@ -459,6 +503,7 @@ def run_multipattern(
         raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
     if stack is None:
         stack = stack_machines(list(machines))
+    check_symbols(inputs, stack.joint.num_symbols)
     P = stack.num_patterns
 
     if plan is None:
@@ -617,10 +662,13 @@ def _run_product_route(
     )
     matches: list[np.ndarray | None] = [None] * stack.num_patterns
     if "match_positions" in collect:
-        with trace_span("mp.recover", route="product", patterns=stack.num_patterns):
+        with trace_span(
+            "mp.recover", route="product", patterns=stack.num_patterns,
+            replay="native" if res.native is not None else "numpy",
+        ):
             accept_matrix = np.stack(prod.accept_masks, axis=1)
-            matches = _recover_group_matches(
-                prod.dfa.table, accept_matrix, cls, plan,
+            matches = _group_matches(
+                res.native, prod.dfa.table, accept_matrix, cls, plan,
                 res.true_starts[:, None], shared_trajectory=True,
             )
     final = int(res.final_state)
@@ -643,6 +691,11 @@ def _run_product_route(
         product_true_starts=res.true_starts,
         trace=current_trace(),
     )
+
+
+def _shifted_run(run, offset: int, symbols: np.ndarray, state: int) -> int:
+    """Run a pattern-local ``state`` on a union-table stepper."""
+    return run(symbols, state + offset) - offset
 
 
 def _pattern_widths(stack: MachineStack, k) -> list[int]:
@@ -757,6 +810,14 @@ def _run_batched_route(
             off = int(stack.offsets[p])
             spec_p = spec_cols[p]
             end_p = (end_all[:, lo:hi].astype(np.int64) - off).astype(np.int32)
+            replay = None
+            if nplan is not None:
+                # Pattern-local states ride the union kernel shifted into
+                # the pattern's block, which is closed under transition.
+                replay = ChunkReplay(
+                    partial(_shifted_run, nplan.run_segment, off), cls, plan,
+                    path="native",
+                )
             converged_p = None
             if collapse_requested and covered_cols[p] is not None:
                 converged_p = converged_chunks(end_p, covered_cols[p])
@@ -764,7 +825,7 @@ def _run_batched_route(
             if schedule == "ooo":
                 board = ChunkScoreboard(
                     cdfa, cls, plan, widths[p], mode=merge, check=check,
-                    stats=stats,
+                    stats=stats, replay=replay,
                 )
                 for c in np.argsort(plan.lengths, kind="stable"):
                     board.post(
@@ -780,7 +841,9 @@ def _run_batched_route(
                         spec=board.spec, end=board.end, valid=board.valid,
                         converged=converged_p,
                     )
-                    _, ts_p = true_boundary_walk(cdfa, cls, plan, results)
+                    _, ts_p = true_boundary_walk(
+                        cdfa, cls, plan, results, replay=replay
+                    )
             else:
                 results = ChunkResults(
                     spec=spec_p, end=end_p,
@@ -789,24 +852,31 @@ def _run_batched_route(
                 )
                 if merge == "sequential":
                     final_p, ts_p = merge_sequential(
-                        cdfa, cls, plan, results, check=check, stats=stats
+                        cdfa, cls, plan, results, check=check, stats=stats,
+                        replay=replay,
                     )
                 else:
                     final_p, _ = merge_parallel(
-                        cdfa, cls, plan, results, check=check, stats=stats
+                        cdfa, cls, plan, results, check=check, stats=stats,
+                        replay=replay,
                     )
-                    _, ts_p = true_boundary_walk(cdfa, cls, plan, results)
+                    _, ts_p = true_boundary_walk(
+                        cdfa, cls, plan, results, replay=replay
+                    )
             finals[p] = int(final_p)
             boundary[:, p] = ts_p
 
     # --- shared match recovery ------------------------------------------ #
     matches: list[np.ndarray | None] = [None] * P
     if "match_positions" in collect:
-        with trace_span("mp.recover", route="batched", patterns=P):
+        with trace_span(
+            "mp.recover", route="batched", patterns=P,
+            replay="native" if nplan is not None else "numpy",
+        ):
             accept_matrix = _batched_accept_matrix(stack)
             states0 = boundary.astype(np.int64) + stack.offsets[:-1][None, :]
-            matches = _recover_group_matches(
-                union.table, accept_matrix, cls, plan,
+            matches = _group_matches(
+                nplan, union.table, accept_matrix, cls, plan,
                 states0.astype(np.int32),
             )
 
@@ -868,6 +938,7 @@ def run_multipattern_batch(
         seg = np.ascontiguousarray(np.asarray(seg))
         if seg.ndim != 1:
             raise ValueError(f"segment {i} must be 1-D, got shape {seg.shape}")
+        check_symbols(seg, stack.joint.num_symbols)
         segs.append(seg)
     if chunk_items < 1:
         raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")

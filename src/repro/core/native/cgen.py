@@ -19,6 +19,16 @@ emits one C translation unit containing
   semi-join of :func:`repro.core.merge_par.compose_maps`, re-executing
   misses natively (the worker-side fold of
   :class:`repro.core.mp_executor.ScaleoutPool`, compiled).
+* ``nk_accept_positions`` — the true-start output-recovery pass: ``W``
+  lanes per chunk step one symbol at a time from a ``(chunks, W)``
+  matrix of true entry states, and every step landing in an accepting
+  state records ``(position, lane, state)``. Acceptance rides the table:
+  the runtime passes the class table with accepting targets stored as
+  ``~state``, built once per accept vector from the ``u8`` per-state
+  flags. It returns the total count and writes at most ``cap`` records,
+  so the caller re-runs with a larger buffer instead of truncating. One
+  lane per pattern serves the batched union, one lane over the product
+  serves the product route, ``W = 1`` serves a single machine.
 * ``nk_abi`` / ``nk_meta`` — sanity probes so a loader can verify an
   artifact matches the plan it was compiled for.
 
@@ -40,6 +50,8 @@ Counter slots written by the kernels (one ``int64[8]`` per call)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .build import ABI_VERSION
 
 __all__ = ["NativeSpec", "UNROLL_LIMIT", "generate_source"]
 
@@ -336,7 +348,7 @@ static int nk_all_equal(const i32 *st) {
  * (dfa_fingerprint, k, kernel, collapse, dtype, abi). Do not edit. */
 #include <stdint.h>
 
-#define NK_ABI_SOURCE 1
+#define NK_ABI_SOURCE {ABI_VERSION}
 #define K {k}
 #define M {m}
 #define NC {spec.num_classes}
@@ -457,6 +469,53 @@ void nk_fold_maps(const i32 *spec, const i32 *end, i64 nmaps,
         }}
         for (int j = 0; j < K; j++) row[j] = nxt[j];
     }}
+}}
+
+/* True-start accept pass (output recovery). Chunk c's W lanes enter at
+ * states0[c*W ..] and step per symbol through Ta, the class table with
+ * every accepting target stored as ~s: the lanes' states are ORed and one
+ * sign test per step finds the rare step where some lane accepts, which
+ * then records (position, lane, state) for each accepting lane. Lanes
+ * step in blocks of ACC_BLOCK sharing each table row, so within one lane
+ * the recorded positions ascend. Returns the record count; only the
+ * first `cap` records are written. Built at -O1: the loop runs as fast
+ * as at -O3, which would add ~20 ms to every kernel compile. */
+#define ACC_BLOCK 64
+__attribute__((optimize("O1")))
+i64 nk_accept_positions(const i32 *inputs, const i64 *starts,
+                        const i64 *lengths, i64 nchunks, i64 W,
+                        const i32 *states0, const i32 *class_of,
+                        const i32 *Ta, i64 *out_pos, i32 *out_lane,
+                        i32 *out_state, i64 cap) {{
+    i64 count = 0;
+    i32 st[ACC_BLOCK];
+    for (i64 c = 0; c < nchunks; c++) {{
+        const i32 *in = inputs + starts[c];
+        for (i64 b = 0; b < W; b += ACC_BLOCK) {{
+            const int nb = (int)(W - b < ACC_BLOCK ? W - b : ACC_BLOCK);
+            for (int j = 0; j < nb; j++) st[j] = states0[c * W + b + j];
+            for (i64 t = 0; t < lengths[c]; t++) {{
+                const i32 *row = Ta + (i64)class_of[in[t]] * NS;
+                i32 any = 0;
+                for (int j = 0; j < nb; j++) {{
+                    st[j] = row[st[j]];
+                    any |= st[j];
+                }}
+                if (any >= 0) continue;
+                for (int j = 0; j < nb; j++) {{
+                    if (st[j] >= 0) continue;
+                    st[j] = ~st[j];
+                    if (count < cap) {{
+                        out_pos[count] = starts[c] + t;
+                        out_lane[count] = (i32)(b + j);
+                        out_state[count] = st[j];
+                    }}
+                    count++;
+                }}
+            }}
+        }}
+    }}
+    return count;
 }}
 """
 

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _MEM_CACHE_MAX = 64
+# First buffer of the accept pass, in records; an overflow re-runs the pass
+# with a buffer of exactly the reported size.
+_ACCEPT_CAP = 1 << 12
 _mem_lock = threading.Lock()
 _mem_cache: "OrderedDict[tuple, NativeKernel]" = OrderedDict()
 
@@ -89,6 +92,10 @@ class _CtypesLib:
         lib.nk_process_chunks.argtypes = [P, P, P, i64, P, P, P, P, P, P]
         lib.nk_fold_maps.restype = None
         lib.nk_fold_maps.argtypes = [P, P, i64, P, P, P, P, P, P, P, P, P]
+        lib.nk_accept_positions.restype = i64
+        lib.nk_accept_positions.argtypes = [
+            P, P, P, i64, i64, P, P, P, P, P, P, i64,
+        ]
         self._lib = lib
 
     @staticmethod
@@ -128,6 +135,19 @@ class _CtypesLib:
             self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
             self._ptr(converged), self._ptr(class_of), self._ptr(Tc),
             self._ptr(Tm), self._ptr(row), self._ptr(counters),
+        )
+
+    def accept_positions(
+        self, inputs, starts, lengths, states0, class_of, Ta,
+        out_pos, out_lane, out_state,
+    ) -> int:
+        return int(
+            self._lib.nk_accept_positions(
+                self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
+                int(starts.size), int(states0.shape[1]), self._ptr(states0),
+                self._ptr(class_of), self._ptr(Ta), self._ptr(out_pos),
+                self._ptr(out_lane), self._ptr(out_state), int(out_pos.size),
+            )
         )
 
 
@@ -176,6 +196,9 @@ class NativeKernel:
         self._Tm = (
             _i32(kplan.tables.table_m) if kplan.tables is not None else None
         )
+        # (accept flags, class table with accepting targets as ~state) of
+        # the last accept pass: one kernel serves one accept vector.
+        self._accept_table: tuple[bytes, np.ndarray] | None = None
 
     @property
     def meta(self) -> tuple:
@@ -297,6 +320,64 @@ class NativeKernel:
             checks_skipped=int(counters[SLOT_FOLD_CHECKS_SKIPPED]),
         )
 
+    def accept_positions(
+        self,
+        inputs: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        states0: np.ndarray,
+        accept: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """True-start accept pass: ``(positions, lanes, states)``.
+
+        Chunk ``c`` (``inputs[starts[c]:starts[c]+lengths[c]]``) runs
+        ``W`` lanes from ``states0[c]`` (a ``(num_chunks, W)`` matrix of
+        true entry states), one symbol at a time; every step that lands
+        in a state with ``accept[state]`` set is one record. Records come
+        chunk by chunk, and within one lane the positions ascend. The
+        pass is re-run with an exact-size buffer when the first one
+        overflows, so nothing is ever truncated.
+        """
+        inputs = _i32(inputs)
+        starts = _i64(starts)
+        lengths = _i64(lengths)
+        states0 = _i32(states0)
+        accept = np.ascontiguousarray(accept, dtype=bool)
+        ns = self.spec.num_states
+        if states0.ndim != 2 or states0.shape[0] != starts.size:
+            raise ValueError(
+                f"states0 must have shape ({starts.size}, W), got {states0.shape}"
+            )
+        if accept.shape != (ns,):
+            raise ValueError(f"accept must have shape ({ns},), got {accept.shape}")
+        if states0.size and (states0.min() < 0 or states0.max() >= ns):
+            raise ValueError(f"states0 holds states outside [0, {ns})")
+        if starts.size and (
+            starts.min() < 0 or int((starts + lengths).max()) > inputs.size
+        ):
+            raise ValueError("chunks reach outside the input")
+        key = accept.tobytes()
+        if self._accept_table is None or self._accept_table[0] != key:
+            Tc = self._Tc
+            self._accept_table = (key, np.where(accept[Tc], ~Tc, Tc))
+        Ta = self._accept_table[1]
+        cap = _ACCEPT_CAP
+        with trace_span(
+            "native.accept_positions", chunks=int(starts.size),
+            lanes=int(states0.shape[1]),
+        ):
+            while True:
+                pos = np.empty(cap, dtype=np.int64)
+                lane = np.empty(cap, dtype=np.int32)
+                state = np.empty(cap, dtype=np.int32)
+                total = self._lib.accept_positions(
+                    inputs, starts, lengths, states0, self._class_of, Ta,
+                    pos, lane, state,
+                )
+                if total <= cap:
+                    return pos[:total], lane[:total], state[:total]
+                cap = total
+
 
 # --------------------------------------------------------------------------- #
 # loading / smoke check
@@ -304,18 +385,29 @@ class NativeKernel:
 
 
 def _smoke_check(nk: NativeKernel, dfa: DFA) -> bool:
-    """Cross-check the loaded kernel against a pure-Python table walk."""
+    """Cross-check the loaded kernel against a pure-Python table walk.
+
+    Covers both single-state re-execution and the accept pass.
+    """
     rng = np.random.default_rng(12345)
     n = max(2 * nk.spec.m + 3, 11)
     seg = rng.integers(0, dfa.num_inputs, size=n, dtype=np.int32)
     table = dfa.table
-    for start in range(min(dfa.num_states, nk.spec.k + 1)):
+    lanes = list(range(min(dfa.num_states, nk.spec.k + 1)))
+    expect = []
+    for start in lanes:
         s = start
-        for sym in seg.tolist():
+        for t, sym in enumerate(seg.tolist()):
             s = int(table[sym, s])
+            if dfa.accepting[s]:
+                expect.append((t, start, s))
         if nk.run_segment(seg, start) != s:
             return False
-    return True
+    pos, lane, state = nk.accept_positions(
+        seg, [0], [n], np.array([lanes]), dfa.accepting
+    )
+    got = sorted(zip(pos.tolist(), lane.tolist(), state.tolist()))
+    return got == sorted(expect)
 
 
 def _load_lib(path: str, spec: NativeSpec) -> _CtypesLib:

@@ -45,15 +45,13 @@ while the stragglers are still running.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.checks import count_hash, count_nested, count_skipped, select_check
 from repro.core.merge_par import compose_maps
+from repro.core.replay import Replay, default_replay
 from repro.core.types import ExecStats
 from repro.fsm.dfa import DFA
-from repro.fsm.run import run_segment
 from repro.obs.trace import current_trace, trace_span
 from repro.workloads.chunking import ChunkPlan
 
@@ -96,10 +94,11 @@ class ChunkScoreboard:
     stats:
         :class:`repro.core.types.ExecStats` to count events into (None for
         uncounted resolution).
-    reexec_fn:
-        ``(chunk, state) -> end_state`` used on a provable miss. Defaults
-        to :func:`repro.fsm.run.run_segment` over the chunk's slice; the
-        scale-out pool passes a stride-kernel implementation.
+    replay:
+        ``(chunk, state) -> end_state`` used on a provable miss — the one
+        replay hook of :mod:`repro.core.replay`. Defaults to
+        :func:`repro.fsm.run.run_segment` over the chunk's slice; native
+        callers and the scale-out pool pass their compiled stepper.
     seeds:
         Optional ``{chunk: known_incoming_state}`` map pinning *exact*
         incoming states at arbitrary chunks. Each seed opens an
@@ -124,7 +123,7 @@ class ChunkScoreboard:
         mode: str = "sequential",
         check: str = "auto",
         stats: ExecStats | None = None,
-        reexec_fn: Callable[[int, int], int] | None = None,
+        replay: Replay | None = None,
         seeds: dict[int, int] | None = None,
     ) -> None:
         if mode not in ("sequential", "parallel"):
@@ -138,7 +137,7 @@ class ChunkScoreboard:
         self.mode = mode
         self._impl = select_check(self.k, check)
         self.stats = stats
-        self._reexec_fn = reexec_fn
+        self._replay = default_replay(dfa, inputs, plan, replay)
 
         self.spec = np.zeros((n, k), dtype=np.int32)
         self.end = np.zeros((n, k), dtype=np.int32)
@@ -340,14 +339,12 @@ class ChunkScoreboard:
         self._clock += 1
         self.reexec_log.append((self._clock, c, self.posts_seen))
         self._obs["sched.reexec_early"] += 1
-        seg = self.inputs[self.plan.chunk_slice(c)]
-        self._obs["sched.reexec_early_items"] += int(seg.size)
+        size = int(self.plan.lengths[c])
+        self._obs["sched.reexec_early_items"] += size
         if self.stats is not None:
             self.stats.reexec_chunks_early += 1
-            self.stats.reexec_items_early += int(seg.size)
-        if self._reexec_fn is not None:
-            return int(self._reexec_fn(c, s))
-        return int(run_segment(self.dfa, seg, s))
+            self.stats.reexec_items_early += size
+        return int(self._replay(c, s))
 
     # ------------------------------------------------------------------ #
     # parallel-mode run composition

@@ -16,6 +16,7 @@ __all__ = [
     "check_range",
     "check_in_set",
     "check_dtype_integer",
+    "check_symbols",
 ]
 
 
@@ -45,3 +46,26 @@ def check_dtype_integer(name: str, array: np.ndarray) -> None:
     """Raise ``TypeError`` unless ``array`` has an integer dtype."""
     if not np.issubdtype(array.dtype, np.integer):
         raise TypeError(f"{name} must have an integer dtype, got {array.dtype}")
+
+
+def check_symbols(symbols: np.ndarray, num_inputs: int) -> None:
+    """Raise ``ValueError`` unless every symbol lies in ``[0, num_inputs)``.
+
+    Signed integers are viewed unsigned, so a negative wraps to a huge
+    value and one ``max`` catches both ends. Every entry point calls this
+    before anything remaps, speculates or steps the symbols: a compiled
+    kernel would read past its table.
+    """
+    if not symbols.size:
+        return
+    kind = symbols.dtype.kind
+    if kind == "i":
+        top = symbols.view(np.dtype(f"u{symbols.dtype.itemsize}")).max()
+    elif kind in "ub":
+        top = symbols.max()
+    else:
+        raise ValueError(
+            f"inputs must hold integer symbol ids, got dtype {symbols.dtype}"
+        )
+    if int(top) >= num_inputs:
+        raise ValueError(f"inputs contain symbols outside [0, {num_inputs})")
