@@ -2,8 +2,10 @@
 
 Pipeline (one call to :func:`repro.core.engine.run_speculative`):
 
-1. partition the input into one chunk per simulated GPU thread
-   (:mod:`repro.workloads.chunking`);
+1. resolve the execution plan (:mod:`repro.core.plan`) and partition
+   the input (:mod:`repro.workloads.chunking`): one chunk per simulated
+   GPU thread on the GPU plan, at most 64 input-sized chunks on the CPU
+   plan that calls with default arguments get;
 2. speculate ``k`` starting states per chunk by look-back
    (:mod:`repro.core.lookback`);
 3. process all chunks in lock-step, vectorized across threads and

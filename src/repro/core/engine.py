@@ -1,10 +1,12 @@
 """The spec-k execution engine: one entry point for the whole pipeline.
 
-:func:`run_speculative` is the library's main API. It simulates the paper's
-GPU execution functionally — partition, look-back speculation, lock-step
-local processing, then a sequential or parallel merge — while counting every
-algorithmic event, and (optionally) prices those events into modeled V100
-time via :class:`repro.gpu.cost.CostModel`.
+:func:`run_speculative` is the library's main API. It runs the paper's
+pipeline — partition, look-back speculation, lock-step local processing,
+then a sequential or parallel merge — while counting every algorithmic
+event. Its execution plan (:mod:`repro.core.plan`) either simulates the
+paper's GPU grid and prices the events into modeled V100 time via
+:class:`repro.gpu.cost.CostModel`, or, at defaults, runs a CPU-shaped
+plan for wall-clock speed.
 
 ``k`` selects the method on the paper's continuum: ``1`` is classic
 speculative execution, ``None`` (or ``num_states``) is enumerative
@@ -20,15 +22,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cache.hotstates import HotStateCache, plan_hot_states
-from repro.core.convergence import (
-    CollapseConfig,
-    converged_chunks,
-    resolve_collapse,
-)
+from repro.core.convergence import CollapseConfig, converged_chunks
 from repro.core.kernels import (
-    KERNELS,
     KernelPlan,
-    plan_kernel,
     process_chunks_kernel,
     run_segment_kernel,
 )
@@ -41,13 +37,21 @@ from repro.core.local import (
 from repro.core.lookback import enumerative_spec, speculate, state_prior
 from repro.core.merge_par import MergeTree, merge_parallel
 from repro.core.merge_seq import merge_sequential
+from repro.core.plan import (
+    GPU_NUM_BLOCKS,
+    GPU_THREADS_PER_BLOCK,
+    auto_backend,
+    cpu_chunks,
+    gpu_args_given,
+    resolve_plan,
+)
 from repro.core.predictor import HistoryPredictor
 from repro.core.replay import ChunkReplay, replay_path
 from repro.core.scoreboard import ChunkScoreboard, run_chunks_active
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.dfa import DFA
 from repro.gpu.cost import CostModel, TimeBreakdown
-from repro.gpu.device import DeviceSpec, TESLA_V100, launch_geometry
+from repro.gpu.device import DeviceSpec, TESLA_V100
 from repro.obs.trace import RunTrace, current_trace, trace_span
 from repro.util.validation import check_in_set, check_symbols
 from repro.workloads.chunking import (
@@ -74,6 +78,9 @@ __all__ = [
 class EngineConfig:
     """Resolved configuration of one speculative execution.
 
+    Read off the call's :class:`repro.core.plan.ExecPlan`; see
+    :mod:`repro.core.plan` for how each choice is made.
+
     Attributes
     ----------
     k:
@@ -82,8 +89,8 @@ class EngineConfig:
         True when ``k`` covers every state (spec-N): speculation cannot
         miss and no re-execution ever occurs.
     num_blocks, threads_per_block:
-        Simulated launch geometry; ``num_blocks * threads_per_block`` is
-        the chunk count (one chunk per simulated thread).
+        Launch geometry. On the GPU plan, the simulated grid (one chunk
+        per thread); on the CPU plan, one block of ``num_chunks``.
     merge:
         ``"sequential"`` or ``"parallel"`` (the paper's tree merge).
     check:
@@ -112,9 +119,16 @@ class EngineConfig:
         scoreboard, :mod:`repro.core.scoreboard`).
     backend:
         The local-processing backend that actually ran: ``"vectorized"``
-        or ``"native"`` (requested ``"native"`` resolves to
-        ``"vectorized"`` when no C compiler is usable — visible here and
-        under the ``native.fallback`` counter).
+        or ``"native"`` (a native request — explicit, or ``"auto"`` on a
+        long enough input — resolves to ``"vectorized"`` when no kernel
+        loads, visible here and under the ``native.fallback`` counter).
+    plan:
+        ``"cpu"`` (chunk count from the input length, no pricing) or
+        ``"gpu"`` (the modeled V100 grid, selected by passing any
+        modeled-GPU argument or ``price=True``).
+    num_chunks:
+        The chunk count the run executed (an explicit ``plan=`` overrides
+        the geometry's).
     """
 
     k: int
@@ -132,10 +146,12 @@ class EngineConfig:
     collapse: str = "off"
     schedule: str = "barrier"
     backend: str = "vectorized"
+    plan: str = "gpu"
+    num_chunks: int = 0
 
     @property
     def num_threads(self) -> int:
-        """Total simulated threads (= chunks)."""
+        """Total simulated threads (= chunks of the launch geometry)."""
         return self.num_blocks * self.threads_per_block
 
 
@@ -211,24 +227,24 @@ def run_speculative(
     inputs: np.ndarray,
     *,
     k: int | None = 4,
-    num_blocks: int = 80,
-    threads_per_block: int = 256,
+    num_blocks: int | None = None,
+    threads_per_block: int | None = None,
     merge: str = "parallel",
     check: str = "auto",
     reexec: str = "delayed",
-    layout: str = "transformed",
+    layout: str | None = None,
     lookback: int = 8,
-    cache_table: bool = False,
+    cache_table: bool | None = None,
     cache_budget_bytes: int | None = None,
-    device: DeviceSpec = TESLA_V100,
+    device: DeviceSpec | None = None,
     ranking: np.ndarray | None = None,
     measure_success: bool = True,
     collect: tuple[str, ...] = (),
-    price: bool = True,
+    price: bool | None = None,
     cpu_transition_ns: float | None = None,
     keep_merge_tree: bool = False,
-    backend: str = "vectorized",
-    kernel: str = "lockstep",
+    backend: str | None = None,
+    kernel: str | None = None,
     collapse: str | CollapseConfig | None = "auto",
     schedule: str = "barrier",
     plan: ChunkPlan | None = None,
@@ -237,6 +253,21 @@ def run_speculative(
     dist=None,
 ) -> SpecExecutionResult:
     """Execute ``dfa`` over ``inputs`` with spec-k speculation.
+
+    Every execution choice resolves once, up front, into a
+    :class:`repro.core.plan.ExecPlan` (recorded in ``result.config`` and on
+    the ``engine.plan`` span). A call that passes any modeled-GPU argument
+    (``num_blocks``, ``threads_per_block``, ``device``, ``layout``,
+    ``cache_table``, ``cache_budget_bytes``, ``cpu_transition_ns``) or
+    ``price=True`` runs the **GPU plan**: the paper's simulated V100 grid
+    (80 x 256 chunks unless given), vectorized lockstep stepping and
+    modeled-time pricing. Every other call runs the **CPU plan**: the
+    chunk count comes from the input length
+    (:func:`repro.core.plan.cpu_chunks`: one chunk per 256 items on the
+    NumPy path or per 16,384 compiled, at most 64), ``backend`` and
+    ``kernel`` resolve automatically (compiled native code from
+    :data:`repro.core.plan.NATIVE_MIN_ITEMS` items on, when a kernel
+    loads), and nothing is priced.
 
     Parameters
     ----------
@@ -249,7 +280,8 @@ def run_speculative(
         spec-N (enumerative execution); values are clamped to
         ``dfa.num_states``.
     num_blocks, threads_per_block:
-        Simulated launch geometry; one chunk per thread.
+        Simulated launch geometry; one chunk per thread. Passing either
+        selects the GPU plan (80 blocks of 256 threads unless given).
     merge:
         ``"sequential"`` (baseline, Figure 4a) or ``"parallel"`` (the
         paper's tree merge).
@@ -259,39 +291,52 @@ def run_speculative(
         ``"delayed"`` (Section 3.3) or ``"eager"`` — parallel merge only.
     layout:
         ``"transformed"`` (coalesced, Section 4.1) or ``"natural"``.
+        Selects the GPU plan; the CPU plan uses ``"transformed"`` on the
+        NumPy path and ``"natural"`` on the native one.
     lookback:
         Look-back window length for speculation.
     cache_table:
-        Enable the hot-state shared-memory cache (Section 4.2).
+        Enable the hot-state shared-memory cache (Section 4.2). Selects
+        the GPU plan, like ``cache_budget_bytes`` and ``device`` (the
+        modeled GPU, :data:`repro.gpu.device.TESLA_V100` by default).
     collect:
         Extra outputs: ``"accept_count"``, ``"match_positions"``,
         ``"emissions"``. The latter two require the true chunk states and
         imply ``measure_success``-style truth recovery.
     price:
-        Attach a modeled-V100 :class:`TimeBreakdown`.
+        Attach a modeled-V100 :class:`TimeBreakdown`. None (default)
+        prices on the GPU plan only; ``True`` selects the GPU plan;
+        ``False`` turns pricing off on either plan.
     cpu_transition_ns:
         CPU baseline cost per input item (defaults to the calibrated
         constant; pass a Table 3-derived value for paper-scale speedups).
+        Selects the GPU plan.
     backend:
-        ``"vectorized"`` (one ``(n, k)`` gather per step) or ``"native"``
-        (the paper's code-generation path compiled to machine code:
-        :mod:`repro.core.native` emits specialized C for
-        ``(k, kernel, collapse)``, JIT-compiles it with the system
-        compiler, and caches artifacts by DFA fingerprint; automatically
-        falls back to ``"vectorized"`` when no compiler is usable).
+        None (default) resolves to ``"auto"`` on the CPU plan and to
+        ``"vectorized"`` on the GPU plan. ``"auto"`` picks ``"native"``
+        from :data:`repro.core.plan.NATIVE_MIN_ITEMS` input items on
+        (falling back to ``"vectorized"`` when no kernel loads) and
+        ``"vectorized"`` below it or when ``accept_count`` needs
+        per-symbol stepping. ``"vectorized"`` is one ``(n, k)`` gather
+        per step; ``"native"`` is the paper's code-generation path
+        compiled to machine code: :mod:`repro.core.native` emits
+        specialized C for ``(k, kernel, collapse)``, JIT-compiles it with
+        the system compiler, and caches artifacts by DFA fingerprint; it
+        falls back to ``"vectorized"`` when no compiler is usable.
         Functionally identical; native does not support ``cache_table``
         or ``accept_count``. ``"dist"`` hands the whole run to the
         cross-host layer (:mod:`repro.dist`) — see the ``dist``
         parameter; only ``k`` and ``lookback`` carry over, the
         modeled-GPU knobs do not apply across hosts.
     kernel:
-        Local-processing stepping kernel: ``"lockstep"`` (default — the
-        paper's one-symbol-per-gather Algorithm 3, which is what the
-        modeled GPU simulates), ``"stride2"``/``"stride4"`` (multi-symbol
-        stepping over composed tables, :mod:`repro.core.kernels`),
-        ``"scalar"``, or ``"auto"`` (cost-model selection). Every kernel
-        is functionally identical and fills the same algorithmic event
-        counters; stride kernels change real wall clock, not modeled
+        Local-processing stepping kernel. None (default) resolves to
+        ``"auto"`` on the CPU plan and to ``"lockstep"`` on the GPU plan.
+        ``"lockstep"`` is the paper's one-symbol-per-gather Algorithm 3,
+        which is what the modeled GPU simulates; ``"stride2"`` and
+        ``"stride4"`` step several symbols per gather over composed tables
+        (:mod:`repro.core.kernels`); ``"scalar"``; ``"auto"`` selects by
+        the cost model. Every kernel is functionally identical and fills
+        the same algorithmic event counters; stride kernels change real wall clock, not modeled
         time. ``cache_table`` and ``accept_count`` need per-symbol
         stepping and force ``lockstep`` under ``"auto"``.
     collapse:
@@ -316,8 +361,8 @@ def run_speculative(
     plan:
         Explicit :class:`repro.workloads.chunking.ChunkPlan` overriding
         the default near-equal partition (its chunk count then overrides
-        the launch geometry's). A *skewed* plan (lengths differing by more
-        than one — straggler modeling) runs in the natural layout with the
+        the launch geometry's or the CPU rule's). A *skewed* plan
+        (lengths differing by more than one — straggler modeling) runs in the natural layout with the
         vectorized lockstep backend, no collapse/cache/collect: under
         ``schedule="barrier"`` via divergent full-width stepping
         (:func:`repro.core.local.process_chunks_ragged`), under
@@ -348,34 +393,18 @@ def run_speculative(
         and the observing trace (if any).
     """
     if isinstance(dfa, (list, tuple)):
-        # Multi-pattern group: one pass answers every machine at once.
-        # Dispatches to :func:`repro.core.multipattern.run_multipattern`
-        # (route="auto" — batched union stepping, or the minimised product
-        # when it fits); use that entry point directly for route control.
-        from repro.core.multipattern import run_multipattern
-
-        if backend not in ("vectorized", "native"):
-            raise ValueError(
-                f"multi-pattern groups support backend='vectorized' or "
-                f"'native', got {backend!r}"
-            )
-        for item in collect:
-            check_in_set("collect item", item, ("match_positions",))
-        return run_multipattern(
-            dfa,
-            inputs,
-            k=k,
-            num_chunks=num_blocks * threads_per_block,
-            merge=merge,
-            check=check,
-            lookback=lookback,
-            kernel=kernel,
-            collapse=collapse,
-            schedule=schedule,
-            backend=backend,
-            collect=collect,
-            plan=plan,
-            trace=trace,
+        return _run_group(
+            dfa, inputs, k=k, num_blocks=num_blocks,
+            threads_per_block=threads_per_block, merge=merge, check=check,
+            lookback=lookback, kernel=kernel, collapse=collapse,
+            schedule=schedule, backend=backend, collect=tuple(collect),
+            plan=plan, trace=trace, gpu_given=gpu_args_given(
+                price, num_blocks=num_blocks,
+                threads_per_block=threads_per_block, device=device,
+                layout=layout, cache_table=cache_table,
+                cache_budget_bytes=cache_budget_bytes,
+                cpu_transition_ns=cpu_transition_ns,
+            ),
         )
     if trace is not None:
         with trace.activate():
@@ -390,55 +419,26 @@ def run_speculative(
                 collapse=collapse, schedule=schedule, plan=plan, history=history,
                 dist=dist,
             )
-    check_in_set("merge", merge, ("sequential", "parallel"))
-    check_in_set("check", check, ("auto", "nested", "hash"))
-    check_in_set("reexec", reexec, ("delayed", "eager"))
-    check_in_set("layout", layout, ("transformed", "natural"))
-    check_in_set("backend", backend, ("vectorized", "native", "dist"))
+    if backend is not None:
+        check_in_set("backend", backend, ("auto", "vectorized", "native", "dist"))
     inputs = np.ascontiguousarray(np.asarray(inputs))
     if inputs.ndim != 1:
         raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
     check_symbols(inputs, dfa.num_inputs)
     if backend == "dist":
         return _run_dist(dfa, inputs, k=k, lookback=lookback, dist=dist)
-    check_in_set("kernel", kernel, ("auto",) + tuple(sorted(KERNELS)))
-    check_in_set("schedule", schedule, ("barrier", "ooo"))
-    if isinstance(collapse, str):
-        check_in_set("collapse", collapse, ("auto", "on", "off"))
-    for item in collect:
-        check_in_set("collect item", item, ("accept_count", "match_positions", "emissions"))
-
-    geo = launch_geometry(device, num_blocks, threads_per_block)
-    n = geo.total_threads
-
-    enumerative = k is None or k >= dfa.num_states
-    k_eff = dfa.num_states if enumerative else int(k)
-    if k_eff < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    if plan is None:
-        plan = plan_chunks(inputs.size, n)
-    else:
-        if plan.num_items != inputs.size:
-            raise ValueError(
-                f"plan covers {plan.num_items} items but inputs has "
-                f"{inputs.size}"
-            )
-        n = plan.num_chunks
-    ragged = plan.max_len - plan.min_len > 1
-    if ragged:
-        # Skewed plans model stragglers; only the natural-layout lockstep
-        # paths (vectorized NumPy or the compiled per-chunk loop)
-        # understand them.
-        if kernel not in ("auto", "lockstep"):
-            raise ValueError(f"skewed plans require kernel='lockstep', got {kernel!r}")
-        kernel = "lockstep"
-        if cache_table or collect:
-            raise ValueError(
-                "skewed plans do not support cache_table or collect outputs"
-            )
-        layout = "natural"
-        collapse = "off"
+    xp = resolve_plan(
+        dfa, inputs, k=k, num_blocks=num_blocks,
+        threads_per_block=threads_per_block, merge=merge, check=check,
+        reexec=reexec, layout=layout, cache_table=cache_table,
+        cache_budget_bytes=cache_budget_bytes, device=device,
+        measure_success=measure_success, collect=collect, price=price,
+        cpu_transition_ns=cpu_transition_ns, backend=backend, kernel=kernel,
+        collapse=collapse, schedule=schedule, plan=plan,
+    )
+    plan, n, k_eff = xp.chunk_plan, xp.chunks, xp.k
+    nplan, kplan, collapse_cfg = xp.native, xp.kplan, xp.collapse
+    collect, device = xp.collect, xp.device
 
     predictor: HistoryPredictor | None = None
     if history is not None:
@@ -448,91 +448,24 @@ def run_speculative(
             else HistoryPredictor(history)
         )
 
-    # --- convergence-layer resolution ------------------------------------- #
-    # collapse_requested gates the coverage/converged bookkeeping (cheap,
-    # and the merges exploit it even when the probe said lane collapse
-    # itself would not pay); collapse_cfg is the resolved scan config, or
-    # None when lane collapse stays off.
-    collapse_requested = not (
-        collapse is None
-        or collapse == "off"
-        or (isinstance(collapse, CollapseConfig) and not collapse.enabled)
-    )
-    if collapse_requested:
-        with trace_span("engine.collapse_resolve", k=k_eff) as sp:
-            collapse_cfg = resolve_collapse(collapse, dfa, inputs, k=k_eff)
-            sp.set(resolved=collapse_cfg.label if collapse_cfg else "off")
-    else:
-        collapse_cfg = None
-
-    # --- kernel resolution ------------------------------------------------ #
-    # Per-symbol features (hot-state cache accounting, accepting-visit
-    # counts) are incompatible with multi-symbol stepping; "auto" quietly
-    # keeps lockstep there, an explicit stride request is an error.
-    needs_per_symbol = cache_table or ("accept_count" in collect)
-    kplan = None
-    kernel_resolved = "lockstep"
-    nplan = None
-    if backend == "native":
-        if needs_per_symbol:
-            raise ValueError(
-                "backend='native' does not support cache_table or "
-                "accept_count; use the default vectorized backend"
-            )
-        from repro.core.native import load_native_plan
-
-        # Collapse behaviour is baked into the artifact; the plan is built
-        # inside the loader (lockstep included — the compiled per-symbol
-        # loop still removes the per-step dispatch).
-        nplan = load_native_plan(
-            dfa, k=k_eff, kernel=kernel, collapse=collapse_cfg,
-            chunk_len=plan.max_len, num_chunks=n,
-        )
-        if nplan is None:
-            # No compiler / compile failure / smoke mismatch — already
-            # counted under native.fallback.*; the NumPy path is always
-            # functionally identical.
-            backend = "vectorized"
-        else:
-            kplan = nplan.kplan
-            kernel_resolved = kplan.kernel
-            # Native reads the natural layout directly (explicit
-            # starts/lengths per chunk); skip the transform copy.
-            layout = "natural"
-    if nplan is None and kernel not in ("lockstep",):
-        if needs_per_symbol:
-            if kernel != "auto":
-                raise ValueError(
-                    f"kernel={kernel!r} requires per-symbol-free local "
-                    "processing; cache_table and accept_count support "
-                    "only kernel='lockstep'"
-                )
-        else:
-            kplan = plan_kernel(
-                dfa, chunk_len=plan.max_len, num_chunks=n, k=k_eff,
-                kernel=kernel,
-            )
-            if kplan.kernel == "lockstep":
-                kplan = None  # incumbent path is the tuned lockstep kernel
-            else:
-                kernel_resolved = kplan.kernel
-
     config = EngineConfig(
         k=k_eff,
-        enumerative=enumerative,
-        num_blocks=num_blocks,
-        threads_per_block=threads_per_block,
+        enumerative=xp.enumerative,
+        num_blocks=xp.num_blocks,
+        threads_per_block=xp.threads_per_block,
         merge=merge,
         check=check,
         reexec=reexec,
-        layout=layout,
+        layout=xp.layout,
         lookback=lookback,
-        cache_table=cache_table,
+        cache_table=xp.cache_table,
         device=device,
-        kernel=kernel_resolved,
+        kernel=xp.kernel,
         collapse=collapse_cfg.label if collapse_cfg is not None else "off",
         schedule=schedule,
-        backend="native" if nplan is not None else backend,
+        backend=xp.backend,
+        plan=xp.kind,
+        num_chunks=n,
     )
     stats = ExecStats(
         num_items=int(inputs.size),
@@ -545,9 +478,9 @@ def run_speculative(
     # --- speculation ------------------------------------------------------ #
     covered: np.ndarray | None = None
     with trace_span("engine.speculate", chunks=n, k=k_eff, lookback=lookback):
-        if enumerative:
+        if xp.enumerative:
             spec = enumerative_spec(dfa, n)
-            if collapse_requested:
+            if xp.collapse_requested:
                 # spec-N enumerates every state: the true boundary state
                 # is always among the speculated ones.
                 covered = np.ones(n, dtype=bool)
@@ -580,17 +513,17 @@ def run_speculative(
                 prior=prior,
                 ranking=ranking,
                 stats=stats,
-                return_coverage=collapse_requested,
+                return_coverage=xp.collapse_requested,
             )
-            spec, covered = out if collapse_requested else (out, None)
+            spec, covered = out if xp.collapse_requested else (out, None)
 
     # --- hot-state cache plan ---------------------------------------------- #
     cache = None
     cache_mask = None
-    if cache_table:
+    if xp.cache_table:
         budget = (
-            cache_budget_bytes
-            if cache_budget_bytes is not None
+            xp.cache_budget_bytes
+            if xp.cache_budget_bytes is not None
             else device.shared_mem_per_sm_bytes // 2
         )
         cache = plan_hot_states(dfa, shared_budget_bytes=budget)
@@ -598,15 +531,15 @@ def run_speculative(
         stats.cache_rows_resident = cache.rows_resident
 
     # --- local processing ---------------------------------------------------- #
-    with trace_span("engine.layout", layout=layout):
+    with trace_span("engine.layout", layout=xp.layout):
         transformed = (
-            transform_layout(inputs, plan) if layout == "transformed" else None
+            transform_layout(inputs, plan) if xp.layout == "transformed" else None
         )
     with trace_span(
-        "engine.local_exec", backend=backend, chunks=n, k=k_eff,
-        kernel=kernel_resolved, schedule=schedule,
+        "engine.local_exec", backend=xp.backend, chunks=n, k=k_eff,
+        kernel=xp.kernel, schedule=schedule,
     ):
-        if ragged and nplan is None:
+        if xp.ragged and nplan is None:
             acc = None
             if schedule == "ooo":
                 # Deferred: the active-list driver executes chunks and
@@ -641,7 +574,7 @@ def run_speculative(
                 collapse=collapse_cfg,
             )
     converged = None
-    if collapse_requested:
+    if xp.collapse_requested:
         converged = converged_chunks(end, covered)
         stats.chunks_converged += int(converged.sum())
 
@@ -706,7 +639,7 @@ def run_speculative(
                     results,
                     check=check,
                     reexec=reexec,
-                    threads_per_block=threads_per_block,
+                    threads_per_block=xp.threads_per_block,
                     warp_size=device.warp_size,
                     stats=stats,
                     replay=replay,
@@ -715,7 +648,7 @@ def run_speculative(
     # --- truth recovery (instrumentation; uncounted) --------------------------- #
     need_truth = (
         true_starts is None
-        and (measure_success or "match_positions" in collect or "emissions" in collect)
+        and (xp.measure_success or "match_positions" in collect or "emissions" in collect)
     )
     with trace_span("engine.truth_recovery", ran=need_truth):
         if need_truth:
@@ -727,7 +660,7 @@ def run_speculative(
         if (
             merge == "parallel"
             and schedule == "barrier"  # the scoreboard counts during resolution
-            and measure_success
+            and xp.measure_success
             and true_starts is not None
             and n > 1
         ):
@@ -761,23 +694,23 @@ def run_speculative(
 
     # --- modeled timing --------------------------------------------------------------
     timing = None
-    if price:
+    if xp.price:
         with trace_span("engine.price"):
             model = CostModel(
                 device=device,
                 **(
-                    {"cpu_transition_ns": cpu_transition_ns}
-                    if cpu_transition_ns is not None
+                    {"cpu_transition_ns": xp.cpu_transition_ns}
+                    if xp.cpu_transition_ns is not None
                     else {}
                 ),
             )
             timing = model.price(
                 stats,
-                num_blocks=num_blocks,
-                threads_per_block=threads_per_block,
+                num_blocks=xp.num_blocks,
+                threads_per_block=xp.threads_per_block,
                 merge=merge,
-                layout_transformed=(layout == "transformed"),
-                cache_enabled=cache_table,
+                layout_transformed=(xp.layout == "transformed"),
+                cache_enabled=xp.cache_table,
             )
     run_trace = current_trace()
     if run_trace is not None:
@@ -1035,6 +968,45 @@ def run_speculative_batch(
     )
 
 
+def _run_group(
+    machines, inputs, *, num_blocks, threads_per_block, kernel, backend,
+    collect, gpu_given, **options,
+):
+    """``run_speculative([dfa, ...], x)``: one pass answers every machine.
+
+    Dispatches to :func:`repro.core.multipattern.run_multipattern`
+    (route="auto" — batched union stepping, or the minimised product when
+    it fits); use that entry point directly for route control. The chunk
+    count follows the engine's plans: the simulated grid when a
+    modeled-GPU argument was passed, the CPU rule otherwise.
+    """
+    from repro.core.multipattern import run_multipattern
+
+    if backend is not None:
+        check_in_set("backend", backend, ("auto", "vectorized", "native"))
+    for item in collect:
+        check_in_set("collect item", item, ("match_positions",))
+    size = int(np.size(inputs))
+    if gpu_given:
+        backend = backend or "vectorized"
+        kernel = kernel or "lockstep"
+    else:
+        backend = backend or "auto"
+        kernel = kernel or "auto"
+    if backend == "auto":
+        backend = auto_backend(size)
+    if gpu_given:
+        num_chunks = (num_blocks or GPU_NUM_BLOCKS) * (
+            threads_per_block or GPU_THREADS_PER_BLOCK
+        )
+    else:
+        num_chunks = cpu_chunks(size, backend)
+    return run_multipattern(
+        machines, inputs, num_chunks=num_chunks, kernel=kernel,
+        backend=backend, collect=collect, **options,
+    )
+
+
 def _run_dist(dfa, inputs, *, k, lookback, dist) -> SpecExecutionResult:
     """``backend="dist"``: delegate the run to the cross-host layer.
 
@@ -1075,6 +1047,8 @@ def _run_dist(dfa, inputs, *, k, lookback, dist) -> SpecExecutionResult:
         collapse="off",
         schedule="barrier",
         backend="dist",
+        plan="cpu",
+        num_chunks=max(1, res.num_shards),
     )
     return SpecExecutionResult(
         final_state=int(res.final_state),

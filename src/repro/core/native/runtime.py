@@ -494,8 +494,27 @@ def load_native_plan(
         if table_budget_bytes is not None
         else DEFAULT_TABLE_BUDGET_BYTES
     )
+    fp = dfa_fingerprint(dfa)
+    # Memory-cache keys. A loader-planned kernel is found first by the
+    # request that planned it (a repeated call skips planning, loading and
+    # the smoke check), then by its content: the artifact key plus the
+    # cache directory, since the loader's tables are a function of the
+    # machine and the kernel choice alone. A caller-supplied plan is keyed
+    # on its identity (its tables may differ from what the loader builds).
+    where = cache_dir or os.environ.get(_build._ENV_CACHE_DIR)
+    request_key = None
+    if kplan is None:
+        request_key = (
+            fp, k, kernel, chunk_len, num_chunks, budget,
+            _collapse_key(collapse, k, patterns), patterns,
+            tuple(group_widths), where,
+        )
+        hit = _mem_get(request_key)
+        if hit is not None:
+            return hit
+    planned = kplan is None
     try:
-        if kplan is None:
+        if planned:
             kplan = plan_kernel(
                 dfa, chunk_len=chunk_len, num_chunks=num_chunks, k=k,
                 kernel=kernel, table_budget_bytes=budget,
@@ -512,30 +531,49 @@ def load_native_plan(
     except ValueError:
         _build.note_fallback("spec")
         return None
-    fp = dfa_fingerprint(dfa)
     key = _build.cache_key(
         fp, k=k, kernel=f"{kplan.kernel}:m{spec.m}{_pattern_tag(spec)}",
         collapse=_collapse_tag(spec),
     )
-    mem_key = (key, id(kplan))
+    content_key = (key, where) if planned else (key, id(kplan))
+    nk = _mem_get(content_key)
+    if nk is None:
+        with trace_span("native.load", key=key, kernel=kplan.kernel, k=k):
+            nk = _materialize(dfa, spec, kplan, key, cache_dir)
+        if nk is None:
+            return None
+    _mem_put(content_key, nk)
+    if request_key is not None:
+        _mem_put(request_key, nk)
+    return nk
+
+
+def _mem_put(mem_key: tuple, nk: NativeKernel) -> None:
+    with _mem_lock:
+        _mem_cache[mem_key] = nk
+        _mem_cache.move_to_end(mem_key)
+        while len(_mem_cache) > _MEM_CACHE_MAX:
+            _mem_cache.popitem(last=False)
+
+
+def _mem_get(mem_key: tuple) -> NativeKernel | None:
+    """Memory-cache lookup; a hit is counted and refreshed in LRU order."""
     with _mem_lock:
         hit = _mem_cache.get(mem_key)
         if hit is not None:
             _mem_cache.move_to_end(mem_key)
     if hit is not None:
         _build.note_mem_hit()
-        return hit
+    return hit
 
-    with trace_span("native.load", key=key, kernel=kplan.kernel, k=k):
-        nk = _materialize(dfa, spec, kplan, key, cache_dir)
-    if nk is None:
+
+def _collapse_key(
+    collapse: CollapseConfig | None, k: int, patterns: int
+) -> tuple[int, int] | None:
+    """The part of ``collapse`` a compiled kernel bakes in (see _native_spec)."""
+    if collapse is None or not collapse.enabled or k <= patterns:
         return None
-    with _mem_lock:
-        _mem_cache[mem_key] = nk
-        _mem_cache.move_to_end(mem_key)
-        while len(_mem_cache) > _MEM_CACHE_MAX:
-            _mem_cache.popitem(last=False)
-    return nk
+    return (collapse.cadence, collapse.backoff)
 
 
 def _materialize(

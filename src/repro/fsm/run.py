@@ -47,14 +47,29 @@ def run_reference(dfa: DFA, symbols: np.ndarray, start: int | None = None) -> in
 def run_reference_trace(
     dfa: DFA, symbols: np.ndarray, start: int | None = None
 ) -> np.ndarray:
-    """States *after* each transition (length ``len(symbols)``)."""
-    symbols = np.asarray(symbols)
-    out = np.empty(symbols.size, dtype=np.int32)
+    """States *after* each transition (length ``len(symbols)``).
+
+    Same fast paths as :func:`run_reference`: the symbols (and, when it is
+    small relative to the input, the table) are converted to Python lists
+    once, and the trace is built as a list and copied out in one step.
+    """
+    syms = np.asarray(symbols)
+    out = np.empty(syms.size, dtype=np.int32)
     state = dfa.start if start is None else int(start)
     table = dfa.table
-    for i, a in enumerate(symbols.tolist()):
-        state = table[a, state]
-        out[i] = state
+    trace = []
+    append = trace.append
+    if table.size <= syms.size << 3:
+        rows = table.tolist()
+        for a in syms.tolist():
+            state = rows[a][state]
+            append(state)
+    else:
+        item = table.item
+        for a in syms.tolist():
+            state = item(a, state)
+            append(state)
+    out[:] = trace
     return out
 
 

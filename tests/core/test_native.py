@@ -273,6 +273,34 @@ class TestCache:
         b = load_native_plan(dfa, k=2, kplan=kplan)
         assert a is not None and a is b
 
+    @needs_native
+    def test_repeated_engine_call_hits_memory_cache(self, monkeypatch):
+        """A second identical call reuses the loaded kernel: one memory hit,
+        no re-plan, no disk lookup, no smoke check."""
+        from repro.core.native import runtime
+        from repro.core.native.build import build_stats
+
+        dfa = make_random_dfa(10, 4, seed=25)
+        inputs = random_input(4, 20_000, seed=26)
+        first = run_speculative(dfa, inputs, k=2, backend="native")
+        assert first.config.backend == "native"
+        smokes = []
+        real_smoke = runtime._smoke_check
+        monkeypatch.setattr(
+            runtime, "_smoke_check",
+            lambda nk, d: smokes.append(nk) or real_smoke(nk, d),
+        )
+        before = build_stats()
+        entries = runtime.cache_stats()["mem_entries"]
+        second = run_speculative(dfa, inputs, k=2, backend="native")
+        after = build_stats()
+        assert after["hit_mem"] == before["hit_mem"] + 1
+        assert after["hit_disk"] == before["hit_disk"]
+        assert smokes == []
+        assert runtime.cache_stats()["mem_entries"] == entries
+        assert second.native is first.native
+        assert second.final_state == run_reference(dfa, inputs)
+
     @pytest.mark.skipif(
         find_compiler() is None, reason="needs a real C compiler"
     )

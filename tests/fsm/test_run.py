@@ -49,6 +49,45 @@ class TestTrace:
             assert trace[i] == state
 
 
+def _trace_loop(dfa, symbols, start):
+    """The plain per-symbol loop the list fast paths must reproduce."""
+    out, state = [], start
+    for a in np.asarray(symbols):
+        state = int(dfa.table[int(a), state])
+        out.append(state)
+    return np.asarray(out, dtype=np.int32)
+
+
+class TestTraceFastPaths:
+    # Inputs of 1..40 symbols over tables of up to 40x12 entries: both the
+    # nested-list branch (table small relative to the input) and the
+    # per-item branch (table large) are drawn.
+    @given(
+        num_states=st.integers(1, 12),
+        num_inputs=st.integers(1, 40),
+        length=st.integers(0, 40),
+        seed=st.integers(0, 1000),
+        start=st.integers(0, 11),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_loop(self, num_states, num_inputs, length, seed, start):
+        dfa = make_random_dfa(num_states, num_inputs, seed=seed)
+        inp = random_input(num_inputs, length, seed=seed + 1)
+        start = start % num_states
+        got = run_reference_trace(dfa, inp, start=start)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, _trace_loop(dfa, inp, start))
+
+    def test_both_branches_taken(self):
+        small = make_random_dfa(3, 2, seed=4)  # 6 entries <= 8 * 500
+        large = make_random_dfa(40, 30, seed=5)  # 1200 entries > 8 * 10
+        for dfa, n in ((small, 500), (large, 10)):
+            inp = random_input(dfa.num_inputs, n, seed=6)
+            np.testing.assert_array_equal(
+                run_reference_trace(dfa, inp), _trace_loop(dfa, inp, dfa.start)
+            )
+
+
 class TestRunAllStarts:
     def test_shape(self):
         dfa = make_random_dfa(6, 2, seed=3)
