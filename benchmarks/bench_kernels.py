@@ -1,20 +1,22 @@
 """Compare stepping kernels per application and write ``BENCH_kernels.json``.
 
 For every paper application this script measures the steady-state local
-processing time of each registered stepping kernel (lockstep through the
-incumbent :func:`repro.core.local.process_chunks`; stride kernels through
-the composed-table path in :mod:`repro.core.kernels`) and reports the
-measured speedup over lockstep, the autotuner's choice, table build costs,
-and table footprints.
+processing time of each registered stepping kernel on one speculated
+chunk plan (lockstep through the incumbent
+:func:`repro.core.local.process_chunks`; stride kernels through the
+composed-table path in :mod:`repro.core.kernels`) and reports the
+measured speedup over lockstep, the kernel production runs
+(:func:`repro.core.kernels.plan_kernel` with ``kernel="auto"``), the
+measured winner, table build costs, and table footprints.
 
 Run standalone (it is an argparse script, not a pytest-benchmark module)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --items 400000
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick --check
 
-``--check`` exits non-zero if the autotuner selected a kernel more than
-10% slower than lockstep on any app — the CI guard against a cost model
-or measurement regression.
+``--check`` exits non-zero if the cost model's choice measured more than
+10% slower than lockstep on any app — the CI guard against a cost-model
+regression.
 """
 
 from __future__ import annotations
@@ -24,16 +26,32 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from repro.apps.registry import APPLICATIONS, get_application
-from repro.core.autotune import choose_kernel
 from repro.core.kernels import (
     DEFAULT_TABLE_BUDGET_BYTES,
     KERNELS,
+    advance_matrix,
+    pack_stride,
+    plan_kernel,
     stride_table_bytes,
 )
-from repro.fsm.alphabet import compact_alphabet
+from repro.core.local import process_chunks
+from repro.core.lookback import enumerative_spec, speculate
+from repro.workloads.chunking import plan_chunks, transform_layout
 
 CHECK_SLACK = 1.10  # selected kernel may be at most 10% slower than lockstep
+
+
+def best_of(run, repeats: int) -> float:
+    """Best wall-clock seconds of ``repeats`` calls of ``run``."""
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def bench_app(
@@ -43,30 +61,53 @@ def bench_app(
     num_chunks: int,
     k: int | None,
     repeats: int,
-    include_scalar: bool,
     seed: int = 1,
 ) -> dict:
     """Measure every kernel on one application; return a JSON-ready row."""
     app = get_application(name)
     dfa, inputs = app.build_instance(num_items, seed=seed)
-    comp = compact_alphabet(dfa.table)
+    inputs = np.ascontiguousarray(inputs)
     k_eff = app.best_k if k is None else k
-    if k_eff is None:
-        k_eff = dfa.num_states
-    candidates = ["lockstep", "stride2", "stride4"]
-    if include_scalar:
-        candidates.append("scalar")
-    choice = choose_kernel(
-        dfa,
-        inputs,
-        num_chunks=num_chunks,
-        k=k_eff,
-        lookback=app.default_lookback,
-        probe_items=inputs.size,
-        repeats=repeats,
-        candidates=tuple(candidates),
+    k_eff = dfa.num_states if k_eff is None else min(k_eff, dfa.num_states)
+    plan = plan_chunks(inputs.size, num_chunks)
+    spec = (
+        speculate(dfa, inputs, plan, k_eff, lookback=app.default_lookback)
+        if k_eff < dfa.num_states
+        else enumerative_spec(dfa, plan.num_chunks)
     )
-    base = choice.measured_s.get("lockstep")
+    transformed = transform_layout(inputs, plan)
+    # The choice production makes for this geometry.
+    auto = plan_kernel(
+        dfa, chunk_len=plan.max_len, num_chunks=plan.num_chunks, k=k_eff,
+    )
+    comp = auto.compaction
+    cls = comp.remap(inputs)
+
+    measured: dict = {}
+    build: dict = {}
+    for kname, spec_k in KERNELS.items():
+        if spec_k.stride == 1:
+            measured[kname] = best_of(
+                lambda: process_chunks(
+                    dfa, inputs, plan, spec, transformed=transformed
+                ),
+                repeats,
+            )
+            continue
+        try:
+            kplan = plan_kernel(
+                dfa, chunk_len=plan.max_len, num_chunks=plan.num_chunks,
+                k=k_eff, kernel=kname, compaction=comp,
+            )
+        except ValueError:
+            continue  # stride table over budget: ineligible
+        build[kname] = kplan.build_s
+        packed = pack_stride(cls, plan, kplan.m, comp.num_classes)
+        measured[kname] = best_of(
+            lambda: advance_matrix(kplan, packed, spec), repeats
+        )
+
+    base = measured["lockstep"]
     row = {
         "application": name,
         "num_items": int(inputs.size),
@@ -76,18 +117,19 @@ def bench_app(
         "compression": round(comp.compression, 2),
         "num_chunks": num_chunks,
         "k": k_eff,
-        "selected": choice.kernel,
+        "selected": auto.kernel,
+        "measured_best": min(measured, key=measured.get),
         "kernels": {},
     }
-    for kname, t in sorted(choice.measured_s.items()):
+    for kname, t in sorted(measured.items()):
         entry = {
             "measured_s": t,
             "throughput_items_per_s": inputs.size / t if t else None,
-            "speedup_vs_lockstep": (base / t) if base and t else None,
-            "modeled_s": choice.modeled_s.get(kname),
+            "speedup_vs_lockstep": base / t if t else None,
+            "modeled_s": auto.predicted_cost_s.get(kname),
         }
-        if kname in choice.build_s:
-            entry["table_build_s"] = choice.build_s[kname]
+        if kname in build:
+            entry["table_build_s"] = build[kname]
         m = KERNELS[kname].stride
         if m > 1:
             entry["table_bytes"] = stride_table_bytes(
@@ -134,10 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         help="small CI-sized run (64k items, 256 chunks, 2 repeats)",
     )
     ap.add_argument(
-        "--scalar", action="store_true",
-        help="also measure the scalar kernel (slow on large inputs)",
-    )
-    ap.add_argument(
         "--check", action="store_true",
         help="exit 1 if any selected kernel is >10%% slower than lockstep",
     )
@@ -157,15 +195,14 @@ def main(argv: list[str] | None = None) -> int:
             num_chunks=args.chunks,
             k=args.k,
             repeats=args.repeats,
-            include_scalar=args.scalar,
         )
         row["bench_wall_s"] = round(time.perf_counter() - t0, 3)
         rows.append(row)
         s4 = row["kernels"].get("stride4", {}).get("speedup_vs_lockstep")
         print(
             f"{name:8s} C={row['num_classes']:<4d} selected={row['selected']:9s}"
-            f" stride4 speedup={s4:.2f}x" if s4 else
-            f"{name:8s} C={row['num_classes']:<4d} selected={row['selected']}"
+            f" measured best={row['measured_best']:9s}"
+            + (f" stride4 speedup={s4:.2f}x" if s4 else "")
         )
 
     report = {

@@ -1,11 +1,11 @@
 """Measure the native-compiled hot path and write ``BENCH_native.json``.
 
-For every paper application this script measures steady-state local
-processing under each backend the measured autotuner knows —
-``vectorized`` (the NumPy kernel layer) and ``native`` (the specialized
-C loop from :mod:`repro.core.native`) — on the same speculated chunk
-plan, and reports the native speedup over the NumPy path plus the
-compile-cache statistics (compiles, disk/memory hits).
+For every paper application this script times steady-state local
+processing under both backends — ``vectorized`` (the NumPy kernel layer)
+and ``native`` (the specialized C loop from :mod:`repro.core.native`) —
+on the same speculated chunk plan and the same cost-model kernel, and
+reports the native speedup over the NumPy path plus the compile-cache
+statistics (compiles, disk/memory hits).
 
 Run standalone (it is an argparse script, not a pytest-benchmark module)::
 
@@ -29,7 +29,8 @@ when no compiler exists.)
         {
           "application": str, "num_items": int, "num_states": int,
           "num_classes": int, "k": int, "kernel": str,
-          "selected": str,        # backend the autotuner chose
+          "selected": str,        # backend backend="auto" runs: native
+                                  # whenever a kernel loads
           "native_speedup_vs_numpy": float | null,
           "backends": {name: {"measured_s": float,
                                "throughput_items_per_s": float,
@@ -47,12 +48,27 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from repro.apps.registry import APPLICATIONS, get_application
-from repro.core.autotune import choose_backend
-from repro.core.native import cache_stats, native_available
+from repro.core.kernels import plan_kernel, process_chunks_kernel
+from repro.core.local import process_chunks
+from repro.core.lookback import enumerative_spec, speculate
+from repro.core.native import cache_stats, load_native_plan, native_available
+from repro.workloads.chunking import plan_chunks, transform_layout
 
 CHECK_MIN_SPEEDUP = 1.5  # native must beat NumPy by this much ...
 CHECK_MIN_APPS = 2  # ... on at least this many applications
+
+
+def best_of(run, repeats: int) -> float:
+    """Best wall-clock seconds of ``repeats`` calls of ``run``."""
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def bench_app(
@@ -64,41 +80,59 @@ def bench_app(
     repeats: int,
     seed: int = 1,
 ) -> dict:
-    """Measure every backend on one application; return a JSON-ready row."""
+    """Time both backends on one application; return a JSON-ready row."""
     app = get_application(name)
     dfa, inputs = app.build_instance(num_items, seed=seed)
+    inputs = np.ascontiguousarray(inputs)
     k_eff = app.best_k if k is None else k
-    if k_eff is None:
-        k_eff = dfa.num_states
-    choice = choose_backend(
-        dfa,
-        inputs,
-        num_chunks=num_chunks,
-        k=k_eff,
-        lookback=app.default_lookback,
-        probe_items=inputs.size,
-        repeats=repeats,
+    k_eff = dfa.num_states if k_eff is None else min(k_eff, dfa.num_states)
+    plan = plan_chunks(inputs.size, num_chunks)
+    spec = (
+        speculate(dfa, inputs, plan, k_eff, lookback=app.default_lookback)
+        if k_eff < dfa.num_states
+        else enumerative_spec(dfa, plan.num_chunks)
     )
-    base = choice.measured_s.get("vectorized")
-    native = choice.measured_s.get("native")
+    transformed = transform_layout(inputs, plan)
+    kplan = plan_kernel(
+        dfa, chunk_len=plan.max_len, num_chunks=plan.num_chunks, k=k_eff,
+    )
+    t0 = time.perf_counter()
+    nk = load_native_plan(dfa, k=k_eff, kplan=kplan)
+    load_s = time.perf_counter() - t0
+
+    if kplan.kernel == "lockstep":
+        def numpy_run():
+            process_chunks(dfa, inputs, plan, spec, transformed=transformed)
+    else:
+        def numpy_run():
+            process_chunks_kernel(
+                dfa, inputs, plan, spec, kplan, transformed=transformed
+            )
+    measured = {"vectorized": best_of(numpy_run, repeats)}
+    build = {"vectorized": kplan.build_s}
+    if nk is not None:
+        measured["native"] = best_of(
+            lambda: nk.process_chunks(inputs, plan, spec), repeats
+        )
+        build["native"] = load_s
+    base = measured["vectorized"]
+    native = measured.get("native")
     row = {
         "application": name,
         "num_items": int(inputs.size),
         "num_states": dfa.num_states,
-        "num_classes": None,
+        "num_classes": kplan.compaction.num_classes,
         "k": k_eff,
-        "kernel": choice.kernel,
-        "selected": choice.backend,
-        "native_speedup_vs_numpy": (
-            base / native if base and native else None
-        ),
+        "kernel": kplan.kernel,
+        "selected": "native" if nk is not None else "vectorized",
+        "native_speedup_vs_numpy": base / native if native else None,
         "backends": {},
     }
-    for bname, t in sorted(choice.measured_s.items()):
+    for bname, t in sorted(measured.items()):
         row["backends"][bname] = {
             "measured_s": t,
             "throughput_items_per_s": inputs.size / t if t else None,
-            "build_s": choice.build_s.get(bname),
+            "build_s": build[bname],
         }
     return row
 

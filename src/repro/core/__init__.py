@@ -28,14 +28,7 @@ Every step increments :class:`repro.core.types.ExecStats` counters that the
 GPU cost model (:mod:`repro.gpu.cost`) prices into modeled V100 time.
 """
 
-from repro.core.autotune import (
-    BackendChoice,
-    KChoice,
-    KernelChoice,
-    choose_backend,
-    choose_k,
-    choose_kernel,
-)
+from repro.core.autotune import KChoice, choose_k
 from repro.core.engine import (
     BatchExecutionResult,
     EngineConfig,
@@ -90,7 +83,6 @@ from repro.core.streaming import FeedCursor, StreamingExecutor
 from repro.core.types import ChunkResults, ExecStats, SegmentMaps
 
 __all__ = [
-    "BackendChoice",
     "BatchExecutionResult",
     "BatchRunResult",
     "ChunkResults",
@@ -106,7 +98,6 @@ __all__ = [
     "HistoryPredictor",
     "KChoice",
     "KERNELS",
-    "KernelChoice",
     "KernelPlan",
     "KernelSpec",
     "MultiprocessResult",
@@ -124,9 +115,7 @@ __all__ = [
     "WorkerTiming",
     "build_stride_tables",
     "chaos_plan_from_env",
-    "choose_backend",
     "choose_k",
-    "choose_kernel",
     "corrupt_result_map",
     "delay_task",
     "dfa_fingerprint",

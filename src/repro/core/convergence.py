@@ -27,8 +27,7 @@ This module makes that observation a runtime optimization:
   (Div7) to a vanishing fraction of the stepping work.
 * :func:`probe_cadence` / :func:`resolve_collapse` — choose the scan
   cadence by simulating ``k`` probe lanes over a mid-input sample until
-  they first shrink (the measured variant, analogous to kernel
-  autotuning, lives in :func:`repro.core.autotune.choose_collapse`).
+  they first shrink.
 * :func:`converged_chunks` — the downstream contract: a chunk whose
   speculation row *covers* the look-back image (the true boundary state is
   guaranteed to be among the speculated states) and whose ``k`` lanes all

@@ -108,8 +108,8 @@ class EngineConfig:
         The modeled GPU (pricing and launch-geometry limits).
     kernel:
         The stepping kernel local processing actually ran
-        (``"lockstep"``, ``"stride2"``, ``"stride4"``, or ``"scalar"`` —
-        the resolved choice when ``"auto"`` was requested).
+        (``"lockstep"``, ``"stride2"`` or ``"stride4"`` — the resolved
+        choice when ``"auto"`` was requested).
     collapse:
         Resolved convergence-layer setting: ``"on(W=<cadence>)"`` when
         lane collapse ran, ``"off"`` otherwise (disabled, or ``"auto"``
@@ -334,8 +334,8 @@ def run_speculative(
         ``"lockstep"`` is the paper's one-symbol-per-gather Algorithm 3,
         which is what the modeled GPU simulates; ``"stride2"`` and
         ``"stride4"`` step several symbols per gather over composed tables
-        (:mod:`repro.core.kernels`); ``"scalar"``; ``"auto"`` selects by
-        the cost model. Every kernel is functionally identical and fills
+        (:mod:`repro.core.kernels`); ``"auto"`` selects by the cost
+        model. Every kernel is functionally identical and fills
         the same algorithmic event counters; stride kernels change real wall clock, not modeled
         time. ``cache_table`` and ``accept_count`` need per-symbol
         stepping and force ``lockstep`` under ``"auto"``.
@@ -504,6 +504,11 @@ def run_speculative(
                 hist = predictor.prior(dfa)
                 if hist is not None:
                     prior = hist if prior is None else 0.5 * (prior + hist)
+            if prior is None and n == 1 and not inputs.size:
+                # One empty chunk starts at the known start state, so no
+                # prior can change its result or its counters: skip the
+                # stationary-distribution solve speculate would run.
+                prior = np.ones(dfa.num_states)
             out = speculate(
                 dfa,
                 inputs,
@@ -829,9 +834,10 @@ def run_speculative_batch(
         Target items per chunk; requests longer than this split into
         multiple chunks so stragglers don't serialize the batch.
     kernel_plan:
-        Optional :class:`repro.core.kernels.KernelPlan` used for scalar
-        re-execution of speculation misses (stride kernels cut the Python
-        loop count); the fingerprint-keyed serving cache passes one in.
+        Optional :class:`repro.core.kernels.KernelPlan` used for
+        single-state re-execution of speculation misses (stride kernels
+        cut the Python loop count); the fingerprint-keyed serving cache
+        passes one in.
     prior:
         Optional state-occupancy prior for speculation ranking (cached per
         DFA by the serving layer; sampled from the batch input otherwise).

@@ -23,10 +23,9 @@ Three cooperating pieces:
   analog of :func:`repro.workloads.chunking.transform_layout`), with
   leftover rows and the ragged tail kept as single-class steps.
 * **Kernel registry + cost model** — :data:`KERNELS` names the available
-  kernels (``scalar``, ``lockstep``, ``stride2``, ``stride4``);
+  kernels (``lockstep``, ``stride2``, ``stride4``);
   :func:`select_kernel` picks one from class count, state count, chunk
   length, chunk count, speculation width, and a table-memory budget.
-  :func:`repro.core.autotune.choose_kernel` is the measured version.
 
 Every kernel computes exactly the same ``spec -> end`` maps as the
 lock-step kernel; property tests cross-check all of them against
@@ -75,12 +74,10 @@ DEFAULT_TABLE_BUDGET_BYTES = 16 << 20
 # seconds regardless of size, plus ~BETA per gathered element; building a
 # stride table writes C**m * num_states entries at ~GAMMA each. Exact
 # values matter little — selection only needs the dispatch-vs-element
-# crossover to land in the right decade (the measured autotuner refines).
+# crossover to land in the right decade.
 _ALPHA_DISPATCH_S = 4e-6
 _BETA_ELEMENT_S = 1.2e-9
 _GAMMA_BUILD_S = 4e-9
-# A scalar (per-chunk Python loop) table lookup costs ~this per step.
-_SCALAR_STEP_S = 1.5e-7
 
 
 @dataclass(frozen=True)
@@ -88,31 +85,25 @@ class KernelSpec:
     """One registered stepping kernel.
 
     ``stride`` is the number of input symbols consumed per table gather
-    (1 for ``scalar``/``lockstep``); ``vectorized`` distinguishes the
-    batched NumPy kernels from the per-chunk Python loop.
+    (1 for ``lockstep``).
     """
 
     name: str
     stride: int
-    vectorized: bool
     description: str
 
 
 KERNELS: dict[str, KernelSpec] = {
-    "scalar": KernelSpec(
-        "scalar", 1, False,
-        "per-chunk Python loop over compacted classes (tiny inputs, re-exec)",
-    ),
     "lockstep": KernelSpec(
-        "lockstep", 1, True,
+        "lockstep", 1,
         "one (chunks x k) gather per symbol — the paper's Algorithm 3",
     ),
     "stride2": KernelSpec(
-        "stride2", 2, True,
+        "stride2", 2,
         "one gather per 2 symbols via the C^2 composed table",
     ),
     "stride4": KernelSpec(
-        "stride4", 4, True,
+        "stride4", 4,
         "one gather per 4 symbols via the C^4 composed table",
     ),
 }
@@ -214,7 +205,6 @@ def _predict_costs(
     L = max(0, chunk_len)
     width = num_chunks * max(1, k)
     costs: dict[str, float] = {}
-    costs["scalar"] = num_chunks * max(1, k) * L * _SCALAR_STEP_S
     costs["lockstep"] = L * (_ALPHA_DISPATCH_S + width * _BETA_ELEMENT_S)
     for name, spec in KERNELS.items():
         if spec.stride <= 1:
@@ -244,11 +234,9 @@ def select_kernel(
 ) -> str:
     """Pick the cheapest kernel under the cost model.
 
-    Stride tables above ``table_budget_bytes`` are ineligible. The scalar
-    kernel only wins for tiny total work (it exists for re-execution of
-    single short segments); among vectorized kernels the choice reduces to
-    whether ``ceil(L/m)`` dispatches plus an amortized ``C**m * N`` build
-    beat ``L`` dispatches.
+    Stride tables above ``table_budget_bytes`` are ineligible; the choice
+    reduces to whether ``ceil(L/m)`` dispatches plus an amortized
+    ``C**m * N`` build beat ``L`` dispatches.
     """
     costs = _predict_costs(
         num_classes, num_states, chunk_len, num_chunks, k,
@@ -402,11 +390,11 @@ def advance_matrix(
 ) -> np.ndarray:
     """Advance a ``(num_chunks, w)`` state matrix through a packed input.
 
-    ``w`` is arbitrary: the spec-k engine passes ``k`` speculated states
-    per chunk, the prefix scan passes all ``num_states``. Consumes the
-    packed stride steps, then the leftover single-class rows, then the
-    ragged tail (first ``tail.size`` chunks only) — the exact symbol order
-    of the lock-step kernel.
+    ``w`` is arbitrary: ``k`` speculated states per chunk, or all
+    ``num_states`` under spec-N. Consumes the packed stride steps, then
+    the leftover single-class rows, then the ragged tail (first
+    ``tail.size`` chunks only) — the exact symbol order of the lock-step
+    kernel.
 
     ``collapse`` threads the convergence layer through the stride loop
     (:mod:`repro.core.convergence`): duplicate lanes are deduplicated on
@@ -483,8 +471,7 @@ def process_chunks_kernel(
     change, and it is visible through wall clock, ``stats.local_gathers``,
     and the ``kernel.*`` observability counters. ``collapse`` threads the
     convergence layer (:mod:`repro.core.convergence`) through the stride
-    loop; the scalar kernel deduplicates each chunk's lanes up front
-    (its whole row is one collapse scan).
+    loop.
 
     ``native`` is a loaded :class:`repro.core.native.NativeKernel` for the
     same plan; when given, the whole call is dispatched to the compiled
@@ -499,85 +486,24 @@ def process_chunks_kernel(
         )
     if native is not None:
         return native.process_chunks(inputs, plan, spec, stats=stats)
-    if KERNELS[kplan.kernel].name == "scalar":
-        # Class-map the input once (not once per lane) and advance each
-        # chunk's lanes as one batch: the per-step table lookup gathers all
-        # k lanes in a single fancy index instead of k separate Python
-        # loops over the same segment.
-        cls = kplan.compaction.remap(inputs)
-        dedupe = collapse is not None and collapse.enabled and spec.shape[1] > 1
-        end = np.empty_like(spec)
-        gathered = 0
-        for c in range(plan.num_chunks):
-            seg_cls = cls[plan.chunk_slice(c)]
-            row = spec[c]
-            if dedupe:
-                uniq, inv = np.unique(row, return_inverse=True)
-                out = _advance_states_packed(kplan, seg_cls, uniq.astype(np.int32))
-                end[c] = out[inv]
-                gathered += int(seg_cls.size) * int(uniq.size)
-                if stats is not None and uniq.size < row.size:
-                    stats.collapse_scans += 1
-                    stats.lanes_collapsed += int(row.size - uniq.size)
-            else:
-                end[c] = _advance_states_packed(
-                    kplan, seg_cls, row.astype(np.int32)
-                )
-                gathered += int(seg_cls.size) * int(row.size)
-        if stats is not None:
-            stats.local_gathers += gathered
-    else:
-        cls = kplan.compaction.remap(inputs)
-        cls_transformed = None
-        if transformed is not None:
-            cls_transformed = TransformedInput(
-                main=kplan.compaction.class_of[transformed.main],
-                tail=kplan.compaction.class_of[transformed.tail],
-            )
-        packed = pack_stride(
-            cls, plan, kplan.m, kplan.compaction.num_classes,
-            transformed=cls_transformed,
+    cls = kplan.compaction.remap(inputs)
+    cls_transformed = None
+    if transformed is not None:
+        cls_transformed = TransformedInput(
+            main=kplan.compaction.class_of[transformed.main],
+            tail=kplan.compaction.class_of[transformed.tail],
         )
-        end = advance_matrix(kplan, packed, spec, collapse=collapse, stats=stats)
-        add_count("kernel.gathers", packed.packed.shape[0] + packed.rem.shape[0])
+    packed = pack_stride(
+        cls, plan, kplan.m, kplan.compaction.num_classes,
+        transformed=cls_transformed,
+    )
+    end = advance_matrix(kplan, packed, spec, collapse=collapse, stats=stats)
+    add_count("kernel.gathers", packed.packed.shape[0] + packed.rem.shape[0])
     if stats is not None:
         stats.local_steps += plan.max_len
         stats.local_transitions += int(plan.lengths.sum()) * spec.shape[1]
         stats.local_input_reads += int(plan.lengths.sum())
     return end
-
-
-def _advance_states_packed(
-    kplan: KernelPlan, cls: np.ndarray, states: np.ndarray
-) -> np.ndarray:
-    """Advance a state *vector* through one class-mapped segment.
-
-    The batched core of the scalar kernel: the segment is radix-packed
-    once, then each packed step gathers all ``len(states)`` lanes with a
-    single fancy index — ``ceil(L/m)`` dispatches regardless of lane
-    count, where the old per-lane loop paid ``L`` per lane.
-    """
-    states = states.copy()
-    if cls.size == 0:
-        return states
-    m = kplan.m
-    rest = cls
-    if kplan.tables is not None and cls.size >= m:
-        C = kplan.compaction.num_classes
-        T = cls.size // m
-        blocks = cls[: T * m].astype(np.int64).reshape(T, m)
-        idx = np.zeros(T, dtype=np.int64)
-        for i in range(m):
-            idx *= C
-            idx += blocks[:, i]
-        table_m = kplan.tables.table_m
-        for a in idx.tolist():
-            states = table_m[a, states]
-        rest = cls[T * m:]
-    table_c = kplan.compaction.table
-    for a in rest.tolist():
-        states = table_c[a, states]
-    return states
 
 
 def run_segment_kernel(kplan: KernelPlan, symbols: np.ndarray, start: int) -> int:

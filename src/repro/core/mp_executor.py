@@ -929,8 +929,6 @@ class ScaleoutPool:
             # assumes pool-scale segments (the pool exists for large
             # inputs) and amortizes the one-time table build over the
             # expected call volume.
-            if kernel == "scalar":
-                kernel = "lockstep"  # vectorized workers; scalar is re-exec only
             self._kplan = plan_kernel(
                 dfa,
                 chunk_len=1 << 14,

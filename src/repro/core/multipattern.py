@@ -29,7 +29,7 @@ ordinary single-DFA fast path — including the native backend — as one
 machine. Only viable when the product stays under a state budget.
 
 ``route="auto"`` tries the product under the budget and falls back to
-batched; :func:`repro.core.autotune.choose_route` is the measured version.
+batched.
 
 Per-pattern match positions are recovered from one additional truth pass
 shared by the whole group (not one pass per pattern) — the native accept
@@ -97,6 +97,9 @@ DEFAULT_PRODUCT_BUDGET = 512
 # Product construction cost grows with P even when the result is small;
 # "auto" does not attempt it past this group size.
 DEFAULT_PRODUCT_MAX_PATTERNS = 8
+# Union kernel plans kept per stack (one per chunk geometry); the oldest
+# goes first.
+_KPLAN_CACHE_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,7 @@ class MachineStack:
     union_dfa: DFA
     class_dfas: tuple
     _prior_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _kplan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_patterns(self) -> int:
@@ -173,6 +177,34 @@ class MachineStack:
             hit = state_prior(self.class_dfas[p], sample=sample)
             if sample.size:
                 self._prior_cache[p] = hit
+        return hit
+
+    def kernel_plan(
+        self,
+        *,
+        chunk_len: int,
+        num_chunks: int,
+        k: int,
+        kernel: str,
+        table_budget_bytes: int,
+    ) -> KernelPlan:
+        """The union table's kernel plan for one chunk geometry, built once.
+
+        Repeated calls of the same size get the same plan object, which is
+        what lets :func:`repro.core.native.load_native_plan` (it keys a
+        caller-supplied plan by identity) hit its memory cache.
+        """
+        key = (chunk_len, num_chunks, k, kernel, table_budget_bytes)
+        hit = self._kplan_cache.get(key)
+        if hit is None:
+            hit = plan_kernel(
+                self.union_dfa, chunk_len=chunk_len, num_chunks=num_chunks,
+                k=k, kernel=kernel, table_budget_bytes=table_budget_bytes,
+                compaction=self.identity_compaction(),
+            )
+            if len(self._kplan_cache) >= _KPLAN_CACHE_MAX:
+                del self._kplan_cache[next(iter(self._kplan_cache))]
+            self._kplan_cache[key] = hit
         return hit
 
 
@@ -573,7 +605,6 @@ def _select_route(
     is ``min(k, S_prod)`` lanes wide. With the construction budget-gated,
     the rule reduces to: try the product for small groups, accept it when
     the minimised machine stays under ``product_budget`` states.
-    :func:`repro.core.autotune.choose_route` replaces this with measurement.
     """
     if stack.num_patterns > product_max_patterns:
         return "batched"
@@ -597,7 +628,7 @@ def _select_route(
 
 
 # Minimised products are cached alongside route decisions — serving rounds
-# and the autotuner probe repeatedly on identical groups.
+# run repeatedly on identical groups.
 _product_cache: dict[tuple, ProductDFA] = {}
 
 
@@ -774,10 +805,9 @@ def _run_batched_route(
         ).astype(np.int32)
 
     # --- kernel plan over the union table (identity compaction) --------- #
-    kplan = plan_kernel(
-        union, chunk_len=plan.max_len, num_chunks=n, k=K_total,
+    kplan = stack.kernel_plan(
+        chunk_len=plan.max_len, num_chunks=n, k=K_total,
         kernel=kernel, table_budget_bytes=table_budget_bytes,
-        compaction=stack.identity_compaction(),
     )
     nplan = None
     if backend == "native":

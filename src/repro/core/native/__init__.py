@@ -13,9 +13,8 @@ repeated tenants and restarted servers perform zero compiles.
 No hard dependency is added: artifacts are built by the system C
 compiler and loaded with stdlib ctypes; with no working compiler the
 caller falls back to pure NumPy.
-:func:`load_native_plan` returns ``None`` on any failure; autotune
-(:func:`repro.core.autotune.choose_backend`) only selects
-``backend="native"`` when it measures faster than the NumPy path.
+:func:`load_native_plan` returns ``None`` on any failure, and
+``backend="auto"`` then runs NumPy.
 
 ``python -m repro.core.native`` prints the compile-cache statistics as
 JSON (used by CI to archive cache behaviour).

@@ -6,8 +6,8 @@ tenants and turns them into coalesced batch executions:
 * **Tenant registration** (:meth:`FSMServer.register_tenant`) resolves a
   tenant's DFA to a shared :class:`_MachineState` keyed by
   :func:`repro.core.predictor.dfa_fingerprint` — the state prior, the
-  autotuned kernel plan, the measured-and-compiled native kernel
-  (:mod:`repro.core.native`, ``ServeConfig.backend``), and (under the
+  autotuned kernel plan, the compiled native kernel
+  (:mod:`repro.core.native`; NumPy when none loads), and (under the
   pool executor) the publish-once shared-memory
   :class:`repro.core.mp_executor.ScaleoutPool` are built once per
   *machine*, not per tenant, so two tenants serving the same regex share
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.autotune import choose_backend
 from repro.core.engine import run_speculative_batch
 from repro.core.faultinject import FaultPlan
 from repro.core.kernels import KernelPlan, plan_kernel
@@ -99,14 +98,6 @@ class ServeConfig:
         :class:`repro.dist.agent.LocalCluster` per machine.
     dist_agents:
         Loopback agent count when ``dist_hosts`` is empty.
-    backend:
-        Hot-path implementation per machine: ``"auto"`` (default —
-        at registration time, compile the native kernel and *measure* it
-        against the NumPy path on a synthetic probe, keeping whichever
-        wins), ``"native"`` (compile unconditionally, NumPy only when
-        compilation is impossible), or ``"numpy"`` (never compile). All
-        native work happens in :meth:`FSMServer.register_tenant` — off
-        the request path — and is shared across tenants of one machine.
     pool_fault_plan:
         Deterministic fault injection forwarded to each machine pool —
         the serving failure drills reuse :mod:`repro.core.faultinject`.
@@ -128,7 +119,6 @@ class ServeConfig:
     pool_workers: int = 4
     dist_hosts: tuple = ()
     dist_agents: int = 2
-    backend: str = "auto"
     pool_fault_plan: FaultPlan | None = None
     deadline_model: DeadlineModel = field(
         default_factory=lambda: DeadlineModel(
@@ -230,11 +220,6 @@ class FSMServer:
             raise ValueError(
                 f"executor must be 'inline', 'pool', or 'dist', got "
                 f"{self.config.executor!r}"
-            )
-        if self.config.backend not in ("auto", "native", "numpy"):
-            raise ValueError(
-                f"backend must be 'auto', 'native', or 'numpy', got "
-                f"{self.config.backend!r}"
             )
         self.trace = trace if trace is not None else RunTrace("serve")
         self._sched = WeightedFairScheduler(
@@ -397,7 +382,10 @@ class FSMServer:
                 amortize_builds=16,
             ),
         )
-        ms.native = self._resolve_native(dfa, k_eff, ms.kplan)
+        # Compiled (or loaded from the artifact cache) here, off the request
+        # path, and shared by every tenant of this machine; None — no
+        # compiler, or a failed smoke check — leaves the rounds on NumPy.
+        ms.native = load_native_plan(dfa, k=k_eff, kplan=ms.kplan)
         if cfg.executor == "pool":
             ms.pool = ScaleoutPool(
                 dfa,
@@ -428,39 +416,6 @@ class FSMServer:
                 ),
             )
         return ms
-
-    def _resolve_native(
-        self, dfa: DFA, k_eff: int, kplan: KernelPlan
-    ) -> NativeKernel | None:
-        """Compile (and, under ``"auto"``, measure) the native kernel.
-
-        Runs inside :meth:`register_tenant` — off the request path — so
-        request latency never pays a compile. ``"auto"`` keeps the native
-        kernel only when a measured probe says it beats the NumPy path
-        on this machine; every failure mode (no compiler, native loses,
-        smoke-check mismatch) resolves to None and the round loop runs
-        NumPy unchanged.
-        """
-        cfg = self.config
-        if cfg.backend == "numpy":
-            return None
-        if cfg.backend == "native":
-            return load_native_plan(dfa, k=k_eff, kplan=kplan)
-        rng = np.random.default_rng(0xC0FFEE)
-        probe = rng.integers(0, dfa.num_inputs, size=1 << 15, dtype=np.int32)
-        choice = choose_backend(
-            dfa,
-            probe,
-            num_chunks=max(4, probe.size // cfg.chunk_items),
-            k=k_eff,
-            lookback=cfg.lookback,
-            probe_items=probe.size,
-            repeats=2,
-        )
-        self.trace.count("serve.backend_probes", 1)
-        if choice.backend != "native":
-            return None
-        return load_native_plan(dfa, k=k_eff, kplan=kplan)
 
     # ------------------------------------------------------------------ #
     # lifecycle

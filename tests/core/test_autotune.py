@@ -72,46 +72,3 @@ class TestChooseK:
         bits = random_bits(100_000, rng=0)
         choice = choose_k(dfa, bits, probe_items=50_000, candidates=[2, None])
         assert isinstance(choice, KChoice)
-
-
-class TestChooseRoute:
-    def _machines(self, sizes, num_inputs=4, seed=0):
-        from repro.fsm.dfa import DFA
-
-        return [
-            DFA.random(s, num_inputs, rng=seed + i, name=f"r{i}")
-            for i, s in enumerate(sizes)
-        ]
-
-    def test_measures_both_routes_when_product_fits(self):
-        from repro.core.autotune import RouteChoice, choose_route
-
-        machines = self._machines([2, 3])
-        rng = np.random.default_rng(0)
-        inputs = rng.integers(0, 4, size=20_000).astype(np.int32)
-        choice = choose_route(machines, inputs, repeats=1, probe_items=4096)
-        assert isinstance(choice, RouteChoice)
-        assert choice.route in ("batched", "product")
-        assert set(choice.measured_s) >= {"batched", "product"}
-        assert choice.product_states is not None
-
-    def test_budget_excludes_product(self):
-        from repro.core.autotune import choose_route
-
-        machines = self._machines([5, 6, 7], seed=10)
-        rng = np.random.default_rng(1)
-        inputs = rng.integers(0, 4, size=10_000).astype(np.int32)
-        choice = choose_route(
-            machines, inputs, repeats=1, probe_items=4096, product_budget=4
-        )
-        assert choice.route == "batched"
-        assert "product" not in choice.measured_s
-
-    def test_empty_input_rejected(self):
-        from repro.core.autotune import choose_route
-
-        with pytest.raises(ValueError):
-            choose_route(
-                self._machines([2, 2], seed=20),
-                np.zeros(0, dtype=np.int32),
-            )

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.faultinject as fi
 from repro.apps import APPLICATIONS, get_application
-from repro.core.autotune import choose_collapse
 from repro.core.convergence import (
     CADENCE_BACKOFF,
     DEFAULT_CADENCE,
@@ -551,30 +550,3 @@ class TestScaleout:
                 ex.feed(block)
             assert ex.state == ref
             assert ex.stats.chunks_converged > 0
-
-
-# --------------------------------------------------------------------------- #
-# Measured autotuner
-# --------------------------------------------------------------------------- #
-
-
-class TestChooseCollapse:
-    def test_choose_collapse_on_convergent_machine(self):
-        dfa, inputs = get_application("huffman").build(1 << 17, seed=18)
-        choice = choose_collapse(
-            dfa, inputs, num_chunks=64, k=8, lookback=16,
-            probe_items=1 << 15, repeats=2, cadences=(16, 64),
-        )
-        assert set(choice.measured_s) == {"off", "on(W=16)", "on(W=64)"}
-        assert all(v > 0 for v in choice.measured_s.values())
-        assert choice.label in choice.measured_s
-        assert choice.speedup_vs_off > 0
-
-    def test_choose_collapse_runs_on_div7(self):
-        dfa, inputs = get_application("div7").build(1 << 16, seed=19)
-        choice = choose_collapse(
-            dfa, inputs, num_chunks=32, k=6, lookback=0,
-            probe_items=1 << 14, repeats=1, cadences=(32,),
-        )
-        assert "off" in choice.measured_s
-        assert choice.probe_cadence is None

@@ -147,6 +147,22 @@ class TestOutputs:
                                   threads_per_block=32, price=False)
         assert r.final_state == dfa.start
 
+    def test_empty_input_skips_the_stationary_prior(self, monkeypatch):
+        import repro.core.lookback as lookback
+        from repro.core.types import ExecStats
+
+        def solve(*args, **kwargs):
+            raise AssertionError("stationary prior solved for an empty input")
+
+        monkeypatch.setattr(lookback, "stationary_distribution", solve)
+        dfa = make_random_dfa(12, 3, seed=13)
+        r = repro.run_speculative(dfa, np.zeros(0, dtype=np.int32))
+        assert r.final_state == dfa.start
+        assert r.stats == ExecStats(
+            num_items=0, num_chunks=1, k=r.config.k, num_states=12,
+            num_inputs=3, merge_levels_warp=1,
+        )
+
     def test_input_shorter_than_threads(self, small_case):
         dfa, _ = small_case
         inp = random_input(3, 10, seed=1)

@@ -9,7 +9,6 @@ shorter than the stride and empty chunks.
 import numpy as np
 import pytest
 
-from repro.core.autotune import choose_kernel
 from repro.core.engine import run_speculative
 from repro.core.kernels import (
     DEFAULT_TABLE_BUDGET_BYTES,
@@ -23,7 +22,6 @@ from repro.core.kernels import (
 )
 from repro.core.local import process_chunks
 from repro.core.mp_executor import ScaleoutPool
-from repro.core.prefix_scan import run_prefix_scan
 from repro.core.types import ExecStats
 from repro.fsm.alphabet import compact_alphabet
 from repro.fsm.dfa import DFA
@@ -160,7 +158,7 @@ def test_kernel_stats_match_lockstep_semantics():
 
 
 @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 63, 256])
-@pytest.mark.parametrize("kernel", ["scalar", "stride2", "stride4"])
+@pytest.mark.parametrize("kernel", ["lockstep", "stride2", "stride4"])
 def test_run_segment_kernel_matches_reference(kernel, length):
     dfa = redundant_dfa(8, 3, 10, seed=length)
     inp = random_input(10, length, seed=length + 1)
@@ -189,6 +187,18 @@ class TestSelection:
                 table_budget_bytes=1 << 10,
             )
 
+    def test_scalar_kernel_rejected_up_front(self):
+        from repro.core.multipattern import run_multipattern
+
+        dfa = redundant_dfa(8, 3, 10, seed=7)
+        inp = random_input(10, 1_000, seed=8)
+        with pytest.raises(ValueError, match="kernel"):
+            run_speculative(dfa, inp, kernel="scalar")
+        with pytest.raises(ValueError, match="kernel"):
+            ScaleoutPool(dfa, num_workers=1, kernel="scalar")
+        with pytest.raises(ValueError, match="kernel"):
+            run_multipattern([dfa, dfa], inp, kernel="scalar")
+
     def test_auto_plan_respects_budget(self):
         dfa = make_random_dfa(64, 20, seed=1)
         kplan = plan_kernel(
@@ -197,18 +207,9 @@ class TestSelection:
         )
         assert kplan.table_bytes <= (1 << 12) + dfa.num_states * 20 * 4
 
-    def test_choose_kernel_measures_and_picks_argmin(self):
-        dfa = redundant_dfa(12, 4, 24, seed=5)
-        inp = random_input(24, 40_000, seed=6)
-        choice = choose_kernel(dfa, inp, num_chunks=256, k=2, probe_items=1 << 14)
-        assert choice.kernel in choice.measured_s
-        assert choice.measured_s[choice.kernel] == min(choice.measured_s.values())
-        assert choice.probe_items == 1 << 14
-        assert set(choice.build_s) <= {"stride2", "stride4", "scalar"}
-
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("kernel", ["auto", "stride2", "stride4", "scalar"])
+    @pytest.mark.parametrize("kernel", ["auto", "stride2", "stride4", "lockstep"])
     def test_final_state_matches_reference(self, kernel):
         dfa = redundant_dfa(10, 5, 14, seed=3)
         inp = random_input(14, 9_000, seed=4)
@@ -247,14 +248,6 @@ class TestEngineIntegration:
             kernel="auto", cache_table=True, price=False,
         )
         assert res.config.kernel == "lockstep"
-
-    def test_prefix_scan_kernel_equivalence(self):
-        dfa = redundant_dfa(9, 4, 18, seed=17)
-        inp = random_input(18, 7_777, seed=18)
-        auto = run_prefix_scan(dfa, inp, num_chunks=32)
-        lock = run_prefix_scan(dfa, inp, num_chunks=32, kernel="lockstep")
-        assert auto.final_state == lock.final_state == run_reference(dfa, inp)
-        np.testing.assert_array_equal(auto.total_function, lock.total_function)
 
 
 class TestPoolIntegration:

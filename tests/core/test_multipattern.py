@@ -86,7 +86,7 @@ class TestStack:
 
 
 class TestBatchedRoute:
-    @pytest.mark.parametrize("kernel", ["scalar", "lockstep", "stride2", "stride4"])
+    @pytest.mark.parametrize("kernel", ["lockstep", "stride2", "stride4"])
     @pytest.mark.parametrize("collapse", [None, "auto"])
     def test_bit_exact_all_kernels(self, kernel, collapse):
         machines = _group([3, 5, 2, 7])

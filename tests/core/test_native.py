@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import get_application
-from repro.core.autotune import choose_backend
 from repro.core.convergence import CollapseConfig
 from repro.core.engine import run_speculative, run_speculative_batch
 from repro.core.kernels import plan_kernel, process_chunks_kernel
@@ -301,6 +300,30 @@ class TestCache:
         assert second.native is first.native
         assert second.final_state == run_reference(dfa, inputs)
 
+    @needs_native
+    def test_repeated_multipattern_call_hits_memory_cache(self):
+        """The batched route reuses the stack's union plan, so identical
+        native calls find the loaded kernel in memory, not on disk."""
+        from repro.core.multipattern import run_multipattern, stack_machines
+        from repro.core.native.build import build_stats
+
+        machines = [make_random_dfa(6, 4, seed=s) for s in (31, 32, 33)]
+        inputs = random_input(4, 20_000, seed=34)
+        st = stack_machines(machines)
+        before = build_stats()
+        results = [
+            run_multipattern(
+                machines, inputs, k=2, route="batched", backend="native",
+                stack=st,
+            )
+            for _ in range(3)
+        ]
+        after = build_stats()
+        assert after["hit_mem"] - before["hit_mem"] >= 2
+        for res in results:
+            for m, pr in zip(machines, res.patterns):
+                assert pr.final_state == run_reference(m, inputs)
+
     @pytest.mark.skipif(
         find_compiler() is None, reason="needs a real C compiler"
     )
@@ -462,30 +485,6 @@ class TestPoolNative:
         dfa = make_random_dfa(5, 3, seed=28)
         with pytest.raises(ValueError, match="backend"):
             ScaleoutPool(dfa, num_workers=1, backend="cuda")
-
-
-# --------------------------------------------------------------------------- #
-# the measured backend tuner
-# --------------------------------------------------------------------------- #
-
-
-class TestChooseBackend:
-    def test_backend_choice_is_measured_min(self):
-        dfa = make_random_dfa(12, 8, seed=29)
-        inputs = random_input(8, 60_000, seed=30)
-        choice = choose_backend(
-            dfa, inputs, num_chunks=32, k=4, probe_items=inputs.size,
-            repeats=1,
-        )
-        assert "vectorized" in choice.measured_s
-        assert choice.backend == min(
-            choice.measured_s, key=choice.measured_s.get
-        )
-        if HAVE_NATIVE:
-            assert "native" in choice.measured_s
-        assert choice.speedup_vs_numpy > 0
-        with pytest.raises(ValueError, match="codegen"):
-            choose_backend(dfa, inputs, candidates=("codegen",))
 
 
 # --------------------------------------------------------------------------- #

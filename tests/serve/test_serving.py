@@ -7,6 +7,9 @@ ordering is deterministic rather than timing-dependent.
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -379,6 +382,45 @@ class TestServing:
             await server.close()
 
         asyncio.run(drive())
+
+    def test_no_compiler_serves_bit_exact_on_numpy(self, tmp_path):
+        """With no working compiler (and a cold artifact cache) a default
+        server registers its machines on NumPy and still answers exactly."""
+        code = """
+import asyncio
+from repro.serve import FSMServer, ServeClient, ServeConfig
+from repro.fsm.run import run_segment
+from tests.serve.test_serving import _serve_case
+
+machines, workload = _serve_case(num_requests=12)
+
+async def drive():
+    server = FSMServer(ServeConfig())
+    tenants = {n: server.register_tenant(n, m) for n, m in machines.items()}
+    assert all(ms.native is None for ms in server._machines.values())
+    await server.start()
+    clients = {n: ServeClient(server, t) for n, t in tenants.items()}
+    resp = await asyncio.gather(
+        *(clients[w.tenant].match(w.symbols) for w in workload)
+    )
+    await server.close()
+    return resp
+
+for w, r in zip(workload, asyncio.run(drive())):
+    dfa = machines[w.tenant]
+    assert r.status == "ok", r
+    assert r.final_state == run_segment(dfa, w.symbols, dfa.start)
+print("ok")
+"""
+        env = dict(
+            os.environ, CC="/bin/false", REPRO_NATIVE_CACHE=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(sys.path),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
 
 
 class TestServingGroups:
