@@ -16,18 +16,13 @@ execution (spec-N), anything between is enumerative speculation (spec-k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cache.hotstates import HotStateCache, plan_hot_states
 from repro.core.convergence import CollapseConfig, converged_chunks
-from repro.core.kernels import (
-    KernelPlan,
-    process_chunks_kernel,
-    run_segment_kernel,
-)
+from repro.core.kernels import KernelPlan, process_chunks_kernel
 from repro.core.local import (
     process_chunks,
     process_chunks_ragged,
@@ -37,6 +32,9 @@ from repro.core.local import (
 from repro.core.lookback import enumerative_spec, speculate, state_prior
 from repro.core.merge_par import MergeTree, merge_parallel
 from repro.core.merge_seq import merge_sequential
+from repro.core.multipattern import (
+    coalesce, run_lane_batch, run_multipattern, single_lanes,
+)
 from repro.core.plan import (
     GPU_NUM_BLOCKS,
     GPU_THREADS_PER_BLOCK,
@@ -54,12 +52,7 @@ from repro.gpu.cost import CostModel, TimeBreakdown
 from repro.gpu.device import DeviceSpec, TESLA_V100
 from repro.obs.trace import RunTrace, current_trace, trace_span
 from repro.util.validation import check_in_set, check_symbols
-from repro.workloads.chunking import (
-    ChunkPlan,
-    plan_chunks,
-    plan_from_lengths,
-    transform_layout,
-)
+from repro.workloads.chunking import ChunkPlan, transform_layout
 
 if TYPE_CHECKING:
     from repro.core.native import NativeKernel
@@ -769,9 +762,6 @@ class BatchExecutionResult:
     plan:
         The coalesced :class:`repro.workloads.chunking.ChunkPlan`, or None
         when every segment was empty.
-    owners:
-        ``(num_chunks,)`` int32 mapping each chunk of ``plan`` back to the
-        request it belongs to (None when ``plan`` is None).
     """
 
     final_states: np.ndarray
@@ -779,7 +769,6 @@ class BatchExecutionResult:
     stats: ExecStats
     num_requests: int
     plan: ChunkPlan | None = None
-    owners: np.ndarray | None = None
 
 
 def run_speculative_batch(
@@ -800,177 +789,75 @@ def run_speculative_batch(
 
     Every request shares ``dfa`` but is otherwise independent: request
     ``r`` starts at ``starts[r]`` (default ``dfa.start``) and its final
-    state is exactly what running it alone would produce. The segments are
-    concatenated into a single chunk plan (each request contributes
-    ``ceil(len/chunk_items)`` chunks), speculated once, executed by the
-    active-list driver, and resolved on one seeded
-    :class:`repro.core.scoreboard.ChunkScoreboard` — each request's head
-    chunk carries a ``seeds`` entry, so resolution fronts never propagate
-    across request boundaries and no cross-request composition occurs.
+    state is exactly what running it alone would produce. A thin adapter
+    over the one batch pass, :func:`repro.core.multipattern.run_lane_batch`,
+    with the machine as a pattern group of one over its raw symbols (no
+    alphabet remap, no second kernel): the segments coalesce into one
+    chunk plan, step in one pass, and resolve on one scoreboard seeded at
+    each request's head, so no composition crosses a request boundary.
 
-    This is the serving layer's execution primitive
-    (:mod:`repro.serve`): the per-call overhead of ``run_speculative``
-    (prior sampling, planning, a Python step loop per request) is paid
-    once for the whole batch instead of once per request.
+    This is the serving layer's execution primitive (:mod:`repro.serve`):
+    the per-call overhead of ``run_speculative`` (prior sampling,
+    planning, a step loop per request) is paid once per batch.
 
     Parameters
     ----------
     dfa:
         The machine shared by every request in the batch.
     segments:
-        One 1-D dense-symbol array per request (empty arrays allowed —
-        they resolve to their start state without executing).
+        One 1-D dense-symbol array per request; an empty one resolves to
+        its start state without executing.
     starts:
-        Optional per-request starting states (defaults to ``dfa.start``);
-        lets streaming callers batch continuation segments.
+        Optional per-request starting states, for continuation segments.
     k:
         Speculation width per chunk (None = enumerative spec-N).
     lookback:
-        Look-back window for speculation (head chunks additionally get
-        their true start pinned into the speculation row).
+        Look-back window; head chunks also get their known start pinned.
     check:
         Runtime-check implementation for scoreboard probes.
     chunk_items:
-        Target items per chunk; requests longer than this split into
-        multiple chunks so stragglers don't serialize the batch.
+        Target items per chunk: long requests split so stragglers don't
+        serialize the batch.
     kernel_plan:
-        Optional :class:`repro.core.kernels.KernelPlan` used for
-        single-state re-execution of speculation misses (stride kernels
-        cut the Python loop count); the fingerprint-keyed serving cache
-        passes one in.
+        Optional :class:`repro.core.kernels.KernelPlan` for this machine
+        at width ``k`` (the serving cache passes one): it steps a
+        near-equal plan and re-executes speculation misses.
     prior:
-        Optional state-occupancy prior for speculation ranking (cached per
-        DFA by the serving layer; sampled from the batch input otherwise).
+        Optional speculation prior (sampled from the batch otherwise).
     stats:
-        Accumulate events into an existing
-        :class:`repro.core.types.ExecStats` (the server carries one per
-        round) instead of a fresh one.
+        An :class:`repro.core.types.ExecStats` to accumulate into (the
+        server carries one per round) instead of a fresh one.
     native:
-        A loaded :class:`repro.core.native.NativeKernel` compiled for
-        this machine at width ``k`` (the serving layer compiles one at
-        tenant-registration time, off the request path). When given, the
-        batch's chunks execute in the compiled loop and speculation
-        misses re-execute natively; the seeded scoreboard resolution is
-        unchanged and results stay bit-identical.
+        A loaded :class:`repro.core.native.NativeKernel` for this machine
+        at width ``k``: chunks step and misses re-execute in the compiled
+        loop, with bit-identical results.
     """
-    if starts is None:
-        starts_arr = np.full(len(segments), dfa.start, dtype=np.int64)
-    else:
-        starts_arr = np.asarray(starts, dtype=np.int64)
-        if starts_arr.shape != (len(segments),):
-            raise ValueError(
-                f"starts must have one entry per segment, got "
-                f"{starts_arr.shape} for {len(segments)} segments"
-            )
-        if starts_arr.size and (
-            starts_arr.min() < 0 or starts_arr.max() >= dfa.num_states
-        ):
-            raise ValueError("starts contain states outside the machine")
-    segs = []
-    for i, seg in enumerate(segments):
-        seg = np.ascontiguousarray(np.asarray(seg))
-        if seg.ndim != 1:
-            raise ValueError(f"segment {i} must be 1-D, got shape {seg.shape}")
-        check_symbols(seg, dfa.num_inputs)
-        segs.append(seg)
-    if chunk_items < 1:
-        raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
-
-    num_requests = len(segs)
-    enumerative = k is None or k >= dfa.num_states
-    k_eff = dfa.num_states if enumerative else int(k)
-    if k_eff < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    final_states = np.empty(num_requests, dtype=np.int32)
-    lengths: list[int] = []
-    owners: list[int] = []
-    heads: dict[int, int] = {}
-    tail_chunk = np.full(num_requests, -1, dtype=np.int64)
-    for r, seg in enumerate(segs):
-        if not seg.size:
-            final_states[r] = starts_arr[r]  # resolved out-of-band
-            continue
-        nch = -(-seg.size // chunk_items)
-        heads[len(lengths)] = int(starts_arr[r])
-        lengths.extend(plan_chunks(seg.size, nch).lengths.tolist())
-        tail_chunk[r] = len(lengths) - 1
-        owners.extend([r] * nch)
-
-    if not lengths:
-        stats = stats or ExecStats(
-            num_items=0, num_chunks=0, k=k_eff,
-            num_states=dfa.num_states, num_inputs=dfa.num_inputs,
-        )
-        return BatchExecutionResult(
-            final_states=final_states,
-            accepted=dfa.accepting[final_states].astype(bool),
-            stats=stats,
-            num_requests=num_requests,
-        )
-
-    concat = np.concatenate([s for s in segs if s.size])
-    plan = plan_from_lengths(np.asarray(lengths, dtype=np.int64))
-    n = plan.num_chunks
+    lanes = single_lanes(dfa, k, prior)
+    batch = coalesce(
+        segments, starts, lanes.dfas, chunk_items=chunk_items,
+        num_symbols=dfa.num_inputs,
+    )
+    finals = batch.starts.astype(np.int32)
     if stats is None:
-        stats = ExecStats(
-            num_items=int(concat.size), num_chunks=n, k=k_eff,
-            num_states=dfa.num_states, num_inputs=dfa.num_inputs,
+        stats = lanes.new_stats(
+            batch.symbols.size, 0 if batch.plan is None else batch.plan.num_chunks
         )
-
-    with trace_span(
-        "engine.batch", requests=num_requests, chunks=n, k=k_eff,
-        items=int(concat.size),
-    ):
-        with trace_span("engine.speculate", chunks=n, k=k_eff, lookback=lookback):
-            if enumerative:
-                spec = enumerative_spec(dfa, n)
-            else:
-                if prior is None:
-                    prior = state_prior(dfa, sample=concat[: 1 << 14])
-                spec = speculate(
-                    dfa, concat, plan, k_eff,
-                    lookback=lookback, prior=prior, stats=stats,
-                )
-                # Head chunks are request boundaries, not speculative ones:
-                # their true incoming state is known. Pin it into the row so
-                # the seeded probe hits instead of forcing a re-execution
-                # (the look-back window of a head chunk reads the previous
-                # request's tail, which predicts nothing).
-                for h, s in heads.items():
-                    if not (spec[h] == s).any():
-                        spec[h, -1] = s
-        replay = None
-        if native is not None and native.spec.k == k_eff:
-            replay = ChunkReplay(native.run_segment, concat, plan, path="native")
-        elif kernel_plan is not None:
-            replay = ChunkReplay(
-                partial(run_segment_kernel, kernel_plan), concat, plan
+    if batch.plan is not None:
+        with trace_span(
+            "engine.batch", requests=len(segments),
+            chunks=batch.plan.num_chunks, k=lanes.k_total,
+            items=int(batch.symbols.size),
+        ):
+            finals = run_lane_batch(
+                lanes, batch, batch.symbols, lookback=lookback, check=check,
+                stats=stats, kernel_plan=kernel_plan, native=native,
             )
-        board = ChunkScoreboard(
-            dfa, concat, plan, k_eff, mode="parallel", check=check,
-            stats=stats, replay=replay, seeds=heads,
-        )
-        if native is not None and native.spec.k == k_eff:
-            # Execute the whole batch in one compiled call, then post the
-            # finished chunks shortest-first (simulated completion order —
-            # the same arrival pattern the active-list driver produces).
-            end = native.process_chunks(concat, plan, spec, stats=stats)
-            for c in np.argsort(plan.lengths, kind="stable"):
-                board.post(int(c), spec[c], end[c])
-        else:
-            run_chunks_active(dfa, concat, plan, spec, board, stats=stats)
-        board.resolve()
-        live = tail_chunk >= 0
-        final_states[live] = board.out_state[tail_chunk[live]]
-
     return BatchExecutionResult(
-        final_states=final_states,
-        accepted=dfa.accepting[final_states].astype(bool),
+        final_states=finals[:, 0],
+        accepted=dfa.accepting[finals[:, 0]].astype(bool),
         stats=stats,
-        num_requests=num_requests,
-        plan=plan,
-        owners=np.asarray(owners, dtype=np.int32),
+        num_requests=len(segments),
+        plan=batch.plan,
     )
 
 
@@ -986,8 +873,6 @@ def _run_group(
     count follows the engine's plans: the simulated grid when a
     modeled-GPU argument was passed, the CPU rule otherwise.
     """
-    from repro.core.multipattern import run_multipattern
-
     if backend is not None:
         check_in_set("backend", backend, ("auto", "vectorized", "native"))
     for item in collect:
@@ -1071,25 +956,18 @@ def run_inprocess_fallback(
     *,
     start: int | None = None,
     k: int | None = 4,
-    kernel: str = "lockstep",
 ) -> SpecExecutionResult:
     """Degraded-mode execution: one process, no pool, guaranteed to finish.
 
     The resilience layer (:mod:`repro.core.resilience`) calls this when a
     :class:`repro.core.mp_executor.ScaleoutPool` run cannot be recovered —
     retries exhausted or the pool below quorum. It is a thin wrapper over
-    :func:`run_speculative` with pricing and success measurement switched
-    off (a degraded run wants an answer, not instrumentation), honouring a
-    carried ``start`` state for streaming callers.
+    :func:`run_speculative` on the CPU plan, with pricing and success
+    measurement switched off (a degraded run wants an answer, not
+    instrumentation), honouring a carried ``start`` state for streaming
+    callers.
     """
     run_dfa = dfa if start is None or start == dfa.start else dfa.with_start(start)
     return run_speculative(
-        run_dfa,
-        inputs,
-        k=k,
-        num_blocks=1,
-        threads_per_block=64,
-        price=False,
-        measure_success=False,
-        kernel=kernel,
+        run_dfa, inputs, k=k, price=False, measure_success=False
     )

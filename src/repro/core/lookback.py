@@ -32,7 +32,9 @@ from repro.fsm.dfa import DFA
 from repro.core.types import ExecStats
 from repro.workloads.chunking import ChunkPlan
 
-__all__ = ["state_prior", "state_ranking", "speculate", "enumerative_spec"]
+__all__ = [
+    "state_prior", "state_ranking", "speculate", "enumerative_spec", "pin_states"
+]
 
 
 def state_prior(
@@ -84,6 +86,21 @@ def state_ranking(
 def enumerative_spec(dfa: DFA, num_chunks: int) -> np.ndarray:
     """spec-N speculation: every chunk enumerates all states."""
     return np.tile(np.arange(dfa.num_states, dtype=np.int32), (num_chunks, 1))
+
+
+def pin_states(spec: np.ndarray, chunks, states) -> None:
+    """Pin known incoming states into their chunks' speculation rows.
+
+    A chunk whose incoming state is known (a coalesced request's head, a
+    pool's first segment) is no speculative boundary. When look-back did
+    not already pick ``states[i]`` for chunk ``chunks[i]``, the state
+    replaces that row's last (lowest-ranked) lane in place, so the probe
+    there hits instead of forcing a re-execution.
+    """
+    chunks = np.asarray(chunks, dtype=np.intp)
+    states = np.asarray(states, dtype=spec.dtype)
+    missing = ~(spec[chunks] == states[:, None]).any(axis=1)
+    spec[chunks[missing], -1] = states[missing]
 
 
 def speculate(

@@ -75,9 +75,20 @@ from repro.core.kernels import (
     run_segment_kernel,
 )
 from repro.core.local import process_chunks, process_chunks_ragged, recover_accepts
-from repro.core.lookback import speculate, state_prior
+from repro.core.lookback import pin_states, speculate, state_prior
 from repro.core.merge_par import compose_maps, merge_parallel
 from repro.core.merge_seq import true_boundary_walk
+from repro.core.multipattern import (
+    MultiPatternResult,
+    _batched_accept_matrix,
+    _group_matches,
+    _pattern_results,
+    coalesce,
+    group_lanes,
+    run_multipattern,
+    speculate_lanes,
+    stack_machines,
+)
 from repro.core.replay import ChunkReplay
 from repro.core.scoreboard import ChunkScoreboard
 from repro.core.resilience import (
@@ -449,8 +460,8 @@ def _segment_maps(
     Chunk 0 enters at ``boundary_row`` when one is given: its look-back
     crosses into the left neighbour's segment, which only the parent can
     see. ``pins`` are ``(chunk, state)`` pairs of a batch span: its
-    chunks are ragged (stepped by the ragged driver) and a pinned request
-    head's known incoming state is forced into its row. With
+    chunks are ragged (stepped by the ragged driver) and a request head's
+    known incoming state is pinned into its row. With
     ``collapse``, duplicate lanes collapse mid-advancement and the mask
     flags converged chunks (constant maps over every achievable incoming
     state); it is None otherwise. The native, stride, lockstep and ragged
@@ -473,9 +484,8 @@ def _segment_maps(
         spec = speculate(dfa, segment, plan, k, lookback=lookback, prior=prior)
     if boundary_row is not None:
         spec[0] = boundary_row
-    for c, s in pins or ():
-        if not (spec[c] == s).any():
-            spec[c, -1] = s
+    if pins:
+        pin_states(spec, *zip(*pins))
     if native is not None and native.spec.k == spec.shape[1]:
         # Collapse (when enabled) is baked into the artifact's cadence.
         end = native.process_chunks(segment, plan, spec, stats=stats)
@@ -921,8 +931,7 @@ class ScaleoutPool:
             self._bps_ewma: float | None = None
             # Multi-pattern group state (set by `for_group`).
             self._stack = None
-            self._mp_widths: tuple = ()
-            self._mp_k: int | None = None
+            self._lanes = None
 
             # Resolve the stepping kernel once, for the pool's whole life.
             # The chunk length is unknown until inputs arrive, so selection
@@ -1650,14 +1659,11 @@ class ScaleoutPool:
         through one fused gather per symbol, exactly like the in-process
         batched route.
         """
-        from repro.core.multipattern import _pattern_widths, stack_machines
-
         stack = stack_machines(machines)
-        widths = _pattern_widths(stack, k)
-        pool = cls(stack.union_dfa, k=int(sum(widths)), **kwargs)
+        lanes = group_lanes(stack, k)
+        pool = cls(stack.union_dfa, k=lanes.k_total, **kwargs)
         pool._stack = stack
-        pool._mp_widths = tuple(int(w_) for w_ in widths)
-        pool._mp_k = k
+        pool._lanes = lanes
         return pool
 
     def run_multi(self, inputs: np.ndarray, *, collect_matches: bool = False):
@@ -1678,15 +1684,6 @@ class ScaleoutPool:
         reference. An unrecoverable pool degrades to the in-process
         batched route (same result shape).
         """
-        from repro.core.multipattern import (
-            MultiPatternResult,
-            PatternResult,
-            _batched_accept_matrix,
-            _group_matches,
-            run_multipattern,
-        )
-        from repro.core.lookback import enumerative_spec
-
         if self._closed:
             raise PoolClosedError("ScaleoutPool is closed")
         stack = self._stack
@@ -1696,13 +1693,9 @@ class ScaleoutPool:
             )
         union = self.dfa
         P = stack.num_patterns
-        widths = np.asarray(self._mp_widths, dtype=np.int64)
-        lane_off = np.concatenate([[0], np.cumsum(widths)])
-        K_total = int(lane_off[-1])
-        starts_u = (
-            stack.offsets[:-1]
-            + np.array([m.start for m in stack.machines], dtype=np.int64)
-        )
+        K_total = self._lanes.k_total
+        starts = np.array([m.start for m in stack.machines], dtype=np.int64)
+        starts_u = stack.offsets[:-1] + starts
 
         inputs = np.ascontiguousarray(np.asarray(inputs))
         if inputs.ndim != 1:
@@ -1721,7 +1714,8 @@ class ScaleoutPool:
             # the already-built stack (no re-stacking, no re-compaction).
             res = run_multipattern(
                 list(stack.machines), inputs,
-                k=self._mp_k, num_chunks=max(2, self.sub_chunks_per_worker),
+                k=max(self._lanes.widths),  # each pattern clamps it back
+                num_chunks=max(2, self.sub_chunks_per_worker),
                 route="batched", stack=stack,
                 collect=("match_positions",) if collect_matches else (),
             )
@@ -1729,17 +1723,10 @@ class ScaleoutPool:
             return res
 
         if n == 0:
-            patterns = tuple(
-                PatternResult(
-                    name=m.name or f"pattern_{p}",
-                    accepted=bool(m.accepting[m.start]),
-                    final_state=int(m.start),
-                    match_positions=(
-                        np.zeros(0, dtype=np.int64) if collect_matches else None
-                    ),
-                    true_starts=None,
-                )
-                for p, m in enumerate(stack.machines)
+            patterns = _pattern_results(
+                stack, union.accepting[starts_u],
+                [np.zeros(0, dtype=np.int64)] * P if collect_matches else None,
+                starts,
             )
             return MultiPatternResult(
                 route="pool", patterns=patterns, stats=stats,
@@ -1755,22 +1742,11 @@ class ScaleoutPool:
 
         # Per-pattern boundary speculation over the class machines,
         # stacked into union lanes; segment 0 pins every pattern's start.
-        boundary = np.empty((w, K_total), dtype=np.int32)
         with trace_span("pool.speculate", workers=w, k=K_total, patterns=P):
-            sample = cls_stream[: 1 << 14]
-            for p, cdfa in enumerate(stack.class_dfas):
-                lo, hi = int(lane_off[p]), int(lane_off[p + 1])
-                if widths[p] >= cdfa.num_states:
-                    spec_p = enumerative_spec(cdfa, w)
-                else:
-                    prior = stack.pattern_prior(p, sample)
-                    spec_p = speculate(
-                        cdfa, cls_stream, seg_plan, int(widths[p]),
-                        lookback=self.lookback, prior=prior, stats=stats,
-                    )
-                boundary[:, lo:hi] = spec_p + int(stack.offsets[p])
-                if not (boundary[0, lo:hi] == starts_u[p]).any():
-                    boundary[0, lo] = starts_u[p]
+            _, boundary, _ = speculate_lanes(
+                self._lanes, cls_stream, seg_plan, lookback=self.lookback,
+                stats=stats, pins=([0], starts[None, :]), speculator=speculate,
+            )
 
         rnd = self._round(
             cls_stream, seg_plan, stats, report,
@@ -1797,7 +1773,7 @@ class ScaleoutPool:
         stats.success_total += (w - 1) * P
         stats.success_hits += (w - 1) * P - int(misses[1:].sum())
 
-        matches: list = [None] * P
+        matches = None
         if collect_matches:
             with trace_span(
                 "pool.collect", route="pool", patterns=P,
@@ -1809,17 +1785,10 @@ class ScaleoutPool:
                     seg_true,
                 )
 
-        patterns = tuple(
-            PatternResult(
-                name=stack.machines[p].name or f"pattern_{p}",
-                accepted=bool(union.accepting[int(final[p])]),
-                final_state=int(final[p] - stack.offsets[p]),
-                match_positions=matches[p],
-                true_starts=(seg_true[:, p] - int(stack.offsets[p])).astype(
-                    np.int32
-                ),
-            )
-            for p in range(P)
+        offsets = stack.offsets[:-1]
+        patterns = _pattern_results(
+            stack, union.accepting[final], matches, final - offsets,
+            (seg_true - offsets).astype(np.int32),
         )
         add_count("mp.pool.runs")
         add_count("mp.patterns", P)
@@ -1957,48 +1926,24 @@ class ScaleoutPool:
         if self._closed:
             raise PoolClosedError("ScaleoutPool is closed")
         dfa = self.dfa
-        num_requests = len(segments)
-        if starts is None:
-            starts_arr = np.full(num_requests, dfa.start, dtype=np.int64)
-        else:
-            starts_arr = np.asarray(starts, dtype=np.int64)
-            if starts_arr.shape != (num_requests,):
-                raise ValueError(
-                    f"starts must have one entry per segment, got "
-                    f"{starts_arr.shape} for {num_requests} segments"
-                )
-            if starts_arr.size and (
-                starts_arr.min() < 0 or starts_arr.max() >= dfa.num_states
-            ):
-                raise ValueError("starts contain states outside the machine")
         segs = [self._symbols(s, f"segment {i}") for i, s in enumerate(segments)]
         w = self.num_workers
         total = sum(int(s.size) for s in segs)
-        stats = self._new_stats(total, self.k_eff)
-
-        final_states = np.empty(num_requests, dtype=np.int32)
         # Target chunk length: fill every worker sub-slot, but never chunk
-        # finer than the requests themselves require.
+        # finer than the requests themselves require. Symbols are
+        # range-checked as they are published.
         target = max(1, -(-total // max(1, w * self.sub_chunks_per_worker)))
-        lengths: list[int] = []
-        heads: dict[int, int] = {}
-        tail_chunk = np.full(num_requests, -1, dtype=np.int64)
-        for r, seg in enumerate(segs):
-            if not seg.size:
-                final_states[r] = starts_arr[r]  # resolved out-of-band
-                continue
-            nch = -(-seg.size // target)
-            heads[len(lengths)] = int(starts_arr[r])
-            lengths.extend(plan_chunks(seg.size, nch).lengths.tolist())
-            tail_chunk[r] = len(lengths) - 1
-        accepted = lambda: dfa.accepting[final_states].astype(bool)  # noqa: E731
+        batch = coalesce(segs, starts, (dfa,), chunk_items=target)
+        stats = self._new_stats(total, self.k_eff)
+        final_states = batch.starts[:, 0].astype(np.int32)
 
-        if not lengths:
-            return BatchRunResult(
-                final_states, accepted(), num_requests, w, stats,
-            )
-        concat = np.concatenate([s for s in segs if s.size])
-        gplan = plan_from_lengths(np.asarray(lengths, dtype=np.int64))
+        def result(**kw) -> BatchRunResult:
+            accepted = dfa.accepting[final_states].astype(bool)
+            return BatchRunResult(final_states, accepted, len(segs), w, stats, **kw)
+
+        if batch.plan is None:
+            return result()
+        concat, gplan = batch.symbols, batch.plan
         n_chunks = gplan.num_chunks
         self.calls += 1
         self._ensure_native()
@@ -2006,19 +1951,17 @@ class ScaleoutPool:
         def resolve_alone() -> None:
             for r, seg in enumerate(segs):
                 if seg.size:
-                    final_states[r] = self._run_segment(seg, int(starts_arr[r]))
+                    final_states[r] = self._run_segment(seg, int(batch.starts[r, 0]))
 
         if w == 1:
             # Degenerate single worker: no dispatch — resolve in-process.
             check_symbols(concat, self.dfa.num_inputs)
             resolve_alone()
             stats.pool_shm_bytes = self.shm_bytes
-            return BatchRunResult(
-                final_states, accepted(), num_requests, 1, stats,
-            )
+            return result()
 
         with trace_span(
-            "pool.batch", requests=num_requests, chunks=n_chunks,
+            "pool.batch", requests=len(segs), chunks=n_chunks,
             items=total, workers=w,
         ):
             report = SupervisionReport()
@@ -2041,10 +1984,11 @@ class ScaleoutPool:
             )
             # Each span ships its chunk lengths plus the request heads
             # inside it, whose known starts the worker pins.
+            heads = batch.seeds(0)
             aux = [
                 (
-                    tuple(int(x) for x in gplan.lengths[lo:hi]),
-                    tuple((c - lo, heads[c]) for c in heads if lo <= c < hi),
+                    tuple(gplan.lengths[lo:hi].tolist()),
+                    tuple((c - lo, s) for c, s in heads.items() if lo <= c < hi),
                 )
                 for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
             ]
@@ -2074,19 +2018,12 @@ class ScaleoutPool:
                     "fault.degrade", reason=report.degrade_reason, workers=w
                 ):
                     resolve_alone()
-                return BatchRunResult(
-                    final_states, accepted(), num_requests, w, stats,
-                    degraded=True, recovery=report,
-                )
+                return result(degraded=True, recovery=report)
             with trace_span("pool.merge", workers=num_tasks, schedule="batch"):
                 board.resolve()
-            live = tail_chunk >= 0
-            final_states[live] = board.out_state[tail_chunk[live]]
-
-        return BatchRunResult(
-            final_states, accepted(), num_requests, w, stats,
-            recovery=report if report.events else None,
-        )
+            live = batch.tails >= 0
+            final_states[live] = board.out_state[batch.tails[live]]
+        return result(recovery=report if report.events else None)
 
     def _check_open_for_fallback(self) -> None:
         """Refuse the in-process fallback on a closed pool.
@@ -2124,7 +2061,7 @@ class ScaleoutPool:
             workers=self.num_workers,
         ):
             fallback = run_inprocess_fallback(
-                self.dfa, inputs, start=start, k=self.k, kernel="lockstep"
+                self.dfa, inputs, start=start, k=self.k
             )
         positions = self._local_matches(inputs, start) if collect_matches else None
         t_done = time.perf_counter()

@@ -36,12 +36,18 @@ shared by the whole group (not one pass per pattern) — the native accept
 pass when a compiled kernel stepped the group, NumPy lock-step otherwise —
 and are bit-exact against the sequential reference on every kernel /
 schedule / collapse combination — the property tests assert exactly that.
+
+The batched route and the one request-batch driver (:func:`run_lane_batch`,
+behind :func:`run_multipattern_batch` and
+:func:`repro.core.engine.run_speculative_batch`) share one set of lane
+stages over ``P >= 1`` patterns: a single DFA is a group of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,8 +62,9 @@ from repro.core.kernels import (
     KernelPlan,
     plan_kernel,
     process_chunks_kernel,
+    run_segment_kernel,
 )
-from repro.core.lookback import enumerative_spec, speculate, state_prior
+from repro.core.lookback import enumerative_spec, pin_states, speculate, state_prior
 from repro.core.local import process_chunks_ragged
 from repro.core.merge_par import merge_parallel
 from repro.core.merge_seq import merge_sequential, true_boundary_walk
@@ -78,7 +85,12 @@ from repro.fsm.product import (
 )
 from repro.obs.trace import RunTrace, current_trace, trace_span
 from repro.util.validation import check_in_set, check_symbols
-from repro.workloads.chunking import ChunkPlan, plan_chunks, transform_layout
+from repro.workloads.chunking import (
+    ChunkPlan,
+    plan_chunks,
+    plan_from_lengths,
+    transform_layout,
+)
 
 __all__ = [
     "MachineStack",
@@ -337,6 +349,22 @@ class MultiPatternResult:
     def match_positions(self) -> tuple:
         """Per-pattern match-position arrays (``None`` when not collected)."""
         return tuple(p.match_positions for p in self.patterns)
+
+
+def _pattern_results(
+    stack: MachineStack, accepted, matches=None, finals=None, true_starts=None
+) -> tuple:
+    """One :class:`PatternResult` per pattern (``true_starts`` is ``(n, P)``)."""
+    return tuple(
+        PatternResult(
+            name=m.name or f"pattern_{p}",
+            accepted=bool(accepted[p]),
+            final_state=None if finals is None else int(finals[p]),
+            match_positions=None if matches is None else matches[p],
+            true_starts=None if true_starts is None else true_starts[:, p].copy(),
+        )
+        for p, m in enumerate(stack.machines)
+    )
 
 
 def _recover_group_matches(
@@ -691,7 +719,7 @@ def _run_product_route(
         collect=(),
         price=False,
     )
-    matches: list[np.ndarray | None] = [None] * stack.num_patterns
+    matches = None
     if "match_positions" in collect:
         with trace_span(
             "mp.recover", route="product", patterns=stack.num_patterns,
@@ -703,19 +731,11 @@ def _run_product_route(
                 res.true_starts[:, None], shared_trajectory=True,
             )
     final = int(res.final_state)
-    patterns = tuple(
-        PatternResult(
-            name=stack.machines[p].name or f"pattern_{p}",
-            accepted=bool(prod.accept_masks[p][final]),
-            final_state=None,
-            match_positions=matches[p],
-            true_starts=None,
-        )
-        for p in range(stack.num_patterns)
-    )
     return MultiPatternResult(
         route="product",
-        patterns=patterns,
+        patterns=_pattern_results(
+            stack, [mask[final] for mask in prod.accept_masks], matches
+        ),
         stats=res.stats,
         plan=plan,
         product=prod,
@@ -724,50 +744,297 @@ def _run_product_route(
     )
 
 
+# --------------------------------------------------------------------------- #
+# the lane stages: every in-process pass, P >= 1 patterns
+# --------------------------------------------------------------------------- #
+
+
+def _widths(dfas, k) -> tuple:
+    """Per-pattern speculation widths (``k`` clamped to each state count)."""
+    if k is not None and int(k) < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return tuple(d.num_states if k is None else min(int(k), d.num_states) for d in dfas)
+
+
+class Lanes(NamedTuple):
+    """The lane layout of one pass: ``P >= 1`` machines in one union table.
+
+    Pattern ``p`` steps as ``dfas[p]`` on union states ``offsets[p] ..
+    offsets[p+1] - 1`` and owns the next ``widths[p]`` lane columns;
+    ``prior(p, sample)`` ranks its speculation. A single DFA is a group
+    of one over its raw symbols, with no ``compaction`` to plan from.
+    """
+
+    dfas: tuple
+    offsets: np.ndarray
+    widths: tuple
+    union: DFA
+    prior: Callable
+    compaction: AlphabetCompaction | None = None
+
+    @property
+    def k_total(self) -> int:
+        """Lane tensor width ``sum_p widths[p]``."""
+        return int(sum(self.widths))
+
+    def new_stats(self, num_items: int, num_chunks: int) -> ExecStats:
+        """A fresh event count for a pass over these lanes."""
+        return ExecStats(
+            num_items=int(num_items), num_chunks=int(num_chunks),
+            k=self.k_total, num_states=self.union.num_states,
+            num_inputs=self.union.num_inputs,
+        )
+
+
+def group_lanes(stack: MachineStack, k) -> Lanes:
+    """A pattern group's lanes: per-pattern width ``k`` over the union."""
+    return Lanes(
+        stack.class_dfas, stack.offsets, _widths(stack.class_dfas, k),
+        stack.union_dfa, stack.pattern_prior, stack.identity_compaction(),
+    )
+
+
+def single_lanes(dfa: DFA, k, prior: np.ndarray | None = None) -> Lanes:
+    """One DFA as a group of one; ``prior`` (None: sampled) ranks its lanes."""
+
+    def prior_of(p: int, sample: np.ndarray) -> np.ndarray:
+        return state_prior(dfa, sample=sample) if prior is None else prior
+
+    offsets = np.array([0, dfa.num_states], dtype=np.int64)
+    return Lanes((dfa,), offsets, _widths((dfa,), k), dfa, prior_of)
+
+
+class RequestBatch(NamedTuple):
+    """Independent requests coalesced into one chunk plan by :func:`coalesce`.
+
+    Request ``r`` enters pattern ``p`` at ``starts[r, p]``; ``plan``
+    (None when every segment is empty) partitions ``symbols``. Request
+    ``head_requests[i]`` begins at chunk ``heads[i]``; request ``r`` ends
+    at chunk ``tails[r]``, or -1 when empty (it keeps its start state).
+    """
+
+    starts: np.ndarray
+    symbols: np.ndarray
+    plan: ChunkPlan | None
+    heads: np.ndarray
+    head_requests: np.ndarray
+    tails: np.ndarray
+
+    def seeds(self, p: int) -> dict:
+        """``{head chunk: known incoming state}`` of pattern ``p``."""
+        states = self.starts[self.head_requests, p]
+        return dict(zip(self.heads.tolist(), states.tolist()))
+
+
+def coalesce(
+    segments, starts, dfas, *, chunk_items: int, num_symbols: int | None = None
+) -> RequestBatch:
+    """Validate a request batch and concatenate it into one chunk plan.
+
+    The one validator of every batch entry point: ``starts`` is None,
+    ``(R,)`` for one machine or ``(R, P)``, and a wrong shape or state
+    raises one ``ValueError`` before anything runs. ``num_symbols``
+    range-checks the segments (None: the caller does). A request
+    contributes ``ceil(len / chunk_items)`` near-equal chunks.
+    """
+    R, P = len(segments), len(dfas)
+    if starts is None:
+        starts = np.tile([d.start for d in dfas], (R, 1))
+    starts = np.asarray(starts, dtype=np.int64)
+    want = (R,) if starts.ndim == 1 and P == 1 else (R, P)
+    if starts.shape != want:
+        raise ValueError(f"starts must have shape {want}, got {starts.shape}")
+    starts = starts.reshape(R, P)
+    bound = np.array([d.num_states for d in dfas])
+    bad = np.flatnonzero(((starts < 0) | (starts >= bound)).any(axis=0))
+    if bad.size:
+        p = int(bad[0])
+        raise ValueError(f"starts out of range: machine {p} has states [0, {bound[p]})")
+    if chunk_items < 1:
+        raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
+    segs = [np.ascontiguousarray(np.asarray(seg)) for seg in segments]
+    for i, seg in enumerate(segs):
+        if seg.ndim != 1:
+            raise ValueError(f"segment {i} must be 1-D, got shape {seg.shape}")
+        if num_symbols is not None:
+            check_symbols(seg, num_symbols)
+    live = [r for r, seg in enumerate(segs) if seg.size]
+    parts = [plan_chunks(segs[r].size, -(-segs[r].size // chunk_items)) for r in live]
+    counts = np.array([part.num_chunks for part in parts], dtype=np.int64)
+    tails = np.full(R, -1, dtype=np.int64)
+    tails[live] = np.cumsum(counts) - 1
+    return RequestBatch(
+        starts=starts,
+        symbols=np.concatenate([segs[r] for r in live]) if live else np.zeros(0),
+        plan=(
+            plan_from_lengths(np.concatenate([part.lengths for part in parts]))
+            if live else None
+        ),
+        heads=np.cumsum(counts) - counts,
+        head_requests=np.asarray(live, dtype=np.int64),
+        tails=tails,
+    )
+
+
+def speculate_lanes(
+    lanes: Lanes, symbols: np.ndarray, plan: ChunkPlan, *, lookback: int,
+    stats: ExecStats | None = None, pins=None, coverage: bool = False,
+    speculator=None,
+):
+    """Per-pattern look-back speculation, stacked into the union lanes.
+
+    Returns ``(cols, spec, covered)``: each pattern's rows in its own
+    states, the ``(chunks, k_total)`` union-state tensor, and with
+    ``coverage`` each pattern's coverage mask. ``pins=(chunks, states)``
+    with ``(len(chunks), P)`` states pins known incoming states
+    (:func:`repro.core.lookback.pin_states`). The pool passes its own
+    ``speculate`` as ``speculator``, keeping its lookup site observable.
+    """
+    n = plan.num_chunks
+    sample = symbols[: 1 << 14]
+    cols, covered = [], []
+    for p, dfa in enumerate(lanes.dfas):
+        if lanes.widths[p] >= dfa.num_states:
+            spec_p, cov = enumerative_spec(dfa, n), np.ones(n, dtype=bool)
+        else:
+            out = (speculator or speculate)(
+                dfa, symbols, plan, lanes.widths[p], lookback=lookback,
+                prior=lanes.prior(p, sample) if symbols.size else None,
+                stats=stats, return_coverage=coverage,
+            )
+            spec_p, cov = out if coverage else (out, None)
+        if pins is not None:
+            pin_states(spec_p, pins[0], np.asarray(pins[1])[:, p])
+        cols.append(spec_p)
+        covered.append(cov if coverage else None)
+    shifted = [s + int(lanes.offsets[p]) for p, s in enumerate(cols)]
+    return cols, np.concatenate(shifted, axis=1), covered
+
+
 def _shifted_run(run, offset: int, symbols: np.ndarray, state: int) -> int:
     """Run a pattern-local ``state`` on a union-table stepper."""
     return run(symbols, state + offset) - offset
 
 
-def _pattern_widths(stack: MachineStack, k) -> list[int]:
-    """Per-pattern speculation widths (``k`` clamped to each state count)."""
-    if k is None:
-        return [d.num_states for d in stack.class_dfas]
-    if int(k) < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return [min(int(k), d.num_states) for d in stack.class_dfas]
+def resolve_pattern(
+    lanes: Lanes, p: int, symbols: np.ndarray, plan: ChunkPlan,
+    spec_p: np.ndarray, end: np.ndarray, *, check: str, stats: ExecStats,
+    replay: ChunkReplay | None = None, merge: str = "parallel",
+    schedule: str = "ooo", seeds: dict | None = None,
+    covered: np.ndarray | None = None, truth: bool = True,
+):
+    """Resolve pattern ``p`` of one pass: ``(final, true_starts, board)``.
+
+    Shifts the pattern's columns of ``end`` back into its own states;
+    misses replay on the union hook ``replay`` shifted into the
+    pattern's block (closed under transition). ``"ooo"`` posts chunks
+    shortest-first to a scoreboard seeded with ``seeds`` (``board``);
+    ``"barrier"`` merges with ``merge``. ``truth`` recovers skipped
+    chunk entry states.
+    """
+    lo, off, dfa = sum(lanes.widths[:p]), int(lanes.offsets[p]), lanes.dfas[p]
+    end_p = end[:, lo : lo + lanes.widths[p]] - off
+    if replay is not None and off:
+        replay = replace(replay, run=partial(_shifted_run, replay.run, off))
+    converged = None
+    if covered is not None:
+        converged = converged_chunks(end_p, covered)
+        stats.chunks_converged += int(converged.sum())
+    results = ChunkResults(
+        spec=spec_p, end=end_p, valid=np.ones_like(spec_p, dtype=bool),
+        converged=converged,
+    )
+    board = None
+    if schedule == "ooo":
+        board = ChunkScoreboard(
+            dfa, symbols, plan, lanes.widths[p], mode=merge, check=check,
+            stats=stats, replay=replay, seeds=seeds,
+        )
+        for c in np.argsort(plan.lengths, kind="stable"):
+            board.post(
+                int(c), spec_p[c], end_p[c],
+                converged=converged is not None and bool(converged[c]),
+            )
+        final, true_starts = board.resolve()
+    elif merge == "sequential":
+        final, true_starts = merge_sequential(
+            dfa, symbols, plan, results, check=check, stats=stats, replay=replay
+        )
+    else:
+        final, _ = merge_parallel(
+            dfa, symbols, plan, results, check=check, stats=stats, replay=replay
+        )
+        true_starts = None
+    if truth and true_starts is None:
+        _, true_starts = true_boundary_walk(
+            dfa, symbols, plan, results, replay=replay
+        )
+    return int(final), true_starts, board
+
+
+def run_lane_batch(
+    lanes: Lanes, batch: RequestBatch, symbols: np.ndarray, *, lookback: int,
+    check: str, stats: ExecStats, kernel_plan: KernelPlan | None = None,
+    native=None,
+) -> np.ndarray:
+    """The one in-process batch pass: ``(R, P)`` final states of ``batch``.
+
+    ``symbols`` is ``batch.symbols`` in the lanes' alphabet. Request
+    heads are pinned; all lanes step at once (compiled loop with a
+    ``native`` kernel of width ``k_total``, kernel layer on a near-equal
+    plan, ragged pass otherwise); each pattern resolves on a scoreboard
+    seeded at the heads, so resolution never crosses a request. Misses
+    replay natively, on the caller's ``kernel_plan``, or on the table.
+    """
+    plan, k_total = batch.plan, lanes.k_total
+    cols, spec, _ = speculate_lanes(
+        lanes, symbols, plan, lookback=lookback, stats=stats,
+        pins=(batch.heads, batch.starts[batch.head_requests]),
+    )
+    replay = None
+    if native is not None and native.spec.k == k_total:
+        end = native.process_chunks(symbols, plan, spec, stats=stats)
+        replay = ChunkReplay(native.run_segment, symbols, plan, path="native")
+    elif plan.max_len - plan.min_len > 1:
+        # Mixed request sizes skew the plan; the divergent full-width pass
+        # still advances every lane in one fused gather per step.
+        end = process_chunks_ragged(lanes.union, symbols, plan, spec, stats=stats)
+    else:
+        kplan = kernel_plan or plan_kernel(
+            lanes.union, chunk_len=plan.max_len, num_chunks=plan.num_chunks,
+            k=k_total, kernel="auto", compaction=lanes.compaction,
+        )
+        end = process_chunks_kernel(
+            lanes.union, symbols, plan, spec, kplan, stats=stats
+        )
+    if replay is None and kernel_plan is not None:
+        replay = ChunkReplay(partial(run_segment_kernel, kernel_plan), symbols, plan)
+    finals = batch.starts.astype(np.int32)
+    live = batch.tails >= 0
+    for p in range(len(lanes.dfas)):
+        _, _, board = resolve_pattern(
+            lanes, p, symbols, plan, cols[p], end, check=check, stats=stats,
+            replay=replay, seeds=batch.seeds(p), truth=False,
+        )
+        finals[live, p] = board.out_state[batch.tails[live]]
+    return finals
+
+
+# --------------------------------------------------------------------------- #
+# the batched route and the serving adapter
+# --------------------------------------------------------------------------- #
 
 
 def _run_batched_route(
-    stack: MachineStack,
-    cls: np.ndarray,
-    plan: ChunkPlan,
-    *,
-    k,
-    merge: str,
-    check: str,
-    lookback: int,
-    kernel: str,
-    collapse,
-    schedule: str,
-    backend: str,
-    collect: tuple[str, ...],
-    table_budget_bytes: int,
+    stack: MachineStack, cls: np.ndarray, plan: ChunkPlan, *, k, merge: str,
+    check: str, lookback: int, kernel: str, collapse, schedule: str,
+    backend: str, collect: tuple[str, ...], table_budget_bytes: int,
 ) -> MultiPatternResult:
     """Batched multi-DFA stepping over the block-diagonal union table."""
-    P = stack.num_patterns
-    n = plan.num_chunks
-    widths = _pattern_widths(stack, k)
-    lane_off = np.concatenate([[0], np.cumsum(widths)])
-    K_total = int(lane_off[-1])
-    union = stack.union_dfa
-    stats = ExecStats(
-        num_items=int(cls.size),
-        num_chunks=n,
-        k=K_total,
-        num_states=union.num_states,
-        num_inputs=union.num_inputs,
-    )
+    P, n, union = stack.num_patterns, plan.num_chunks, stack.union_dfa
+    lanes = group_lanes(stack, k)
+    K_total = lanes.k_total
+    stats = lanes.new_stats(cls.size, n)
 
     collapse_requested = not (
         collapse is None
@@ -780,31 +1047,12 @@ def _run_batched_route(
             collapse_cfg = resolve_collapse(collapse, union, cls, k=K_total)
             sp.set(resolved=collapse_cfg.label if collapse_cfg else "off")
 
-    # --- speculation: per-pattern look-back, stacked into union lanes --- #
-    spec_cols: list[np.ndarray] = []
-    covered_cols: list[np.ndarray | None] = []
     with trace_span("mp.speculate", patterns=P, chunks=n, k=K_total):
-        sample = cls[: 1 << 14]
-        for p, cdfa in enumerate(stack.class_dfas):
-            if widths[p] >= cdfa.num_states:
-                spec_p = enumerative_spec(cdfa, n)
-                cov_p = np.ones(n, dtype=bool) if collapse_requested else None
-            else:
-                prior = stack.pattern_prior(p, sample) if cls.size else None
-                out = speculate(
-                    cdfa, cls, plan, widths[p],
-                    lookback=lookback, prior=prior, stats=stats,
-                    return_coverage=collapse_requested,
-                )
-                spec_p, cov_p = out if collapse_requested else (out, None)
-            spec_cols.append(spec_p)
-            covered_cols.append(cov_p)
-        spec_all = np.concatenate(
-            [s.astype(np.int64) + stack.offsets[p] for p, s in enumerate(spec_cols)],
-            axis=1,
-        ).astype(np.int32)
+        cols, spec_all, covered = speculate_lanes(
+            lanes, cls, plan, lookback=lookback, stats=stats,
+            coverage=collapse_requested,
+        )
 
-    # --- kernel plan over the union table (identity compaction) --------- #
     kplan = stack.kernel_plan(
         chunk_len=plan.max_len, num_chunks=n, k=K_total,
         kernel=kernel, table_budget_bytes=table_budget_bytes,
@@ -816,10 +1064,9 @@ def _run_batched_route(
         nplan = load_native_plan(
             union, k=K_total, kernel=kplan.kernel, kplan=kplan,
             collapse=collapse_cfg, chunk_len=plan.max_len, num_chunks=n,
-            patterns=P, group_widths=tuple(int(w) for w in widths),
+            patterns=P, group_widths=lanes.widths,
         )
 
-    # --- one fused local pass for all patterns -------------------------- #
     with trace_span(
         "mp.local_exec", chunks=n, k=K_total, kernel=kplan.kernel,
         backend="native" if nplan is not None else "vectorized",
@@ -831,101 +1078,34 @@ def _run_batched_route(
             native=nplan,
         )
 
-    # --- per-pattern merge / resolution --------------------------------- #
     finals = np.empty(P, dtype=np.int64)
     boundary = np.empty((n, P), dtype=np.int32)
+    replay = None
+    if nplan is not None:
+        replay = ChunkReplay(nplan.run_segment, cls, plan, path="native")
     with trace_span("mp.resolve", patterns=P, schedule=schedule, merge=merge):
-        for p, cdfa in enumerate(stack.class_dfas):
-            lo, hi = int(lane_off[p]), int(lane_off[p + 1])
-            off = int(stack.offsets[p])
-            spec_p = spec_cols[p]
-            end_p = (end_all[:, lo:hi].astype(np.int64) - off).astype(np.int32)
-            replay = None
-            if nplan is not None:
-                # Pattern-local states ride the union kernel shifted into
-                # the pattern's block, which is closed under transition.
-                replay = ChunkReplay(
-                    partial(_shifted_run, nplan.run_segment, off), cls, plan,
-                    path="native",
-                )
-            converged_p = None
-            if collapse_requested and covered_cols[p] is not None:
-                converged_p = converged_chunks(end_p, covered_cols[p])
-                stats.chunks_converged += int(converged_p.sum())
-            if schedule == "ooo":
-                board = ChunkScoreboard(
-                    cdfa, cls, plan, widths[p], mode=merge, check=check,
-                    stats=stats, replay=replay,
-                )
-                for c in np.argsort(plan.lengths, kind="stable"):
-                    board.post(
-                        int(c), spec_p[c], end_p[c],
-                        converged=(
-                            bool(converged_p[c]) if converged_p is not None
-                            else False
-                        ),
-                    )
-                final_p, ts_p = board.resolve()
-                if ts_p is None:
-                    results = ChunkResults(
-                        spec=board.spec, end=board.end, valid=board.valid,
-                        converged=converged_p,
-                    )
-                    _, ts_p = true_boundary_walk(
-                        cdfa, cls, plan, results, replay=replay
-                    )
-            else:
-                results = ChunkResults(
-                    spec=spec_p, end=end_p,
-                    valid=np.ones_like(spec_p, dtype=bool),
-                    converged=converged_p,
-                )
-                if merge == "sequential":
-                    final_p, ts_p = merge_sequential(
-                        cdfa, cls, plan, results, check=check, stats=stats,
-                        replay=replay,
-                    )
-                else:
-                    final_p, _ = merge_parallel(
-                        cdfa, cls, plan, results, check=check, stats=stats,
-                        replay=replay,
-                    )
-                    _, ts_p = true_boundary_walk(
-                        cdfa, cls, plan, results, replay=replay
-                    )
-            finals[p] = int(final_p)
-            boundary[:, p] = ts_p
+        for p in range(P):
+            finals[p], boundary[:, p], _ = resolve_pattern(
+                lanes, p, cls, plan, cols[p], end_all, check=check,
+                stats=stats, replay=replay, merge=merge, schedule=schedule,
+                covered=covered[p],
+            )
 
-    # --- shared match recovery ------------------------------------------ #
-    matches: list[np.ndarray | None] = [None] * P
+    matches = None
     if "match_positions" in collect:
         with trace_span(
             "mp.recover", route="batched", patterns=P,
             replay="native" if nplan is not None else "numpy",
         ):
-            accept_matrix = _batched_accept_matrix(stack)
-            states0 = boundary.astype(np.int64) + stack.offsets[:-1][None, :]
             matches = _group_matches(
-                nplan, union.table, accept_matrix, cls, plan,
-                states0.astype(np.int32),
+                nplan, union.table, _batched_accept_matrix(stack), cls, plan,
+                boundary + stack.offsets[:-1].astype(np.int32),
             )
 
-    patterns = tuple(
-        PatternResult(
-            name=stack.machines[p].name or f"pattern_{p}",
-            accepted=bool(stack.machines[p].accepting[finals[p]]),
-            final_state=int(finals[p]),
-            match_positions=matches[p],
-            true_starts=boundary[:, p].copy(),
-        )
-        for p in range(P)
-    )
+    accepted = union.accepting[finals + stack.offsets[:-1]]
     return MultiPatternResult(
-        route="batched",
-        patterns=patterns,
-        stats=stats,
-        plan=plan,
-        stack=stack,
+        route="batched", stats=stats, plan=plan, stack=stack,
+        patterns=_pattern_results(stack, accepted, matches, finals, boundary),
         trace=current_trace(),
     )
 
@@ -944,12 +1124,11 @@ def run_multipattern_batch(
     """Coalesce many requests against one pattern group into one pass.
 
     The serving layer's multi-pattern primitive: every request's raw
-    segment is checked against **all** patterns of the group. Segments are
-    concatenated into one shared chunk plan, the union table advances all
-    patterns' lanes in one fused pass, and each pattern resolves on its own
-    seeded :class:`repro.core.scoreboard.ChunkScoreboard` (request heads
-    pin that pattern's start state, so resolution fronts never cross
-    request boundaries).
+    segment is checked against **all** patterns of the group. A thin
+    adapter over the one batch pass, :func:`run_lane_batch`: the
+    coalesced segments are remapped through the joint alphabet once, all
+    patterns' lanes advance in one fused pass, and each pattern resolves
+    on its own scoreboard seeded at the request heads.
 
     ``starts`` (optional, ``(num_requests, P)`` pattern-local states)
     carries each request's per-pattern state into the round — the serving
@@ -960,133 +1139,23 @@ def run_multipattern_batch(
     ``(num_requests, P)`` — per-request, per-pattern outcomes in the
     patterns' own state spaces.
     """
-    from repro.workloads.chunking import plan_from_lengths
-
-    P = stack.num_patterns
-    segs = []
-    for i, seg in enumerate(segments):
-        seg = np.ascontiguousarray(np.asarray(seg))
-        if seg.ndim != 1:
-            raise ValueError(f"segment {i} must be 1-D, got shape {seg.shape}")
-        check_symbols(seg, stack.joint.num_symbols)
-        segs.append(seg)
-    if chunk_items < 1:
-        raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
-    num_requests = len(segs)
-    widths = _pattern_widths(stack, k)
-    K_total = int(sum(widths))
-
-    if starts is not None:
-        starts = np.asarray(starts, dtype=np.int64)
-        if starts.shape != (num_requests, P):
-            raise ValueError(
-                f"starts must have shape ({num_requests}, {P}), "
-                f"got {starts.shape}"
+    lanes = group_lanes(stack, k)
+    batch = coalesce(
+        segments, starts, lanes.dfas, chunk_items=chunk_items,
+        num_symbols=stack.joint.num_symbols,
+    )
+    finals = batch.starts.astype(np.int32)
+    if batch.plan is not None:
+        n = batch.plan.num_chunks
+        cls = stack.joint.remap(batch.symbols).astype(np.int32)
+        if stats is None:
+            stats = lanes.new_stats(cls.size, n)
+        with trace_span(
+            "mp.batch", requests=len(segments), patterns=len(lanes.dfas),
+            chunks=n, k=lanes.k_total,
+        ):
+            finals = run_lane_batch(
+                lanes, batch, cls, lookback=lookback, check=check, stats=stats,
             )
-        for p, cdfa in enumerate(stack.class_dfas):
-            col = starts[:, p]
-            if col.size and not bool(
-                ((col >= 0) & (col < cdfa.num_states)).all()
-            ):
-                raise ValueError(
-                    f"starts[:, {p}] out of range [0, {cdfa.num_states})"
-                )
-
-    final_states = np.empty((num_requests, P), dtype=np.int32)
-    if starts is not None:
-        final_states[:] = starts
-    else:
-        for p, cdfa in enumerate(stack.class_dfas):
-            final_states[:, p] = cdfa.start
-
-    lengths: list[int] = []
-    heads: list[tuple[int, int]] = []  # (head chunk, request) pairs
-    tail_chunk = np.full(num_requests, -1, dtype=np.int64)
-    for r, seg in enumerate(segs):
-        if not seg.size:
-            continue
-        nch = -(-seg.size // chunk_items)
-        heads.append((len(lengths), r))
-        lengths.extend(plan_chunks(seg.size, nch).lengths.tolist())
-        tail_chunk[r] = len(lengths) - 1
-
-    accepted = np.zeros((num_requests, P), dtype=bool)
-    if not lengths:
-        for p, cdfa in enumerate(stack.class_dfas):
-            accepted[:, p] = cdfa.accepting[final_states[:, p]]
-        return final_states, accepted
-
-    concat = np.concatenate([s for s in segs if s.size])
-    cls = stack.joint.remap(concat).astype(np.int32)
-    plan = plan_from_lengths(np.asarray(lengths, dtype=np.int64))
-    n = plan.num_chunks
-    union = stack.union_dfa
-    if stats is None:
-        stats = ExecStats(
-            num_items=int(cls.size), num_chunks=n, k=K_total,
-            num_states=union.num_states, num_inputs=union.num_inputs,
-        )
-
-    with trace_span(
-        "mp.batch", requests=num_requests, patterns=P, chunks=n, k=K_total,
-    ):
-        spec_cols = []
-        sample = cls[: 1 << 14]
-        for p, cdfa in enumerate(stack.class_dfas):
-            head_state = {
-                h: (int(starts[r, p]) if starts is not None else int(cdfa.start))
-                for h, r in heads
-            }
-            if widths[p] >= cdfa.num_states:
-                spec_p = enumerative_spec(cdfa, n)
-            else:
-                prior = stack.pattern_prior(p, sample)
-                spec_p = speculate(
-                    cdfa, cls, plan, widths[p],
-                    lookback=lookback, prior=prior, stats=stats,
-                )
-                for h, s in head_state.items():
-                    if not (spec_p[h] == s).any():
-                        spec_p[h, -1] = s
-            spec_cols.append(spec_p)
-        spec_all = np.concatenate(
-            [s.astype(np.int64) + stack.offsets[p] for p, s in enumerate(spec_cols)],
-            axis=1,
-        ).astype(np.int32)
-
-        if plan.max_len - plan.min_len <= 1:
-            kplan = plan_kernel(
-                union, chunk_len=plan.max_len, num_chunks=n, k=K_total,
-                kernel="auto", compaction=stack.identity_compaction(),
-            )
-            end_all = process_chunks_kernel(
-                union, cls, plan, spec_all, kplan, stats=stats,
-            )
-        else:
-            # Mixed request sizes make the coalesced plan skewed; the
-            # divergent full-width lockstep pass still advances every
-            # pattern's lanes in one fused gather per step.
-            end_all = process_chunks_ragged(
-                union, cls, plan, spec_all, stats=stats,
-            )
-
-        lane_off = np.concatenate([[0], np.cumsum(widths)])
-        live = tail_chunk >= 0
-        for p, cdfa in enumerate(stack.class_dfas):
-            lo, hi = int(lane_off[p]), int(lane_off[p + 1])
-            off = int(stack.offsets[p])
-            end_p = (end_all[:, lo:hi].astype(np.int64) - off).astype(np.int32)
-            seeds = {
-                h: (int(starts[r, p]) if starts is not None else int(cdfa.start))
-                for h, r in heads
-            }
-            board = ChunkScoreboard(
-                cdfa, cls, plan, widths[p], mode="parallel", check=check,
-                stats=stats, seeds=seeds,
-            )
-            for c in np.argsort(plan.lengths, kind="stable"):
-                board.post(int(c), spec_cols[p][c], end_p[c])
-            board.resolve()
-            final_states[live, p] = board.out_state[tail_chunk[live]]
-            accepted[:, p] = cdfa.accepting[final_states[:, p]]
-    return final_states, accepted
+    accepted = lanes.union.accepting[finals + lanes.offsets[:-1]].astype(bool)
+    return finals, accepted

@@ -102,10 +102,10 @@ class ChunkScoreboard:
     seeds:
         Optional ``{chunk: known_incoming_state}`` map pinning *exact*
         incoming states at arbitrary chunks. Each seed opens an
-        independent resolution front at construction time — the batching
-        layer (:func:`repro.core.engine.run_speculative_batch`) uses one
-        seed per coalesced request so many independent jobs resolve on a
-        single scoreboard without composing across request boundaries:
+        independent resolution front at construction time — the batch
+        passes (:func:`repro.core.multipattern.run_lane_batch`, the pool's
+        ``run_batch``) use one seed per coalesced request so many jobs
+        resolve on one scoreboard without composing across requests:
         resolution never propagates *into* a seeded chunk (its incoming
         state is already known), so a request tail's outgoing state never
         leaks into the next request's head. Seeded chunks are not

@@ -171,12 +171,16 @@ class _GroupInfo:
 
 @dataclass
 class _MachineState:
-    """Everything shareable across tenants serving the same DFA."""
+    """Everything shareable across tenants serving the same DFA.
+
+    Group rounds draw priors from the stack, so groups carry no
+    ``prior`` or ``kplan``.
+    """
 
     dfa: DFA
     fingerprint: str
-    prior: np.ndarray
-    kplan: KernelPlan
+    prior: np.ndarray | None = None
+    kplan: KernelPlan | None = None
     pool: ScaleoutPool | None = None
     native: NativeKernel | None = None
     coordinator: ShardCoordinator | None = None
@@ -324,28 +328,9 @@ class FSMServer:
                 "serve.group_build", machine=fp[:12],
                 patterns=stack.num_patterns,
             ):
-                union = stack.union_dfa
                 ms = _MachineState(
-                    dfa=union,
+                    dfa=stack.union_dfa,
                     fingerprint=fp,
-                    prior=state_prior(union),
-                    kplan=plan_kernel(
-                        union,
-                        chunk_len=self.config.chunk_items,
-                        num_chunks=max(
-                            1,
-                            self.config.round_budget_items
-                            // self.config.chunk_items,
-                        ),
-                        k=min(
-                            union.num_states,
-                            stack.num_patterns
-                            * (self.config.k or union.num_states),
-                        ),
-                        kernel="auto",
-                        compaction=stack.identity_compaction(),
-                        amortize_builds=16,
-                    ),
                     group=_GroupInfo(stack=stack, pattern_of={}),
                 )
             self._machines[fp] = ms
@@ -611,13 +596,10 @@ class FSMServer:
             from repro.core.multipattern import run_multipattern_batch
 
             stack = ms.group.stack
+            rows = np.arange(len(segments))
             cols = [ms.group.pattern_of[req.tenant] for req, _ in rnd.entries]
-            starts_mat = np.tile(
-                np.array([m.start for m in stack.machines], dtype=np.int32),
-                (len(segments), 1),
-            )
-            for i, (c, st) in enumerate(zip(cols, starts)):
-                starts_mat[i, c] = st
+            starts_mat = np.tile([m.start for m in stack.machines], (rows.size, 1))
+            starts_mat[rows, cols] = starts
             self.trace.count("serve.group_rounds", 1)
             finals_mat, _accepted = run_multipattern_batch(
                 stack,
@@ -627,10 +609,7 @@ class FSMServer:
                 chunk_items=cfg.chunk_items,
                 starts=starts_mat,
             )
-            finals = np.array(
-                [finals_mat[i, c] for i, c in enumerate(cols)], dtype=np.int32
-            )
-            return finals, False
+            return finals_mat[rows, cols], False
         if ms.coordinator is not None:
             # Each request's slice runs across the cluster; carried
             # states thread through exactly as in the other executors.
