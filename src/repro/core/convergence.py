@@ -27,7 +27,8 @@ This module makes that observation a runtime optimization:
   (Div7) to a vanishing fraction of the stepping work.
 * :func:`probe_cadence` / :func:`resolve_collapse` — choose the scan
   cadence by simulating ``k`` probe lanes over a mid-input sample until
-  they first shrink.
+  they first shrink. :func:`resolve_group_collapse` does the same for a
+  pattern group stepping in one union pass, one probe per pattern.
 * :func:`converged_chunks` — the downstream contract: a chunk whose
   speculation row *covers* the look-back image (the true boundary state is
   guaranteed to be among the speculated states) and whose ``k`` lanes all
@@ -63,6 +64,7 @@ __all__ = [
     "coverage_mask",
     "probe_cadence",
     "resolve_collapse",
+    "resolve_group_collapse",
     "DEFAULT_CADENCE",
     "CADENCE_BACKOFF",
 ]
@@ -434,3 +436,34 @@ def resolve_collapse(
     raise ValueError(
         f"collapse must be 'auto', 'on', 'off', or a CollapseConfig, got {mode!r}"
     )
+
+
+def resolve_group_collapse(
+    mode: "str | CollapseConfig | None",
+    dfas,
+    inputs: np.ndarray,
+    *,
+    widths,
+) -> tuple[CollapseConfig | None, tuple]:
+    """Resolve ``collapse`` for a pattern group stepping in one union pass.
+
+    Returns ``(config, cadences)``. ``"auto"`` probes each pattern's own
+    machine at its own lane width (``cadences[p]``; None when pattern
+    ``p`` never shrinks or has a single lane). Probing the block-diagonal
+    union instead cannot work: its warm-up already converges every block,
+    and lanes of different blocks never merge, so that probe sees nothing
+    shrink. The group's collapse fires only once every pattern's lanes
+    agree, so it is enabled only when every multi-lane pattern has a
+    cadence, at the largest of them. Other modes resolve as in
+    :func:`resolve_collapse` and report no cadences.
+    """
+    if not (isinstance(mode, str) and mode == "auto"):
+        return resolve_collapse(mode, None, inputs, k=int(sum(widths))), ()
+    cadences = tuple(
+        probe_cadence(d, inputs, k=w) if w > 1 else None
+        for d, w in zip(dfas, widths)
+    )
+    probed = [c for c, w in zip(cadences, widths) if w > 1]
+    if not probed or any(c is None for c in probed):
+        return None, cadences
+    return CollapseConfig(cadence=max(probed)), cadences

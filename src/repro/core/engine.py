@@ -39,7 +39,6 @@ from repro.core.plan import (
     GPU_NUM_BLOCKS,
     GPU_THREADS_PER_BLOCK,
     auto_backend,
-    cpu_chunks,
     gpu_args_given,
     resolve_plan,
 )
@@ -886,12 +885,11 @@ def _run_group(
         kernel = kernel or "auto"
     if backend == "auto":
         backend = auto_backend(size)
+    num_chunks = None  # run_multipattern's CPU rule
     if gpu_given:
         num_chunks = (num_blocks or GPU_NUM_BLOCKS) * (
             threads_per_block or GPU_THREADS_PER_BLOCK
         )
-    else:
-        num_chunks = cpu_chunks(size, backend)
     return run_multipattern(
         machines, inputs, num_chunks=num_chunks, kernel=kernel,
         backend=backend, collect=collect, **options,

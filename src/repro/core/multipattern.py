@@ -31,11 +31,16 @@ machine. Only viable when the product stays under a state budget.
 ``route="auto"`` tries the product under the budget and falls back to
 batched.
 
-Per-pattern match positions are recovered from one additional truth pass
-shared by the whole group (not one pass per pattern) — the native accept
-pass when a compiled kernel stepped the group, NumPy lock-step otherwise —
-and are bit-exact against the sequential reference on every kernel /
-schedule / collapse combination — the property tests assert exactly that.
+Per-pattern match positions come from a truth pass shared by the whole
+group (not one pass per pattern) — the native accept pass when a compiled
+kernel stepped the group, NumPy lock-step otherwise. On the batched native
+route with lane collapse on, the stepping pass itself records the matches
+of every chunk after its lanes collapse; the truth pass then replays only
+the prefix before the collapse of each chunk whose speculation hit, and
+replays in full only the chunks that missed or never collapsed (the
+paper's delayed re-execution, §3.3, applied to outputs). Matches are
+bit-exact against the sequential reference on every kernel / schedule /
+collapse combination — the property tests assert exactly that.
 
 The batched route and the one request-batch driver (:func:`run_lane_batch`,
 behind :func:`run_multipattern_batch` and
@@ -54,7 +59,7 @@ import numpy as np
 from repro.core.convergence import (
     CollapseConfig,
     converged_chunks,
-    resolve_collapse,
+    resolve_group_collapse,
 )
 from repro.core.kernels import (
     DEFAULT_TABLE_BUDGET_BYTES,
@@ -68,6 +73,7 @@ from repro.core.lookback import enumerative_spec, pin_states, speculate, state_p
 from repro.core.local import process_chunks_ragged
 from repro.core.merge_par import merge_parallel
 from repro.core.merge_seq import merge_sequential, true_boundary_walk
+from repro.core.plan import cpu_chunks
 from repro.core.replay import ChunkReplay
 from repro.core.scoreboard import ChunkScoreboard
 from repro.core.types import ChunkResults, ExecStats
@@ -76,6 +82,7 @@ from repro.fsm.alphabet import (
     JointCompaction,
     compact_alphabet_joint,
 )
+from repro.fsm.analysis import group_state_frequency
 from repro.fsm.dfa import DFA
 from repro.fsm.product import (
     ProductDFA,
@@ -112,6 +119,9 @@ DEFAULT_PRODUCT_MAX_PATTERNS = 8
 # Union kernel plans kept per stack (one per chunk geometry); the oldest
 # goes first.
 _KPLAN_CACHE_MAX = 4
+# Symbols a pattern prior samples, as in
+# repro.fsm.analysis.dynamic_state_frequency_sampled.
+_PRIOR_SAMPLE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -180,15 +190,26 @@ class MachineStack:
         """Pattern ``p``'s speculation prior, computed once per stack.
 
         The prior only steers *which* states get speculated — a stale one
-        costs misses, never wrong answers — so the sampled reference walk
-        (the expensive part) runs once per pattern and is reused by every
-        subsequent call against this stack.
+        costs misses, never wrong answers — so the sampled reference walks
+        (the expensive part) run once, for every pattern together
+        (:func:`repro.fsm.analysis.group_state_frequency` walks the small
+        machines jointly), and are reused by every subsequent call against
+        this stack. Each prior equals
+        :func:`repro.core.lookback.state_prior` of the pattern's class
+        machine over ``sample``.
         """
         hit = self._prior_cache.get(p)
         if hit is None:
-            hit = state_prior(self.class_dfas[p], sample=sample)
+            priors = {}
+            for q, freq in enumerate(
+                group_state_frequency(self.class_dfas, sample[:_PRIOR_SAMPLE])
+            ):
+                freq = freq.astype(np.float64)
+                freq += 0.5  # state_prior's Laplace smoothing
+                priors[q] = freq / freq.sum()
             if sample.size:
-                self._prior_cache[p] = hit
+                self._prior_cache.update(priors)
+            hit = priors[p]
         return hit
 
     def kernel_plan(
@@ -433,6 +454,8 @@ def _group_matches(
     states0: np.ndarray,
     *,
     shared_trajectory: bool = False,
+    lengths: np.ndarray | None = None,
+    recorded: tuple | None = None,
 ) -> list[np.ndarray]:
     """Per-pattern match positions, on the kernel that did the stepping.
 
@@ -443,6 +466,10 @@ def _group_matches(
     ``accept_matrix[state]`` credits (shared product trajectory). Without
     one it is :func:`_recover_group_matches`, the NumPy oracle; both
     return the same arrays.
+
+    ``lengths`` (native only) replays just a prefix of each chunk, and
+    ``recorded = (positions, patterns)`` supplies the matches of the
+    rest, taken by the stepping pass (:func:`_clean_replay`).
     """
     if native is None:
         return _recover_group_matches(
@@ -451,18 +478,49 @@ def _group_matches(
         )
     P = accept_matrix.shape[1]
     pos, lane, state = native.accept_positions(
-        cls, plan.starts, plan.lengths, states0, accept_matrix.any(axis=1)
+        cls, plan.starts, plan.lengths if lengths is None else lengths,
+        states0, accept_matrix.any(axis=1),
     )
     if shared_trajectory:
         rows, pats = np.nonzero(accept_matrix[state])
         pos = pos[rows]
     else:
         pats = lane
-    # Within one lane (or the one shared lane) positions already ascend;
-    # a stable sort by pattern keeps that order inside each pattern.
-    order = np.argsort(pats, kind="stable")
+    if recorded is None:
+        # Within one lane (or the one shared lane) positions already
+        # ascend; a stable sort by pattern keeps that order in a pattern.
+        order = np.argsort(pats, kind="stable")
+    else:
+        pos = np.concatenate([pos, recorded[0]])
+        pats = np.concatenate([pats, recorded[1]])
+        order = np.lexsort((pos, pats))
     bounds = np.cumsum(np.bincount(pats, minlength=P))[:-1]
     return np.split(pos[order], bounds)
+
+
+def _clean_replay(records, plan: ChunkPlan, cols, boundary: np.ndarray):
+    """What the truth pass still replays once the stepping pass recorded.
+
+    A chunk is *clean* when its lanes collapsed and every pattern's true
+    entry state (``boundary[c, p]``) is among that pattern's speculated
+    lanes (``cols[p][c]``): the true trajectory is then one of the lanes,
+    so from the collapse position on it is the recorded continuation.
+    Returns ``(lengths, recorded, clean)``: per-chunk replay lengths (the
+    prefix before the collapse for a clean chunk, the whole chunk
+    otherwise), the ``(positions, patterns)`` recorded in clean chunks,
+    and the clean mask. Events recorded in any other chunk are dropped.
+    """
+    clean = records.collapse_at >= 0
+    for p, spec_p in enumerate(cols):
+        clean &= (spec_p == boundary[:, p : p + 1]).any(axis=1)
+    lengths = np.where(clean, records.collapse_at, plan.lengths)
+    chunk = np.searchsorted(plan.starts, records.positions, side="right") - 1
+    keep = clean[chunk]
+    return (
+        lengths,
+        (records.positions[keep], records.patterns[keep].astype(np.intp)),
+        clean,
+    )
 
 
 def _batched_accept_matrix(stack: MachineStack) -> np.ndarray:
@@ -485,7 +543,7 @@ def run_multipattern(
     inputs: np.ndarray,
     *,
     k: int | None = 4,
-    num_chunks: int = 256,
+    num_chunks: int | None = None,
     merge: str = "parallel",
     check: str = "auto",
     lookback: int = 8,
@@ -517,6 +575,11 @@ def run_multipattern(
         Per-pattern speculation width; clamped to each pattern's state
         count (ragged groups simply get ragged lane widths). ``None``
         enumerates every pattern's states.
+    num_chunks:
+        Chunk count of the shared plan. ``None`` (default) applies the
+        engine's CPU rule, :func:`repro.core.plan.cpu_chunks` for the
+        input length and ``backend`` (64 chunks for a long native call).
+        Ignored when ``plan`` is given.
     route:
         ``"batched"``, ``"product"``, or ``"auto"`` — auto tries the
         product when the group is small enough (``product_max_patterns``)
@@ -527,7 +590,12 @@ def run_multipattern(
         budget, so a hopeless group costs only a prefix of the product).
     collect:
         ``("match_positions",)`` (default) recovers per-pattern match
-        positions from one shared truth pass; ``()`` skips it.
+        positions; ``()`` skips it. On the batched route with a native
+        kernel and lane collapse on, the stepping pass records the
+        matches after each chunk's collapse, and the shared truth pass
+        replays only the prefixes before the collapses plus the chunks
+        whose speculation missed. Otherwise the truth pass replays the
+        whole stream, one pass for the whole group.
     backend:
         ``"vectorized"`` or ``"native"``. Batched-route native execution
         compiles the union machine with the pattern count baked in
@@ -567,6 +635,8 @@ def run_multipattern(
     P = stack.num_patterns
 
     if plan is None:
+        if num_chunks is None:
+            num_chunks = cpu_chunks(inputs.size, backend)
         plan = plan_chunks(inputs.size, max(1, min(num_chunks, max(1, inputs.size))))
     elif plan.num_items != inputs.size:
         raise ValueError(
@@ -579,7 +649,7 @@ def run_multipattern(
         "mp.run", patterns=P, items=int(inputs.size), route=route,
         schedule=schedule, merge=merge,
     ) as sp:
-        cls = stack.joint.remap(inputs).astype(np.int32)
+        cls = stack.joint.remap(inputs).astype(np.int32, copy=False)
 
         if route == "auto":
             route = _select_route(
@@ -724,6 +794,7 @@ def _run_product_route(
         with trace_span(
             "mp.recover", route="product", patterns=stack.num_patterns,
             replay="native" if res.native is not None else "numpy",
+            replayed_chunks=plan.num_chunks, prefix_items=0,
         ):
             accept_matrix = np.stack(prod.accept_masks, axis=1)
             matches = _group_matches(
@@ -1044,8 +1115,13 @@ def _run_batched_route(
     collapse_cfg = None
     if collapse_requested:
         with trace_span("mp.collapse_resolve", k=K_total) as sp:
-            collapse_cfg = resolve_collapse(collapse, union, cls, k=K_total)
-            sp.set(resolved=collapse_cfg.label if collapse_cfg else "off")
+            collapse_cfg, cadences = resolve_group_collapse(
+                collapse, lanes.dfas, cls, widths=lanes.widths
+            )
+            sp.set(
+                resolved=collapse_cfg.label if collapse_cfg else "off",
+                cadences=list(cadences),
+            )
 
     with trace_span("mp.speculate", patterns=P, chunks=n, k=K_total):
         cols, spec_all, covered = speculate_lanes(
@@ -1067,16 +1143,26 @@ def _run_batched_route(
             patterns=P, group_widths=lanes.widths,
         )
 
+    # A recording kernel takes the matches after each collapse in this pass.
+    record = (
+        nplan is not None and nplan.spec.records and "match_positions" in collect
+    )
+    records = None
     with trace_span(
         "mp.local_exec", chunks=n, k=K_total, kernel=kplan.kernel,
         backend="native" if nplan is not None else "vectorized",
     ):
-        transformed = transform_layout(cls, plan) if nplan is None else None
-        end_all = process_chunks_kernel(
-            union, cls, plan, spec_all, kplan,
-            transformed=transformed, stats=stats, collapse=collapse_cfg,
-            native=nplan,
-        )
+        if record:
+            end_all, records = nplan.process_chunks_recording(
+                cls, plan, spec_all, union.accepting, stats=stats
+            )
+        else:
+            transformed = transform_layout(cls, plan) if nplan is None else None
+            end_all = process_chunks_kernel(
+                union, cls, plan, spec_all, kplan,
+                transformed=transformed, stats=stats, collapse=collapse_cfg,
+                native=nplan,
+            )
 
     finals = np.empty(P, dtype=np.int64)
     boundary = np.empty((n, P), dtype=np.int32)
@@ -1096,10 +1182,20 @@ def _run_batched_route(
         with trace_span(
             "mp.recover", route="batched", patterns=P,
             replay="native" if nplan is not None else "numpy",
-        ):
+        ) as sp:
+            lengths, recorded = None, None
+            replayed, prefix_items = n, 0
+            if records is not None:
+                lengths, recorded, clean = _clean_replay(
+                    records, plan, cols, boundary
+                )
+                replayed = n - int(clean.sum())
+                prefix_items = int(lengths[clean].sum())
+            sp.set(replayed_chunks=replayed, prefix_items=prefix_items)
             matches = _group_matches(
                 nplan, union.table, _batched_accept_matrix(stack), cls, plan,
                 boundary + stack.offsets[:-1].astype(np.int32),
+                lengths=lengths, recorded=recorded,
             )
 
     accepted = union.accepting[finals + stack.offsets[:-1]]
@@ -1147,7 +1243,7 @@ def run_multipattern_batch(
     finals = batch.starts.astype(np.int32)
     if batch.plan is not None:
         n = batch.plan.num_chunks
-        cls = stack.joint.remap(batch.symbols).astype(np.int32)
+        cls = stack.joint.remap(batch.symbols).astype(np.int32, copy=False)
         if stats is None:
             stats = lanes.new_stats(cls.size, n)
         with trace_span(

@@ -7,8 +7,10 @@ locals, stride-``m`` stepping, collapse-aware single-lane narrowing, and
 the ``compose_maps`` fold with its first-match semi-join — compiling it
 at first use with the system compiler, and caching artifacts in memory
 and on disk keyed by
-``(dfa_fingerprint, k, kernel, collapse, dtype, abi_version)`` so
-repeated tenants and restarted servers perform zero compiles.
+``(table fingerprint, k, kernel, collapse, dtype, abi_version)`` so
+repeated tenants and restarted servers perform zero compiles. The table
+fingerprint hashes the transition table and accepting mask, not the start
+state, which a kernel never reads.
 
 No hard dependency is added: artifacts are built by the system C
 compiler and loaded with stdlib ctypes; with no working compiler the

@@ -4,7 +4,7 @@ Artifacts are cached at two levels:
 
 * **in memory** — loaded handles live in :mod:`repro.core.native.runtime`;
 * **on disk** — ``<cache_dir>/<key>.so`` where ``key`` hashes
-  ``(dfa_fingerprint, k, kernel, collapse, dtype, abi_version)``, so a
+  ``(table fingerprint, k, kernel, collapse, dtype, abi_version)``, so a
   second process (a restarted server, a fresh pool worker) finds warm
   code and performs **zero** compiles.
 
@@ -50,7 +50,7 @@ __all__ = [
 #: Bumped whenever the generated C ABI (function signatures, counter
 #: layout) changes; part of the cache key so stale artifacts are never
 #: loaded by a newer runtime.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _ENV_CACHE_DIR = "REPRO_NATIVE_CACHE"
 

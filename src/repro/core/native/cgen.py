@@ -29,13 +29,22 @@ emits one C translation unit containing
   so the caller re-runs with a larger buffer instead of truncating. One
   lane per pattern serves the batched union, one lane over the product
   serves the product route, ``W = 1`` serves a single machine.
+* ``nk_process_chunks_rec`` — multi-pattern kernels with the collapse
+  fast path only: ``nk_process_chunks`` that also reports each chunk's
+  collapse position and records ``(position, pattern, state)`` for every
+  accepting step of the collapsed one-lane-per-pattern continuation. It
+  steps through marked tables: the class table with accepting targets as
+  ``~state`` (as in the accept pass) and the stride table with an entry
+  stored as ``~state`` when any of its ``m`` sub-steps accepts; a marked
+  stride step re-walks its ``m`` symbols one at a time. Like the accept
+  pass it counts every record (slot 6) and writes at most ``cap``.
 * ``nk_abi`` / ``nk_meta`` — sanity probes so a loader can verify an
   artifact matches the plan it was compiled for.
 
 Transition tables are **not** baked into the artifact — they arrive as
 pointers (the compacted class table and the optional stride table), so one
 artifact serves every buffer location (shared-memory views included) and
-the cache key stays ``(dfa_fingerprint, k, kernel, collapse, dtype, abi)``.
+the cache key stays ``(table fingerprint, k, kernel, collapse, dtype, abi)``.
 
 Counter slots written by the kernels (one ``int64[8]`` per call)::
 
@@ -45,6 +54,7 @@ Counter slots written by the kernels (one ``int64[8]`` per call)::
     3  fold: chunks re-executed on a semi-join miss
     4  fold: items re-executed (segment length x missing lanes)
     5  fold: checks skipped on converged chunks
+    6  records counted by nk_process_chunks_rec
 """
 
 from __future__ import annotations
@@ -67,6 +77,7 @@ SLOT_LANES_COLLAPSED = 2
 SLOT_FOLD_REEXEC_CHUNKS = 3
 SLOT_FOLD_REEXEC_ITEMS = 4
 SLOT_FOLD_CHECKS_SKIPPED = 5
+SLOT_RECORDS = 6
 NUM_SLOTS = 8
 
 
@@ -160,6 +171,12 @@ class NativeSpec:
     def collapsing(self) -> bool:
         """Whether the collapse fast path is generated at all."""
         return self.cadence > 0 and self.k > self.patterns
+
+    @property
+    def records(self) -> bool:
+        """Whether ``nk_process_chunks_rec`` is generated: the kernel has
+        the one-lane-per-pattern continuation of a collapsed chunk."""
+        return self.collapsing and self.patterns > 1
 
 
 def _stride_index(spec: NativeSpec, base: str) -> list[str]:
@@ -304,11 +321,12 @@ collapsed:
     {{
         i32 gs[NK_P];
 {_group_seed(spec)}
-        nk_advance_group(in + t, len - t, gs, class_of, Tc, Tm);
+        nk_advance_group(in + t, len - t, base + t, gs, class_of, Ta, Tma,
+                         rec);
         counters[{SLOT_GATHERS}] += (len - t) * NK_P;
 {_group_broadcast(spec)}
     }}
-    return;"""
+    return t;"""
 
     goff_decl = (
         "static const int GOFF[NK_P + 1] = {"
@@ -337,15 +355,30 @@ static int nk_all_equal(const i32 *st) {
 }
 """
     all_equal_helper = goff_decl + all_equal_helper
-    advance_group_helper = (
-        _advance_group_helper(spec)
-        if (spec.collapsing and spec.patterns > 1)
-        else ""
-    )
+    # Multi-pattern kernels with the collapse fast path record matches:
+    # the lane loop takes the chunk's base position, the marked tables and
+    # the record buffer, and returns the collapse position (-1: the chunk
+    # never collapsed). nk_process_chunks then runs the recording loop on
+    # the unmarked tables, so the artifact holds one copy of it.
+    if spec.records:
+        advance_group_helper = _advance_group_helper(spec)
+        advance_ret = "i64"
+        advance_extra = (
+            ",\n                             i64 base, const i32 *Ta,"
+            " const i32 *Tma, nk_rec *rec"
+        )
+        plain_return = "return -1;"
+        process_chunks = _process_rec(spec)
+    else:
+        advance_group_helper = ""
+        advance_ret = "void"
+        advance_extra = ""
+        plain_return = "return;"
+        process_chunks = _PROCESS_CHUNKS
 
     return f"""\
 /* Generated by repro.core.native.cgen — one artifact per
- * (dfa_fingerprint, k, kernel, collapse, dtype, abi). Do not edit. */
+ * (table fingerprint, k, kernel, collapse, dtype, abi). Do not edit. */
 #include <stdint.h>
 
 #define NK_ABI_SOURCE {ABI_VERSION}
@@ -395,9 +428,9 @@ i32 nk_run_segment(const i32 *in, i64 len, i32 s, const i32 *class_of,
 }}
 {all_equal_helper}{advance_group_helper}
 /* Advance all K lanes of one chunk. */
-static void nk_advance_chunk(const i32 *in, i64 len, i32 *lanes,
+static {advance_ret} nk_advance_chunk(const i32 *in, i64 len, i32 *lanes,
                              const i32 *class_of, const i32 *Tc,
-                             const i32 *Tm, i64 *counters) {{
+                             const i32 *Tm, i64 *counters{advance_extra}) {{
 {lane_load}
     i64 t = 0;
 {collapse_decls}
@@ -413,23 +446,10 @@ static void nk_advance_chunk(const i32 *in, i64 len, i32 *lanes,
         }}
     }}
 {lane_store}
-    return;{collapsed_label}
+    {plain_return}{collapsed_label}
 }}
 
-/* The local-processing kernel: spec -> end maps for every chunk. */
-void nk_process_chunks(const i32 *inputs, const i64 *starts,
-                       const i64 *lengths, i64 nchunks, const i32 *spec,
-                       i32 *end, const i32 *class_of, const i32 *Tc,
-                       const i32 *Tm, i64 *counters) {{
-    for (i64 c = 0; c < nchunks; c++) {{
-        i32 lanes[K];
-        for (int j = 0; j < K; j++) lanes[j] = spec[c * K + j];
-        nk_advance_chunk(inputs + starts[c], lengths[c], lanes,
-                         class_of, Tc, Tm, counters);
-        for (int j = 0; j < K; j++) end[c * K + j] = lanes[j];
-    }}
-}}
-
+{process_chunks}
 /* Left fold of per-chunk maps over chunk 0's speculation row: first-match
  * semi-join (compose_maps semantics), native re-execution on a miss, and
  * converged-chunk short-circuit. `row` carries the K running end states
@@ -520,6 +540,22 @@ i64 nk_accept_positions(const i32 *inputs, const i64 *starts,
 """
 
 
+_PROCESS_CHUNKS = """/* The local-processing kernel: spec -> end maps for every chunk. */
+void nk_process_chunks(const i32 *inputs, const i64 *starts,
+                       const i64 *lengths, i64 nchunks, const i32 *spec,
+                       i32 *end, const i32 *class_of, const i32 *Tc,
+                       const i32 *Tm, i64 *counters) {
+    for (i64 c = 0; c < nchunks; c++) {
+        i32 lanes[K];
+        for (int j = 0; j < K; j++) lanes[j] = spec[c * K + j];
+        nk_advance_chunk(inputs + starts[c], lengths[c], lanes,
+                         class_of, Tc, Tm, counters);
+        for (int j = 0; j < K; j++) end[c * K + j] = lanes[j];
+    }
+}
+"""
+
+
 def _broadcast_from_s(spec: NativeSpec) -> str:
     """Store the collapsed single lane ``s`` back into every output lane."""
     if spec.unrolled:
@@ -560,32 +596,115 @@ def _advance_group_helper(spec: NativeSpec) -> str:
 
     The per-pattern continuation of a fully collapsed multi-pattern
     chunk — the same stepping as :func:`nk_advance_one` but over
-    ``NK_P`` states sharing each gathered table row.
+    ``NK_P`` states sharing each gathered table row — over the marked
+    tables, recording ``(position, pattern, state)`` at every accepting
+    step (see the module docstring). Given unmarked tables it records
+    nothing. Emits the record buffer type and its helpers with it.
     """
     if spec.m > 1:
+        rewalk = """
+/* Re-walk one marked stride step symbol by symbol, recording each
+ * accepting sub-step. */
+static i32 nk_rewalk(const i32 *in, i64 pos, int g, i32 s,
+                     const i32 *class_of, const i32 *Ta, nk_rec *rec) {
+    for (int i = 0; i < M; i++) {
+        s = Ta[(i64)class_of[in[i]] * NS + s];
+        if (s < 0) { s = ~s; nk_record(rec, pos + i, g, s); }
+    }
+    return s;
+}
+"""
         stride = """\
-    if (M > 1 && Tm) {
+    if (M > 1 && Tma) {
         while (t + M <= len) {
             i64 idx = class_of[in[t]];
             for (int i = 1; i < M; i++)
                 idx = idx * NC + (i64)class_of[in[t + i]];
-            const i32 *row = Tm + idx * NS;
-            for (int g = 0; g < NK_P; g++) gs[g] = row[gs[g]];
+            const i32 *row = Tma + idx * NS;
+            for (int g = 0; g < NK_P; g++) {
+                i32 s = row[gs[g]];
+                if (s < 0)
+                    s = nk_rewalk(in + t, base + t, g, gs[g], class_of,
+                                  Ta, rec);
+                gs[g] = s;
+            }
             t += M;
         }
     }
 """
     else:
+        rewalk = ""
         stride = "    /* m == 1: per-symbol stepping only */\n"
     return f"""
+typedef struct {{
+    i64 *pos;
+    i32 *pat;
+    i32 *state;
+    i64 cap;
+    i64 count;
+}} nk_rec;
+
+static void nk_record(nk_rec *rec, i64 pos, int g, i32 s) {{
+    if (rec->count < rec->cap) {{
+        rec->pos[rec->count] = pos;
+        rec->pat[rec->count] = g;
+        rec->state[rec->count] = s;
+    }}
+    rec->count++;
+}}
+{rewalk}
 /* Advance one lane per pattern group (collapsed-chunk continuation). */
-static void nk_advance_group(const i32 *in, i64 len, i32 *gs,
-                             const i32 *class_of, const i32 *Tc,
-                             const i32 *Tm) {{
+static void nk_advance_group(const i32 *in, i64 len, i64 base, i32 *gs,
+                             const i32 *class_of, const i32 *Ta,
+                             const i32 *Tma, nk_rec *rec) {{
     i64 t = 0;
 {stride}    for (; t < len; t++) {{
-        const i32 *row = Tc + (i64)class_of[in[t]] * NS;
-        for (int g = 0; g < NK_P; g++) gs[g] = row[gs[g]];
+        const i32 *row = Ta + (i64)class_of[in[t]] * NS;
+        for (int g = 0; g < NK_P; g++) {{
+            i32 s = row[gs[g]];
+            if (s < 0) {{ s = ~s; nk_record(rec, base + t, g, s); }}
+            gs[g] = s;
+        }}
     }}
+}}
+"""
+
+
+def _process_rec(spec: NativeSpec) -> str:
+    """Emit ``nk_process_chunks_rec`` and ``nk_process_chunks`` over it."""
+    return f"""\
+/* The local-processing kernel that also writes each chunk's collapse
+ * position (-1: never collapsed; skipped when collapse_at is NULL) and
+ * records the accepting steps of every collapsed continuation;
+ * counters[{SLOT_RECORDS}] counts them all, at most `cap` are written.
+ * noipa keeps the one copy nk_process_chunks calls. */
+__attribute__((noipa))
+void nk_process_chunks_rec(const i32 *inputs, const i64 *starts,
+                           const i64 *lengths, i64 nchunks, const i32 *spec,
+                           i32 *end, const i32 *class_of, const i32 *Tc,
+                           const i32 *Tm, const i32 *Ta, const i32 *Tma,
+                           i64 *out_pos, i32 *out_pat, i32 *out_state,
+                           i64 cap, i64 *collapse_at, i64 *counters) {{
+    nk_rec rec = {{out_pos, out_pat, out_state, cap, 0}};
+    for (i64 c = 0; c < nchunks; c++) {{
+        i32 lanes[K];
+        for (int j = 0; j < K; j++) lanes[j] = spec[c * K + j];
+        i64 at = nk_advance_chunk(inputs + starts[c], lengths[c], lanes,
+                                  class_of, Tc, Tm, counters, starts[c],
+                                  Ta, Tma, &rec);
+        if (collapse_at) collapse_at[c] = at;
+        for (int j = 0; j < K; j++) end[c * K + j] = lanes[j];
+    }}
+    counters[{SLOT_RECORDS}] = rec.count;
+}}
+
+/* The local-processing kernel: spec -> end maps for every chunk (the
+ * recording loop over the unmarked tables, which never records). */
+void nk_process_chunks(const i32 *inputs, const i64 *starts,
+                       const i64 *lengths, i64 nchunks, const i32 *spec,
+                       i32 *end, const i32 *class_of, const i32 *Tc,
+                       const i32 *Tm, i64 *counters) {{
+    nk_process_chunks_rec(inputs, starts, lengths, nchunks, spec, end,
+                          class_of, Tc, Tm, Tc, Tm, 0, 0, 0, 0, 0, counters);
 }}
 """

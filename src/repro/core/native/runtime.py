@@ -23,6 +23,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from ...obs import add_count, trace_span
 from ..convergence import CollapseConfig
 from ..kernels import DEFAULT_TABLE_BUDGET_BYTES, KernelPlan, plan_kernel
 from ..predictor import dfa_fingerprint
+from ...workloads.chunking import plan_chunks
 from . import build as _build
 from .cgen import (
     NUM_SLOTS,
@@ -39,6 +41,7 @@ from .cgen import (
     SLOT_FOLD_REEXEC_ITEMS,
     SLOT_GATHERS,
     SLOT_LANES_COLLAPSED,
+    SLOT_RECORDS,
     SLOT_SCANS,
     NativeSpec,
     generate_source,
@@ -75,9 +78,13 @@ def _i64(a: np.ndarray) -> np.ndarray:
 
 
 class _CtypesLib:
-    """stdlib loader: raw pointers passed as integers through ``c_void_p``."""
+    """stdlib loader: raw pointers passed as integers through ``c_void_p``.
 
-    def __init__(self, path: str) -> None:
+    ``records`` binds ``nk_process_chunks_rec``, which only recording
+    (multi-pattern, collapsing) artifacts export.
+    """
+
+    def __init__(self, path: str, records: bool = False) -> None:
         lib = ctypes.CDLL(path)
         P = ctypes.c_void_p
         i32 = ctypes.c_int32
@@ -96,6 +103,11 @@ class _CtypesLib:
         lib.nk_accept_positions.argtypes = [
             P, P, P, i64, i64, P, P, P, P, P, P, i64,
         ]
+        if records:
+            lib.nk_process_chunks_rec.restype = None
+            lib.nk_process_chunks_rec.argtypes = [
+                P, P, P, i64, P, P, P, P, P, P, P, P, P, P, i64, P, P,
+            ]
         self._lib = lib
 
     @staticmethod
@@ -123,6 +135,19 @@ class _CtypesLib:
             self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
             int(starts.size), self._ptr(spec), self._ptr(end),
             self._ptr(class_of), self._ptr(Tc), self._ptr(Tm),
+            self._ptr(counters),
+        )
+
+    def process_chunks_rec(
+        self, inputs, starts, lengths, spec, end, class_of, Tc, Tm, Ta, Tma,
+        out_pos, out_pat, out_state, collapse_at, counters,
+    ) -> None:
+        self._lib.nk_process_chunks_rec(
+            self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
+            int(starts.size), self._ptr(spec), self._ptr(end),
+            self._ptr(class_of), self._ptr(Tc), self._ptr(Tm), self._ptr(Ta),
+            self._ptr(Tma), self._ptr(out_pos), self._ptr(out_pat),
+            self._ptr(out_state), int(out_pos.size), self._ptr(collapse_at),
             self._ptr(counters),
         )
 
@@ -154,6 +179,22 @@ class _CtypesLib:
 # --------------------------------------------------------------------------- #
 # the public wrapper
 # --------------------------------------------------------------------------- #
+
+
+class GroupRecords(NamedTuple):
+    """What the recording pass of a multi-pattern kernel saw.
+
+    ``positions`` / ``patterns`` / ``states`` are one record per accepting
+    step of a collapsed chunk's continuation (union states), chunk by
+    chunk and ascending within a pattern; ``collapse_at[c]`` is the
+    offset into chunk ``c`` where its lanes collapsed, -1 when they never
+    did. Steps before a chunk's collapse position are not recorded.
+    """
+
+    positions: np.ndarray
+    patterns: np.ndarray
+    states: np.ndarray
+    collapse_at: np.ndarray
 
 
 @dataclass
@@ -196,9 +237,10 @@ class NativeKernel:
         self._Tm = (
             _i32(kplan.tables.table_m) if kplan.tables is not None else None
         )
-        # (accept flags, class table with accepting targets as ~state) of
-        # the last accept pass: one kernel serves one accept vector.
-        self._accept_table: tuple[bytes, np.ndarray] | None = None
+        # (accept flags, class table with accepting targets as ~state,
+        # stride table with accepting steps as ~state or None) of the last
+        # accept vector: one kernel serves one accept vector.
+        self._marked: tuple[bytes, np.ndarray, np.ndarray | None] | None = None
 
     @property
     def meta(self) -> tuple:
@@ -242,6 +284,72 @@ class NativeKernel:
         numbers stay backend-independent; physical counters come from the
         native counter block.
         """
+        spec, inputs, starts, lengths = self._chunk_args(inputs, plan, spec)
+        end = np.empty_like(spec)
+        counters = np.zeros(NUM_SLOTS, dtype=np.int64)
+        with trace_span(
+            "native.process_chunks", chunks=plan.num_chunks, k=self.spec.k
+        ):
+            self._lib.process_chunks(
+                inputs, starts, lengths, spec, end,
+                self._class_of, self._Tc, self._Tm, counters,
+            )
+        self._drain(plan, counters, stats)
+        return end
+
+    def process_chunks_recording(
+        self,
+        inputs: np.ndarray,
+        plan,
+        spec: np.ndarray,
+        accept: np.ndarray,
+        *,
+        stats=None,
+    ) -> tuple[np.ndarray, GroupRecords]:
+        """:meth:`process_chunks` that also records matches after collapse.
+
+        Only recording kernels (``spec.records``: several patterns and
+        the collapse fast path) have it. Returns the ending-state matrix
+        and the :class:`GroupRecords` of every step into a state with
+        ``accept[state]`` set, taken on the one-lane-per-pattern
+        continuation of each collapsed chunk. The events of a chunk are
+        the truth from its collapse position on whenever each pattern's
+        true entry state is among that pattern's speculated lanes. A
+        record buffer that overflows is never truncated: the pass re-runs
+        with a buffer of exactly the reported size.
+        """
+        if not self.spec.records:
+            raise ValueError("this kernel was compiled without match recording")
+        spec, inputs, starts, lengths = self._chunk_args(inputs, plan, spec)
+        Ta, Tma = self._marked_tables(accept, stride=True)
+        cap = _ACCEPT_CAP
+        with trace_span(
+            "native.process_chunks", chunks=plan.num_chunks, k=self.spec.k,
+            record=True,
+        ):
+            while True:
+                end = np.empty_like(spec)
+                collapse_at = np.empty(starts.size, dtype=np.int64)
+                counters = np.zeros(NUM_SLOTS, dtype=np.int64)
+                pos = np.empty(cap, dtype=np.int64)
+                pat = np.empty(cap, dtype=np.int32)
+                state = np.empty(cap, dtype=np.int32)
+                self._lib.process_chunks_rec(
+                    inputs, starts, lengths, spec, end, self._class_of,
+                    self._Tc, self._Tm, Ta, Tma, pos, pat, state,
+                    collapse_at, counters,
+                )
+                total = int(counters[SLOT_RECORDS])
+                if total <= cap:
+                    break
+                cap = total
+        self._drain(plan, counters, stats)
+        return end, GroupRecords(
+            pos[:total], pat[:total], state[:total], collapse_at
+        )
+
+    def _chunk_args(self, inputs, plan, spec):
+        """Validated contiguous ``(spec, inputs, starts, lengths)``."""
         spec = _i32(spec)
         if spec.ndim != 2 or spec.shape[0] != plan.num_chunks:
             raise ValueError(
@@ -253,27 +361,41 @@ class NativeKernel:
                 f"native kernel compiled for k={self.spec.k}, got "
                 f"k={spec.shape[1]}"
             )
-        inputs = _i32(inputs)
-        starts = _i64(plan.starts)
-        lengths = _i64(plan.lengths)
-        end = np.empty_like(spec)
-        counters = np.zeros(NUM_SLOTS, dtype=np.int64)
-        with trace_span(
-            "native.process_chunks", chunks=plan.num_chunks, k=self.spec.k
-        ):
-            self._lib.process_chunks(
-                inputs, starts, lengths, spec, end,
-                self._class_of, self._Tc, self._Tm, counters,
-            )
+        return spec, _i32(inputs), _i64(plan.starts), _i64(plan.lengths)
+
+    def _drain(self, plan, counters: np.ndarray, stats) -> None:
+        """Fold one stepping call's counters into ``stats``."""
         if stats is not None:
             stats.local_steps += plan.max_len
-            stats.local_transitions += int(plan.lengths.sum()) * spec.shape[1]
+            stats.local_transitions += int(plan.lengths.sum()) * self.spec.k
             stats.local_input_reads += int(plan.lengths.sum())
             stats.local_gathers += int(counters[SLOT_GATHERS])
             stats.collapse_scans += int(counters[SLOT_SCANS])
             stats.lanes_collapsed += int(counters[SLOT_LANES_COLLAPSED])
         add_count("native.chunks", plan.num_chunks)
-        return end
+
+    def _marked_tables(
+        self, accept: np.ndarray, *, stride: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The class (and with ``stride`` the stride) table, accept-marked.
+
+        An entry whose step lands in an accepting state — for the stride
+        table, whose ``m`` sub-steps pass through one — is stored as
+        ``~state``. Built once per accept vector.
+        """
+        accept = np.ascontiguousarray(accept, dtype=bool)
+        ns = self.spec.num_states
+        if accept.shape != (ns,):
+            raise ValueError(f"accept must have shape ({ns},), got {accept.shape}")
+        key = accept.tobytes()
+        if self._marked is None or self._marked[0] != key:
+            Tc = self._Tc
+            self._marked = (key, np.where(accept[Tc], ~Tc, Tc), None)
+        if stride and self._Tm is not None and self._marked[2] is None:
+            self._marked = self._marked[:2] + (
+                _mark_stride(self._Tc, self._Tm, accept),
+            )
+        return self._marked[1], self._marked[2]
 
     def fold_maps(
         self,
@@ -342,25 +464,18 @@ class NativeKernel:
         starts = _i64(starts)
         lengths = _i64(lengths)
         states0 = _i32(states0)
-        accept = np.ascontiguousarray(accept, dtype=bool)
         ns = self.spec.num_states
         if states0.ndim != 2 or states0.shape[0] != starts.size:
             raise ValueError(
                 f"states0 must have shape ({starts.size}, W), got {states0.shape}"
             )
-        if accept.shape != (ns,):
-            raise ValueError(f"accept must have shape ({ns},), got {accept.shape}")
+        Ta, _ = self._marked_tables(accept)
         if states0.size and (states0.min() < 0 or states0.max() >= ns):
             raise ValueError(f"states0 holds states outside [0, {ns})")
         if starts.size and (
             starts.min() < 0 or int((starts + lengths).max()) > inputs.size
         ):
             raise ValueError("chunks reach outside the input")
-        key = accept.tobytes()
-        if self._accept_table is None or self._accept_table[0] != key:
-            Tc = self._Tc
-            self._accept_table = (key, np.where(accept[Tc], ~Tc, Tc))
-        Ta = self._accept_table[1]
         cap = _ACCEPT_CAP
         with trace_span(
             "native.accept_positions", chunks=int(starts.size),
@@ -377,6 +492,23 @@ class NativeKernel:
                 if total <= cap:
                     return pos[:total], lane[:total], state[:total]
                 cap = total
+
+
+def _mark_stride(Tc: np.ndarray, Tm: np.ndarray, accept: np.ndarray) -> np.ndarray:
+    """``Tm`` with every entry whose ``m`` sub-steps pass an accepting state
+    stored as ``~state``.
+
+    Walks the radix order of :func:`repro.core.kernels.build_stride_tables`
+    (first symbol most significant): ``T_{j+1}[i*C + c] = Tc[c][T_j[i]]``,
+    and a ``j + 1``-symbol string is marked when its ``j``-prefix is or its
+    last step accepts.
+    """
+    C = Tc.shape[0]
+    T, mark = Tc, accept[Tc]
+    while T.shape[0] < Tm.shape[0]:
+        T = Tc[np.arange(C)[None, :, None], T[:, None, :]].reshape(T.shape[0] * C, -1)
+        mark = np.repeat(mark, C, axis=0) | accept[T]
+    return np.where(mark, ~Tm, Tm)
 
 
 # --------------------------------------------------------------------------- #
@@ -407,12 +539,40 @@ def _smoke_check(nk: NativeKernel, dfa: DFA) -> bool:
         seg, [0], [n], np.array([lanes]), dfa.accepting
     )
     got = sorted(zip(pos.tolist(), lane.tolist(), state.tolist()))
-    return got == sorted(expect)
+    if got != sorted(expect):
+        return False
+    return not nk.spec.records or _smoke_records(nk, dfa, rng)
+
+
+def _smoke_records(nk: NativeKernel, dfa: DFA, rng) -> bool:
+    """Cross-check the recording pass on two chunks whose lanes start
+    collapsed (every lane of a group on one state), so each collapses at
+    its first scan and records the rest of the chunk."""
+    sp = nk.spec
+    length = sp.cadence + 3 * sp.m + 5
+    seg = rng.integers(0, dfa.num_inputs, size=2 * length, dtype=np.int32)
+    plan = plan_chunks(seg.size, 2)
+    states = (7 * np.arange(sp.patterns)[None, :] + np.arange(2)[:, None]) % sp.num_states
+    spec = np.repeat(states, sp.groups, axis=1)
+    end, rec = nk.process_chunks_recording(seg, plan, spec, dfa.accepting)
+    if (rec.collapse_at < 0).any():
+        return False
+    expect = []
+    for t in range(length):  # both chunks, every group at once
+        pos = plan.starts + t
+        states = dfa.table[seg[pos][:, None], states]
+        hit = dfa.accepting[states] & (t >= rec.collapse_at)[:, None]
+        for c, g in zip(*np.nonzero(hit)):
+            expect.append((int(pos[c]), int(g), int(states[c, g])))
+    got = zip(rec.positions.tolist(), rec.patterns.tolist(), rec.states.tolist())
+    return sorted(got) == sorted(expect) and np.array_equal(
+        end[:, list(sp.group_offsets[:-1])], states
+    )
 
 
 def _load_lib(path: str, spec: NativeSpec) -> _CtypesLib:
     """Load a compiled artifact with ctypes; validate its ABI and metadata."""
-    lib = _CtypesLib(path)
+    lib = _CtypesLib(path, records=spec.records)
     if lib.abi() != _build.ABI_VERSION:
         raise RuntimeError(
             f"artifact {path} has ABI {lib.abi()}, "
@@ -494,7 +654,7 @@ def load_native_plan(
         if table_budget_bytes is not None
         else DEFAULT_TABLE_BUDGET_BYTES
     )
-    fp = dfa_fingerprint(dfa)
+    fp = dfa_fingerprint(dfa, start=False)
     # Memory-cache keys. A loader-planned kernel is found first by the
     # request that planned it (a repeated call skips planning, loading and
     # the smoke check), then by its content: the artifact key plus the

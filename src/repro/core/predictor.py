@@ -36,16 +36,19 @@ __all__ = ["dfa_fingerprint", "HistoryPredictor"]
 _FORMAT_VERSION = 1
 
 
-def dfa_fingerprint(dfa: DFA) -> str:
+def dfa_fingerprint(dfa: DFA, *, start: bool = True) -> str:
     """Content hash identifying a machine across processes and runs.
 
     Covers the transition table, the start state, and the accepting mask —
     two machines with the same fingerprint have identical speculation
     behaviour, so their boundary-state histories are interchangeable.
+    ``start=False`` leaves the start state out, for artifacts that take it
+    at run time (compiled kernels).
     """
     h = hashlib.sha1()
     h.update(np.ascontiguousarray(dfa.table, dtype=np.int32).tobytes())
-    h.update(int(dfa.start).to_bytes(4, "little"))
+    if start:
+        h.update(int(dfa.start).to_bytes(4, "little"))
     h.update(np.ascontiguousarray(dfa.accepting, dtype=np.bool_).tobytes())
     return h.hexdigest()
 

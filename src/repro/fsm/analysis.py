@@ -23,10 +23,23 @@ from repro.fsm.dfa import DFA
 __all__ = [
     "static_state_frequency",
     "dynamic_state_frequency",
+    "group_state_frequency",
     "reachable_states",
     "state_convergence",
     "stationary_distribution",
 ]
+
+
+# group_state_frequency walks machines of at most this many states
+# together. A joint walk gathers once per symbol and union state, a Python
+# walk takes one interpreter step per symbol and machine; over a 2^14-symbol
+# sample the two meet near 28 states per machine (docs/PERFORMANCE.md).
+_JOINT_WALK_MAX_STATES = 24
+# Machines per joint walk. Its block maps hold 8 bytes per union state and
+# block: at most 3 MB over a 2^14-symbol sample.
+_JOINT_WALK_MACHINES = 64
+# Symbols per block of a joint walk.
+_WALK_BLOCK = 64
 
 
 def static_state_frequency(dfa: DFA) -> np.ndarray:
@@ -65,6 +78,65 @@ def dynamic_state_frequency_sampled(
     """
     symbols = np.asarray(symbols)
     return dynamic_state_frequency(dfa, symbols[: min(sample, symbols.size)], start)
+
+
+def group_state_frequency(dfas, symbols: np.ndarray) -> list[np.ndarray]:
+    """:func:`dynamic_state_frequency` of each of several machines over one
+    input (from each machine's own start), in one list.
+
+    Machines of at most ``_JOINT_WALK_MAX_STATES`` states are stacked
+    block-diagonally and walked together, ``_JOINT_WALK_MACHINES`` at a
+    time (:func:`_joint_walk`); the others, and a lone small machine, walk
+    alone. The machines must share an alphabet.
+    """
+    syms = np.asarray(symbols)
+    joint = [i for i, d in enumerate(dfas) if d.num_states <= _JOINT_WALK_MAX_STATES]
+    counts = {}
+    if len(joint) > 1:
+        for lo in range(0, len(joint), _JOINT_WALK_MACHINES):
+            batch = joint[lo : lo + _JOINT_WALK_MACHINES]
+            counts.update(zip(batch, _joint_walk([dfas[i] for i in batch], syms)))
+    return [
+        counts[i] if i in counts else dynamic_state_frequency(d, syms)
+        for i, d in enumerate(dfas)
+    ]
+
+
+def _joint_walk(dfas, syms: np.ndarray) -> list[np.ndarray]:
+    """Occupancy counts of machines stacked into one union table.
+
+    Every union state runs through each ``_WALK_BLOCK``-symbol block of the
+    input at once; the block maps are composed along the input for each
+    machine's entry states, and every block is replayed from those. That is
+    ``2 * _WALK_BLOCK`` NumPy steps plus one per block instead of one Python
+    step per symbol and machine, but it gathers for every union state.
+    """
+    offsets = np.cumsum([0] + [d.num_states for d in dfas])
+    S = int(offsets[-1])
+    flat = np.concatenate(
+        [d.table.astype(np.intp) + o for d, o in zip(dfas, offsets)], axis=1
+    ).ravel()
+    state = offsets[:-1] + [d.start for d in dfas]
+    counts = np.zeros(S, dtype=np.int64)
+    nb = syms.size // _WALK_BLOCK
+    if nb:
+        # rows[i, j]: flat offset of the table row block j steps through at
+        # its i-th symbol.
+        rows = syms[: nb * _WALK_BLOCK].reshape(nb, _WALK_BLOCK).T.astype(np.intp) * S
+        maps = np.tile(np.arange(S, dtype=np.intp), (nb, 1))
+        for r in rows:
+            maps = np.take(flat, maps + r[:, None])
+        entry = np.empty((nb, state.size), dtype=np.intp)
+        for j in range(nb):
+            entry[j] = state
+            state = maps[j, state]
+        for r in rows:
+            entry = np.take(flat, entry + r[:, None])
+            counts += np.bincount(entry.ravel(), minlength=S)
+    for a in syms[nb * _WALK_BLOCK :].tolist():
+        state = flat[a * S + state]
+        counts += np.bincount(state, minlength=S)
+    return [counts[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 def reachable_states(dfa: DFA, start: int | None = None) -> np.ndarray:

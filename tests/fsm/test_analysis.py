@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.div import div7_dfa
+from repro.fsm import analysis
 from repro.fsm.analysis import (
     dynamic_state_frequency,
+    group_state_frequency,
     reachable_states,
     state_convergence,
     static_state_frequency,
@@ -42,6 +45,42 @@ class TestDynamicFrequency:
     def test_empty_input(self):
         dfa = make_random_dfa(5, 2, seed=1)
         assert dynamic_state_frequency(dfa, np.zeros(0, dtype=np.int32)).sum() == 0
+
+
+class TestGroupFrequency:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        n=st.integers(0, 700),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_machine_matches_its_own_walk(self, sizes, n, seed):
+        dfas = [make_random_dfa(s, 3, seed=seed + i) for i, s in enumerate(sizes)]
+        x = random_input(3, n, seed=seed)
+        got = group_state_frequency(dfas, x)
+        assert len(got) == len(dfas)
+        for d, g in zip(dfas, got):
+            np.testing.assert_array_equal(g, dynamic_state_frequency(d, x))
+
+    def test_small_machines_walk_jointly_in_batches(self, monkeypatch):
+        # Five small machines in batches of two, one large machine alone:
+        # only the large one takes the per-machine walk.
+        sizes = [3, 24, 5, 25, 1, 9]
+        dfas = [make_random_dfa(s, 4, seed=i) for i, s in enumerate(sizes)]
+        x = random_input(4, 1000, seed=7)
+        want = [dynamic_state_frequency(d, x) for d in dfas]
+        alone = []
+
+        def walk_alone(dfa, symbols, start=None):
+            alone.append(dfa.num_states)
+            return dynamic_state_frequency(dfa, symbols, start)
+
+        monkeypatch.setattr(analysis, "_JOINT_WALK_MACHINES", 2)
+        monkeypatch.setattr(analysis, "dynamic_state_frequency", walk_alone)
+        got = group_state_frequency(dfas, x)
+        assert alone == [25]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestReachability:
