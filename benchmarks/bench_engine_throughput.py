@@ -116,14 +116,14 @@ def test_scaleout_persistent_pool(benchmark, pool_case):
 
 
 def test_scaleout_per_call_spawn(benchmark, pool_case):
-    from repro.core.mp_executor import run_multiprocess
+    from repro.core.mp_executor import ScaleoutPool
 
     dfa, inputs, _ = pool_case
-    benchmark(
-        run_multiprocess,
-        dfa,
-        inputs,
-        num_workers=POOL_WORKERS,
-        k=4,
-        sub_chunks_per_worker=16,
-    )
+
+    def spawn_and_run():
+        with ScaleoutPool(
+            dfa, num_workers=POOL_WORKERS, k=4, sub_chunks_per_worker=16
+        ) as pool:
+            return pool.run(inputs)
+
+    benchmark(spawn_and_run)

@@ -13,7 +13,7 @@ request sizes) through both paths:
   request, back to back), the natural baseline a service without
   batching would implement;
 * ``served`` — the same requests submitted concurrently to an in-process
-  :class:`repro.serve.FSMServer` (inline executor), which continuously
+  :class:`repro.serve.FSMServer`, which continuously
   re-batches whatever is in flight per machine.
 
 Every served response is verified bit-exact against the sequential
@@ -104,13 +104,12 @@ def bench_sequential(machines, workload, *, k: int, lookback: int):
 
 
 def bench_served(machines, workload, args) -> tuple[list[int], float, list[float], dict]:
-    """Concurrent submission to an inline-executor FSMServer."""
+    """Concurrent submission to an FSMServer."""
 
     async def drive():
         """Start a server, submit the whole workload concurrently, drain it."""
         server = FSMServer(
             ServeConfig(
-                executor="inline",
                 max_queue_depth=max(1024, 2 * args.requests),
                 max_batch_requests=128,
                 k=args.k,

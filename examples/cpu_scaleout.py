@@ -20,7 +20,7 @@ import time
 
 
 from repro.apps import div7_dfa
-from repro.core.mp_executor import ScaleoutPool, run_multiprocess
+from repro.core.mp_executor import ScaleoutPool
 from repro.fsm.run import run_reference
 from repro.workloads import random_bits
 
@@ -38,9 +38,11 @@ def main() -> None:
     print(f"sequential reference loop: {t_seq:.2f}s (final state {expected})")
 
     for workers in (1, 2, 4):
+        # A fresh pool per call: spawn, publish, run once, tear down.
         t0 = time.perf_counter()
-        res = run_multiprocess(dfa, bits, num_workers=workers,
-                               sub_chunks_per_worker=256)
+        with ScaleoutPool(dfa, num_workers=workers,
+                          sub_chunks_per_worker=256) as pool:
+            res = pool.run(bits)
         dt = time.perf_counter() - t0
         assert res.final_state == expected
         note = f"{t_seq / dt:5.1f}x vs reference" if dt > 0 else ""

@@ -9,8 +9,6 @@ modeled V100 timing that the paper's figures report.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 import repro
 from repro.apps import div7_dfa
 from repro.fsm.run import run_reference

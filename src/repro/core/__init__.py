@@ -56,12 +56,10 @@ from repro.core.kernels import (
     select_kernel,
 )
 from repro.core.mp_executor import (
-    BatchRunResult,
     MultiprocessResult,
     PoolRunTiming,
     ScaleoutPool,
     WorkerTiming,
-    run_multiprocess,
 )
 from repro.core.native import (
     NativeKernel,
@@ -84,7 +82,6 @@ from repro.core.types import ChunkResults, ExecStats, SegmentMaps
 
 __all__ = [
     "BatchExecutionResult",
-    "BatchRunResult",
     "ChunkResults",
     "ChunkScoreboard",
     "DEFAULT_RESILIENCE",
@@ -125,7 +122,6 @@ __all__ = [
     "plan_kernel",
     "run_chunks_active",
     "run_inprocess_fallback",
-    "run_multiprocess",
     "run_speculative",
     "run_speculative_batch",
     "select_kernel",

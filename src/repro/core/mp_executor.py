@@ -30,8 +30,10 @@ row, not the table or the input. The pool also resolves a stepping kernel
 (:mod:`repro.core.kernels`) at construction and publishes the compacted
 class map plus any composed stride table to shared memory, so workers step
 the input ``m`` symbols per gather with zero per-dispatch table rebuild.
-:func:`run_multiprocess` keeps the one-shot API by wrapping a temporary
-pool.
+Every worker task is the same one: fold the segment's chunk maps into the
+segment's ``speculated -> ending`` map. :meth:`ScaleoutPool.run` merges
+those maps with the tree merge; :meth:`ScaleoutPool.run_map` (the
+cross-host agent's leaf) folds them over a caller-given boundary row.
 
 Worker processes run under the supervision layer in
 :mod:`repro.core.resilience`: per-task deadlines, bounded retry with
@@ -74,23 +76,11 @@ from repro.core.kernels import (
     process_chunks_kernel,
     run_segment_kernel,
 )
-from repro.core.local import process_chunks, process_chunks_ragged, recover_accepts
-from repro.core.lookback import pin_states, speculate, state_prior
+from repro.core.local import process_chunks, recover_accepts
+from repro.core.lookback import speculate, state_prior
 from repro.core.merge_par import compose_maps, merge_parallel
 from repro.core.merge_seq import true_boundary_walk
-from repro.core.multipattern import (
-    MultiPatternResult,
-    _batched_accept_matrix,
-    _group_matches,
-    _pattern_results,
-    coalesce,
-    group_lanes,
-    run_multipattern,
-    speculate_lanes,
-    stack_machines,
-)
 from repro.core.replay import ChunkReplay
-from repro.core.scoreboard import ChunkScoreboard
 from repro.core.resilience import (
     DEFAULT_RESILIENCE,
     DegradedExecution,
@@ -103,19 +93,22 @@ from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.alphabet import AlphabetCompaction
 from repro.fsm.dfa import DFA
 from repro.obs.trace import add_count, current_trace, trace_span
-from repro.util.validation import check_symbols
-from repro.workloads.chunking import plan_chunks, plan_from_lengths
+from repro.util.validation import check_in_set, check_symbols
+from repro.workloads.chunking import plan_chunks
 
 __all__ = [
-    "BatchRunResult",
+    "POOL_BACKENDS",
     "ScaleoutPool",
     "fold_segment_map",
-    "run_multiprocess",
     "MultiprocessResult",
     "PoolClosedError",
     "PoolRunTiming",
     "WorkerTiming",
 ]
+
+#: Hot-path backends of :class:`ScaleoutPool` (and of the dist agents that
+#: embed one): the engine's names for the NumPy path and the compiled one.
+POOL_BACKENDS = ("vectorized", "native")
 
 
 @dataclass(frozen=True)
@@ -142,9 +135,10 @@ class PoolRunTiming:
     All fields are seconds on the parent's clock. ``dispatch_s`` is task
     serialization + submission; ``wait_s`` the wait for worker results
     (covers the workers' own execution); ``merge_s`` the parent's binary
-    tree merge including any fix-up re-execution. ``total_s`` is measured
-    independently around the whole call — the stage test asserts the
-    components sum to within tolerance of it.
+    tree merge including any fix-up re-execution; ``collect_s`` the
+    parent's accept pass of a ``collect_matches=True`` run. ``total_s`` is
+    measured independently around the whole call — the stage test asserts
+    the components sum to within tolerance of it.
     """
 
     speculate_s: float
@@ -195,27 +189,6 @@ class MultiprocessResult:
     degraded: bool = False
     recovery: SupervisionReport | None = None
     match_positions: np.ndarray | None = None
-
-
-@dataclass
-class BatchRunResult:
-    """Outcome of one :meth:`ScaleoutPool.run_batch` call.
-
-    Per-request final states and accept flags for a coalesced multi-request
-    batch — each entry identical to running that request alone. ``degraded``
-    means supervision gave up and every request was finished in-process
-    (still exact); ``recovery`` carries the
-    :class:`repro.core.resilience.SupervisionReport` whenever any recovery
-    action fired.
-    """
-
-    final_states: np.ndarray
-    accepted: np.ndarray
-    num_requests: int
-    num_workers: int
-    stats: ExecStats
-    degraded: bool = False
-    recovery: SupervisionReport | None = None
 
 
 # --------------------------------------------------------------------------- #
@@ -317,61 +290,13 @@ def _evict_stale(keep: frozenset) -> None:
             pass
 
 
-def _segment_match_positions(
-    dfa: DFA,
-    kplan: KernelPlan,
-    segment: np.ndarray,
-    true_start: int,
-    *,
-    sub_chunks: int,
-    k: int | None,
-    lookback: int,
-    prior: np.ndarray | None = None,
-    native=None,
-) -> np.ndarray:
-    """Accepting positions over one segment whose true start is known.
-
-    With a loaded native kernel this is its accept pass over the whole
-    segment from ``true_start`` — one compiled lane needs no speculation.
-    Without one it is the standard two-pass NumPy recovery: speculative
-    chunk maps, an uncounted truth walk pinned at ``true_start``, then
-    :func:`repro.core.local.recover_accepts` from the true per-chunk
-    states. Positions are segment-relative (the caller adds the segment's
-    global offset). Runs identically in a worker process and in the
-    parent (single-worker and degraded paths).
-    """
-    segment = np.asarray(segment)
-    if segment.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if native is not None:
-        pos, _, _ = native.accept_positions(
-            segment, [0], [segment.size], [[int(true_start)]], dfa.accepting
-        )
-        return pos
-    if int(dfa.start) != int(true_start):
-        dfa = dfa.with_start(int(true_start))
-    plan = plan_chunks(segment.size, sub_chunks)
-    # No boundary row: speculation leads chunk 0 with dfa.start, the truth.
-    spec, end, _ = _segment_maps(
-        dfa, kplan, segment, plan, None, k=k, lookback=lookback, prior=prior
-    )
-    results = ChunkResults(
-        spec=spec, end=end, valid=np.ones_like(spec, dtype=bool)
-    )
-    _, tstarts = true_boundary_walk(dfa, segment, plan, results)
-    return recover_accepts(dfa, segment, plan, tstarts)
-
-
 class _Task(NamedTuple):
     """One worker task: the pool's shared-segment names plus one slice.
 
     Built only by :meth:`ScaleoutPool._task`, the single place the field
     order lives; tasks carry names and one boundary row, never a table or
-    the input. ``mode`` selects the worker output: ``"fold"`` (the
-    segment's folded map over ``boundary_row``), ``"maps"`` (the per-chunk
-    maps), ``"bmaps"`` (per-chunk maps over a batch span, whose ``aux`` is
-    ``(chunk_lengths, pins)``) or ``"collect"`` (accepting positions;
-    ``aux`` is the segment's true start state).
+    the input. The worker returns the segment ``lo:hi``'s folded map over
+    ``boundary_row`` (over every state when None: spec-N workers).
     """
 
     table: str
@@ -393,11 +318,9 @@ class _Task(NamedTuple):
     collapse: tuple[int, int] | None
     native_path: str | None
     native_meta: tuple | None
-    mode: str
     lo: int
     hi: int
     boundary_row: np.ndarray | None
-    aux: object
 
 
 def _attach_task(task: _Task):
@@ -433,8 +356,8 @@ def _attach_task(task: _Task):
         build_s=0.0,
         predicted_cost_s={},
     )
-    # Chunk 0 enters at the shipped boundary row and the collect pass
-    # re-roots at its true start, so the machine's own start is never read.
+    # Chunk 0 enters at the shipped boundary row, so the machine's own
+    # start is never read.
     dfa = DFA(table=table, start=0, accepting=accepting)
     new_attaches = len(_ATTACHED) - attached_before
     return dfa, kplan, prior, inputs[task.lo:task.hi], new_attaches
@@ -451,7 +374,6 @@ def _segment_maps(
     lookback: int,
     prior: np.ndarray | None,
     collapse: CollapseConfig | None = None,
-    pins=None,
     native=None,
     stats: ExecStats | None = None,
 ):
@@ -459,13 +381,10 @@ def _segment_maps(
 
     Chunk 0 enters at ``boundary_row`` when one is given: its look-back
     crosses into the left neighbour's segment, which only the parent can
-    see. ``pins`` are ``(chunk, state)`` pairs of a batch span: its
-    chunks are ragged (stepped by the ragged driver) and a request head's
-    known incoming state is pinned into its row. With
-    ``collapse``, duplicate lanes collapse mid-advancement and the mask
-    flags converged chunks (constant maps over every achievable incoming
-    state); it is None otherwise. The native, stride, lockstep and ragged
-    drivers are bit-identical.
+    see. With ``collapse``, duplicate lanes collapse mid-advancement and
+    the mask flags converged chunks (constant maps over every achievable
+    incoming state); it is None otherwise. The native, stride and
+    lockstep drivers are bit-identical.
     """
     covered = None
     if k is None or k >= dfa.num_states:
@@ -484,13 +403,9 @@ def _segment_maps(
         spec = speculate(dfa, segment, plan, k, lookback=lookback, prior=prior)
     if boundary_row is not None:
         spec[0] = boundary_row
-    if pins:
-        pin_states(spec, *zip(*pins))
     if native is not None and native.spec.k == spec.shape[1]:
         # Collapse (when enabled) is baked into the artifact's cadence.
         end = native.process_chunks(segment, plan, spec, stats=stats)
-    elif pins is not None:
-        end = process_chunks_ragged(dfa, segment, plan, spec, stats=stats)
     elif kplan.kernel == "lockstep":
         end, _ = process_chunks(
             dfa, segment, plan, spec, stats=stats, collapse=collapse
@@ -503,7 +418,7 @@ def _segment_maps(
     return spec, end, converged
 
 
-def _fold_left(row, spec, end, reexec, *, converged=None, incoming=None):
+def _fold_left(row, spec, end, reexec, *, converged=None):
     """Carry ``row`` left to right through the maps ``spec[c] -> end[c]``.
 
     The one left fold of the pool: every lane steps by semi-join
@@ -511,8 +426,7 @@ def _fold_left(row, spec, end, reexec, *, converged=None, incoming=None):
     width against the maps' width). A lane whose state map ``c`` did not
     speculate re-executes as ``reexec(c, state)``, so the result is exact.
     A ``converged[c]`` map is constant over every achievable incoming
-    state: all lanes take ``end[c, 0]`` without a probe. ``incoming``,
-    when given, receives the row entering each map. Returns ``(row,
+    state: all lanes take ``end[c, 0]`` without a probe. Returns ``(row,
     misses)`` where ``misses[c]`` counts the lanes map ``c`` re-executed.
     """
     cur = np.asarray(row, dtype=np.int32)[None, :]
@@ -520,8 +434,6 @@ def _fold_left(row, spec, end, reexec, *, converged=None, incoming=None):
     valid_right = np.ones((1, spec.shape[1]), dtype=bool)
     misses = np.zeros(len(spec), dtype=np.int64)
     for c in range(len(spec)):
-        if incoming is not None:
-            incoming[c] = cur[0]
         if converged is not None and converged[c]:
             cur = np.full_like(cur, end[c, 0])
             continue
@@ -562,19 +474,11 @@ def _fold_chunks(spec, end, segment, plan, kplan, *, converged=None, native=None
 def _worker_run(task: _Task) -> tuple:
     """Run one segment task inside a worker process.
 
-    Returns the 6-tuple ``(a, b, c, d, timings, counters)`` the parent
-    validates, with ``(a, b, c, d)`` set by ``task.mode``:
-
-    * ``"fold"``: ``(spec_row, end_row, reexec_chunks, reexec_items)`` —
-      the segment's ``sub_chunks`` speculative chunk maps folded left to
-      right; a speculation miss re-executes the chunk locally, so the row
-      is complete over ``spec_row``;
-    * ``"maps"`` / ``"bmaps"``: ``(spec, end, converged_or_None, 0)`` —
-      the per-chunk matrices, unfolded, for the parent's
-      :class:`repro.core.scoreboard.ChunkScoreboard`; ``"bmaps"`` runs a
-      batch span with ragged chunk lengths and pinned request heads;
-    * ``"collect"``: ``(global_positions, empty, 0, 0)`` — the accepting
-      positions inside the segment, from its shipped true start.
+    Returns the 6-tuple ``(spec_row, end_row, reexec_chunks,
+    reexec_items, timings, counters)`` the parent validates: the
+    segment's ``sub_chunks`` speculative chunk maps folded left to right;
+    a speculation miss re-executes the chunk locally, so the row is
+    complete over ``spec_row``.
 
     ``timings`` is ``(attach_s, exec_s, fold_s, total_s, new_attaches)``
     and ``counters`` is ``(local_gathers, collapse_scans,
@@ -590,56 +494,34 @@ def _worker_run(task: _Task) -> tuple:
     t_task = time.perf_counter()
     dfa, kplan, prior, segment, new_attaches = _attach_task(task)
     t_attach = time.perf_counter()
-    counters = (0, 0, 0, 0, 0)
     nk = _worker_native(task.native_path, task.native_meta, kplan)
-    if task.mode == "collect":
-        positions = _segment_match_positions(
-            dfa, kplan, segment, int(task.aux),
-            sub_chunks=task.sub_chunks, k=task.k, lookback=task.lookback,
-            prior=prior, native=nk,
-        )
-        out = (positions + task.lo, np.zeros(0, dtype=np.int32), 0, 0)
-        t_exec = time.perf_counter()
-    else:
-        pins = None
-        if task.mode == "bmaps":
-            lengths, pins = task.aux
-            plan = plan_from_lengths(np.asarray(lengths, dtype=np.int64))
-        else:
-            plan = plan_chunks(segment.size, task.sub_chunks)
-        collapse = None
-        if task.collapse is not None:
-            collapse = CollapseConfig(
-                cadence=task.collapse[0], backoff=task.collapse[1]
-            )
-        wstats = ExecStats()
-        spec, end, converged = _segment_maps(
-            dfa, kplan, segment, plan, task.boundary_row,
-            k=task.k, lookback=task.lookback, prior=prior,
-            collapse=collapse, pins=pins, native=nk, stats=wstats,
-        )
-        t_exec = time.perf_counter()
-        gathers = skipped = 0
-        if task.mode == "fold":
-            row, reexec_chunks, reexec_items, gathers, skipped = _fold_chunks(
-                spec, end, segment, plan, kplan, converged=converged, native=nk
-            )
-            out = (spec[0].copy(), row, reexec_chunks, reexec_items)
-        else:
-            out = (spec, end, converged, 0)
-        counters = (
-            int(wstats.local_gathers) + gathers,
-            int(wstats.collapse_scans),
-            int(wstats.lanes_collapsed),
-            0 if converged is None else int(converged.sum()),
-            skipped,
-        )
+    plan = plan_chunks(segment.size, task.sub_chunks)
+    collapse = None
+    if task.collapse is not None:
+        collapse = CollapseConfig(cadence=task.collapse[0], backoff=task.collapse[1])
+    wstats = ExecStats()
+    spec, end, converged = _segment_maps(
+        dfa, kplan, segment, plan, task.boundary_row,
+        k=task.k, lookback=task.lookback, prior=prior,
+        collapse=collapse, native=nk, stats=wstats,
+    )
+    t_exec = time.perf_counter()
+    row, reexec_chunks, reexec_items, gathers, skipped = _fold_chunks(
+        spec, end, segment, plan, kplan, converged=converged, native=nk
+    )
+    counters = (
+        int(wstats.local_gathers) + gathers,
+        int(wstats.collapse_scans),
+        int(wstats.lanes_collapsed),
+        0 if converged is None else int(converged.sum()),
+        skipped,
+    )
     t_done = time.perf_counter()
     timings = (
         t_attach - t_task, t_exec - t_attach, t_done - t_exec,
         t_done - t_task, new_attaches,
     )
-    return out + (timings, counters)
+    return spec[0].copy(), row, reexec_chunks, reexec_items, timings, counters
 
 
 def fold_segment_map(
@@ -826,7 +708,8 @@ class ScaleoutPool:
         task tuple, so retried and respawned workers rebuild the same
         collapse state deterministically.
     backend:
-        Hot-path implementation: ``"numpy"`` (default) or ``"native"``
+        Hot-path implementation: ``"vectorized"`` (default, NumPy) or
+        ``"native"``
         (compile the specialized C kernel via :mod:`repro.core.native`,
         matching the engine's explicit ``backend="native"`` opt-in). The
         parent compiles **once** — lazily, after collapse resolution so
@@ -834,7 +717,7 @@ class ScaleoutPool:
         each task tuple the same way it ships shared-memory segment
         names; each worker dlopens it once per process. Every failure
         mode (no compiler, load error, smoke-check mismatch) falls back
-        to the NumPy path, bit-identically.
+        to the vectorized path, bit-identically.
     resilience:
         :class:`repro.core.resilience.ResilienceConfig` governing worker
         supervision (deadlines, retry, respawn, quorum). The default keeps
@@ -860,7 +743,7 @@ class ScaleoutPool:
         kernel: str = "auto",
         table_budget_bytes: int = DEFAULT_TABLE_BUDGET_BYTES,
         collapse: str | CollapseConfig | None = "auto",
-        backend: str = "numpy",
+        backend: str = "vectorized",
         resilience: ResilienceConfig | None = DEFAULT_RESILIENCE,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -899,10 +782,7 @@ class ScaleoutPool:
                     f"collapse must be 'auto', 'on', 'off', or a "
                     f"CollapseConfig, got {collapse!r}"
                 )
-            if backend not in ("native", "numpy"):
-                raise ValueError(
-                    f"backend must be 'native' or 'numpy', got {backend!r}"
-                )
+            check_in_set("backend", backend, POOL_BACKENDS)
             self._backend = backend
             self._native = None
             # Sentinel distinct from any collapse tag: "never loaded".
@@ -929,9 +809,6 @@ class ScaleoutPool:
                 fault_plan = chaos_plan_from_env(self.num_workers)
             self._fault_plan = fault_plan if fault_plan is not None else FaultPlan()
             self._bps_ewma: float | None = None
-            # Multi-pattern group state (set by `for_group`).
-            self._stack = None
-            self._lanes = None
 
             # Resolve the stepping kernel once, for the pool's whole life.
             # The chunk length is unknown until inputs arrive, so selection
@@ -1090,19 +967,14 @@ class ScaleoutPool:
         artifact can bake in the collapse cadence, which ``"auto"``
         collapse only resolves on the first non-empty run. If the
         resolved collapse changes after an early load (a single-worker
-        or batch call preceding the first multi-worker run), the kernel
-        is reloaded under the new tag — cheap through the memory/disk
-        caches. Group pools (:meth:`for_group`) always load with collapse
-        off: worker speculation rows over the union are not
-        group-structured, and cadence-0 stepping is layout-agnostic.
-        Returns None whenever native execution is unavailable; callers
-        use the NumPy path unchanged.
+        call preceding the first multi-worker run), the kernel is
+        reloaded under the new tag — cheap through the memory/disk
+        caches. Returns None whenever native execution is unavailable;
+        callers use the vectorized path unchanged.
         """
         if self._backend != "native":
             return None
-        cfg = None
-        if self._collapse_resolved and self._stack is None:
-            cfg = self._collapse_cfg
+        cfg = self._collapse_cfg if self._collapse_resolved else None
         tag = None if cfg is None else (cfg.enabled, cfg.cadence, cfg.backoff)
         if tag == self._native_tag:
             return self._native
@@ -1138,7 +1010,7 @@ class ScaleoutPool:
         )
 
     def _replay_path(self) -> str:
-        return "native" if self._ensure_native() is not None else "numpy"
+        return "native" if self._ensure_native() is not None else "vectorized"
 
     def _resolve_collapse(self, inputs: np.ndarray) -> None:
         """Resolve ``"auto"`` collapse on the first non-empty input (cached)."""
@@ -1190,29 +1062,42 @@ class ScaleoutPool:
         return stats
 
     def _local_matches(self, inputs: np.ndarray, start: int) -> np.ndarray:
-        """Accepting positions of the whole input, in-process."""
-        return _segment_match_positions(
-            self.dfa, self._kplan, inputs, start,
-            sub_chunks=self.sub_chunks_per_worker, k=self.k,
-            lookback=self.lookback, prior=self._prior,
-            native=self._ensure_native(),
-        )
+        """Accepting positions of ``inputs`` entered at ``start``, in-process.
 
-    def _task(
-        self, mode: str, n: int, lo: int, hi: int, row=None, aux=None
-    ) -> _Task:
+        With a loaded native kernel this is its accept pass over the whole
+        input from ``start`` — one compiled lane needs no speculation.
+        Without one it is the standard two-pass recovery: speculative
+        chunk maps, an uncounted truth walk pinned at ``start``, then
+        :func:`repro.core.local.recover_accepts` from the true per-chunk
+        states.
+        """
+        if inputs.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        nk = self._ensure_native()
+        if nk is not None:
+            pos, _, _ = nk.accept_positions(
+                inputs, [0], [inputs.size], [[start]], self.dfa.accepting
+            )
+            return pos
+        dfa = self.dfa if start == self.dfa.start else self.dfa.with_start(start)
+        plan = plan_chunks(inputs.size, self.sub_chunks_per_worker)
+        # No boundary row: speculation leads chunk 0 with dfa.start, the truth.
+        spec, end, _ = _segment_maps(
+            dfa, self._kplan, inputs, plan, None,
+            k=self.k, lookback=self.lookback, prior=self._prior,
+        )
+        results = ChunkResults(spec=spec, end=end, valid=np.ones_like(spec, dtype=bool))
+        _, tstarts = true_boundary_walk(dfa, inputs, plan, results)
+        return recover_accepts(dfa, inputs, plan, tstarts)
+
+    def _task(self, n: int, lo: int, hi: int, row) -> _Task:
         """Build one worker task — the only constructor of :class:`_Task`.
 
         Reads the *live* input segment name, so a task rebuilt for retry
-        after a republish points workers at the fresh segment. The
-        collapse cadence rides only the evenly split modes of a
-        single-machine pool: batch spans are ragged, and group rows cannot
-        collapse at full-row grain.
+        after a republish points workers at the fresh segment.
         """
         cfg = self._collapse_cfg
-        collapse = None
-        if cfg is not None and mode in ("fold", "maps") and self._stack is None:
-            collapse = (cfg.cadence, cfg.backoff)
+        collapse = None if cfg is None else (cfg.cadence, cfg.backoff)
         nk = self._native
         return _Task(
             table=self._table_shm.name,
@@ -1234,42 +1119,27 @@ class ScaleoutPool:
             collapse=collapse,
             native_path=None if nk is None else nk.artifact_path,
             native_meta=None if nk is None else nk.meta,
-            mode=mode,
             lo=lo,
             hi=hi,
             boundary_row=row,
-            aux=aux,
         )
 
     def _round(
         self,
         data: np.ndarray,
         spans,
+        rows,
         stats: ExecStats,
         report: SupervisionReport,
-        *,
-        mode: str,
-        schedule: str,
-        rows=None,
-        aux=None,
-        validate=None,
-        board: ChunkScoreboard | None = None,
-        board_bounds=None,
-        deadline_cap_s: float | None = None,
     ) -> _Round:
         """One pool round: dispatch one task per span, wait, account.
 
         ``data`` is the symbol stream the tasks index, already copied into
         the input segment by :meth:`_publish_input`. ``spans`` is the
         :class:`~repro.workloads.chunking.ChunkPlan` of per-task item
-        ranges; ``rows[i]`` and ``aux[i]`` are task ``i``'s boundary row
-        and mode payload. Per-chunk maps stream onto ``board`` the moment
-        each result is accepted, task ``t`` owning chunks
-        ``board_bounds[t]:board_bounds[t + 1]``, so merging (and any
-        provably necessary re-execution) overlaps the remaining workers; a
-        retried or hedged task rewinds its chunks to SPECULATED. A worker
-        that cannot find the input segment hit an unlink race: the segment
-        is republished under a fresh name before the retry fires. Worker
+        ranges; ``rows[i]`` is task ``i``'s boundary row. A worker that
+        cannot find the input segment hit an unlink race: the segment is
+        republished under a fresh name before the retry fires. Worker
         counters fold into ``stats``; each worker adds a
         :class:`WorkerTiming` row, a ``pool.worker`` span and a throughput
         sample for the deadline model. ``outs`` is None when supervision
@@ -1281,11 +1151,7 @@ class ScaleoutPool:
 
         def build(i: int) -> _Task:
             lo = int(spans.starts[i])
-            return self._task(
-                mode, n, lo, lo + int(spans.lengths[i]),
-                None if rows is None else rows[i],
-                None if aux is None else aux[i],
-            )
+            return self._task(n, lo, lo + int(spans.lengths[i]), rows[i])
 
         def on_error(
             tid: int, exc_type: str, exc_repr: str, rep: SupervisionReport
@@ -1296,24 +1162,7 @@ class ScaleoutPool:
                 add_count("fault.shm_republished")
                 rep.record("shm_republish", task=tid, detail=exc_repr)
 
-        on_result = on_retry = None
-        if board is not None:
-
-            def on_result(tid: int, payload: tuple) -> None:
-                smat, emat, conv = payload[0], payload[1], payload[2]
-                for c in range(smat.shape[0]):
-                    board.post(
-                        int(board_bounds[tid]) + c, smat[c], emat[c],
-                        converged=conv is not None and bool(conv[c]),
-                    )
-
-            def on_retry(tid: int) -> None:
-                for c in range(int(board_bounds[tid]), int(board_bounds[tid + 1])):
-                    board.reissue(c)
-
-        with trace_span(
-            "pool.dispatch", workers=num_tasks, schedule=schedule
-        ) as dispatch_span:
+        with trace_span("pool.dispatch", workers=num_tasks) as dispatch_span:
             tasks = [build(i) for i in range(num_tasks)]
             task_bytes = sum(len(pickle.dumps(t)) for t in tasks)
             stats.pool_task_bytes += task_bytes
@@ -1321,19 +1170,15 @@ class ScaleoutPool:
         nbytes = [int(x) * _INPUT_DTYPE.itemsize for x in spans.lengths]
         t_dispatch = time.perf_counter()
         try:
-            with trace_span("pool.wait", workers=num_tasks, schedule=schedule):
+            with trace_span("pool.wait", workers=num_tasks):
                 outs = self._sup.run_tasks(
                     tasks,
                     task_nbytes=nbytes,
                     bytes_per_sec=self._bps_ewma,
                     rebuild=build,
-                    validate=validate
-                    or (lambda _tid, payload: self._valid_worker_map(payload)),
+                    validate=lambda _tid, payload: self._valid_worker_map(payload),
                     on_error=on_error,
-                    on_result=on_result,
-                    on_retry=on_retry,
                     report=report,
-                    deadline_cap_s=deadline_cap_s,
                 )
         except DegradedExecution:
             self._check_open_for_fallback()
@@ -1343,9 +1188,8 @@ class ScaleoutPool:
 
         timings = []
         for i, (m, nb) in enumerate(zip(outs, nbytes)):
-            if mode == "fold":
-                stats.reexec_chunks_seq += m[2]
-                stats.reexec_items_seq += m[3]
+            stats.reexec_chunks_seq += m[2]
+            stats.reexec_items_seq += m[3]
             gathers, scans, lanes, conv, skipped = m[5]
             stats.local_gathers += gathers
             stats.collapse_scans += scans
@@ -1367,13 +1211,12 @@ class ScaleoutPool:
                 # Workers run on their own clocks; draw each one inside the
                 # parent's wait window (start-aligned) on its own trace row.
                 wait_t0 = obs.to_trace_time(t_dispatch)
-                sp = obs.add_span(
+                obs.add_span(
                     "pool.worker", wait_t0, wait_t0 + total_s,
                     tid=i + 1, worker=i,
                     attach_s=attach_s, exec_s=exec_s, fold_s=fold_s,
+                    reexec_chunks=m[2], reexec_items=m[3],
                 )
-                if mode == "fold":
-                    sp.set(reexec_chunks=m[2], reexec_items=m[3])
                 obs.count("pool.shm.attaches", new_attaches)
                 obs.observe("pool.worker_exec_s", exec_s)
                 obs.observe("pool.worker_fold_s", fold_s)
@@ -1388,7 +1231,6 @@ class ScaleoutPool:
         inputs: np.ndarray,
         *,
         start: int | None = None,
-        schedule: str = "barrier",
         collect_matches: bool = False,
     ) -> MultiprocessResult:
         """Compute the final state of ``inputs``, starting from ``start``.
@@ -1396,22 +1238,13 @@ class ScaleoutPool:
         ``start`` defaults to the machine's initial state; streaming callers
         pass the carried state instead. The result is bit-identical to the
         sequential reference (property tests assert this over machines ×
-        inputs × worker counts × k).
+        inputs × worker counts × k). Every worker's folded segment map is
+        stacked and combined with the binary tree merge.
 
-        ``schedule`` selects how worker results are combined:
-        ``"barrier"`` (default) stacks every worker's folded segment map
-        and runs the binary tree merge; ``"ooo"`` has workers stream their
-        *per-chunk* maps back and a parent-side
-        :class:`repro.core.scoreboard.ChunkScoreboard` consumes each one
-        the moment it arrives — provable speculation misses re-execute
-        (kernel-dispatched, in the parent) before the slowest worker has
-        even reported, and a retried or hedged task is re-issued on the
-        scoreboard rather than handled as a special case.
-
-        ``collect_matches=True`` adds a second task round that recovers
-        the accepting-state positions (regex match ends) from each
-        segment's true starting state; they come back on
-        ``MultiprocessResult.match_positions``, sorted and global.
+        ``collect_matches=True`` adds the accepting-state positions
+        (regex match ends) on ``MultiprocessResult.match_positions``,
+        sorted and global: one accept pass over the input in the parent,
+        from the true start (:meth:`_local_matches`).
 
         With supervision on (the default), worker failure is recovered —
         killed workers are respawned, stragglers and errors retried, and
@@ -1421,10 +1254,6 @@ class ScaleoutPool:
         """
         if self._closed:
             raise PoolClosedError("ScaleoutPool is closed")
-        if schedule not in ("barrier", "ooo"):
-            raise ValueError(
-                f"schedule must be 'barrier' or 'ooo', got {schedule!r}"
-            )
         t_run = time.perf_counter()
         dfa = self.dfa
         start = dfa.start if start is None else int(start)
@@ -1467,7 +1296,7 @@ class ScaleoutPool:
         # input (one vectorized call covering every boundary). Worker 0's
         # row must contain the true start state — `speculate` pins it first,
         # and the explicit guard keeps that invariant under any ranking.
-        boundary = None
+        boundary = [None] * w
         seg_covered = None
         with trace_span("pool.speculate", workers=w, k=self.k_eff):
             if self.k is not None:
@@ -1494,28 +1323,7 @@ class ScaleoutPool:
                 seg_covered = np.ones(w, dtype=bool)
         t_spec = time.perf_counter()
 
-        # Out-of-order schedule: a parent-side scoreboard over every
-        # worker's sub-chunks, fed by the supervision loop's result stream.
-        board: ChunkScoreboard | None = None
-        gplan = None
-        sub = self.sub_chunks_per_worker
-        if schedule == "ooo":
-            gplan = plan_from_lengths(
-                np.concatenate([
-                    plan_chunks(int(seg_plan.lengths[i]), sub).lengths
-                    for i in range(w)
-                ])
-            )
-            board = ChunkScoreboard(
-                run_dfa, inputs, gplan, self.k_eff, mode="parallel",
-                stats=stats, replay=self._replay(inputs, gplan),
-            )
-
-        rnd = self._round(
-            inputs, seg_plan, stats, report,
-            mode="maps" if schedule == "ooo" else "fold", schedule=schedule,
-            rows=boundary, board=board, board_bounds=np.arange(w + 1) * sub,
-        )
+        rnd = self._round(inputs, seg_plan, boundary, stats, report)
         if rnd.outs is None:
             return self._degraded_result(
                 inputs, start, stats, report,
@@ -1524,43 +1332,31 @@ class ScaleoutPool:
             )
         maps = rnd.outs
 
-        true_chunk_starts = None
-        if schedule == "ooo":
-            # The scoreboard consumed every chunk map inside the wait loop;
-            # resolve() only flushes obs counters and reads the tail state.
-            with trace_span("pool.merge", workers=w, schedule="ooo"):
-                final, true_chunk_starts = board.resolve()
-            reexec_chunk_ids = sorted({c for _, c, _ in board.reexec_log})
-            reexec_segments = tuple(sorted({c // sub for c in reexec_chunk_ids}))
+        # Parent-side combine: the same binary tree merge as the simulated
+        # GPU — delayed invalidation, then a fix-up descent that
+        # re-executes only the segments whose boundary speculation
+        # genuinely missed. A segment whose boundary row covers its
+        # look-back image and whose returned map is constant is
+        # converged: the tree skips its checks.
+        spec_rows = np.stack([m[0] for m in maps])
+        end_rows = np.stack([m[1] for m in maps])
+        seg_converged = None
+        if seg_covered is not None:
+            seg_converged = converged_chunks(end_rows, seg_covered)
+            stats.chunks_converged += int(seg_converged.sum())
+        with trace_span("pool.merge", workers=w):
             results = ChunkResults(
-                spec=board.spec, end=board.end, valid=board.valid,
+                spec=spec_rows, end=end_rows,
+                valid=np.ones_like(spec_rows, dtype=bool),
+                converged=seg_converged,
             )
-        else:
-            # Parent-side combine: the same binary tree merge as the
-            # simulated GPU — delayed invalidation, then a fix-up descent
-            # that re-executes only the segments whose boundary speculation
-            # genuinely missed. A segment whose boundary row covers its
-            # look-back image and whose returned map is constant is
-            # converged: the tree skips its checks.
-            spec_rows = np.stack([m[0] for m in maps])
-            end_rows = np.stack([m[1] for m in maps])
-            seg_converged = None
-            if seg_covered is not None:
-                seg_converged = converged_chunks(end_rows, seg_covered)
-                stats.chunks_converged += int(seg_converged.sum())
-            with trace_span("pool.merge", workers=w):
-                results = ChunkResults(
-                    spec=spec_rows, end=end_rows,
-                    valid=np.ones_like(spec_rows, dtype=bool),
-                    converged=seg_converged,
-                )
-                final, tree = merge_parallel(
-                    run_dfa, inputs, seg_plan, results, reexec="delayed",
-                    stats=stats, replay=self._replay(inputs, seg_plan),
-                )
-            reexec_segments = tuple(tree.reexecuted)
-            stats.success_total += w - 1
-            stats.success_hits += (w - 1) - sum(1 for c in reexec_segments if c > 0)
+            final, tree = merge_parallel(
+                run_dfa, inputs, seg_plan, results, reexec="delayed",
+                stats=stats, replay=self._replay(inputs, seg_plan),
+            )
+        reexec_segments = tuple(tree.reexecuted)
+        stats.success_total += w - 1
+        stats.success_hits += (w - 1) - sum(1 for c in reexec_segments if c > 0)
         t_merge = time.perf_counter()
         obs = current_trace()
         if obs is not None:
@@ -1573,54 +1369,11 @@ class ScaleoutPool:
             if stats.checks_skipped:
                 obs.count("spec.checks_skipped", stats.checks_skipped)
 
-        # Second task round: recover accepting positions from each
-        # segment's now-known true starting state.
         match_positions = None
-        degraded = False
-        t_collect = t_merge
         if collect_matches:
-            if schedule == "ooo":
-                seg_first = np.arange(w) * sub
-                if true_chunk_starts is not None:
-                    seg_true = true_chunk_starts[seg_first]
-                else:
-                    _, tfull = true_boundary_walk(
-                        run_dfa, inputs, gplan, results,
-                        replay=self._replay(inputs, gplan),
-                    )
-                    seg_true = tfull[seg_first]
-            else:
-                _, seg_true = true_boundary_walk(
-                    run_dfa, inputs, seg_plan, results,
-                    replay=self._replay(inputs, seg_plan),
-                )
-
-            def valid_positions(tid: int, payload: object) -> bool:
-                if not (isinstance(payload, tuple) and len(payload) == 6):
-                    return False
-                pos = payload[0]
-                if not isinstance(pos, np.ndarray) or pos.ndim != 1:
-                    return False
-                lo = int(seg_plan.starts[tid])
-                hi = lo + int(seg_plan.lengths[tid])
-                return not pos.size or bool(((pos >= lo) & (pos < hi)).all())
-
             with trace_span("pool.collect", workers=w, replay=self._replay_path()):
-                col = self._round(
-                    inputs, seg_plan, stats, report,
-                    mode="collect", schedule="collect",
-                    aux=[int(s) for s in seg_true], validate=valid_positions,
-                )
-            if col.outs is None:
-                # The final state is already exact; only the output pass
-                # degrades — recover the positions in-process.
-                degraded = True
                 match_positions = self._local_matches(inputs, start)
-            else:
-                match_positions = np.concatenate(
-                    [np.asarray(o[0], dtype=np.int64) for o in col.outs]
-                )
-            t_collect = time.perf_counter()
+        t_collect = time.perf_counter()
 
         timing = PoolRunTiming(
             speculate_s=t_spec - t_publish,
@@ -1634,167 +1387,8 @@ class ScaleoutPool:
         return MultiprocessResult(
             int(final), w, len(reexec_segments), stats, reexec_segments,
             timing=timing, worker_timings=rnd.timings,
-            degraded=degraded,
             recovery=report if report.events else None,
             match_positions=match_positions,
-        )
-
-    # ------------------------------------------------------------------ #
-    # multi-pattern groups
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def for_group(
-        cls, machines, *, k: int | None = 4, **kwargs
-    ) -> "ScaleoutPool":
-        """Build a pool answering a whole pattern group in one pass.
-
-        The group is stacked into its block-diagonal union machine
-        (:func:`repro.core.multipattern.stack_machines`) and the pool is
-        constructed **on the union**: the joint-class union table, class
-        map, and any composed stride table are published to shared memory
-        once, here, and serve every subsequent :meth:`run_multi` call for
-        free. ``k`` is the *per-pattern* speculation width (clamped to
-        each pattern's state count); the workers step all patterns' lanes
-        through one fused gather per symbol, exactly like the in-process
-        batched route.
-        """
-        stack = stack_machines(machines)
-        lanes = group_lanes(stack, k)
-        pool = cls(stack.union_dfa, k=lanes.k_total, **kwargs)
-        pool._stack = stack
-        pool._lanes = lanes
-        return pool
-
-    def run_multi(self, inputs: np.ndarray, *, collect_matches: bool = False):
-        """Answer "which patterns fired, and where" in one scaled-out pass.
-
-        Requires a pool built with :meth:`for_group`. The raw symbol
-        stream is remapped through the group's joint alphabet compaction
-        (one gather), published to the shared input segment, and every
-        worker folds its segment's per-chunk maps over the union machine
-        — all patterns advance through one table gather per symbol. The
-        parent then carries all P pattern trajectories through one left
-        fold over the workers' segment maps (the same fold as
-        :meth:`run_map`'s lanes), re-executing a segment on the kernel
-        plan for each pattern whose true incoming state was not
-        speculated. Returns a
-        :class:`repro.core.multipattern.MultiPatternResult` with
-        ``route="pool"``; bit-exact against the per-pattern sequential
-        reference. An unrecoverable pool degrades to the in-process
-        batched route (same result shape).
-        """
-        if self._closed:
-            raise PoolClosedError("ScaleoutPool is closed")
-        stack = self._stack
-        if stack is None:
-            raise ValueError(
-                "run_multi requires a pool built with ScaleoutPool.for_group"
-            )
-        union = self.dfa
-        P = stack.num_patterns
-        K_total = self._lanes.k_total
-        starts = np.array([m.start for m in stack.machines], dtype=np.int64)
-        starts_u = stack.offsets[:-1] + starts
-
-        inputs = np.ascontiguousarray(np.asarray(inputs))
-        if inputs.ndim != 1:
-            raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
-        check_symbols(inputs, stack.joint.num_symbols)
-        cls_stream = np.ascontiguousarray(
-            stack.joint.remap(inputs).astype(_INPUT_DTYPE)
-        )
-        n = int(cls_stream.size)
-        w = self.num_workers
-        self.calls += 1
-        stats = self._new_stats(n, K_total)
-
-        def _local(reason: str):
-            # Degenerate / degraded path: the in-process batched route on
-            # the already-built stack (no re-stacking, no re-compaction).
-            res = run_multipattern(
-                list(stack.machines), inputs,
-                k=max(self._lanes.widths),  # each pattern clamps it back
-                num_chunks=max(2, self.sub_chunks_per_worker),
-                route="batched", stack=stack,
-                collect=("match_positions",) if collect_matches else (),
-            )
-            add_count(f"mp.pool.{reason}")
-            return res
-
-        if n == 0:
-            patterns = _pattern_results(
-                stack, union.accepting[starts_u],
-                [np.zeros(0, dtype=np.int64)] * P if collect_matches else None,
-                starts,
-            )
-            return MultiPatternResult(
-                route="pool", patterns=patterns, stats=stats,
-                plan=plan_chunks(0, 1), stack=stack,
-            )
-        if w == 1:
-            return _local("single_worker")
-
-        report = SupervisionReport()
-        self._publish_input(cls_stream, stats, report)
-        seg_plan = plan_chunks(n, w)
-        self._ensure_native()
-
-        # Per-pattern boundary speculation over the class machines,
-        # stacked into union lanes; segment 0 pins every pattern's start.
-        with trace_span("pool.speculate", workers=w, k=K_total, patterns=P):
-            _, boundary, _ = speculate_lanes(
-                self._lanes, cls_stream, seg_plan, lookback=self.lookback,
-                stats=stats, pins=([0], starts[None, :]), speculator=speculate,
-            )
-
-        rnd = self._round(
-            cls_stream, seg_plan, stats, report,
-            mode="fold", schedule="multi", rows=boundary,
-        )
-        if rnd.outs is None:
-            return _local("degraded")
-
-        # One left fold carries every pattern's true state across the
-        # workers' segment maps; seg_true records each segment's entry.
-        seg_true = np.empty((w, P), dtype=np.int32)
-        with trace_span("pool.merge", workers=w, schedule="multi", patterns=P):
-            final, misses = _fold_left(
-                starts_u,
-                np.stack([m[0] for m in rnd.outs]),
-                np.stack([m[1] for m in rnd.outs]),
-                self._replay(cls_stream, seg_plan),
-                incoming=seg_true,
-            )
-        stats.reexec_chunks_seq += int(np.count_nonzero(misses))
-        stats.reexec_items_seq += int(misses @ seg_plan.lengths)
-        # Segment 0 enters at every pattern's pinned start; each later
-        # (segment, pattern) boundary is one speculation check.
-        stats.success_total += (w - 1) * P
-        stats.success_hits += (w - 1) * P - int(misses[1:].sum())
-
-        matches = None
-        if collect_matches:
-            with trace_span(
-                "pool.collect", route="pool", patterns=P,
-                replay=self._replay_path(),
-            ):
-                matches = _group_matches(
-                    self._ensure_native(), union.table,
-                    _batched_accept_matrix(stack), cls_stream, seg_plan,
-                    seg_true,
-                )
-
-        offsets = stack.offsets[:-1]
-        patterns = _pattern_results(
-            stack, union.accepting[final], matches, final - offsets,
-            (seg_true - offsets).astype(np.int32),
-        )
-        add_count("mp.pool.runs")
-        add_count("mp.patterns", P)
-        return MultiPatternResult(
-            route="pool", patterns=patterns, stats=stats,
-            plan=seg_plan, stack=stack,
         )
 
     def run_map(
@@ -1876,9 +1470,7 @@ class ScaleoutPool:
             rows[0] = boundary_row
         else:
             rows = [boundary_row] + [None] * (w - 1)
-        rnd = self._round(
-            inputs, seg_plan, stats, report, mode="fold", schedule="map", rows=rows,
-        )
+        rnd = self._round(inputs, seg_plan, rows, stats, report)
         if rnd.outs is None:
             with trace_span("fault.degrade", reason=report.degrade_reason):
                 return local_map()
@@ -1886,7 +1478,7 @@ class ScaleoutPool:
         # Fold worker maps left to right over the coordinator's lanes —
         # the k-lane generalization of the true-start walk in run().
         maps = rnd.outs
-        with trace_span("pool.merge", workers=w, schedule="map"):
+        with trace_span("pool.merge", workers=w):
             row, misses = _fold_left(
                 maps[0][1],
                 np.stack([m[0] for m in maps[1:]]),
@@ -1896,134 +1488,6 @@ class ScaleoutPool:
         if misses.any():
             add_count("pool.map_lane_reexecs", int(misses.sum()))
         return row
-
-    def run_batch(
-        self,
-        segments: list[np.ndarray],
-        *,
-        starts: list[int] | np.ndarray | None = None,
-        deadline_s: float | None = None,
-    ) -> BatchRunResult:
-        """Resolve many independent requests in one coalesced dispatch.
-
-        The serving layer's pool primitive: every request shares the
-        pool's machine but starts at its own ``starts[r]`` (default
-        ``dfa.start``) and gets exactly the final state running alone
-        would produce. Segments are concatenated into one ragged chunk
-        plan, split into contiguous per-worker spans balanced by item
-        count, and executed in ``"bmaps"`` mode; the parent resolves the
-        streamed chunk maps on one *seeded*
-        :class:`repro.core.scoreboard.ChunkScoreboard` — each request head
-        is a seed, so resolution never composes across request boundaries.
-
-        ``deadline_s`` clamps the supervision layer's per-task deadline
-        from above (the server passes the tightest remaining request
-        slack, so stragglers are hedged before the requests riding on
-        them expire). Worker failure recovers exactly as in :meth:`run`;
-        an unrecoverable pool degrades to in-process per-request
-        execution and flags the result ``degraded=True``.
-        """
-        if self._closed:
-            raise PoolClosedError("ScaleoutPool is closed")
-        dfa = self.dfa
-        segs = [self._symbols(s, f"segment {i}") for i, s in enumerate(segments)]
-        w = self.num_workers
-        total = sum(int(s.size) for s in segs)
-        # Target chunk length: fill every worker sub-slot, but never chunk
-        # finer than the requests themselves require. Symbols are
-        # range-checked as they are published.
-        target = max(1, -(-total // max(1, w * self.sub_chunks_per_worker)))
-        batch = coalesce(segs, starts, (dfa,), chunk_items=target)
-        stats = self._new_stats(total, self.k_eff)
-        final_states = batch.starts[:, 0].astype(np.int32)
-
-        def result(**kw) -> BatchRunResult:
-            accepted = dfa.accepting[final_states].astype(bool)
-            return BatchRunResult(final_states, accepted, len(segs), w, stats, **kw)
-
-        if batch.plan is None:
-            return result()
-        concat, gplan = batch.symbols, batch.plan
-        n_chunks = gplan.num_chunks
-        self.calls += 1
-        self._ensure_native()
-
-        def resolve_alone() -> None:
-            for r, seg in enumerate(segs):
-                if seg.size:
-                    final_states[r] = self._run_segment(seg, int(batch.starts[r, 0]))
-
-        if w == 1:
-            # Degenerate single worker: no dispatch — resolve in-process.
-            check_symbols(concat, self.dfa.num_inputs)
-            resolve_alone()
-            stats.pool_shm_bytes = self.shm_bytes
-            return result()
-
-        with trace_span(
-            "pool.batch", requests=len(segs), chunks=n_chunks,
-            items=total, workers=w,
-        ):
-            report = SupervisionReport()
-            self._publish_input(concat, stats, report)
-            # Contiguous per-worker chunk spans, balanced by item count.
-            csum = np.cumsum(gplan.lengths)
-            num_tasks = min(w, n_chunks)
-            cuts = (
-                np.searchsorted(
-                    csum,
-                    np.arange(1, num_tasks) * (total / num_tasks),
-                    side="left",
-                )
-                + 1
-            )
-            bounds = np.unique(np.concatenate(([0], cuts, [n_chunks])))
-            num_tasks = bounds.size - 1
-            span_plan = plan_from_lengths(
-                np.diff(np.concatenate(([0], csum[bounds[1:] - 1])))
-            )
-            # Each span ships its chunk lengths plus the request heads
-            # inside it, whose known starts the worker pins.
-            heads = batch.seeds(0)
-            aux = [
-                (
-                    tuple(gplan.lengths[lo:hi].tolist()),
-                    tuple((c - lo, s) for c, s in heads.items() if lo <= c < hi),
-                )
-                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-            ]
-
-            # Span-boundary speculation rows over the global concatenation
-            # (workers cannot see their left neighbour's tail).
-            boundary = None
-            with trace_span("pool.speculate", workers=num_tasks, k=self.k_eff):
-                if self.k is not None:
-                    boundary = speculate(
-                        dfa, concat, span_plan, self.k,
-                        lookback=self.lookback, prior=self._prior, stats=stats,
-                    )
-
-            board = ChunkScoreboard(
-                dfa, concat, gplan, self.k_eff, mode="parallel",
-                stats=stats, seeds=heads, replay=self._replay(concat, gplan),
-            )
-
-            rnd = self._round(
-                concat, span_plan, stats, report, mode="bmaps", schedule="batch",
-                rows=boundary, aux=aux, board=board, board_bounds=bounds,
-                deadline_cap_s=deadline_s,
-            )
-            if rnd.outs is None:
-                with trace_span(
-                    "fault.degrade", reason=report.degrade_reason, workers=w
-                ):
-                    resolve_alone()
-                return result(degraded=True, recovery=report)
-            with trace_span("pool.merge", workers=num_tasks, schedule="batch"):
-                board.resolve()
-            live = batch.tails >= 0
-            final_states[live] = board.out_state[batch.tails[live]]
-        return result(recovery=report if report.events else None)
 
     def _check_open_for_fallback(self) -> None:
         """Refuse the in-process fallback on a closed pool.
@@ -2151,54 +1615,3 @@ class ScaleoutPool:
             self.close()
         except Exception:
             pass
-
-
-def run_multiprocess(
-    dfa: DFA,
-    inputs: np.ndarray,
-    *,
-    num_workers: int = 4,
-    k: int | None = None,
-    sub_chunks_per_worker: int = 64,
-    lookback: int = 8,
-    kernel: str = "auto",
-    collapse: str | CollapseConfig | None = "auto",
-    backend: str = "numpy",
-    resilience: ResilienceConfig | None = DEFAULT_RESILIENCE,
-    fault_plan: FaultPlan | None = None,
-    pool: ScaleoutPool | None = None,
-    schedule: str = "barrier",
-    collect_matches: bool = False,
-) -> MultiprocessResult:
-    """Compute the final state using a pool of worker processes.
-
-    ``k=None`` (spec-N workers) guarantees zero re-execution; a finite ``k``
-    runs speculative workers and the parent's tree merge re-executes a
-    segment only when its boundary speculation missed. Pass a
-    :class:`ScaleoutPool` to reuse live workers and shared-memory segments
-    across calls (the other keyword arguments are then taken from the
-    pool); without one, a temporary pool is created and torn down around
-    the single call. ``resilience``/``fault_plan`` configure worker
-    supervision and deterministic failure drills exactly as on
-    :class:`ScaleoutPool`; ``schedule``/``collect_matches`` are forwarded
-    to :meth:`ScaleoutPool.run`.
-    """
-    if pool is not None:
-        return pool.run(
-            inputs, schedule=schedule, collect_matches=collect_matches
-        )
-    with ScaleoutPool(
-        dfa,
-        num_workers=num_workers,
-        k=k,
-        sub_chunks_per_worker=sub_chunks_per_worker,
-        lookback=lookback,
-        kernel=kernel,
-        collapse=collapse,
-        backend=backend,
-        resilience=resilience,
-        fault_plan=fault_plan,
-    ) as temp:
-        return temp.run(
-            inputs, schedule=schedule, collect_matches=collect_matches
-        )

@@ -793,7 +793,7 @@ def _run_product_route(
     if "match_positions" in collect:
         with trace_span(
             "mp.recover", route="product", patterns=stack.num_patterns,
-            replay="native" if res.native is not None else "numpy",
+            replay="native" if res.native is not None else "vectorized",
             replayed_chunks=plan.num_chunks, prefix_items=0,
         ):
             accept_matrix = np.stack(prod.accept_masks, axis=1)
@@ -950,7 +950,6 @@ def coalesce(
 def speculate_lanes(
     lanes: Lanes, symbols: np.ndarray, plan: ChunkPlan, *, lookback: int,
     stats: ExecStats | None = None, pins=None, coverage: bool = False,
-    speculator=None,
 ):
     """Per-pattern look-back speculation, stacked into the union lanes.
 
@@ -958,8 +957,7 @@ def speculate_lanes(
     states, the ``(chunks, k_total)`` union-state tensor, and with
     ``coverage`` each pattern's coverage mask. ``pins=(chunks, states)``
     with ``(len(chunks), P)`` states pins known incoming states
-    (:func:`repro.core.lookback.pin_states`). The pool passes its own
-    ``speculate`` as ``speculator``, keeping its lookup site observable.
+    (:func:`repro.core.lookback.pin_states`).
     """
     n = plan.num_chunks
     sample = symbols[: 1 << 14]
@@ -968,7 +966,7 @@ def speculate_lanes(
         if lanes.widths[p] >= dfa.num_states:
             spec_p, cov = enumerative_spec(dfa, n), np.ones(n, dtype=bool)
         else:
-            out = (speculator or speculate)(
+            out = speculate(
                 dfa, symbols, plan, lanes.widths[p], lookback=lookback,
                 prior=lanes.prior(p, sample) if symbols.size else None,
                 stats=stats, return_coverage=coverage,
@@ -1181,7 +1179,7 @@ def _run_batched_route(
     if "match_positions" in collect:
         with trace_span(
             "mp.recover", route="batched", patterns=P,
-            replay="native" if nplan is not None else "numpy",
+            replay="native" if nplan is not None else "vectorized",
         ) as sp:
             lengths, recorded = None, None
             replayed, prefix_items = n, 0

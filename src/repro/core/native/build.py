@@ -28,7 +28,6 @@ import hashlib
 import os
 import shutil
 import subprocess
-import tempfile
 import threading
 import uuid
 from dataclasses import dataclass

@@ -40,14 +40,14 @@ class ChunkReplay:
     """``replay(c, s)``: run chunk ``first + c`` of ``plan`` from ``s``.
 
     ``run(symbols, state) -> state`` does the stepping; ``path`` is
-    ``"native"`` when it is a compiled kernel, ``"numpy"`` otherwise.
+    ``"native"`` when it is a compiled kernel, ``"vectorized"`` otherwise.
     ``first`` shifts chunk ids for folds that start past chunk 0.
     """
 
     run: Callable[[np.ndarray, int], int]
     inputs: np.ndarray
     plan: ChunkPlan
-    path: str = "numpy"
+    path: str = "vectorized"
     first: int = 0
 
     def __call__(self, c: int, s: int) -> int:
@@ -64,5 +64,5 @@ def default_replay(
 
 
 def replay_path(replay: Replay | None) -> str:
-    """``"native"`` or ``"numpy"``: which path a hook steps on."""
-    return getattr(replay, "path", "numpy")
+    """``"native"`` or ``"vectorized"``: which path a hook steps on."""
+    return getattr(replay, "path", "vectorized")

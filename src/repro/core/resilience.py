@@ -449,10 +449,7 @@ class SupervisedWorkerPool:
         rebuild: Callable[[int], Any] | None = None,
         validate: Callable[[int, Any], bool] | None = None,
         on_error: Callable[[int, str, str, SupervisionReport], None] | None = None,
-        on_result: Callable[[int, Any], None] | None = None,
-        on_retry: Callable[[int], None] | None = None,
         report: SupervisionReport | None = None,
-        deadline_cap_s: float | None = None,
     ) -> list:
         """Execute every task, surviving worker failure; results by task id.
 
@@ -462,21 +459,6 @@ class SupervisedWorkerPool:
         retried like an error); ``on_error(i, exc_type, exc_repr, report)``
         lets the caller repair shared state (e.g. re-publish an unlinked
         input segment) before the retry fires.
-
-        ``on_result(i, result)`` streams each accepted (validated) result
-        to the caller the moment it arrives, before the remaining tasks
-        finish — the scale-out pool feeds the chunk scoreboard with it.
-        ``on_retry(i)`` fires whenever task ``i`` is scheduled for another
-        attempt (error, corruption, deadline hedge, or worker death), so a
-        streaming consumer can un-commit anything derived from a previous
-        acceptance of that task. Results are still returned as a list at
-        the end; the hooks are additive.
-
-        ``deadline_cap_s`` clamps the modeled per-task deadline from above
-        (floored at 50 ms so a nearly-expired request still gets a real
-        attempt) — the serving layer passes the tightest remaining request
-        slack in a batch so a straggler worker is hedged before the
-        requests riding on it blow their deadlines.
 
         Raises :class:`DegradedExecution` when recovery is exhausted and
         :class:`PoolClosedError` after :meth:`close`.
@@ -489,22 +471,15 @@ class SupervisedWorkerPool:
         if report is None:
             report = SupervisionReport()
         if self.config is None:
-            return self._run_plain(run_id, list(tasks), on_result=on_result)
+            return self._run_plain(run_id, list(tasks))
         return self._run_supervised(
             run_id, list(tasks),
             task_nbytes=task_nbytes, bytes_per_sec=bytes_per_sec,
             rebuild=rebuild, validate=validate, on_error=on_error,
-            on_result=on_result, on_retry=on_retry,
-            report=report, deadline_cap_s=deadline_cap_s,
+            report=report,
         )
 
-    def _run_plain(
-        self,
-        run_id: int,
-        tasks: list,
-        *,
-        on_result: Callable[[int, Any], None] | None = None,
-    ) -> list:
+    def _run_plain(self, run_id: int, tasks: list) -> list:
         """Supervision-disabled collection: blocking waits, errors raise."""
         n = len(tasks)
         for tid, payload in enumerate(tasks):
@@ -525,8 +500,6 @@ class SupervisedWorkerPool:
                 raise RuntimeError(f"worker task failed: {payload[0]}: {payload[1]}")
             results[tid] = payload
             got += 1
-            if on_result is not None:
-                on_result(tid, payload)
         return results
 
     def _pick_worker(self) -> _WorkerHandle | None:
@@ -549,10 +522,7 @@ class SupervisedWorkerPool:
         rebuild: Callable[[int], Any] | None,
         validate: Callable[[int, Any], bool] | None,
         on_error: Callable[[int, str, str, SupervisionReport], None] | None,
-        on_result: Callable[[int, Any], None] | None,
-        on_retry: Callable[[int], None] | None,
         report: SupervisionReport,
-        deadline_cap_s: float | None = None,
     ) -> list:
         cfg = self.config
         n = len(tasks)
@@ -584,12 +554,10 @@ class SupervisedWorkerPool:
             if h is None:
                 degrade("no live workers to dispatch to")
             h.send(run_id, tid, payload)
-            d = cfg.deadline.deadline_s(nbytes[tid], bytes_per_sec)
-            if deadline_cap_s is not None:
-                d = max(0.05, min(d, deadline_cap_s))
             pending[tid] = _Pending(
                 worker_id=h.worker_id,
-                deadline_ts=time.monotonic() + d,
+                deadline_ts=time.monotonic()
+                + cfg.deadline.deadline_s(nbytes[tid], bytes_per_sec),
             )
 
         def retry(tid: int, why: str, worker: int = -1) -> None:
@@ -604,8 +572,6 @@ class SupervisedWorkerPool:
                 degrade(
                     f"task {tid} exhausted {cfg.retry.max_retries} retries ({why})"
                 )
-            if on_retry is not None:
-                on_retry(tid)
             deferred.append(
                 [time.monotonic() + cfg.retry.delay_s(attempts[tid], self._rng), tid]
             )
@@ -724,8 +690,6 @@ class SupervisedWorkerPool:
                         else:
                             results[tid] = payload
                             done.add(tid)
-                            if on_result is not None:
-                                on_result(tid, payload)
                     else:
                         exc_type, exc_repr = payload
                         report.worker_errors += 1

@@ -64,7 +64,7 @@ __all__ = [
     "run_chunks_active",
 ]
 
-#: Chunk lifecycle stages (monotone except for :meth:`ChunkScoreboard.reissue`).
+#: Chunk lifecycle stages (monotone).
 STAGE_SPECULATED = 0
 STAGE_EXECUTED = 1
 STAGE_MERGED = 2
@@ -98,13 +98,13 @@ class ChunkScoreboard:
         ``(chunk, state) -> end_state`` used on a provable miss — the one
         replay hook of :mod:`repro.core.replay`. Defaults to
         :func:`repro.fsm.run.run_segment` over the chunk's slice; native
-        callers and the scale-out pool pass their compiled stepper.
+        callers pass their compiled stepper.
     seeds:
         Optional ``{chunk: known_incoming_state}`` map pinning *exact*
         incoming states at arbitrary chunks. Each seed opens an
         independent resolution front at construction time — the batch
-        passes (:func:`repro.core.multipattern.run_lane_batch`, the pool's
-        ``run_batch``) use one seed per coalesced request so many jobs
+        pass (:func:`repro.core.multipattern.run_lane_batch`) uses one
+        seed per coalesced request so many jobs
         resolve on one scoreboard without composing across requests:
         resolution never propagates *into* a seeded chunk (its incoming
         state is already known), so a request tail's outgoing state never
@@ -181,12 +181,11 @@ class ChunkScoreboard:
             "sched.reexec_early_items": 0,
             "sched.runs_composed": 0,
             "sched.segment_skips": 0,
-            "sched.reissues": 0,
         }
         self._truth_complete = True
 
     # ------------------------------------------------------------------ #
-    # posting and re-issue
+    # posting
     # ------------------------------------------------------------------ #
 
     @property
@@ -205,15 +204,15 @@ class ChunkScoreboard:
     ) -> None:
         """Record chunk ``c``'s executed map and resolve as far as possible.
 
-        Safe in any arrival order; posting a chunk twice is an error unless
-        it was re-issued in between. ``converged=True`` retires the chunk
+        Safe in any arrival order; posting a chunk twice is an error.
+        ``converged=True`` retires the chunk
         immediately (its outgoing state is ``end_row[0]`` for *any*
         achievable incoming state) and opens a secondary front at ``c+1``.
         """
         if not 0 <= c < self.n:
             raise ValueError(f"chunk {c} out of range [0, {self.n})")
         if self.posted[c]:
-            raise ValueError(f"chunk {c} posted twice without a reissue")
+            raise ValueError(f"chunk {c} posted twice")
         self._clock += 1
         self.posts_seen += 1
         self._obs["sched.posted"] += 1
@@ -245,20 +244,6 @@ class ChunkScoreboard:
             self._advance(c)
         elif self.mode == "parallel":
             self._join_runs(c)
-
-    def reissue(self, c: int) -> None:
-        """Return an unresolved chunk to SPECULATED (retry/hedge path).
-
-        A retried or hedged chunk is not a special case — its previous
-        attempt never posted a result the scoreboard accepted, so the entry
-        simply rewinds to the speculated stage and waits for the next post.
-        Re-issuing a chunk that already posted or retired is an error (an
-        accepted result is never rolled back).
-        """
-        if self.posted[c] or self.stage[c] >= STAGE_MERGED:
-            raise ValueError(f"chunk {c} already resolved; cannot reissue")
-        self.stage[c] = STAGE_SPECULATED
-        self._obs["sched.reissues"] += 1
 
     # ------------------------------------------------------------------ #
     # resolution machinery

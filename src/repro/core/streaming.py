@@ -83,14 +83,15 @@ class StreamingExecutor:
     and ``num_blocks``/``threads_per_block``/``merge``/``device`` are
     ignored (they describe the simulated GPU, not the CPU pool);
     ``collect_matches`` works on both backends — the pool recovers match
-    positions with a second worker round
+    positions with one accept pass in the parent
     (:meth:`repro.core.mp_executor.ScaleoutPool.run` with
     ``collect_matches=True``).
 
-    ``schedule`` picks how each block's chunk maps are combined:
-    ``"barrier"`` (the classic full-merge) or ``"ooo"`` (the chunk
-    scoreboard, :mod:`repro.core.scoreboard`) — forwarded to the engine or
-    the pool per feed; results are bit-identical either way.
+    ``schedule`` picks how each block's chunk maps are combined on the
+    simulated backend: ``"barrier"`` (the classic full-merge) or
+    ``"ooo"`` (the chunk scoreboard, :mod:`repro.core.scoreboard`);
+    results are bit-identical either way. The pool backend always runs
+    its barrier merge, so it rejects ``"ooo"`` up front.
 
     ``kernel`` selects the local stepping kernel
     (:mod:`repro.core.kernels`); the default ``"auto"`` lets the cost
@@ -149,6 +150,11 @@ class StreamingExecutor:
         if self.schedule not in ("barrier", "ooo"):
             raise ValueError(
                 f"schedule must be 'barrier' or 'ooo', got {self.schedule!r}"
+            )
+        if self.backend == "pool" and self.schedule != "barrier":
+            raise ValueError(
+                "backend='pool' runs the barrier merge only; "
+                f"got schedule={self.schedule!r}"
             )
         if self.backend == "pool":
             self._pool = ScaleoutPool(
@@ -230,8 +236,7 @@ class StreamingExecutor:
         ):
             if self._pool is not None:
                 result = self._pool.run(
-                    block, start=self.state, schedule=self.schedule,
-                    collect_matches=self.collect_matches,
+                    block, start=self.state, collect_matches=self.collect_matches,
                 )
                 if self.collect_matches:
                     new_matches = result.match_positions + self.items_consumed

@@ -14,7 +14,7 @@ re-executed item, merge step) is counted here during a real run, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 

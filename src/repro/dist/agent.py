@@ -31,7 +31,7 @@ import threading
 import numpy as np
 
 from repro.core.faultinject import FaultPlan
-from repro.core.mp_executor import ScaleoutPool
+from repro.core.mp_executor import POOL_BACKENDS, ScaleoutPool
 from repro.dist.transport import (
     Channel,
     TransportError,
@@ -39,6 +39,7 @@ from repro.dist.transport import (
 )
 from repro.fsm.dfa import DFA
 from repro.obs.trace import add_count
+from repro.util.validation import check_in_set
 
 __all__ = ["HostAgent", "LocalCluster"]
 
@@ -61,7 +62,8 @@ class HostAgent:
         maps in-process (no subprocess spawn) — the cheap topology for
         tests and small hosts.
     backend:
-        Pool hot-path backend, ``"numpy"`` or ``"native"``.
+        Pool hot-path backend, ``"vectorized"`` or ``"native"``
+        (checked here, before the agent binds its port).
     fault_plan:
         Deterministic worker-fault drills forwarded to the embedded
         pool (:class:`repro.core.faultinject.FaultPlan`); the pool's
@@ -76,9 +78,10 @@ class HostAgent:
         port: int = 0,
         *,
         agent_workers: int = 1,
-        backend: str = "numpy",
+        backend: str = "vectorized",
         fault_plan: FaultPlan | None = None,
     ) -> None:
+        check_in_set("backend", backend, POOL_BACKENDS)
         self.agent_workers = int(agent_workers)
         self.backend = backend
         self.fault_plan = fault_plan
@@ -348,7 +351,7 @@ class LocalCluster:
         num_agents: int = 3,
         *,
         agent_workers: int = 1,
-        backend: str = "numpy",
+        backend: str = "vectorized",
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if num_agents < 1:

@@ -2,14 +2,12 @@
 
 ``repro.serve`` turns the batch engine into a service: tenants register
 their DFA once (machines are shared by fingerprint — prior, autotuned
-kernel plan, and scale-out pool are built once per distinct DFA), then
+kernel plan, and native kernel are built once per distinct DFA), then
 submit match jobs concurrently. A single round loop continuously
 coalesces in-flight requests that share a DFA into one seeded chunk
-batch (:func:`repro.core.engine.run_speculative_batch` in-process, or
-:meth:`repro.core.mp_executor.ScaleoutPool.run_batch` on worker
-processes), with per-tenant weighted-fair queueing, bounded-depth
-admission control (explicit shed responses), and deadline-aware EDF
-priority. See ``docs/SERVING.md`` for the architecture and
+batch (:func:`repro.core.engine.run_speculative_batch`), with per-tenant
+weighted-fair queueing, bounded-depth admission control (explicit shed
+responses), and deadline-aware EDF priority. See ``docs/SERVING.md`` for the architecture and
 ``python -m repro.serve --demo`` for a runnable walkthrough.
 """
 

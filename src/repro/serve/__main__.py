@@ -40,14 +40,13 @@ async def _demo(args: argparse.Namespace) -> int:
 
     server = FSMServer(
         ServeConfig(
-            executor=args.executor,
             max_queue_depth=max(1024, 2 * args.requests),
             round_budget_items=1 << 16,
             chunk_items=1 << 12,
         )
     )
     # alpha and gamma share the div7 machine: registering both builds the
-    # prior/kernel plan (and pool, under --executor pool) exactly once.
+    # prior/kernel plan exactly once.
     tenants = {
         "alpha": server.register_tenant("alpha", div7_dfa, weight=2.0),
         "beta": server.register_tenant("beta", regex_dfa),
@@ -86,7 +85,7 @@ async def _demo(args: argparse.Namespace) -> int:
     total_items = sum(r.items for r in ok)
     lat = [r.queue_wait_s + r.service_s for r in ok]
 
-    print(f"serving demo: executor={args.executor}")
+    print("serving demo")
     print(
         f"  {len(ok)}/{len(responses)} requests ok, "
         f"{total_items} items in {elapsed:.3f}s "
@@ -119,9 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--requests", type=int, default=200)
     ap.add_argument("--items", type=int, default=1 << 17, help="corpus size")
     ap.add_argument("--mean-items", type=int, default=4096)
-    ap.add_argument(
-        "--executor", choices=("inline", "pool"), default="inline"
-    )
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if not args.demo:

@@ -4,13 +4,12 @@ Continuous batching executes *slices*, not whole requests: every round
 the server takes the scheduler's selection (requests sharing one DFA),
 carves each down to a bounded number of symbols, and runs the carved
 segments as a single coalesced batch
-(:func:`repro.core.engine.run_speculative_batch` in-process, or
-:meth:`repro.core.mp_executor.ScaleoutPool.run_batch` on the shared
-pool). A request longer than its slice carries its end state into the
-next round — by then new arrivals have joined the queue, so the *next*
-round's batch is re-formed from scratch: that re-forming between
-speculate/merge/re-exec rounds is what makes the batching continuous
-rather than drain-then-refill.
+(:func:`repro.core.engine.run_speculative_batch`). A request longer
+than its slice carries its end state into the next round — by then new
+arrivals have joined the queue, so the *next* round's batch is
+re-formed from scratch: that re-forming between speculate/merge/re-exec
+rounds is what makes the batching continuous rather than
+drain-then-refill.
 
 The item budget bounds round latency: one enormous request cannot hold
 every rider hostage for its full length, and admission-critical

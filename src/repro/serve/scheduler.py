@@ -59,7 +59,6 @@ class QueuedRequest:
     first_service_ts: float | None = None
     rounds: int = 0
     batch_peak: int = 0
-    degraded: bool = False
     finish_tag: float = 0.0
     future: object = None
 

@@ -6,10 +6,8 @@ tenants and turns them into coalesced batch executions:
 * **Tenant registration** (:meth:`FSMServer.register_tenant`) resolves a
   tenant's DFA to a shared :class:`_MachineState` keyed by
   :func:`repro.core.predictor.dfa_fingerprint` — the state prior, the
-  autotuned kernel plan, the compiled native kernel
-  (:mod:`repro.core.native`; NumPy when none loads), and (under the
-  pool executor) the publish-once shared-memory
-  :class:`repro.core.mp_executor.ScaleoutPool` are built once per
+  autotuned kernel plan and the compiled native kernel
+  (:mod:`repro.core.native`; NumPy when none loads) are built once per
   *machine*, not per tenant, so two tenants serving the same regex share
   everything — including the compile.
 * **Admission + scheduling** rides
@@ -24,10 +22,11 @@ tenants and turns them into coalesced batch executions:
   DFA), carves each request to the round's item budget
   (:func:`repro.serve.batcher.carve_round`), and executes the slices as
   one seeded batch — :func:`repro.core.engine.run_speculative_batch`
-  in-process or :meth:`repro.core.mp_executor.ScaleoutPool.run_batch` on
-  the shared pool. Unfinished requests re-queue with their carried state
-  and the *next* round is re-formed from scratch, so new arrivals join
-  between speculate/merge/re-exec rounds instead of waiting for a drain.
+  (or, for a pattern group,
+  :func:`repro.core.multipattern.run_multipattern_batch`). Unfinished
+  requests re-queue with their carried state and the *next* round is
+  re-formed from scratch, so new arrivals join between
+  speculate/merge/re-exec rounds instead of waiting for a drain.
 
 Rounds execute in a worker thread (``asyncio.to_thread``) so the event
 loop keeps admitting, shedding, and timing requests while numpy crunches.
@@ -44,15 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import run_speculative_batch
-from repro.core.faultinject import FaultPlan
 from repro.core.kernels import KernelPlan, plan_kernel
 from repro.core.lookback import state_prior
 from repro.core.native import NativeKernel, load_native_plan
-from repro.core.mp_executor import ScaleoutPool
 from repro.core.predictor import dfa_fingerprint
 from repro.core.resilience import DeadlineModel
-from repro.dist.agent import LocalCluster
-from repro.dist.coordinator import DistConfig, ShardCoordinator
 from repro.fsm.dfa import DFA
 from repro.obs.trace import RunTrace
 from repro.serve.batcher import RoundPlan, carve_round
@@ -80,32 +75,12 @@ class ServeConfig:
         the smallest useful per-round slice of a request).
     k, lookback:
         Speculation width and look-back window for batch execution.
-    executor:
-        ``"inline"`` — rounds run :func:`repro.core.engine.run_speculative_batch`
-        in a worker thread of this process; ``"pool"`` — rounds run on a
-        per-machine shared :class:`repro.core.mp_executor.ScaleoutPool`
-        (worker processes, supervision, degraded fallback); ``"dist"`` —
-        rounds run on a per-machine
-        :class:`repro.dist.coordinator.ShardCoordinator` over
-        ``dist_hosts`` (or an owned loopback cluster of ``dist_agents``
-        agents when no hosts are given), with cross-host supervision and
-        the full degrade ladder behind every round.
-    pool_workers:
-        Worker-process count per machine pool (``executor="pool"``).
-    dist_hosts:
-        ``executor="dist"``: agent ``(host, port)`` addresses to shard
-        across. Empty — the server owns a loopback
-        :class:`repro.dist.agent.LocalCluster` per machine.
-    dist_agents:
-        Loopback agent count when ``dist_hosts`` is empty.
-    pool_fault_plan:
-        Deterministic fault injection forwarded to each machine pool —
-        the serving failure drills reuse :mod:`repro.core.faultinject`.
+        Rounds run :func:`repro.core.engine.run_speculative_batch` in a
+        worker thread of this process.
     deadline_model:
-        PR 4's :class:`repro.core.resilience.DeadlineModel`, used to
-        predict a request's service time for EDF urgency (over the
-        server's measured items/sec) and, under the pool executor, to cap
-        worker-task deadlines at the tightest request slack in the round.
+        :class:`repro.core.resilience.DeadlineModel`, used to predict a
+        request's service time for EDF urgency (over the server's
+        measured items/sec).
     """
 
     max_queue_depth: int = 1024
@@ -115,11 +90,6 @@ class ServeConfig:
     chunk_items: int = 1 << 13
     k: int | None = 4
     lookback: int = 8
-    executor: str = "inline"
-    pool_workers: int = 4
-    dist_hosts: tuple = ()
-    dist_agents: int = 2
-    pool_fault_plan: FaultPlan | None = None
     deadline_model: DeadlineModel = field(
         default_factory=lambda: DeadlineModel(
             floor_s=0.05, bytes_per_sec_floor=2e6, safety_factor=4.0
@@ -135,9 +105,7 @@ class ServeResponse:
     exactly what running the request alone would produce) or ``"shed"``
     (admission control refused it; ``shed_reason`` says which bound and
     no execution happened). ``deadline_missed`` reports — it does not
-    cancel: a late request still completes exactly. ``degraded`` means at
-    least one of the request's rounds fell back to in-process execution
-    after pool supervision gave up (the result is still exact).
+    cancel: a late request still completes exactly.
     """
 
     status: str
@@ -151,7 +119,6 @@ class ServeResponse:
     rounds: int = 0
     batch_requests: int = 0
     deadline_missed: bool = False
-    degraded: bool = False
     shed_reason: str = ""
 
 
@@ -181,10 +148,7 @@ class _MachineState:
     fingerprint: str
     prior: np.ndarray | None = None
     kplan: KernelPlan | None = None
-    pool: ScaleoutPool | None = None
     native: NativeKernel | None = None
-    coordinator: ShardCoordinator | None = None
-    cluster: LocalCluster | None = None
     group: _GroupInfo | None = None
 
 
@@ -202,7 +166,7 @@ class FSMServer:
 
     Typical use::
 
-        server = FSMServer(ServeConfig(executor="inline"))
+        server = FSMServer(ServeConfig())
         t = server.register_tenant("acme", dfa)
         await server.start()
         resp = await server.submit(t, symbols)
@@ -220,11 +184,6 @@ class FSMServer:
         trace: RunTrace | None = None,
     ) -> None:
         self.config = config or ServeConfig()
-        if self.config.executor not in ("inline", "pool", "dist"):
-            raise ValueError(
-                f"executor must be 'inline', 'pool', or 'dist', got "
-                f"{self.config.executor!r}"
-            )
         self.trace = trace if trace is not None else RunTrace("serve")
         self._sched = WeightedFairScheduler(
             max_queue_depth=self.config.max_queue_depth,
@@ -255,9 +214,9 @@ class FSMServer:
         """Register a tenant and build (or share) its machine state.
 
         The expensive per-machine preparation — state prior, autotuned
-        kernel plan, and the publish-once shared-memory pool under the
-        pool executor — happens at most once per DFA fingerprint, however
-        many tenants register it. ``weight`` sets the tenant's WFQ share.
+        kernel plan and native kernel — happens at most once per DFA
+        fingerprint, however many tenants register it. ``weight`` sets
+        the tenant's WFQ share.
         """
         if self._closed:
             raise RuntimeError("FSMServer is closed")
@@ -266,11 +225,7 @@ class FSMServer:
         fp = dfa_fingerprint(dfa)
         ms = self._machines.get(fp)
         if ms is None:
-            with self.trace.span(
-                "serve.machine_build",
-                machine=fp[:12],
-                executor=self.config.executor,
-            ):
+            with self.trace.span("serve.machine_build", machine=fp[:12]):
                 ms = self._build_machine(dfa, fp)
             self._machines[fp] = ms
             self.trace.count("serve.machines", 1)
@@ -296,10 +251,8 @@ class FSMServer:
         multi-pattern batched pass answers all members' requests
         simultaneously (:func:`repro.core.multipattern.run_multipattern_batch`),
         with each request's carried state threading through successive
-        rounds in its own pattern's state space. Group rounds execute
-        in-process regardless of ``executor`` (the batched pass is the
-        coalescing unit; use :meth:`ScaleoutPool.for_group` directly for
-        scaled-out group streams). Returns one :class:`Tenant` per member.
+        rounds in its own pattern's state space. Returns one
+        :class:`Tenant` per member.
         """
         from repro.core.multipattern import stack_machines
 
@@ -347,7 +300,7 @@ class FSMServer:
         return tuple(tenants)
 
     def _build_machine(self, dfa: DFA, fp: str) -> _MachineState:
-        """Build the shared per-DFA state (prior, kernel plan, pool)."""
+        """Build the shared per-DFA state (prior, kernel plan, native kernel)."""
         cfg = self.config
         k_eff = (
             dfa.num_states
@@ -371,35 +324,6 @@ class FSMServer:
         # path, and shared by every tenant of this machine; None — no
         # compiler, or a failed smoke check — leaves the rounds on NumPy.
         ms.native = load_native_plan(dfa, k=k_eff, kplan=ms.kplan)
-        if cfg.executor == "pool":
-            ms.pool = ScaleoutPool(
-                dfa,
-                num_workers=cfg.pool_workers,
-                k=cfg.k,
-                sub_chunks_per_worker=max(
-                    1,
-                    cfg.round_budget_items
-                    // (cfg.pool_workers * cfg.chunk_items),
-                ),
-                lookback=cfg.lookback,
-                kernel="auto",
-                backend="native" if ms.native is not None else "numpy",
-                fault_plan=cfg.pool_fault_plan,
-            )
-        elif cfg.executor == "dist":
-            addresses = [tuple(a) for a in cfg.dist_hosts]
-            if not addresses:
-                ms.cluster = LocalCluster(cfg.dist_agents)
-                addresses = ms.cluster.addresses
-            ms.coordinator = ShardCoordinator(
-                dfa,
-                addresses,
-                config=DistConfig(
-                    k=cfg.k,
-                    lookback=cfg.lookback,
-                    local_fallback_workers=cfg.pool_workers,
-                ),
-            )
         return ms
 
     # ------------------------------------------------------------------ #
@@ -421,7 +345,7 @@ class FSMServer:
         """Drain queued requests, stop the round loop, keep machine state.
 
         Safe to :meth:`start` again afterwards; call :meth:`close` for
-        full teardown (pool processes and shared memory).
+        full teardown.
         """
         if self._loop_task is None:
             return
@@ -431,19 +355,9 @@ class FSMServer:
         self._loop_task = None
 
     async def close(self) -> None:
-        """Stop the loop and release every machine's pool resources."""
+        """Stop the loop; the server then refuses registration and submits."""
         await self.stop()
         self._closed = True
-        for ms in self._machines.values():
-            if ms.pool is not None:
-                ms.pool.close()
-                ms.pool = None
-            if ms.coordinator is not None:
-                ms.coordinator.close()
-                ms.coordinator = None
-            if ms.cluster is not None:
-                ms.cluster.close()
-                ms.cluster = None
 
     @property
     def queue_depth(self) -> int:
@@ -564,7 +478,7 @@ class FSMServer:
                     items=rnd.total_items,
                 ):
                     try:
-                        finals, degraded = await asyncio.to_thread(
+                        finals = await asyncio.to_thread(
                             self._execute_round, rnd
                         )
                     except Exception as exc:
@@ -574,13 +488,11 @@ class FSMServer:
                         # fail exactly its own riders and keep serving.
                         self._fail_round(rnd, exc)
                         continue
-                self._finish_round(rnd, finals, degraded, t0, time.monotonic())
+                self._finish_round(rnd, finals, t0, time.monotonic())
             if self._stopping:
                 return
 
-    def _execute_round(
-        self, rnd: RoundPlan
-    ) -> tuple[np.ndarray, bool]:
+    def _execute_round(self, rnd: RoundPlan) -> np.ndarray:
         """Run one carved round (worker thread; no scheduler access here)."""
         cfg = self.config
         ms = self._machines[rnd.fingerprint]
@@ -609,30 +521,7 @@ class FSMServer:
                 chunk_items=cfg.chunk_items,
                 starts=starts_mat,
             )
-            return finals_mat[rows, cols], False
-        if ms.coordinator is not None:
-            # Each request's slice runs across the cluster; carried
-            # states thread through exactly as in the other executors.
-            finals = np.empty(len(segments), dtype=np.int32)
-            degraded = False
-            for i, (seg, st) in enumerate(zip(segments, starts)):
-                dres = ms.coordinator.run(seg, start=st)
-                finals[i] = dres.final_state
-                degraded |= dres.degraded
-            return finals, degraded
-        if ms.pool is not None:
-            now = time.monotonic()
-            slacks = [
-                req.deadline_ts - now
-                for req, _ in rnd.entries
-                if req.deadline_ts is not None
-            ]
-            res = ms.pool.run_batch(
-                segments,
-                starts=starts,
-                deadline_s=min(slacks) if slacks else None,
-            )
-            return res.final_states, res.degraded
+            return finals_mat[rows, cols]
         res = run_speculative_batch(
             ms.dfa,
             segments,
@@ -644,7 +533,7 @@ class FSMServer:
             prior=ms.prior,
             native=ms.native,
         )
-        return res.final_states, False
+        return res.final_states
 
     def _fail_round(self, rnd: RoundPlan, exc: Exception) -> None:
         """Propagate a round-execution failure to exactly its requests."""
@@ -658,7 +547,6 @@ class FSMServer:
         self,
         rnd: RoundPlan,
         finals: np.ndarray,
-        degraded: bool,
         t0: float,
         t1: float,
     ) -> None:
@@ -670,8 +558,6 @@ class FSMServer:
         obs.observe("serve.round_s", t1 - t0)
         if rnd.num_requests > 1:
             obs.count("serve.coalesced", rnd.num_requests - 1)
-        if degraded:
-            obs.count("serve.degraded_rounds", 1)
         if rnd.total_items and t1 > t0:
             ips = rnd.total_items / (t1 - t0)
             self._items_per_sec = (
@@ -684,7 +570,6 @@ class FSMServer:
             req.carry_state = int(fin)
             req.rounds += 1
             req.batch_peak = max(req.batch_peak, rnd.num_requests)
-            req.degraded = req.degraded or degraded
             if req.first_service_ts is None:
                 req.first_service_ts = t0
             if req.offset < req.size:
@@ -711,7 +596,6 @@ class FSMServer:
                 rounds=req.rounds,
                 batch_requests=req.batch_peak,
                 deadline_missed=missed,
-                degraded=req.degraded,
             )
             obs.count("serve.requests", 1)
             obs.count("serve.items", req.size)

@@ -9,7 +9,7 @@ pattern, or one shared product lane) exactly: on stride kernels (the
 pass steps per symbol), empty input, chunks shorter than the stride,
 ragged tails, and through its buffer-overflow re-run. The public entry
 points — ``run_multipattern``, ``run_speculative(collect=...)`` and
-``ScaleoutPool.run(collect_matches=True)`` / ``run_multi`` — must return
+``ScaleoutPool.run(collect_matches=True)`` — must return
 the same arrays natively and through the NumPy fallback (``CC=/bin/false``).
 """
 
@@ -216,20 +216,12 @@ def _entry_point_results(backend: str) -> dict:
         (span,) = trace.find("engine.output_recovery")
         out[f"engine.{merge}.replay"] = span.attrs["replay"]
         out[f"engine.{merge}"] = res.match_positions.tolist()
-    pool_backend = "native" if backend == "native" else "numpy"
     with ScaleoutPool(dfa, num_workers=2, k=1, sub_chunks_per_worker=8,
-                      backend=pool_backend) as pool:
+                      backend=backend) as pool:
         trace = RunTrace("pool")
         with trace.activate():
             out["pool.barrier"] = pool.run(x, collect_matches=True).match_positions.tolist()
-            out["pool.ooo"] = pool.run(
-                x, schedule="ooo", collect_matches=True
-            ).match_positions.tolist()
         out["pool.replay"] = sorted({s.attrs["replay"] for s in trace.find("pool.collect")})
-    with ScaleoutPool.for_group(group, k=2, num_workers=2, sub_chunks_per_worker=8,
-                                backend=pool_backend) as pool:
-        res = pool.run_multi(raw, collect_matches=True)
-        out["pool.multi"] = [p.match_positions.tolist() for p in res.patterns]
     out["expect.mp"] = [_reference_matches(m, raw).tolist() for m in group]
     out["expect.engine"] = _reference_matches(dfa, x).tolist()
     return out
@@ -242,9 +234,8 @@ def _check_entry_points(out: dict, path: str) -> None:
     for merge in ("parallel", "sequential"):
         assert out[f"engine.{merge}"] == out["expect.engine"]
         assert out[f"engine.{merge}.replay"] == path
-    assert out["pool.barrier"] == out["pool.ooo"] == out["expect.engine"]
+    assert out["pool.barrier"] == out["expect.engine"]
     assert out["pool.replay"] == [path]
-    assert out["pool.multi"] == out["expect.mp"]
 
 
 @needs_native
@@ -253,7 +244,7 @@ def test_entry_points_native():
 
 
 def test_entry_points_vectorized():
-    _check_entry_points(_entry_point_results("vectorized"), "numpy")
+    _check_entry_points(_entry_point_results("vectorized"), "vectorized")
 
 
 def test_entry_points_native_fallback(tmp_path):
@@ -273,4 +264,4 @@ def test_entry_points_native_fallback(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    _check_entry_points(json.loads(proc.stdout.strip().splitlines()[-1]), "numpy")
+    _check_entry_points(json.loads(proc.stdout.strip().splitlines()[-1]), "vectorized")

@@ -103,11 +103,12 @@ class TestKernelPlanCarriesMachineShape:
 
 class TestMpExecutorLookback:
     def test_lookback_param_flows(self):
-        from repro.core.mp_executor import run_multiprocess
+        from repro.core.mp_executor import ScaleoutPool
         from repro.fsm.run import run_reference
 
         dfa = make_random_dfa(6, 2, seed=6)
         inp = random_input(2, 8000, seed=7)
-        res = run_multiprocess(dfa, inp, num_workers=2, k=3,
-                               sub_chunks_per_worker=16, lookback=2)
+        with ScaleoutPool(dfa, num_workers=2, k=3, sub_chunks_per_worker=16,
+                          lookback=2) as pool:
+            res = pool.run(inp)
         assert res.final_state == run_reference(dfa, inp)

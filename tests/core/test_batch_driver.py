@@ -1,11 +1,10 @@
 """One batch driver: a single DFA runs as a pattern group of one.
 
 ``run_speculative_batch`` and ``run_multipattern_batch`` are adapters over
-:func:`repro.core.multipattern.run_lane_batch`; ``ScaleoutPool.run_batch``
-shares its coalescing step. These tests pin the properties the adapters
-rely on: the one-pattern path reads raw symbols (no joint-alphabet remap),
-both adapters agree with each other and with the serial reference, one
-``starts`` validator guards all three entry points, a pattern group's
+:func:`repro.core.multipattern.run_lane_batch`. These tests pin the
+properties the adapters rely on: the one-pattern path reads raw symbols
+(no joint-alphabet remap), both adapters agree with each other and with
+the serial reference, one ``starts`` validator guards both entry points, a pattern group's
 serving registration builds nothing its rounds never read, and the
 degraded in-process fallback runs the CPU plan.
 """
@@ -17,10 +16,8 @@ import pytest
 
 from repro.apps import APPLICATIONS
 from repro.core import multipattern as mp
-from repro.core import mp_executor
 from repro.core.engine import run_inprocess_fallback, run_speculative_batch
 from repro.core.lookback import pin_states
-from repro.core.mp_executor import ScaleoutPool
 from repro.core.multipattern import run_multipattern_batch, stack_machines
 from repro.core.native import load_native_plan
 from repro.fsm.alphabet import JointCompaction
@@ -111,28 +108,15 @@ def div7():
     return APPLICATIONS["div7"].build(4_000, seed=7)
 
 
-@pytest.fixture(scope="module")
-def pool(div7):
-    with ScaleoutPool(div7[0], num_workers=2, k=2, sub_chunks_per_worker=4) as p:
-        yield p
-
-
-def _call(entry, dfa, pool, segs, starts):
+def _call(entry, dfa, segs, starts):
     if entry == "run_speculative_batch":
         return run_speculative_batch(dfa, segs, starts=starts, k=2)
-    if entry == "run_multipattern_batch":
-        return run_multipattern_batch(
-            stack_machines([dfa]), segs, starts=starts, k=2
-        )
-    return pool.run_batch(segs, starts=starts)
+    return run_multipattern_batch(stack_machines([dfa]), segs, starts=starts, k=2)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    ["run_speculative_batch", "run_multipattern_batch", "ScaleoutPool.run_batch"],
-)
+@pytest.mark.parametrize("entry", ["run_speculative_batch", "run_multipattern_batch"])
 @pytest.mark.parametrize("case", ["shape", "negative", "num_states"])
-def test_bad_starts_raise_before_speculation(entry, case, div7, pool, monkeypatch):
+def test_bad_starts_raise_before_speculation(entry, case, div7, monkeypatch):
     dfa, corpus = div7
     segs = [corpus[:1000], corpus[1000:3000]]
     grouped = entry == "run_multipattern_batch"
@@ -145,12 +129,11 @@ def test_bad_starts_raise_before_speculation(entry, case, div7, pool, monkeypatc
         raise AssertionError("speculation ran before validation")
 
     monkeypatch.setattr(mp, "speculate", refuse)
-    monkeypatch.setattr(mp_executor, "speculate", refuse)
     with pytest.raises(ValueError, match="starts"):
-        _call(entry, dfa, pool, segs, starts)
+        _call(entry, dfa, segs, starts)
     monkeypatch.undo()
     ok = np.asarray([0, 3])
-    res = _call(entry, dfa, pool, segs, ok[:, None] if grouped else ok)
+    res = _call(entry, dfa, segs, ok[:, None] if grouped else ok)
     finals = res[0][:, 0] if grouped else res.final_states
     assert finals.tolist() == [
         run_reference(dfa, s, start=int(s0)) for s, s0 in zip(segs, ok)

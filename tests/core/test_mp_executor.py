@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 
 from repro.apps.div import div7_dfa
-from repro.core.mp_executor import PoolClosedError, ScaleoutPool, run_multiprocess
+from repro.core.mp_executor import PoolClosedError, ScaleoutPool
 from repro.fsm.run import run_reference
 from tests.conftest import make_random_dfa, random_input
+
+
+def _pool_run(dfa, inputs, **kwargs):
+    """One call on a temporary pool (the one-shot form of the backend)."""
+    with ScaleoutPool(dfa, **kwargs) as pool:
+        return pool.run(inputs)
 
 
 class TestMultiprocess:
     def test_single_worker_exact(self):
         dfa = make_random_dfa(6, 2, seed=0)
         inp = random_input(2, 5000, seed=1)
-        res = run_multiprocess(dfa, inp, num_workers=1)
+        res = _pool_run(dfa, inp, num_workers=1)
         assert res.final_state == run_reference(dfa, inp)
         assert res.segment_reexecs == 0
 
     def test_spec_n_workers_no_reexec(self):
         dfa = make_random_dfa(6, 2, seed=0)
         inp = random_input(2, 20_000, seed=1)
-        res = run_multiprocess(dfa, inp, num_workers=2)
+        res = _pool_run(dfa, inp, num_workers=2)
         assert res.final_state == run_reference(dfa, inp)
         assert res.segment_reexecs == 0
         assert res.stats.success_rate == 1.0
@@ -28,24 +34,24 @@ class TestMultiprocess:
     def test_speculative_workers_correct(self):
         dfa = div7_dfa()  # adversarial: small k will miss
         inp = random_input(2, 10_000, seed=2)
-        res = run_multiprocess(dfa, inp, num_workers=2, k=2,
-                               sub_chunks_per_worker=8)
+        res = _pool_run(dfa, inp, num_workers=2, k=2,
+                        sub_chunks_per_worker=8)
         assert res.final_state == run_reference(dfa, inp)
 
     def test_empty_input(self):
         dfa = make_random_dfa(4, 2, seed=3)
-        res = run_multiprocess(dfa, np.zeros(0, dtype=np.int32), num_workers=2)
+        res = _pool_run(dfa, np.zeros(0, dtype=np.int32), num_workers=2)
         assert res.final_state == dfa.start
 
     def test_bad_worker_count(self):
         dfa = make_random_dfa(4, 2, seed=3)
         with pytest.raises(ValueError):
-            run_multiprocess(dfa, np.zeros(4, dtype=np.int32), num_workers=0)
+            _pool_run(dfa, np.zeros(4, dtype=np.int32), num_workers=0)
 
     def test_input_smaller_than_workers(self):
         dfa = make_random_dfa(4, 2, seed=3)
         inp = random_input(2, 3, seed=0)
-        res = run_multiprocess(dfa, inp, num_workers=2, sub_chunks_per_worker=4)
+        res = _pool_run(dfa, inp, num_workers=2, sub_chunks_per_worker=4)
         assert res.final_state == run_reference(dfa, inp)
 
 
@@ -58,8 +64,8 @@ class TestWorkerZeroPinning:
         for k in (1, 2):
             for seed in (0, 1, 2):
                 inp = random_input(2, 6_000, seed=seed)
-                res = run_multiprocess(dfa, inp, num_workers=3, k=k,
-                                       sub_chunks_per_worker=8)
+                res = _pool_run(dfa, inp, num_workers=3, k=k,
+                                sub_chunks_per_worker=8)
                 assert res.final_state == run_reference(dfa, inp)
                 assert 0 not in res.reexec_segments, (k, seed)
 
@@ -70,8 +76,8 @@ class TestWorkerZeroPinning:
         missed = 0
         for seed in (0, 1, 2, 3):
             inp = random_input(2, 6_000, seed=seed)
-            res = run_multiprocess(dfa, inp, num_workers=3, k=1,
-                                   sub_chunks_per_worker=8)
+            res = _pool_run(dfa, inp, num_workers=3, k=1,
+                            sub_chunks_per_worker=8)
             missed += res.segment_reexecs
         assert missed > 0
 
@@ -149,14 +155,6 @@ class TestScaleoutPool:
         with pytest.raises(PoolClosedError):
             pool.run(inp)
 
-    def test_run_multiprocess_reuses_given_pool(self):
-        dfa = make_random_dfa(5, 2, seed=6)
-        inp = random_input(2, 5_000, seed=7)
-        with ScaleoutPool(dfa, num_workers=2, k=2, sub_chunks_per_worker=8) as pool:
-            res = run_multiprocess(dfa, inp, pool=pool)
-            assert res.final_state == run_reference(dfa, inp)
-            assert pool.calls == 1
-
     def test_bad_start_state(self):
         dfa = make_random_dfa(4, 2, seed=0)
         with ScaleoutPool(dfa, num_workers=2) as pool:
@@ -197,8 +195,8 @@ class TestBitIdentical:
         want = run_speculative(dfa, inp, k=3, num_blocks=1,
                                threads_per_block=32, price=False).final_state
         for k in (1, 3, None):
-            res = run_multiprocess(dfa, inp, num_workers=4, k=k,
-                                   sub_chunks_per_worker=8)
+            res = _pool_run(dfa, inp, num_workers=4, k=k,
+                            sub_chunks_per_worker=8)
             assert res.final_state == want
 
     def test_div7_every_worker_count(self):
@@ -207,8 +205,8 @@ class TestBitIdentical:
         want = run_reference(dfa, inp)
         for workers in (2, 4, 6):
             for k in (1, 3, None):
-                res = run_multiprocess(dfa, inp, num_workers=workers, k=k,
-                                       sub_chunks_per_worker=4)
+                res = _pool_run(dfa, inp, num_workers=workers, k=k,
+                                sub_chunks_per_worker=4)
                 assert res.final_state == want, (workers, k)
 
 

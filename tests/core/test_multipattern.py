@@ -1,5 +1,5 @@
 """Multi-pattern engine tests: batched union stepping, product route,
-request batching, pool scale-out, and engine delegation.
+request batching, and engine delegation.
 
 Every route and every kernel/schedule combination must be bit-exact
 against the per-pattern sequential reference — same final states, same
@@ -18,7 +18,6 @@ from repro.core.multipattern import (
     run_multipattern_batch,
     stack_machines,
 )
-from repro.core.mp_executor import ScaleoutPool
 from repro.fsm import DFA
 from repro.fsm.run import run_reference_trace, run_segment
 
@@ -267,40 +266,3 @@ class TestEngineDelegation:
             repro.run_speculative(
                 machines, _stream(100, seed=31), backend="numba"
             )
-
-
-class TestGroupPool:
-    def test_for_group_bit_exact(self):
-        machines = _group([3, 5, 2, 4], seed=40)
-        inputs = _stream(60_000, seed=40)
-        with ScaleoutPool.for_group(machines, num_workers=3, k=3) as pool:
-            res = pool.run_multi(inputs, collect_matches=True)
-            assert res.route == "pool"
-            _check_batched(res, machines, inputs)
-            # Warm pool: second call reuses published tables.
-            res2 = pool.run_multi(inputs)
-            for pr, (fin, _) in zip(
-                res2.patterns, _expected(machines, inputs)
-            ):
-                assert pr.final_state == fin
-
-    def test_single_worker_runs_local(self):
-        machines = _group([3, 4], seed=41)
-        inputs = _stream(5000, seed=41)
-        with ScaleoutPool.for_group(machines, num_workers=1, k=3) as pool:
-            res = pool.run_multi(inputs, collect_matches=True)
-            assert res.route == "batched"  # local fallback path
-            _check_batched(res, machines, inputs)
-
-    def test_empty_input(self):
-        machines = _group([3, 4], seed=42)
-        with ScaleoutPool.for_group(machines, num_workers=2) as pool:
-            res = pool.run_multi(np.zeros(0, dtype=np.int32))
-            for pr, m in zip(res.patterns, machines):
-                assert pr.final_state == int(m.start)
-
-    def test_plain_pool_has_no_multi(self):
-        dfa = DFA.random(4, 6, rng=43)
-        with ScaleoutPool(dfa, num_workers=1) as pool:
-            with pytest.raises(ValueError):
-                pool.run_multi(_stream(100, seed=43))

@@ -440,27 +440,11 @@ class TestPoolNative:
         dfa = make_random_dfa(15, 8, seed=23)
         inputs = random_input(8, 120_000, seed=24)
         ref = run_reference(dfa, inputs)
-        for schedule in ("barrier", "ooo"):
-            with ScaleoutPool(
-                dfa, num_workers=2, k=4, sub_chunks_per_worker=8,
-                backend="native",
-            ) as pool:
-                assert pool.run(inputs, schedule=schedule).final_state == ref
-
-    def test_pool_batch_native(self):
-        dfa = make_random_dfa(10, 6, seed=25)
-        rng = np.random.default_rng(26)
-        segs = [
-            rng.integers(0, 6, size=n, dtype=np.int32)
-            for n in (0, 500, 40_000, 7)
-        ]
         with ScaleoutPool(
-            dfa, num_workers=2, k=4, sub_chunks_per_worker=4,
+            dfa, num_workers=2, k=4, sub_chunks_per_worker=8,
             backend="native",
         ) as pool:
-            res = pool.run_batch(segs)
-            for i, seg in enumerate(segs):
-                assert res.final_states[i] == run_reference(dfa, seg)
+            assert pool.run(inputs).final_state == ref
 
     def test_pool_kill_worker_under_native(self):
         from repro.core import faultinject as fi

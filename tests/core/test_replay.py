@@ -167,7 +167,7 @@ def test_fixup_span_names_the_replay_path():
     inputs = np.asarray(inputs, dtype=np.int32)
     plan = plan_chunks(inputs.size, 32)
     results = _results(dfa, inputs, plan, 1, corrupt=True)
-    for kind, path in (("native", "native"), ("stride", "numpy")):
+    for kind, path in (("native", "native"), ("stride", "vectorized")):
         hook = _hook(kind, dfa, inputs, plan)
         assert replay_path(hook) == path
         trace = RunTrace("fixup")
@@ -179,4 +179,4 @@ def test_fixup_span_names_the_replay_path():
     with trace.activate():
         merge_parallel(dfa, inputs, plan, results)
     (span,) = trace.find("merge.fixup")
-    assert span.attrs["replay"] == "numpy"
+    assert span.attrs["replay"] == "vectorized"

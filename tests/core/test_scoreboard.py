@@ -8,19 +8,15 @@ The central properties:
   merge mode and collapse setting;
 * misses re-execute *early* — while other chunks are still unposted —
   which the ``sched.reexec_early`` counter and the scoreboard's
-  :attr:`reexec_log` prove;
-* the scale-out pool streams chunk maps into a parent-side scoreboard and
-  recovers exactly through faults (kill, corrupt) under ``schedule="ooo"``.
+  :attr:`reexec_log` prove.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps import APPLICATIONS
-from repro.core import faultinject as fi
 from repro.core.engine import run_speculative
 from repro.core.lookback import speculate
-from repro.core.mp_executor import ScaleoutPool
 from repro.core.predictor import HistoryPredictor, dfa_fingerprint
 from repro.core.scoreboard import (
     STAGE_MERGED,
@@ -106,21 +102,6 @@ class TestScoreboardUnit:
             assert board.stage[c] == STAGE_RETIRED
         final, _ = board.resolve()
         assert final == run_reference(dfa, inp)
-
-    def test_reissue_before_post_counts_and_rewinds(self):
-        dfa, inp, plan, spec = self._case()
-        board = ChunkScoreboard(dfa, inp, plan, spec.shape[1])
-        board.reissue(3)
-        post_all(board, dfa, inp, plan, spec, range(plan.num_chunks))
-        final, _ = board.resolve()
-        assert final == run_reference(dfa, inp)
-
-    def test_reissue_after_post_raises(self):
-        dfa, inp, plan, spec = self._case()
-        board = ChunkScoreboard(dfa, inp, plan, spec.shape[1])
-        post_all(board, dfa, inp, plan, spec, [0])
-        with pytest.raises(Exception):
-            board.reissue(0)
 
     def test_stats_counted(self):
         dfa, inp, plan, spec = self._case()
@@ -276,63 +257,3 @@ class TestPredictor:
             assert res.final_state == ref
         assert path.exists()
         assert HistoryPredictor(path).runs_observed(dfa) == 2
-
-
-class TestPoolOutOfOrder:
-    def test_pool_ooo_equals_barrier(self):
-        dfa = make_random_dfa(9, 3, seed=20)
-        inp = random_input(3, 20_000, seed=21)
-        ref = run_reference(dfa, inp)
-        with ScaleoutPool(dfa, num_workers=3, k=3,
-                          sub_chunks_per_worker=8) as pool:
-            barrier = pool.run(inp, schedule="barrier")
-            ooo = pool.run(inp, schedule="ooo")
-        assert barrier.final_state == ref
-        assert ooo.final_state == ref
-
-    def test_pool_ooo_collect_matches(self):
-        dfa, inp = APPLICATIONS["html"].build(18_000, seed=22)
-        eng = run_speculative(dfa, inp, k=2, num_blocks=2,
-                              threads_per_block=32,
-                              collect=("match_positions",))
-        with ScaleoutPool(dfa, num_workers=3, k=2,
-                          sub_chunks_per_worker=8) as pool:
-            for schedule in ("barrier", "ooo"):
-                res = pool.run(inp, schedule=schedule, collect_matches=True)
-                assert res.final_state == eng.final_state
-                np.testing.assert_array_equal(
-                    res.match_positions, eng.match_positions
-                )
-
-    @pytest.mark.parametrize("victim", [0, 1])
-    def test_kill_mid_run_ooo_recovers_exactly(self, victim):
-        """A killed worker's chunks are re-issued on the scoreboard and the
-        retried results post cleanly — same answer, not degraded."""
-        dfa = make_random_dfa(10, 4, seed=victim + 30)
-        inp = random_input(4, 16_000, seed=victim + 40)
-        ref = run_reference(dfa, inp)
-        plan = fi.FaultPlan([fi.kill_worker(victim, at_task=0)])
-        with ScaleoutPool(dfa, num_workers=3, k=4, sub_chunks_per_worker=8,
-                          fault_plan=plan) as pool:
-            res = pool.run(inp, schedule="ooo")
-        assert res.final_state == ref
-        assert res.degraded is False
-        assert res.recovery is not None
-        assert res.recovery.worker_deaths == 1
-
-    def test_corrupt_result_ooo_detected_and_retried(self):
-        dfa = make_random_dfa(8, 3, seed=50)
-        inp = random_input(3, 12_000, seed=51)
-        plan = fi.FaultPlan([fi.corrupt_result_map(1, at_task=0)])
-        with ScaleoutPool(dfa, num_workers=3, k=3, sub_chunks_per_worker=8,
-                          fault_plan=plan) as pool:
-            res = pool.run(inp, schedule="ooo")
-        assert res.final_state == run_reference(dfa, inp)
-        assert res.degraded is False
-
-    def test_bad_schedule_rejected(self):
-        dfa = make_random_dfa(4, 2, seed=0)
-        with ScaleoutPool(dfa, num_workers=2,
-                          sub_chunks_per_worker=4) as pool:
-            with pytest.raises(ValueError):
-                pool.run(random_input(2, 100, seed=1), schedule="yolo")

@@ -193,7 +193,20 @@ class TestPoolBackend:
         with pytest.raises(ValueError):
             StreamingExecutor(dfa, schedule="barrier-free")
 
-    @pytest.mark.parametrize("backend", ["simulate", "pool"])
+    def test_pool_rejects_ooo_schedule(self, monkeypatch):
+        # The pool backend has one merge: "ooo" fails at construction,
+        # before any worker process or shared-memory segment exists.
+        import repro.core.streaming as streaming
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pool built before the schedule was checked")
+
+        monkeypatch.setattr(streaming, "ScaleoutPool", refuse)
+        dfa = make_random_dfa(4, 2, seed=0)
+        with pytest.raises(ValueError, match="barrier"):
+            StreamingExecutor(dfa, backend="pool", schedule="ooo")
+
+    @pytest.mark.parametrize("backend", ["simulate"])
     def test_ooo_schedule_equals_barrier(self, backend):
         dfa = make_random_dfa(6, 3, seed=40, accepting_fraction=0.3)
         stream = random_input(3, 15_000, seed=41)

@@ -1,6 +1,5 @@
 """Tests for the cost model: pricing invariants and paper-shape properties."""
 
-import numpy as np
 import pytest
 
 import repro

@@ -1,6 +1,5 @@
 """Tests for price_at_scale and the runner's measurement helpers."""
 
-import numpy as np
 import pytest
 
 import repro

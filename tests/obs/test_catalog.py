@@ -107,5 +107,5 @@ def test_scanner_sees_the_pool_round():
     # would pass both directions vacuously.
     emitted, _ = _scan_code()
     for name in ("pool.wait", "pool.dispatch", "pool.worker", "fault.injected",
-                 "mp.pool.*", "reexec.*.items"):
+                 "native.fallback.*", "reexec.*.items"):
         assert name in emitted, name

@@ -3,21 +3,17 @@
 The serving layer's correctness rests on one property: concatenating many
 independent requests into a single seeded chunk plan never changes any
 request's answer. These tests drive :func:`repro.core.engine.run_speculative_batch`
-(in-process) and :meth:`repro.core.mp_executor.ScaleoutPool.run_batch`
-(worker processes, including a mid-batch worker kill) and compare every
-per-request final state against the sequential reference *and* against
-individual ``run_speculative`` calls across kernel/collapse/schedule
-settings.
+and compare every per-request final state against the sequential
+reference *and* against individual ``run_speculative`` calls across
+kernel/collapse/schedule settings.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps import APPLICATIONS
-from repro.core import faultinject as fi
 from repro.core.engine import run_speculative, run_speculative_batch
 from repro.core.kernels import plan_kernel
-from repro.core.mp_executor import ScaleoutPool
 from repro.fsm.run import run_segment
 from tests.conftest import make_random_dfa, random_input
 
@@ -117,45 +113,3 @@ class TestEngineBatch:
         assert one.final_states[0] == run_segment(
             dfa, random_input(2, 5000, seed=31), dfa.start
         )
-
-
-class TestPoolBatch:
-    def _case(self, seed=40):
-        dfa, corpus = APPLICATIONS["div7"].build(40_000, seed=seed)
-        segs = windows(corpus, [9000, 0, 4096, 1, 12_000, 2500, 700], seed=seed)
-        ref = [run_segment(dfa, s, dfa.start) for s in segs]
-        return dfa, segs, ref
-
-    def test_matches_reference_and_warm_reuse(self):
-        dfa, segs, ref = self._case()
-        with ScaleoutPool(
-            dfa, num_workers=3, k=3, sub_chunks_per_worker=8
-        ) as pool:
-            cold = pool.run_batch(segs)
-            warm = pool.run_batch(segs)
-        for res in (cold, warm):
-            assert res.num_requests == len(segs)
-            assert list(res.final_states) == ref
-
-    def test_seeded_starts(self):
-        dfa, segs, _ = self._case(seed=41)
-        rng = np.random.default_rng(42)
-        starts = [int(rng.integers(0, dfa.num_states)) for _ in segs]
-        ref = [run_segment(dfa, s, s0) for s, s0 in zip(segs, starts)]
-        with ScaleoutPool(
-            dfa, num_workers=2, k=3, sub_chunks_per_worker=8
-        ) as pool:
-            res = pool.run_batch(segs, starts=starts)
-        assert list(res.final_states) == ref
-
-    def test_worker_killed_mid_batch_recovers(self):
-        dfa, segs, ref = self._case(seed=43)
-        plan = fi.FaultPlan([fi.kill_worker(1, at_task=0)])
-        with ScaleoutPool(
-            dfa, num_workers=3, k=3, sub_chunks_per_worker=8, fault_plan=plan
-        ) as pool:
-            res = pool.run_batch(segs)
-        assert list(res.final_states) == ref
-        assert res.degraded is False
-        assert res.recovery is not None
-        assert res.recovery.worker_deaths >= 1
