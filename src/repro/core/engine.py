@@ -5,8 +5,10 @@ pipeline — partition, look-back speculation, lock-step local processing,
 then a sequential or parallel merge — while counting every algorithmic
 event. Its execution plan (:mod:`repro.core.plan`) either simulates the
 paper's GPU grid and prices the events into modeled V100 time via
-:class:`repro.gpu.cost.CostModel`, or, at defaults, runs a CPU-shaped
-plan for wall-clock speed.
+:class:`repro.gpu.cost.CostModel`, or, at defaults, runs the CPU plan for
+wall-clock speed: one serial pass from the start state, since nothing
+steps in parallel there (an explicit ``plan=`` forces chunked
+speculation).
 
 ``k`` selects the method on the paper's continuum: ``1`` is classic
 speculative execution, ``None`` (or ``num_states``) is enumerative
@@ -38,6 +40,7 @@ from repro.core.multipattern import (
 from repro.core.plan import (
     GPU_NUM_BLOCKS,
     GPU_THREADS_PER_BLOCK,
+    ExecPlan,
     auto_backend,
     gpu_args_given,
     resolve_plan,
@@ -47,6 +50,7 @@ from repro.core.replay import ChunkReplay, replay_path
 from repro.core.scoreboard import ChunkScoreboard, run_chunks_active
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.dfa import DFA
+from repro.fsm.run import run_reference, run_reference_trace
 from repro.gpu.cost import CostModel, TimeBreakdown
 from repro.gpu.device import DeviceSpec, TESLA_V100
 from repro.obs.trace import RunTrace, current_trace, trace_span
@@ -115,12 +119,15 @@ class EngineConfig:
         long enough input — resolves to ``"vectorized"`` when no kernel
         loads, visible here and under the ``native.fallback`` counter).
     plan:
-        ``"cpu"`` (chunk count from the input length, no pricing) or
-        ``"gpu"`` (the modeled V100 grid, selected by passing any
+        ``"cpu"`` (no pricing; one serial pass unless ``plan=`` is given)
+        or ``"gpu"`` (the modeled V100 grid, selected by passing any
         modeled-GPU argument or ``price=True``).
     num_chunks:
         The chunk count the run executed (an explicit ``plan=`` overrides
         the geometry's).
+    rung:
+        ``"serial"`` (one pass from the start state: no speculation,
+        merge or truth walk) or ``"chunked"`` (the speculative pipeline).
     """
 
     k: int
@@ -140,6 +147,7 @@ class EngineConfig:
     backend: str = "vectorized"
     plan: str = "gpu"
     num_chunks: int = 0
+    rung: str = "chunked"
 
     @property
     def num_threads(self) -> int:
@@ -165,7 +173,7 @@ class SpecExecutionResult:
     true_starts:
         Exact per-chunk starting states, ``(num_chunks,)`` int32 — present
         when truth recovery ran (sequential merge, ``measure_success``, or
-        output collection).
+        output collection), and always ``[start]`` on the serial rung.
     accept_counts:
         Per-chunk counts of accepting-state visits (``collect``
         ``"accept_count"`` only).
@@ -253,13 +261,17 @@ def run_speculative(
     ``cache_table``, ``cache_budget_bytes``, ``cpu_transition_ns``) or
     ``price=True`` runs the **GPU plan**: the paper's simulated V100 grid
     (80 x 256 chunks unless given), vectorized lockstep stepping and
-    modeled-time pricing. Every other call runs the **CPU plan**: the
-    chunk count comes from the input length
-    (:func:`repro.core.plan.cpu_chunks`: one chunk per 256 items on the
-    NumPy path or per 16,384 compiled, at most 64), ``backend`` and
-    ``kernel`` resolve automatically (compiled native code from
-    :data:`repro.core.plan.NATIVE_MIN_ITEMS` items on, when a kernel
-    loads), and nothing is priced.
+    modeled-time pricing. Every other call runs the **CPU plan**, where
+    nothing is priced and nothing runs in parallel. Without ``plan=`` it
+    takes the **serial rung**: one chunk, one lane from the start state,
+    and no prior, collapse probe, look-back, merge or truth walk — the
+    one-lane compiled kernel from :data:`repro.core.plan.NATIVE_MIN_ITEMS`
+    items on when one loads, the :func:`repro.fsm.run.run_reference` loop
+    otherwise; ``config.k`` is 1 and ``true_starts`` is ``[start]``. An
+    explicit ``plan=`` forces the **chunked** speculative pipeline over
+    that partition (``plan_chunks(L, cpu_chunks(L, backend))`` is the
+    CPU chunk rule), with ``backend`` and ``kernel`` resolved
+    automatically. ``backend="dist"`` runs across hosts instead.
 
     Parameters
     ----------
@@ -309,7 +321,9 @@ def run_speculative(
         from :data:`repro.core.plan.NATIVE_MIN_ITEMS` input items on
         (falling back to ``"vectorized"`` when no kernel loads) and
         ``"vectorized"`` below it or when ``accept_count`` needs
-        per-symbol stepping. ``"vectorized"`` is one ``(n, k)`` gather
+        per-symbol stepping. On the serial rung every non-native pass is
+        the reference loop, recorded as ``"reference"``.
+        ``"vectorized"`` is one ``(n, k)`` gather
         per step; ``"native"`` is the paper's code-generation path
         compiled to machine code: :mod:`repro.core.native` emits
         specialized C for ``(k, kernel, collapse)``, JIT-compiles it with
@@ -352,8 +366,9 @@ def run_speculative(
         combination.
     plan:
         Explicit :class:`repro.workloads.chunking.ChunkPlan` overriding
-        the default near-equal partition (its chunk count then overrides
-        the launch geometry's or the CPU rule's). A *skewed* plan
+        the default partition (its chunk count then overrides the launch
+        geometry's; on the CPU plan it selects the chunked speculative
+        path over the serial rung). A *skewed* plan
         (lengths differing by more than one — straggler modeling) runs in the natural layout with the
         vectorized lockstep backend, no collapse/cache/collect: under
         ``schedule="barrier"`` via divergent full-width stepping
@@ -364,7 +379,9 @@ def run_speculative(
         A :class:`repro.core.predictor.HistoryPredictor` (or a path to its
         JSON store) supplying learned start-state priors: past runs' true
         chunk-boundary states bias this run's speculation ranking, and
-        this run's recovered truth is folded back in afterwards.
+        this run's recovered truth is folded back in afterwards. Like
+        ``ranking`` and ``lookback``, unused on the serial rung, which has
+        no chunk boundaries.
     trace:
         A :class:`repro.obs.RunTrace` to record per-stage wall-clock spans
         and speculation metrics into. When omitted, the ambient trace (if
@@ -458,7 +475,10 @@ def run_speculative(
         backend=xp.backend,
         plan=xp.kind,
         num_chunks=n,
+        rung=xp.rung,
     )
+    if xp.rung == "serial":
+        return _run_serial(dfa, inputs, xp, config)
     stats = ExecStats(
         num_items=int(inputs.size),
         num_chunks=n,
@@ -483,8 +503,6 @@ def run_speculative(
                 # sample — the offline-profiling analog of principled
                 # speculation. This is preprocessing (like the paper's
                 # look-back tables), not counted execution work.
-                from repro.core.lookback import state_prior
-
                 prior = state_prior(dfa, sample=inputs[: 1 << 14])
             if ranking is None and predictor is not None:
                 # Learned boundary-state occupancy from past runs of this
@@ -739,6 +757,94 @@ def run_speculative(
         trace=run_trace,
         native=nplan,
     )
+
+
+def _run_serial(
+    dfa: DFA, inputs: np.ndarray, xp: ExecPlan, config: EngineConfig
+) -> SpecExecutionResult:
+    """The CPU plan's serial rung: one pass from the start state.
+
+    No prior, collapse probe, look-back, lane stepping, merge or truth
+    walk. The one-lane native kernel (``xp.native``) gives the final state
+    and, in a second pass, the match positions. Otherwise, or when
+    emissions are collected, the :func:`repro.fsm.run.run_reference`
+    loop does, keeping the state trajectory when an output reads it.
+    """
+    size = int(inputs.size)
+    start = int(dfa.start)
+    nk, collect = xp.native, xp.collect
+    stats = ExecStats(
+        num_items=size, num_chunks=1, k=1,
+        num_states=dfa.num_states, num_inputs=dfa.num_inputs,
+    )
+    # One lane: every item is one step, one read and one transition.
+    stats.local_steps = stats.local_transitions = size
+    stats.local_input_reads = stats.local_gathers = size
+    # The reference loop keeps the state trajectory when an output reads
+    # it; the native kernel has an accept pass but no emission pass.
+    states = None
+    with trace_span(
+        "engine.local_exec", backend=xp.backend, chunks=1, k=1,
+        kernel=xp.kernel, schedule=config.schedule,
+    ):
+        if "emissions" in collect or (collect and nk is None):
+            states = run_reference_trace(dfa, inputs)
+            final_state = int(states[-1]) if size else start
+        elif nk is not None:
+            final_state = nk.run_segment(inputs, start)
+        else:
+            final_state = run_reference(dfa, inputs)
+
+    acc = match_positions = emissions = None
+    if collect:
+        with trace_span(
+            "engine.output_recovery", collect=list(collect),
+            replay="native" if states is None else "reference",
+        ):
+            if "accept_count" in collect:
+                acc = np.array(
+                    [[np.count_nonzero(dfa.accepting[states])]], dtype=np.int64
+                )
+            if "match_positions" in collect and states is not None:
+                match_positions = np.flatnonzero(dfa.accepting[states])
+            elif "match_positions" in collect:
+                match_positions, _, _ = nk.accept_positions(
+                    inputs, np.zeros(1, dtype=np.int64),
+                    np.full(1, size, dtype=np.int64),
+                    np.full((1, 1), start, dtype=np.int32), dfa.accepting,
+                )
+            if "emissions" in collect:
+                emissions = _trace_emissions(dfa, inputs, start, states)
+    run_trace = current_trace()
+    if run_trace is not None:
+        run_trace.count("engine.runs", 1)
+    return SpecExecutionResult(
+        final_state=final_state,
+        stats=stats,
+        config=config,
+        accepted=bool(dfa.accepting[final_state]),
+        true_starts=np.full(1, start, dtype=np.int32),
+        accept_counts=acc,
+        match_positions=match_positions,
+        emissions=emissions,
+        trace=run_trace,
+        native=nk,
+    )
+
+
+def _trace_emissions(
+    dfa: DFA, inputs: np.ndarray, start: int, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`repro.core.local.recover_emissions` of one chunk, read off the
+    state trajectory ``states`` of a pass from ``start``."""
+    if dfa.emit is None:
+        raise ValueError("DFA has no emission table")
+    before = np.empty(states.size, dtype=np.int32)
+    before[:1] = start
+    before[1:] = states[:-1]
+    emitted = dfa.emit[inputs, before]
+    positions = np.flatnonzero(emitted >= 0)
+    return positions, emitted[positions].astype(np.int64)
 
 
 @dataclass

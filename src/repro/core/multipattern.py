@@ -649,7 +649,7 @@ def run_multipattern(
         "mp.run", patterns=P, items=int(inputs.size), route=route,
         schedule=schedule, merge=merge,
     ) as sp:
-        cls = stack.joint.remap(inputs).astype(np.int32, copy=False)
+        cls = stack.joint.remap(inputs)
 
         if route == "auto":
             route = _select_route(
@@ -1241,7 +1241,7 @@ def run_multipattern_batch(
     finals = batch.starts.astype(np.int32)
     if batch.plan is not None:
         n = batch.plan.num_chunks
-        cls = stack.joint.remap(batch.symbols).astype(np.int32, copy=False)
+        cls = stack.joint.remap(batch.symbols)
         if stats is None:
             stats = lanes.new_stats(cls.size, n)
         with trace_span(

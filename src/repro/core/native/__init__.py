@@ -37,6 +37,7 @@ from .runtime import (
     clear_memory_cache,
     load_artifact,
     load_native_plan,
+    load_serial_kernel,
     native_available,
 )
 
@@ -54,6 +55,7 @@ __all__ = [
     "find_compiler",
     "load_artifact",
     "load_native_plan",
+    "load_serial_kernel",
     "native_available",
     "reset_build_state",
 ]

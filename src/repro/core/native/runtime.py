@@ -31,6 +31,7 @@ from ...fsm.dfa import DFA
 from ...obs import add_count, trace_span
 from ..convergence import CollapseConfig
 from ..kernels import DEFAULT_TABLE_BUDGET_BYTES, KernelPlan, plan_kernel
+from ..plan import NATIVE_MIN_ITEMS
 from ..predictor import dfa_fingerprint
 from ...workloads.chunking import plan_chunks
 from . import build as _build
@@ -50,6 +51,7 @@ from .cgen import (
 __all__ = [
     "NativeKernel",
     "load_native_plan",
+    "load_serial_kernel",
     "load_artifact",
     "native_available",
     "cache_stats",
@@ -62,6 +64,8 @@ _MEM_CACHE_MAX = 64
 _ACCEPT_CAP = 1 << 12
 _mem_lock = threading.Lock()
 _mem_cache: "OrderedDict[tuple, NativeKernel]" = OrderedDict()
+# load_serial_kernel's memo; a None entry remembers a failed load.
+_serial_memo: "OrderedDict[tuple, NativeKernel | None]" = OrderedDict()
 
 
 def _i32(a: np.ndarray) -> np.ndarray:
@@ -708,6 +712,40 @@ def load_native_plan(
     return nk
 
 
+def load_serial_kernel(dfa: DFA, *, kernel: str = "auto") -> NativeKernel | None:
+    """The one-lane, no-collapse kernel of the CPU plan's serial rung.
+
+    Planned for one chunk of :data:`repro.core.plan.NATIVE_MIN_ITEMS`
+    symbols whatever the call's length, and memoized on the machine's
+    fingerprint (start state left out: a kernel takes it at run time), the
+    kernel, the artifact directory and the compiler probe. A new input
+    length therefore never re-plans, and a machine with no usable kernel
+    is tried once per compiler rather than on every call.
+    :func:`clear_memory_cache` drops the memo.
+    """
+    key = (
+        dfa_fingerprint(dfa, start=False), kernel,
+        os.environ.get(_build._ENV_CACHE_DIR), _build.find_compiler(),
+    )
+    with _mem_lock:
+        hit = key in _serial_memo
+        if hit:
+            _serial_memo.move_to_end(key)
+            nk = _serial_memo[key]
+    if hit:
+        if nk is not None:
+            _build.note_mem_hit()
+        return nk
+    nk = load_native_plan(
+        dfa, k=1, kernel=kernel, chunk_len=NATIVE_MIN_ITEMS, num_chunks=1
+    )
+    with _mem_lock:
+        _serial_memo[key] = nk
+        while len(_serial_memo) > _MEM_CACHE_MAX:
+            _serial_memo.popitem(last=False)
+    return nk
+
+
 def _mem_put(mem_key: tuple, nk: NativeKernel) -> None:
     with _mem_lock:
         _mem_cache[mem_key] = nk
@@ -806,3 +844,4 @@ def clear_memory_cache() -> None:
     """Drop in-memory loaded kernels (test hook; disk artifacts remain)."""
     with _mem_lock:
         _mem_cache.clear()
+        _serial_memo.clear()

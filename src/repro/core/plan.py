@@ -16,16 +16,29 @@ Two plans exist:
   thread (80 x 256 unless given), the vectorized backend, the lockstep
   kernel, and modeled-time pricing: exactly what the paper's figures
   measure.
-* **CPU plan** — every other call. The chunk count comes from the input
-  length (:func:`cpu_chunks`), not from a launch shape, so speculation
-  stays a small share of stepping. ``backend`` resolves to the compiled
-  kernel when the input is long enough to be worth one
-  (:data:`NATIVE_MIN_ITEMS`) and the loader returns one, and to the NumPy
-  path otherwise; ``kernel`` resolves by the cost model. No pricing.
+* **CPU plan** — every other call. No pricing. It has two rungs:
 
-Explicit ``backend``/``kernel`` arguments keep their meaning on both plans.
-The choice is recorded on the ``engine.plan`` span (``plan``, ``chunks``,
-``backend``, ``kernel``, ``reason``) and in
+  - **serial** (the default): the CPU plan steps on one thread, so
+    speculation would only add look-back, k-lane stepping and a merge to
+    the core a plain pass uses. The call runs one chunk and one lane from
+    the start state: validation plus one pass, with no state prior,
+    collapse probe, look-back, merge or truth walk. From
+    :data:`NATIVE_MIN_ITEMS` items on (or with ``backend="native"``) the
+    pass is the one-lane compiled kernel when one loads
+    (:func:`repro.core.native.load_serial_kernel`, memoized per machine
+    and kernel, so a new input length does not re-plan); otherwise it is
+    the :func:`repro.fsm.run.run_reference` loop (``backend`` recorded as
+    ``"reference"``).
+  - **chunked**: an explicit ``plan=`` forces the speculative pipeline
+    over that partition. ``backend`` resolves to the compiled kernel when
+    the input reaches :data:`NATIVE_MIN_ITEMS` and the loader returns one,
+    and to the NumPy path otherwise; ``kernel`` resolves by the cost
+    model. :func:`cpu_chunks` is the chunk rule the multi-pattern driver
+    uses and the partition to pass for the old CPU default.
+
+Explicit ``backend``/``kernel`` arguments keep their meaning on every plan.
+The choice is recorded on the ``engine.plan`` span (``plan``, ``rung``,
+``chunks``, ``backend``, ``kernel``, ``reason``) and in
 :class:`repro.core.engine.EngineConfig`.
 """
 
@@ -64,8 +77,10 @@ __all__ = [
 GPU_NUM_BLOCKS = 80
 GPU_THREADS_PER_BLOCK = 256
 
-# CPU plan: one chunk per CPU_CHUNK_ITEMS[backend] input items, at most
-# CPU_MAX_CHUNKS. Past the cap a longer input only lengthens the chunks:
+# CPU chunk rule (the multi-pattern driver's default partition, and the one
+# to pass as plan= for chunked CPU speculation): one chunk per
+# CPU_CHUNK_ITEMS[backend] input items, at most CPU_MAX_CHUNKS. Past the
+# cap a longer input only lengthens the chunks:
 # look-back speculation and the merge cost per chunk, stepping per item.
 # The NumPy path pays a Python dispatch per step, so it wants more, shorter
 # chunks than the compiled loop (measured optimum on the five paper apps:
@@ -74,15 +89,15 @@ CPU_CHUNK_ITEMS = {"vectorized": 256, "native": 1 << 14}
 CPU_MAX_CHUNKS = 64
 
 # backend="auto" compiles (or loads) a native kernel only from this input
-# length on; shorter calls stay on NumPy, where a first-use compile of
-# ~150 ms would dwarf the run.
+# length on; shorter calls stay on NumPy or the reference loop, where a
+# first-use compile of ~150 ms would dwarf the run.
 NATIVE_MIN_ITEMS = 1 << 16
 
 COLLECT_ITEMS = ("accept_count", "match_positions", "emissions")
 
 
 def cpu_chunks(num_items: int, backend: str) -> int:
-    """CPU-plan chunk count for ``num_items`` symbols on ``backend``.
+    """CPU chunk-rule count for ``num_items`` symbols on ``backend``.
 
     ``clamp(ceil(num_items / CPU_CHUNK_ITEMS[backend]), 1,
     CPU_MAX_CHUNKS)``. Any count is legal on the CPU plan — there is no
@@ -121,6 +136,9 @@ class ExecPlan:
     ----------
     kind:
         ``"cpu"`` or ``"gpu"`` (see the module docstring).
+    rung:
+        ``"serial"`` (one pass from the start state, no speculation) or
+        ``"chunked"`` (speculate, step chunks, merge).
     reason:
         Why the plan, backend and chunk count came out as they did.
     k, enumerative:
@@ -150,6 +168,7 @@ class ExecPlan:
     """
 
     kind: str
+    rung: str
     reason: str
     k: int
     enumerative: bool
@@ -186,7 +205,7 @@ def resolve_plan(dfa: DFA, inputs: np.ndarray, **requested) -> ExecPlan:
     with trace_span("engine.plan") as sp:
         xp = _resolve(dfa, inputs, **requested)
         sp.set(
-            plan=xp.kind, chunks=xp.chunks, backend=xp.backend,
+            plan=xp.kind, rung=xp.rung, chunks=xp.chunks, backend=xp.backend,
             kernel=xp.kernel, reason=xp.reason,
         )
     return xp
@@ -264,17 +283,30 @@ def _resolve(
         kernel = kernel if kernel is not None else "auto"
         reason = f"cpu: L={size}"
 
+    # Per-symbol features (hot-state cache accounting, accepting-visit
+    # counts) are incompatible with compiled and multi-symbol stepping:
+    # "auto" quietly keeps a per-symbol path there, an explicit request is
+    # an error.
+    needs_per_symbol = cache_table or ("accept_count" in collect)
+    if backend == "native" and needs_per_symbol:
+        raise ValueError(
+            "backend='native' does not support cache_table or "
+            "accept_count; use the default vectorized backend"
+        )
+
     if plan is not None:
         if plan.num_items != size:
             raise ValueError(
                 f"plan covers {plan.num_items} items but inputs has {size}"
             )
         reason += ", explicit plan"
-
-    def partition(backend: str) -> ChunkPlan:
-        if plan is not None:
-            return plan
-        return plan_chunks(size, grid if gpu else cpu_chunks(size, backend))
+    elif not gpu:
+        return _serial(
+            dfa, size, reason=reason, backend=backend, kernel=kernel,
+            per_symbol=needs_per_symbol, device=device,
+            measure_success=measure_success, collect=collect,
+        )
+    chunk_plan = plan if plan is not None else plan_chunks(size, grid)
 
     ragged = plan is not None and plan.max_len - plan.min_len > 1
     collapse_mode = collapse
@@ -309,11 +341,6 @@ def _resolve(
             sp.set(resolved=collapse_cfg.label if collapse_cfg else "off")
 
     # --- backend and kernel ----------------------------------------------- #
-    # Per-symbol features (hot-state cache accounting, accepting-visit
-    # counts) are incompatible with compiled and multi-symbol stepping:
-    # "auto" quietly keeps vectorized lockstep there, an explicit request
-    # is an error.
-    needs_per_symbol = cache_table or ("accept_count" in collect)
     if backend == "auto":
         if needs_per_symbol:
             backend = "vectorized"
@@ -322,13 +349,7 @@ def _resolve(
             backend = auto_backend(size)
             if backend == "vectorized":
                 reason += ", below the native floor"
-    if backend == "native" and needs_per_symbol:
-        raise ValueError(
-            "backend='native' does not support cache_table or "
-            "accept_count; use the default vectorized backend"
-        )
 
-    chunk_plan = partition(backend)
     native = None
     kplan = None
     kernel_resolved = "lockstep"
@@ -348,7 +369,6 @@ def _resolve(
             # functionally identical.
             backend = "vectorized"
             reason += ", no native kernel"
-            chunk_plan = partition(backend)
         else:
             kernel_resolved = native.kplan.kernel
             # Native reads the natural layout directly (explicit
@@ -378,6 +398,7 @@ def _resolve(
         num_blocks, threads_per_block = 1, n
     return ExecPlan(
         kind="gpu" if gpu else "cpu",
+        rung="chunked",
         reason=reason,
         k=k_eff,
         enumerative=enumerative,
@@ -400,4 +421,68 @@ def _resolve(
         native=native,
         collapse=collapse_cfg,
         collapse_requested=collapse_requested,
+    )
+
+
+def _serial(
+    dfa: DFA,
+    size: int,
+    *,
+    reason: str,
+    backend: str,
+    kernel: str,
+    per_symbol: bool,
+    device: DeviceSpec,
+    measure_success: bool,
+    collect: tuple[str, ...],
+) -> ExecPlan:
+    """The CPU plan's serial rung: one chunk, one lane from the start state.
+
+    Nothing runs in parallel on the CPU plan, so speculation would only
+    add look-back, k-lane stepping and a merge to the core a plain pass
+    uses. The pass is the one-lane native kernel when the input reaches
+    :data:`NATIVE_MIN_ITEMS` (or ``backend="native"`` asks for it) and a
+    kernel loads, and the :func:`repro.fsm.run.run_reference` loop
+    otherwise (``backend="reference"``).
+    """
+    reason += ", serial: one stepping thread"
+    if per_symbol:
+        backend = "reference"
+        reason += ", per-symbol outputs need the reference loop"
+    elif backend == "auto":
+        backend = auto_backend(size)
+        if backend == "vectorized":
+            reason += ", below the native floor"
+    native = None
+    if backend == "native":
+        from repro.core.native import load_serial_kernel
+
+        native = load_serial_kernel(dfa, kernel=kernel)
+        if native is None:
+            reason += ", no native kernel"
+    return ExecPlan(
+        kind="cpu",
+        rung="serial",
+        reason=reason,
+        k=1,
+        enumerative=dfa.num_states == 1,
+        chunks=1,
+        chunk_plan=plan_chunks(size, 1),
+        ragged=False,
+        num_blocks=1,
+        threads_per_block=1,
+        device=device,
+        layout="natural",
+        cache_table=False,
+        cache_budget_bytes=None,
+        price=False,
+        cpu_transition_ns=None,
+        measure_success=measure_success,
+        collect=collect,
+        backend="native" if native is not None else "reference",
+        kernel=native.kplan.kernel if native is not None else "lockstep",
+        kplan=None,
+        native=native,
+        collapse=None,
+        collapse_requested=False,
     )

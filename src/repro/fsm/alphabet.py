@@ -19,7 +19,30 @@ __all__ = [
     "JointCompaction",
     "compact_alphabet",
     "compact_alphabet_joint",
+    "remap_classes",
 ]
+
+
+# Symbols remapped per np.take call: the intp index NumPy builds for one
+# block stays cache-sized (512 KiB) instead of 8 bytes per input item.
+REMAP_BLOCK = 1 << 16
+
+
+def remap_classes(class_of: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """``class_of[symbols]`` as int32, gathered block by block.
+
+    Equal to the fancy-indexing gather (out-of-range ids still raise
+    ``IndexError``), but each :data:`REMAP_BLOCK`-item block is taken
+    straight into a preallocated output, so no whole-input index array is
+    built.
+    """
+    symbols = np.asarray(symbols)
+    table = np.asarray(class_of, dtype=np.int32)
+    out = np.empty(symbols.shape, dtype=np.int32)
+    flat_in, flat_out = symbols.reshape(-1), out.reshape(-1)
+    for i in range(0, flat_in.size, REMAP_BLOCK):
+        np.take(table, flat_in[i:i + REMAP_BLOCK], out=flat_out[i:i + REMAP_BLOCK])
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,8 +199,8 @@ class AlphabetCompaction:
         return self.num_symbols / max(1, self.num_classes)
 
     def remap(self, symbols: np.ndarray) -> np.ndarray:
-        """Map a dense symbol-id array to class ids (one vectorized gather)."""
-        return self.class_of[np.asarray(symbols)]
+        """Map a dense symbol-id array to int32 class ids (:func:`remap_classes`)."""
+        return remap_classes(self.class_of, symbols)
 
 
 def compact_alphabet(table: np.ndarray) -> AlphabetCompaction:
@@ -256,8 +279,8 @@ class JointCompaction:
         return self.num_symbols / max(1, self.num_classes)
 
     def remap(self, symbols: np.ndarray) -> np.ndarray:
-        """Map a dense symbol-id array to joint class ids (one gather)."""
-        return self.class_of[np.asarray(symbols)]
+        """Map a dense symbol-id array to int32 joint class ids (:func:`remap_classes`)."""
+        return remap_classes(self.class_of, symbols)
 
     def padded_table(self) -> np.ndarray:
         """The ``(P, C, S_max)`` padded 3-D view of the group's tables.

@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro.fsm.run import run_reference
 from repro.gpu.device import GTX_1080TI
+from repro.workloads.chunking import plan_chunks
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -156,7 +157,10 @@ class TestOutputs:
 
         monkeypatch.setattr(lookback, "stationary_distribution", solve)
         dfa = make_random_dfa(12, 3, seed=13)
-        r = repro.run_speculative(dfa, np.zeros(0, dtype=np.int32))
+        # An explicit plan: the default serial rung never speculates.
+        r = repro.run_speculative(
+            dfa, np.zeros(0, dtype=np.int32), plan=plan_chunks(0, 1)
+        )
         assert r.final_state == dfa.start
         assert r.stats == ExecStats(
             num_items=0, num_chunks=1, k=r.config.k, num_states=12,

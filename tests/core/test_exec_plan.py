@@ -1,9 +1,11 @@
 """The execution-plan resolver (``core/plan.py``) and the CPU plan end to end.
 
-Resolver rules: which calls get the modeled-GPU plan, the CPU chunk rule at
-its breakpoints, the per-symbol and no-compiler fallbacks. Then one
-Hypothesis differential: every CPU-plan configuration returns exactly what
-the sequential reference and the NumPy oracles return.
+Resolver rules: which calls get the modeled-GPU plan, the CPU plan's serial
+rung at defaults and its chunked path under an explicit ``plan=`` (with the
+CPU chunk rule at its breakpoints), the per-symbol and no-compiler
+fallbacks. Then one Hypothesis differential: every CPU-plan configuration
+returns exactly what the sequential reference and the NumPy oracles
+return.
 """
 
 from __future__ import annotations
@@ -93,11 +95,26 @@ class TestGpuPlan:
             repro.run_speculative(dfa, x, threads_per_block=50)
 
 
+def _chunked(size: int, backend: str = "vectorized"):
+    """The CPU chunk rule's partition, passed as ``plan=`` to force the
+    chunked speculative path."""
+    return plan_chunks(size, cpu_chunks(size, backend))
+
+
 class TestCpuPlan:
     def test_defaults_select_the_cpu_plan(self, case):
         dfa, x = case
         r = repro.run_speculative(dfa, x)
         assert r.config.plan == "cpu"
+        assert r.timing is None
+        assert r.config.rung == "serial"
+        assert (r.config.num_chunks, r.config.k) == (1, 1)
+        assert (r.config.backend, r.config.kernel) == ("reference", "lockstep")
+        np.testing.assert_array_equal(r.true_starts, [dfa.start])
+        assert r.final_state == run_reference(dfa, x)
+        # An explicit plan= forces the chunked speculative path.
+        r = repro.run_speculative(dfa, x, plan=_chunked(x.size))
+        assert (r.config.plan, r.config.rung) == ("cpu", "chunked")
         assert r.timing is None
         assert r.true_starts is not None  # truth recovery stays on
         assert r.config.num_chunks == cpu_chunks(x.size, "vectorized")
@@ -127,9 +144,17 @@ class TestCpuPlan:
     def test_resolver_at_the_size_breakpoints(self, size):
         dfa = make_random_dfa(9, 4, seed=33)
         x = random_input(4, size, seed=34)
-        xp = resolve_plan(dfa, x)
         native = size >= NATIVE_MIN_ITEMS and HAVE_NATIVE
-        assert xp.kind == "cpu"
+        xp = resolve_plan(dfa, x)
+        assert (xp.kind, xp.rung, xp.chunks, xp.k) == ("cpu", "serial", 1, 1)
+        assert xp.backend == ("native" if native else "reference")
+        assert (xp.native is not None) == native
+        assert xp.chunk_plan.num_items == size
+        assert xp.collapse is None and not xp.collapse_requested
+        assert not xp.price and xp.measure_success
+        # The chunked path, forced by plan=, keeps the CPU chunk rule.
+        xp = resolve_plan(dfa, x, plan=_chunked(size, "native" if native else "vectorized"))
+        assert (xp.kind, xp.rung) == ("cpu", "chunked")
         assert xp.backend == ("native" if native else "vectorized")
         assert (xp.native is not None) == native
         assert xp.chunks == cpu_chunks(size, xp.backend)
@@ -142,35 +167,56 @@ class TestCpuPlan:
     def test_accept_count_resolves_to_vectorized_lockstep(self):
         dfa = make_random_dfa(9, 4, seed=35)
         x = random_input(4, NATIVE_MIN_ITEMS, seed=36)
-        xp = resolve_plan(dfa, x, collect=("accept_count",))
+        trace = run_reference_trace(dfa, x)
+        visits = int(dfa.accepting[trace].sum())
+        plan = _chunked(x.size)
+        xp = resolve_plan(dfa, x, collect=("accept_count",), plan=plan)
         assert (xp.backend, xp.kernel) == ("vectorized", "lockstep")
         # spec-N: lane q of every chunk starts in state q.
-        r = repro.run_speculative(dfa, x, k=None, collect=("accept_count",))
+        r = repro.run_speculative(
+            dfa, x, k=None, collect=("accept_count",), plan=plan
+        )
         assert r.config.backend == "vectorized"
         per_chunk = r.accept_counts[np.arange(r.config.num_chunks), r.true_starts]
-        trace = run_reference_trace(dfa, x)
-        assert int(per_chunk.sum()) == int(dfa.accepting[trace].sum())
+        assert int(per_chunk.sum()) == visits
+        # The serial rung counts on the reference loop's trajectory.
+        r = repro.run_speculative(dfa, x, collect=("accept_count",))
+        assert r.config.backend == "reference"
+        assert r.accept_counts.tolist() == [[visits]]
 
     def test_explicit_native_with_accept_count_still_raises(self, case):
         dfa, x = case
         with pytest.raises(ValueError, match="accept_count"):
             repro.run_speculative(dfa, x, backend="native", collect=("accept_count",))
+        with pytest.raises(ValueError, match="accept_count"):
+            repro.run_speculative(
+                dfa, x, backend="native", collect=("accept_count",),
+                plan=_chunked(x.size),
+            )
 
     def test_explicit_kernel_keeps_its_meaning(self, case):
         dfa, x = case
-        r = repro.run_speculative(dfa, x, kernel="lockstep", backend="vectorized")
+        r = repro.run_speculative(
+            dfa, x, kernel="lockstep", backend="vectorized", plan=_chunked(x.size)
+        )
         assert (r.config.plan, r.config.kernel) == ("cpu", "lockstep")
 
     def test_engine_plan_span_records_the_choice(self, case):
         dfa, x = case
         trace = RunTrace()
         repro.run_speculative(dfa, x, trace=trace)
-        (span,) = trace.find("engine.plan")
-        assert span.attrs["plan"] == "cpu"
-        assert span.attrs["chunks"] == cpu_chunks(x.size, "vectorized")
-        assert span.attrs["backend"] == "vectorized"
-        assert span.attrs["kernel"] in repro.core.kernels.KERNELS
-        assert span.attrs["reason"].startswith("cpu")
+        repro.run_speculative(dfa, x, plan=_chunked(x.size), trace=trace)
+        serial, chunked = trace.find("engine.plan")
+        assert (serial.attrs["plan"], serial.attrs["rung"]) == ("cpu", "serial")
+        assert serial.attrs["chunks"] == 1
+        assert serial.attrs["backend"] == "reference"
+        assert "serial" in serial.attrs["reason"]
+        assert (chunked.attrs["plan"], chunked.attrs["rung"]) == ("cpu", "chunked")
+        assert chunked.attrs["chunks"] == cpu_chunks(x.size, "vectorized")
+        assert chunked.attrs["backend"] == "vectorized"
+        assert chunked.attrs["kernel"] in repro.core.kernels.KERNELS
+        for span in (serial, chunked):
+            assert span.attrs["reason"].startswith("cpu")
 
     def test_no_compiler_resolves_to_vectorized(self, tmp_path):
         code = """
@@ -178,12 +224,17 @@ import numpy as np, repro
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference
 from repro.core.plan import NATIVE_MIN_ITEMS, cpu_chunks
+from repro.workloads.chunking import plan_chunks
 dfa = DFA.random(9, 4, rng=7)
 x = np.random.default_rng(8).integers(0, 4, NATIVE_MIN_ITEMS * 2).astype(np.int32)
-r = repro.run_speculative(dfa, x)
+plan = plan_chunks(x.size, cpu_chunks(x.size, "native"))
+r = repro.run_speculative(dfa, x, plan=plan)
 assert r.final_state == run_reference(dfa, x)
 assert r.config.backend == "vectorized", r.config
-assert r.config.num_chunks == cpu_chunks(x.size, "vectorized")
+assert r.config.num_chunks == cpu_chunks(x.size, "native")
+r = repro.run_speculative(dfa, x)
+assert r.final_state == run_reference(dfa, x)
+assert (r.config.rung, r.config.backend) == ("serial", "reference"), r.config
 print("ok")
 """
         env = dict(
@@ -266,17 +317,23 @@ def _skewed_plan(size: int, seed: int):
     merge=st.sampled_from(["parallel", "sequential"]),
     schedule=st.sampled_from(["barrier", "ooo"]),
     matches=st.booleans(),
-    skewed=st.booleans(),
+    partition=st.sampled_from(["serial", "chunked", "skewed"]),
     seed=st.integers(0, 99),
 )
-def test_cpu_plan_is_bit_exact(mi, k, merge, schedule, matches, skewed, seed):
+def test_cpu_plan_is_bit_exact(mi, k, merge, schedule, matches, partition, seed):
     dfa, x = mi
-    plan = _skewed_plan(x.size, seed) if skewed else None
-    collect = ("match_positions",) if matches and plan is None else ()
+    plan = {
+        "serial": None,
+        "chunked": _chunked(x.size, "native" if x.size >= NATIVE_MIN_ITEMS else "vectorized"),
+        "skewed": _skewed_plan(x.size, seed),
+    }[partition]
+    skewed = plan is not None and plan.max_len - plan.min_len > 1
+    collect = ("match_positions",) if matches and not skewed else ()
     r = repro.run_speculative(
         dfa, x, k=k, merge=merge, schedule=schedule, collect=collect, plan=plan,
     )
     assert r.config.plan == "cpu"
+    assert r.config.rung == ("serial" if plan is None else "chunked")
     assert r.final_state == run_reference(dfa, x)
     trace = run_reference_trace(dfa, x)
     used = plan if plan is not None else plan_chunks(x.size, r.config.num_chunks)

@@ -151,3 +151,34 @@ class TestJointCompaction:
             compact_alphabet_joint(
                 [np.zeros((3, 2), np.int32), np.zeros((4, 2), np.int32)]
             )
+
+
+class TestRemap:
+    """``remap`` gathers block by block; it must equal one fancy-indexing
+    gather across block edges, dtypes and shapes, and still raise."""
+
+    @pytest.mark.parametrize("joint", [False, True])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_equals_fancy_indexing_across_block_edges(self, joint, dtype):
+        from repro.fsm.alphabet import (
+            REMAP_BLOCK, compact_alphabet, compact_alphabet_joint,
+        )
+
+        rng = np.random.default_rng(3)
+        table = rng.integers(0, 4, size=(200, 4)).astype(np.int32)
+        table[100:] = table[:100]  # repeated rows: fewer classes than symbols
+        comp = compact_alphabet_joint([table]) if joint else compact_alphabet(table)
+        for size in (0, 1, REMAP_BLOCK - 1, REMAP_BLOCK, 2 * REMAP_BLOCK + 3):
+            x = rng.integers(0, 200, size=size).astype(dtype)
+            got = comp.remap(x)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, comp.class_of[x])
+        x2 = rng.integers(0, 200, size=(3, 7)).astype(dtype)
+        np.testing.assert_array_equal(comp.remap(x2), comp.class_of[x2])
+
+    def test_out_of_range_raises(self):
+        from repro.fsm.alphabet import compact_alphabet
+
+        comp = compact_alphabet(np.array([[0, 1], [1, 0]], dtype=np.int32))
+        with pytest.raises(IndexError):
+            comp.remap(np.array([0, 1, 2], dtype=np.int32))
