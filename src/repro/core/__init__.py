@@ -76,14 +76,12 @@ from repro.core.resilience import (
     RetryPolicy,
     SupervisionReport,
 )
-from repro.core.scoreboard import ChunkScoreboard, run_chunks_active
 from repro.core.streaming import FeedCursor, StreamingExecutor
 from repro.core.types import ChunkResults, ExecStats, SegmentMaps
 
 __all__ = [
     "BatchExecutionResult",
     "ChunkResults",
-    "ChunkScoreboard",
     "DEFAULT_RESILIENCE",
     "DeadlineModel",
     "DegradedExecution",
@@ -120,7 +118,6 @@ __all__ = [
     "load_native_plan",
     "native_available",
     "plan_kernel",
-    "run_chunks_active",
     "run_inprocess_fallback",
     "run_speculative",
     "run_speculative_batch",

@@ -47,7 +47,6 @@ from repro.core.plan import (
 )
 from repro.core.predictor import HistoryPredictor
 from repro.core.replay import ChunkReplay, replay_path
-from repro.core.scoreboard import ChunkScoreboard, run_chunks_active
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference, run_reference_trace
@@ -110,9 +109,6 @@ class EngineConfig:
         Resolved convergence-layer setting: ``"on(W=<cadence>)"`` when
         lane collapse ran, ``"off"`` otherwise (disabled, or ``"auto"``
         probed the machine and found no convergence horizon).
-    schedule:
-        ``"barrier"`` (lock-step stage pipeline) or ``"ooo"`` (chunk
-        scoreboard, :mod:`repro.core.scoreboard`).
     backend:
         The local-processing backend that actually ran: ``"vectorized"``
         or ``"native"`` (a native request — explicit, or ``"auto"`` on a
@@ -143,7 +139,6 @@ class EngineConfig:
     device: DeviceSpec
     kernel: str = "lockstep"
     collapse: str = "off"
-    schedule: str = "barrier"
     backend: str = "vectorized"
     plan: str = "gpu"
     num_chunks: int = 0
@@ -246,7 +241,6 @@ def run_speculative(
     backend: str | None = None,
     kernel: str | None = None,
     collapse: str | CollapseConfig | None = "auto",
-    schedule: str = "barrier",
     plan: ChunkPlan | None = None,
     history: HistoryPredictor | str | None = None,
     trace: RunTrace | None = None,
@@ -356,25 +350,16 @@ def run_speculative(
         Functionally invisible — every mode produces identical results;
         ``stats.local_transitions`` keeps the modeled lock-step count
         either way.
-    schedule:
-        ``"barrier"`` (default — the lock-step stage pipeline) or
-        ``"ooo"`` — the chunk scoreboard
-        (:mod:`repro.core.scoreboard`): the merge consumes chunk maps as
-        they complete, converged chunks retire immediately, and provable
-        speculation misses re-execute *before* the merge finishes.
-        Bit-identical results on every merge/kernel/backend/collapse
-        combination.
     plan:
         Explicit :class:`repro.workloads.chunking.ChunkPlan` overriding
         the default partition (its chunk count then overrides the launch
         geometry's; on the CPU plan it selects the chunked speculative
         path over the serial rung). A *skewed* plan
-        (lengths differing by more than one — straggler modeling) runs in the natural layout with the
-        vectorized lockstep backend, no collapse/cache/collect: under
-        ``schedule="barrier"`` via divergent full-width stepping
-        (:func:`repro.core.local.process_chunks_ragged`), under
-        ``schedule="ooo"`` via the active-list driver that posts each
-        chunk to the scoreboard at its true completion time.
+        (lengths differing by more than one — straggler modeling) runs in
+        the natural layout with the lockstep kernel and no
+        collapse/cache/collect: the compiled per-chunk loop on the native
+        backend, otherwise :func:`repro.core.local.process_chunks_ragged`,
+        which gathers only the chunks still running at each step.
     history:
         A :class:`repro.core.predictor.HistoryPredictor` (or a path to its
         JSON store) supplying learned start-state priors: past runs' true
@@ -406,7 +391,7 @@ def run_speculative(
             dfa, inputs, k=k, num_blocks=num_blocks,
             threads_per_block=threads_per_block, merge=merge, check=check,
             lookback=lookback, kernel=kernel, collapse=collapse,
-            schedule=schedule, backend=backend, collect=tuple(collect),
+            backend=backend, collect=tuple(collect),
             plan=plan, trace=trace, gpu_given=gpu_args_given(
                 price, num_blocks=num_blocks,
                 threads_per_block=threads_per_block, device=device,
@@ -425,7 +410,7 @@ def run_speculative(
                 device=device, ranking=ranking, measure_success=measure_success,
                 collect=collect, price=price, cpu_transition_ns=cpu_transition_ns,
                 keep_merge_tree=keep_merge_tree, backend=backend, kernel=kernel,
-                collapse=collapse, schedule=schedule, plan=plan, history=history,
+                collapse=collapse, plan=plan, history=history,
                 dist=dist,
             )
     if backend is not None:
@@ -443,7 +428,7 @@ def run_speculative(
         cache_budget_bytes=cache_budget_bytes, device=device,
         measure_success=measure_success, collect=collect, price=price,
         cpu_transition_ns=cpu_transition_ns, backend=backend, kernel=kernel,
-        collapse=collapse, schedule=schedule, plan=plan,
+        collapse=collapse, plan=plan,
     )
     plan, n, k_eff = xp.chunk_plan, xp.chunks, xp.k
     nplan, kplan, collapse_cfg = xp.native, xp.kplan, xp.collapse
@@ -471,7 +456,6 @@ def run_speculative(
         device=device,
         kernel=xp.kernel,
         collapse=collapse_cfg.label if collapse_cfg is not None else "off",
-        schedule=schedule,
         backend=xp.backend,
         plan=xp.kind,
         num_chunks=n,
@@ -552,22 +536,14 @@ def run_speculative(
         )
     with trace_span(
         "engine.local_exec", backend=xp.backend, chunks=n, k=k_eff,
-        kernel=xp.kernel, schedule=schedule,
+        kernel=xp.kernel,
     ):
         if xp.ragged and nplan is None:
+            end = process_chunks_ragged(dfa, inputs, plan, spec, stats=stats)
             acc = None
-            if schedule == "ooo":
-                # Deferred: the active-list driver executes chunks and
-                # posts them to the scoreboard as they complete, inside
-                # the merge stage below.
-                end = None
-            else:
-                end = process_chunks_ragged(dfa, inputs, plan, spec, stats=stats)
         elif nplan is not None:
             # One compiled call covers near-equal and skewed plans alike
-            # (per-chunk lengths are explicit in the native loop); under
-            # schedule="ooo" the executed chunks are posted shortest-first
-            # below, like any barrier backend.
+            # (per-chunk lengths are explicit in the native loop).
             end = nplan.process_chunks(inputs, plan, spec, stats=stats)
             acc = None
         elif kplan is not None:
@@ -604,61 +580,30 @@ def run_speculative(
     tree = None
     true_starts: np.ndarray | None = None
     with trace_span(
-        "engine.merge", strategy=merge, check=check, reexec=reexec,
-        schedule=schedule,
+        "engine.merge", strategy=merge, check=check, reexec=reexec
     ):
-        if schedule == "ooo":
-            board = ChunkScoreboard(
-                dfa, inputs, plan, k_eff, mode=merge, check=check, stats=stats,
+        results = ChunkResults(
+            spec=spec, end=end, valid=np.ones_like(spec, dtype=bool),
+            converged=converged,
+        )
+        if merge == "sequential":
+            final_state, true_starts = merge_sequential(
+                dfa, inputs, plan, results, check=check, stats=stats,
                 replay=replay,
             )
-            if end is None:
-                # Ragged plan: the active-list driver executes the chunks
-                # and posts each one the step it finishes — short chunks
-                # merge (and provable misses re-execute) while stragglers
-                # are still stepping.
-                run_chunks_active(dfa, inputs, plan, spec, board, stats=stats)
-            else:
-                # Near-equal plan already executed by a barrier backend:
-                # chunks complete in (simulated) length order, so post
-                # shortest-first to exercise out-of-order arrival.
-                for c in np.argsort(plan.lengths, kind="stable"):
-                    board.post(
-                        int(c),
-                        spec[c],
-                        end[c],
-                        converged=(
-                            bool(converged[c]) if converged is not None else False
-                        ),
-                    )
-            final_state, true_starts = board.resolve()
-            results = ChunkResults(
-                spec=board.spec, end=board.end, valid=board.valid,
-                converged=converged,
-            )
         else:
-            results = ChunkResults(
-                spec=spec, end=end, valid=np.ones_like(spec, dtype=bool),
-                converged=converged,
+            final_state, tree = merge_parallel(
+                dfa,
+                inputs,
+                plan,
+                results,
+                check=check,
+                reexec=reexec,
+                threads_per_block=xp.threads_per_block,
+                warp_size=device.warp_size,
+                stats=stats,
+                replay=replay,
             )
-            if merge == "sequential":
-                final_state, true_starts = merge_sequential(
-                    dfa, inputs, plan, results, check=check, stats=stats,
-                    replay=replay,
-                )
-            else:
-                final_state, tree = merge_parallel(
-                    dfa,
-                    inputs,
-                    plan,
-                    results,
-                    check=check,
-                    reexec=reexec,
-                    threads_per_block=xp.threads_per_block,
-                    warp_size=device.warp_size,
-                    stats=stats,
-                    replay=replay,
-                )
 
     # --- truth recovery (instrumentation; uncounted) --------------------------- #
     need_truth = (
@@ -674,7 +619,6 @@ def run_speculative(
             )
         if (
             merge == "parallel"
-            and schedule == "barrier"  # the scoreboard counts during resolution
             and xp.measure_success
             and true_starts is not None
             and n > 1
@@ -785,7 +729,7 @@ def _run_serial(
     states = None
     with trace_span(
         "engine.local_exec", backend=xp.backend, chunks=1, k=1,
-        kernel=xp.kernel, schedule=config.schedule,
+        kernel=xp.kernel,
     ):
         if "emissions" in collect or (collect and nk is None):
             states = run_reference_trace(dfa, inputs)
@@ -898,8 +842,9 @@ def run_speculative_batch(
     over the one batch pass, :func:`repro.core.multipattern.run_lane_batch`,
     with the machine as a pattern group of one over its raw symbols (no
     alphabet remap, no second kernel): the segments coalesce into one
-    chunk plan, step in one pass, and resolve on one scoreboard seeded at
-    each request's head, so no composition crosses a request boundary.
+    chunk plan, step in one pass, and resolve on one sequential walk that
+    restarts at each request's head, so nothing crosses a request
+    boundary.
 
     This is the serving layer's execution primitive (:mod:`repro.serve`):
     the per-call overhead of ``run_speculative`` (prior sampling,
@@ -919,7 +864,7 @@ def run_speculative_batch(
     lookback:
         Look-back window; head chunks also get their known start pinned.
     check:
-        Runtime-check implementation for scoreboard probes.
+        Runtime-check implementation for the walk's probes.
     chunk_items:
         Target items per chunk: long requests split so stragglers don't
         serialize the batch.
@@ -1040,7 +985,6 @@ def _run_dist(dfa, inputs, *, k, lookback, dist) -> SpecExecutionResult:
         device=TESLA_V100,
         kernel="lockstep",
         collapse="off",
-        schedule="barrier",
         backend="dist",
         plan="cpu",
         num_chunks=max(1, res.num_shards),

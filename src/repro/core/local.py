@@ -10,7 +10,9 @@ which is the NumPy rendering of the paper's unrolled inner loop. With the
 transformed layout the per-step symbol vector is one contiguous row of the
 interleaved input (the coalesced access of Section 4.1); with the natural
 layout it is a strided gather (the uncoalesced pattern) — the functional
-results are identical, the stats and real wall-clock differ.
+results are identical, the stats and real wall-clock differ. A skewed
+(straggler) plan steps through :func:`process_chunks_ragged`, which keeps
+only the chunks still running in each step's gather.
 
 The second-pass helpers (:func:`recover_emissions`,
 :func:`recover_accepts`) re-run chunks from their *true* starting states
@@ -77,8 +79,7 @@ def process_chunks(
     if plan.max_len - plan.min_len > 1:
         raise ValueError(
             "process_chunks requires a near-equal plan (lengths differ by "
-            "<= 1); skewed plans run through process_chunks_ragged or "
-            "repro.core.scoreboard.run_chunks_active"
+            "<= 1); skewed plans run through process_chunks_ragged"
         )
     table = dfa.table
     S = spec.copy()
@@ -169,17 +170,16 @@ def process_chunks_ragged(
     *,
     stats: ExecStats | None = None,
 ) -> np.ndarray:
-    """Lock-step processing of an arbitrarily skewed plan (barrier semantics).
+    """Lock-step processing of an arbitrarily skewed plan on live chunks only.
 
-    Models SIMT divergence faithfully: every step gathers the *full*
-    ``(num_chunks, k)`` width for ``max_len`` iterations, masking finished
-    chunks in place — a warp whose lanes hold chunks of different lengths
-    pays the longest lane's iteration count, which is exactly the straggler
-    cost the scoreboard's active-list driver
-    (:func:`repro.core.scoreboard.run_chunks_active`) avoids.
-    ``stats.local_gathers`` records the divergent physical cost
-    (``num_chunks * max_len * k``); the modeled counters keep the same
-    semantics as :func:`process_chunks`.
+    Chunks are sorted longest first, so at step ``j`` the chunks still
+    running (``length > j``) are a prefix of that order: each step gathers
+    only that prefix, and a finished chunk leaves the gather for good.
+    ``stats.local_gathers`` is therefore ``sum(lengths) * k``, not the
+    ``num_chunks * max_len * k`` a full-width pass would pay on a skewed
+    plan. ``stats.local_steps`` stays ``max_len`` (the longest chunk sets
+    the step count) and the modeled counters keep the semantics of
+    :func:`process_chunks`.
     """
     spec = np.asarray(spec, dtype=np.int32)
     if spec.ndim != 2 or spec.shape[0] != plan.num_chunks:
@@ -189,27 +189,25 @@ def process_chunks_ragged(
         )
     table = dfa.table
     inputs = np.asarray(inputs)
-    S = spec.copy()
-    starts = plan.starts
-    lengths = plan.lengths
-    gathered = 0
-    # Safe symbol positions for finished lanes: clamp into the chunk (the
-    # gathered value is discarded by the mask, mirroring predicated-off
-    # lanes that still occupy their SIMT slot).
-    safe = np.maximum(lengths - 1, 0)
-    for j in range(plan.max_len):
-        running = lengths > j
-        pos = starts + np.where(running, j, safe)
-        syms = inputs[pos] if inputs.size else np.zeros(len(pos), dtype=np.int64)
-        stepped = table[syms[:, None], S]
-        gathered += S.size
-        S = np.where(running[:, None], stepped, S)
+    order = np.argsort(-plan.lengths, kind="stable")
+    S = spec[order]
+    starts = plan.starts[order]
+    # live[j]: how many chunks (a prefix of ``order``) run at step j.
+    live = np.searchsorted(
+        -plan.lengths[order], -np.arange(plan.max_len), side="left"
+    )
+    for j, n_live in enumerate(live.tolist()):
+        syms = inputs[starts[:n_live] + j]
+        S[:n_live] = table[syms[:, None], S[:n_live]]
+    end = np.empty_like(S)
+    end[order] = S
     if stats is not None:
+        total = int(plan.lengths.sum())
         stats.local_steps += plan.max_len
-        stats.local_transitions += int(lengths.sum()) * spec.shape[1]
-        stats.local_input_reads += int(lengths.sum())
-        stats.local_gathers += gathered
-    return S
+        stats.local_transitions += total * spec.shape[1]
+        stats.local_input_reads += total
+        stats.local_gathers += total * spec.shape[1]
+    return end
 
 
 def _true_state_pass(

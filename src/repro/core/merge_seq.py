@@ -79,7 +79,8 @@ def merge_sequential(
     check: str = "auto",
     stats: ExecStats | None = None,
     replay: Replay | None = None,
-) -> tuple[int, np.ndarray]:
+    seeds: dict[int, int] | None = None,
+) -> tuple[int | np.ndarray, np.ndarray]:
     """Walk chunk results sequentially; return ``(final_state, true_starts)``.
 
     ``true_starts[c]`` is the exact state the machine is in when chunk ``c``
@@ -87,11 +88,21 @@ def merge_sequential(
     None the walk is uncounted (the engine uses that mode to obtain truth
     for parallel-merge runs without polluting their cost profile). Misses
     re-execute through ``replay`` when given (:mod:`repro.core.replay`).
+
+    ``seeds`` (``{chunk: known incoming state}``) marks the heads of
+    independent segments sharing one plan, such as the requests of a batch.
+    The walk restarts at each seeded chunk instead of carrying the previous
+    chunk's out-state in, so nothing crosses into a seeded chunk, and a
+    seeded chunk is not a speculative boundary (no success count). A seed
+    at chunk 0 overrides ``dfa.start``. The chunks then form several
+    chains, so the first value is the ``(num_chunks,)`` out-state of every
+    chunk (its last entry is the final state) instead of one final state.
     """
     n = results.num_chunks
     k = results.k
     impl = select_check(k, check)
     true_starts = np.empty(n, dtype=np.int32)
+    exits = None if seeds is None else np.empty(n, dtype=np.int32)
     cur = np.int32(dfa.start)
 
     spec = results.spec
@@ -119,6 +130,7 @@ def merge_sequential(
             true_starts, cur,
             n=n, k=k, impl=impl, stats=stats, counted=counted, obs=obs,
             replay=default_replay(dfa, inputs, plan, replay),
+            seeds=seeds, exits=exits,
         )
     if counted and reexec_runs:
         # In the sequential walk, every re-execution is on the critical path.
@@ -131,7 +143,7 @@ def merge_sequential(
         if reexec_runs:
             obs.observe("reexec.seq_s", reexec_time)
             obs.count("reexec.seq.items", reexec_items_obs)
-    return int(cur), true_starts
+    return (int(cur) if exits is None else exits), true_starts
 
 
 def _walk(
@@ -152,6 +164,8 @@ def _walk(
     counted: bool,
     obs,
     replay: Replay,
+    seeds: dict[int, int] | None,
+    exits: np.ndarray | None,
 ) -> tuple[np.int32, int, int, int, float, int]:
     """The sequential walk body; returns the carried state and accumulators."""
     semijoin_match = 0
@@ -160,6 +174,11 @@ def _walk(
     reexec_time = 0.0
     reexec_items_obs = 0
     for c in range(n):
+        boundary = c > 0
+        if seeds is not None and c in seeds:
+            # A known head: restart the walk there, no speculation to score.
+            cur = np.int32(seeds[c])
+            boundary = False
         true_starts[c] = cur
         if converged is not None and converged[c]:
             # Converged chunk: the map is a total constant over achievable
@@ -169,9 +188,11 @@ def _walk(
             semijoin_skipped += 1
             if counted:
                 count_skipped(1, stats)
-                if c > 0:
+                if boundary:
                     stats.success_total += 1
                     stats.success_hits += 1
+            if exits is not None:
+                exits[c] = cur
             continue
         row_valid = valid[c]
         # Semi-join of the single true state against the chunk's spec set.
@@ -189,7 +210,7 @@ def _walk(
                     np.array([[cur]]), vl, spec[c][None, :], row_valid[None, :],
                     mi, fo, stats,
                 )
-        if c > 0 and counted:
+        if boundary and counted:
             stats.success_total += 1
             if found:
                 stats.success_hits += 1
@@ -207,6 +228,8 @@ def _walk(
             if obs is not None:
                 reexec_time += time.perf_counter() - t0
                 reexec_items_obs += int(seg.size)
+        if exits is not None:
+            exits[c] = cur
     return (
         cur, reexec_runs, semijoin_match, semijoin_skipped,
         reexec_time, reexec_items_obs,

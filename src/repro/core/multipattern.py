@@ -17,8 +17,8 @@ gather per (stride of) symbol(s) — the padding-free realization of the
 Because blocks are disjoint and closed under transition, every existing
 layer works per-pattern on column slices: speculation, stride-m kernels
 (one radix-packed stream shared by all patterns), convergence collapse
-(duplicate lanes only ever collide within a pattern's block), both merges,
-and the out-of-order scoreboard.
+(duplicate lanes only ever collide within a pattern's block), and both
+merges.
 
 **Product route** (``route="product"``). The reachable product of the
 group's class machines (:func:`repro.fsm.product.product_dfa`, whole-frontier
@@ -39,7 +39,7 @@ of every chunk after its lanes collapse; the truth pass then replays only
 the prefix before the collapse of each chunk whose speculation hit, and
 replays in full only the chunks that missed or never collapsed (the
 paper's delayed re-execution, §3.3, applied to outputs). Matches are
-bit-exact against the sequential reference on every kernel / schedule /
+bit-exact against the sequential reference on every kernel / merge /
 collapse combination — the property tests assert exactly that.
 
 The batched route and the one request-batch driver (:func:`run_lane_batch`,
@@ -75,7 +75,6 @@ from repro.core.merge_par import merge_parallel
 from repro.core.merge_seq import merge_sequential, true_boundary_walk
 from repro.core.plan import cpu_chunks
 from repro.core.replay import ChunkReplay
-from repro.core.scoreboard import ChunkScoreboard
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.alphabet import (
     AlphabetCompaction,
@@ -549,7 +548,6 @@ def run_multipattern(
     lookback: int = 8,
     kernel: str = "auto",
     collapse: str | CollapseConfig | None = "auto",
-    schedule: str = "barrier",
     backend: str = "vectorized",
     route: str = "auto",
     product_budget: int = DEFAULT_PRODUCT_BUDGET,
@@ -612,14 +610,13 @@ def run_multipattern(
             return run_multipattern(
                 machines, inputs, k=k, num_chunks=num_chunks, merge=merge,
                 check=check, lookback=lookback, kernel=kernel,
-                collapse=collapse, schedule=schedule, backend=backend,
-                route=route, product_budget=product_budget,
+                collapse=collapse, backend=backend, route=route,
+                product_budget=product_budget,
                 product_max_patterns=product_max_patterns, collect=collect,
                 plan=plan, table_budget_bytes=table_budget_bytes, stack=stack,
             )
     check_in_set("merge", merge, ("sequential", "parallel"))
     check_in_set("check", check, ("auto", "nested", "hash"))
-    check_in_set("schedule", schedule, ("barrier", "ooo"))
     check_in_set("backend", backend, ("vectorized", "native"))
     check_in_set("route", route, ("auto", "batched", "product"))
     check_in_set("kernel", kernel, ("auto",) + tuple(sorted(KERNELS)))
@@ -647,7 +644,7 @@ def run_multipattern(
 
     with trace_span(
         "mp.run", patterns=P, items=int(inputs.size), route=route,
-        schedule=schedule, merge=merge,
+        merge=merge,
     ) as sp:
         cls = stack.joint.remap(inputs)
 
@@ -661,14 +658,14 @@ def run_multipattern(
             result = _run_product_route(
                 stack, prod, cls, plan, k=k, merge=merge, check=check,
                 lookback=lookback, kernel=kernel, collapse=collapse,
-                schedule=schedule, backend=backend, collect=collect,
+                backend=backend, collect=collect,
                 table_budget_bytes=table_budget_bytes,
             )
         else:
             result = _run_batched_route(
                 stack, cls, plan, k=k, merge=merge, check=check,
                 lookback=lookback, kernel=kernel, collapse=collapse,
-                schedule=schedule, backend=backend, collect=collect,
+                backend=backend, collect=collect,
                 table_budget_bytes=table_budget_bytes,
             )
         sp.set(route=result.route)
@@ -765,7 +762,6 @@ def _run_product_route(
     lookback: int,
     kernel: str,
     collapse,
-    schedule: str,
     backend: str,
     collect: tuple[str, ...],
     table_budget_bytes: int,
@@ -782,7 +778,6 @@ def _run_product_route(
         lookback=lookback,
         kernel=kernel,
         collapse=collapse,
-        schedule=schedule,
         backend=backend,
         plan=plan,
         measure_success=True,
@@ -989,17 +984,18 @@ def resolve_pattern(
     lanes: Lanes, p: int, symbols: np.ndarray, plan: ChunkPlan,
     spec_p: np.ndarray, end: np.ndarray, *, check: str, stats: ExecStats,
     replay: ChunkReplay | None = None, merge: str = "parallel",
-    schedule: str = "ooo", seeds: dict | None = None,
-    covered: np.ndarray | None = None, truth: bool = True,
+    seeds: dict | None = None, covered: np.ndarray | None = None,
+    truth: bool = True,
 ):
-    """Resolve pattern ``p`` of one pass: ``(final, true_starts, board)``.
+    """Resolve pattern ``p`` of one pass: ``(final, true_starts)``.
 
     Shifts the pattern's columns of ``end`` back into its own states;
     misses replay on the union hook ``replay`` shifted into the
-    pattern's block (closed under transition). ``"ooo"`` posts chunks
-    shortest-first to a scoreboard seeded with ``seeds`` (``board``);
-    ``"barrier"`` merges with ``merge``. ``truth`` recovers skipped
-    chunk entry states.
+    pattern's block (closed under transition). With ``seeds`` (a request
+    batch's heads) the chunks resolve on the sequential walk restarting
+    at each seeded chunk, and ``final`` is every chunk's out-state
+    (:func:`repro.core.merge_seq.merge_sequential`); otherwise they merge
+    with ``merge``. ``truth`` recovers skipped chunk entry states.
     """
     lo, off, dfa = sum(lanes.widths[:p]), int(lanes.offsets[p]), lanes.dfas[p]
     end_p = end[:, lo : lo + lanes.widths[p]] - off
@@ -1013,21 +1009,10 @@ def resolve_pattern(
         spec=spec_p, end=end_p, valid=np.ones_like(spec_p, dtype=bool),
         converged=converged,
     )
-    board = None
-    if schedule == "ooo":
-        board = ChunkScoreboard(
-            dfa, symbols, plan, lanes.widths[p], mode=merge, check=check,
-            stats=stats, replay=replay, seeds=seeds,
-        )
-        for c in np.argsort(plan.lengths, kind="stable"):
-            board.post(
-                int(c), spec_p[c], end_p[c],
-                converged=converged is not None and bool(converged[c]),
-            )
-        final, true_starts = board.resolve()
-    elif merge == "sequential":
+    if seeds is not None or merge == "sequential":
         final, true_starts = merge_sequential(
-            dfa, symbols, plan, results, check=check, stats=stats, replay=replay
+            dfa, symbols, plan, results, check=check, stats=stats,
+            replay=replay, seeds=seeds,
         )
     else:
         final, _ = merge_parallel(
@@ -1038,7 +1023,7 @@ def resolve_pattern(
         _, true_starts = true_boundary_walk(
             dfa, symbols, plan, results, replay=replay
         )
-    return int(final), true_starts, board
+    return final, true_starts
 
 
 def run_lane_batch(
@@ -1051,9 +1036,11 @@ def run_lane_batch(
     ``symbols`` is ``batch.symbols`` in the lanes' alphabet. Request
     heads are pinned; all lanes step at once (compiled loop with a
     ``native`` kernel of width ``k_total``, kernel layer on a near-equal
-    plan, ragged pass otherwise); each pattern resolves on a scoreboard
-    seeded at the heads, so resolution never crosses a request. Misses
-    replay natively, on the caller's ``kernel_plan``, or on the table.
+    plan, live-chunk ragged pass otherwise); each pattern resolves on a
+    sequential walk that restarts at every request head, so resolution
+    never crosses a request, and each request's final state is its tail
+    chunk's out-state. Misses replay natively, on the caller's
+    ``kernel_plan``, or on the table.
     """
     plan, k_total = batch.plan, lanes.k_total
     cols, spec, _ = speculate_lanes(
@@ -1065,8 +1052,8 @@ def run_lane_batch(
         end = native.process_chunks(symbols, plan, spec, stats=stats)
         replay = ChunkReplay(native.run_segment, symbols, plan, path="native")
     elif plan.max_len - plan.min_len > 1:
-        # Mixed request sizes skew the plan; the divergent full-width pass
-        # still advances every lane in one fused gather per step.
+        # Mixed request sizes skew the plan; the ragged pass advances the
+        # lanes of every chunk still running in one fused gather per step.
         end = process_chunks_ragged(lanes.union, symbols, plan, spec, stats=stats)
     else:
         kplan = kernel_plan or plan_kernel(
@@ -1081,11 +1068,11 @@ def run_lane_batch(
     finals = batch.starts.astype(np.int32)
     live = batch.tails >= 0
     for p in range(len(lanes.dfas)):
-        _, _, board = resolve_pattern(
+        exits, _ = resolve_pattern(
             lanes, p, symbols, plan, cols[p], end, check=check, stats=stats,
             replay=replay, seeds=batch.seeds(p), truth=False,
         )
-        finals[live, p] = board.out_state[batch.tails[live]]
+        finals[live, p] = exits[batch.tails[live]]
     return finals
 
 
@@ -1096,8 +1083,8 @@ def run_lane_batch(
 
 def _run_batched_route(
     stack: MachineStack, cls: np.ndarray, plan: ChunkPlan, *, k, merge: str,
-    check: str, lookback: int, kernel: str, collapse, schedule: str,
-    backend: str, collect: tuple[str, ...], table_budget_bytes: int,
+    check: str, lookback: int, kernel: str, collapse, backend: str,
+    collect: tuple[str, ...], table_budget_bytes: int,
 ) -> MultiPatternResult:
     """Batched multi-DFA stepping over the block-diagonal union table."""
     P, n, union = stack.num_patterns, plan.num_chunks, stack.union_dfa
@@ -1167,12 +1154,11 @@ def _run_batched_route(
     replay = None
     if nplan is not None:
         replay = ChunkReplay(nplan.run_segment, cls, plan, path="native")
-    with trace_span("mp.resolve", patterns=P, schedule=schedule, merge=merge):
+    with trace_span("mp.resolve", patterns=P, merge=merge):
         for p in range(P):
-            finals[p], boundary[:, p], _ = resolve_pattern(
+            finals[p], boundary[:, p] = resolve_pattern(
                 lanes, p, cls, plan, cols[p], end_all, check=check,
-                stats=stats, replay=replay, merge=merge, schedule=schedule,
-                covered=covered[p],
+                stats=stats, replay=replay, merge=merge, covered=covered[p],
             )
 
     matches = None
@@ -1222,7 +1208,7 @@ def run_multipattern_batch(
     adapter over the one batch pass, :func:`run_lane_batch`: the
     coalesced segments are remapped through the joint alphabet once, all
     patterns' lanes advance in one fused pass, and each pattern resolves
-    on its own scoreboard seeded at the request heads.
+    on its own sequential walk restarting at the request heads.
 
     ``starts`` (optional, ``(num_requests, P)`` pattern-local states)
     carries each request's per-pattern state into the round — the serving

@@ -63,9 +63,9 @@ _MEM_CACHE_MAX = 64
 # with a buffer of exactly the reported size.
 _ACCEPT_CAP = 1 << 12
 _mem_lock = threading.Lock()
-_mem_cache: "OrderedDict[tuple, NativeKernel]" = OrderedDict()
-# load_serial_kernel's memo; a None entry remembers a failed load.
-_serial_memo: "OrderedDict[tuple, NativeKernel | None]" = OrderedDict()
+# A None entry (request keys only) remembers a failed load.
+_mem_cache: "OrderedDict[tuple, NativeKernel | None]" = OrderedDict()
+_ABSENT = object()
 
 
 def _i32(a: np.ndarray) -> np.ndarray:
@@ -651,7 +651,9 @@ def load_native_plan(
     then the *total* lane count across patterns and ``dfa`` the union
     machine). Returns ``None`` — after counting a ``native.fallback`` —
     whenever native execution is unavailable or untrustworthy; callers
-    then use the NumPy path unchanged.
+    then use the NumPy path unchanged. A loader-planned request remembers
+    its failure, keyed with the compiler probe, so a repeat request with
+    the same compiler neither re-plans nor retries the build.
     """
     budget = (
         table_budget_bytes
@@ -661,31 +663,41 @@ def load_native_plan(
     fp = dfa_fingerprint(dfa, start=False)
     # Memory-cache keys. A loader-planned kernel is found first by the
     # request that planned it (a repeated call skips planning, loading and
-    # the smoke check), then by its content: the artifact key plus the
-    # cache directory, since the loader's tables are a function of the
-    # machine and the kernel choice alone. A caller-supplied plan is keyed
-    # on its identity (its tables may differ from what the loader builds).
+    # the smoke check, or returns its remembered failure), then by its
+    # content: the artifact key plus the cache directory, since the
+    # loader's tables are a function of the machine and the kernel choice
+    # alone. A caller-supplied plan is keyed on its identity (its tables
+    # may differ from what the loader builds).
     where = cache_dir or os.environ.get(_build._ENV_CACHE_DIR)
-    request_key = None
-    if kplan is None:
-        request_key = (
+    planned = kplan is None
+
+    def request_key() -> tuple:
+        return (
             fp, k, kernel, chunk_len, num_chunks, budget,
             _collapse_key(collapse, k, patterns), patterns,
-            tuple(group_widths), where,
+            tuple(group_widths), where, _build.find_compiler(),
         )
-        hit = _mem_get(request_key)
-        if hit is not None:
-            return hit
-    planned = kplan is None
-    try:
+
+    def failed(reason: str | None) -> None:
+        if reason is not None:
+            _build.note_fallback(reason)
         if planned:
+            # Keyed on the compiler probe as it stands after the attempt:
+            # a compiler that just failed a build now probes as absent.
+            _mem_put(request_key(), None)
+
+    if planned:
+        hit = _mem_get(request_key(), _ABSENT)
+        if hit is not _ABSENT:
+            return hit
+        try:
             kplan = plan_kernel(
                 dfa, chunk_len=chunk_len, num_chunks=num_chunks, k=k,
                 kernel=kernel, table_budget_bytes=budget,
             )
-    except ValueError:
-        _build.note_fallback("plan")
-        return None
+        except ValueError:
+            failed("plan")
+            return None
 
     try:
         spec = _native_spec(
@@ -693,7 +705,7 @@ def load_native_plan(
             patterns=patterns, group_widths=tuple(group_widths),
         )
     except ValueError:
-        _build.note_fallback("spec")
+        failed("spec")
         return None
     key = _build.cache_key(
         fp, k=k, kernel=f"{kplan.kernel}:m{spec.m}{_pattern_tag(spec)}",
@@ -705,10 +717,11 @@ def load_native_plan(
         with trace_span("native.load", key=key, kernel=kplan.kernel, k=k):
             nk = _materialize(dfa, spec, kplan, key, cache_dir)
         if nk is None:
+            failed(None)  # _materialize counted the fallback
             return None
     _mem_put(content_key, nk)
-    if request_key is not None:
-        _mem_put(request_key, nk)
+    if planned:
+        _mem_put(request_key(), nk)
     return nk
 
 
@@ -716,37 +729,17 @@ def load_serial_kernel(dfa: DFA, *, kernel: str = "auto") -> NativeKernel | None
     """The one-lane, no-collapse kernel of the CPU plan's serial rung.
 
     Planned for one chunk of :data:`repro.core.plan.NATIVE_MIN_ITEMS`
-    symbols whatever the call's length, and memoized on the machine's
-    fingerprint (start state left out: a kernel takes it at run time), the
-    kernel, the artifact directory and the compiler probe. A new input
-    length therefore never re-plans, and a machine with no usable kernel
-    is tried once per compiler rather than on every call.
-    :func:`clear_memory_cache` drops the memo.
+    symbols whatever the call's length, so every call on one machine and
+    kernel is the same :func:`load_native_plan` request: a new input
+    length never re-plans, and a machine with no usable kernel is tried
+    once per compiler rather than on every call.
     """
-    key = (
-        dfa_fingerprint(dfa, start=False), kernel,
-        os.environ.get(_build._ENV_CACHE_DIR), _build.find_compiler(),
-    )
-    with _mem_lock:
-        hit = key in _serial_memo
-        if hit:
-            _serial_memo.move_to_end(key)
-            nk = _serial_memo[key]
-    if hit:
-        if nk is not None:
-            _build.note_mem_hit()
-        return nk
-    nk = load_native_plan(
+    return load_native_plan(
         dfa, k=1, kernel=kernel, chunk_len=NATIVE_MIN_ITEMS, num_chunks=1
     )
-    with _mem_lock:
-        _serial_memo[key] = nk
-        while len(_serial_memo) > _MEM_CACHE_MAX:
-            _serial_memo.popitem(last=False)
-    return nk
 
 
-def _mem_put(mem_key: tuple, nk: NativeKernel) -> None:
+def _mem_put(mem_key: tuple, nk: NativeKernel | None) -> None:
     with _mem_lock:
         _mem_cache[mem_key] = nk
         _mem_cache.move_to_end(mem_key)
@@ -754,12 +747,15 @@ def _mem_put(mem_key: tuple, nk: NativeKernel) -> None:
             _mem_cache.popitem(last=False)
 
 
-def _mem_get(mem_key: tuple) -> NativeKernel | None:
-    """Memory-cache lookup; a hit is counted and refreshed in LRU order."""
+def _mem_get(mem_key: tuple, miss=None):
+    """Memory-cache lookup (``miss`` when absent); a hit is refreshed in
+    LRU order and, when it holds a kernel, counted."""
     with _mem_lock:
-        hit = _mem_cache.get(mem_key)
-        if hit is not None:
+        hit = _mem_cache.get(mem_key, _ABSENT)
+        if hit is not _ABSENT:
             _mem_cache.move_to_end(mem_key)
+    if hit is _ABSENT:
+        return miss
     if hit is not None:
         _build.note_mem_hit()
     return hit
@@ -844,4 +840,3 @@ def clear_memory_cache() -> None:
     """Drop in-memory loaded kernels (test hook; disk artifacts remain)."""
     with _mem_lock:
         _mem_cache.clear()
-        _serial_memo.clear()

@@ -232,7 +232,6 @@ def _resolve(
     backend: str | None = None,
     kernel: str | None = None,
     collapse: str | CollapseConfig | None = "auto",
-    schedule: str = "barrier",
     plan: ChunkPlan | None = None,
 ) -> ExecPlan:
     check_in_set("merge", merge, ("sequential", "parallel"))
@@ -244,7 +243,6 @@ def _resolve(
         check_in_set("backend", backend, ("auto", "vectorized", "native"))
     if kernel is not None:
         check_in_set("kernel", kernel, ("auto",) + tuple(sorted(KERNELS)))
-    check_in_set("schedule", schedule, ("barrier", "ooo"))
     if isinstance(collapse, str):
         check_in_set("collapse", collapse, ("auto", "on", "off"))
     collect = tuple(collect)

@@ -8,11 +8,12 @@ predictor than any single sample: real deployments run the same machine
 over many inputs, and the empirical distribution of *true* chunk-boundary
 states converges quickly.
 
-:class:`HistoryPredictor` is that branch-predictor analog for the chunk
-scoreboard. It keys observations by a content fingerprint of the machine
-(:func:`dfa_fingerprint`), accumulates the true per-chunk starting states
-recovered after each run (ground truth from the merge, not a guess), and
-feeds the learned occupancy back into the ranking used by
+:class:`HistoryPredictor` is that branch-predictor analog for chunked
+speculation (``run_speculative(..., history=...)``). It keys observations
+by a content fingerprint of the machine (:func:`dfa_fingerprint`),
+accumulates the true per-chunk starting states recovered after each run
+(ground truth from the merge, not a guess), and feeds the learned
+occupancy back into the ranking used by
 :func:`repro.core.lookback.state_ranking` / ``speculate`` on the next run.
 Persistence is an optional JSON file written atomically (temp + rename),
 so concurrent runs never observe a torn store; with no path the predictor

@@ -3,9 +3,8 @@
 Delayed re-execution (Section 3.3) and output recovery re-walk the input
 from *true* chunk-entry states. The merges
 (:func:`repro.core.merge_par.merge_parallel`,
-:func:`repro.core.merge_seq.merge_sequential`,
-:func:`repro.core.merge_seq.true_boundary_walk`), the
-:class:`repro.core.scoreboard.ChunkScoreboard` and the pool's left fold
+:func:`repro.core.merge_seq.merge_sequential`, seeded or not, and
+:func:`repro.core.merge_seq.true_boundary_walk`) and the pool's left fold
 all take the same hook for that walk::
 
     replay(chunk, state) -> end_state

@@ -87,12 +87,6 @@ class StreamingExecutor:
     (:meth:`repro.core.mp_executor.ScaleoutPool.run` with
     ``collect_matches=True``).
 
-    ``schedule`` picks how each block's chunk maps are combined on the
-    simulated backend: ``"barrier"`` (the classic full-merge) or
-    ``"ooo"`` (the chunk scoreboard, :mod:`repro.core.scoreboard`);
-    results are bit-identical either way. The pool backend always runs
-    its barrier merge, so it rejects ``"ooo"`` up front.
-
     ``kernel`` selects the local stepping kernel
     (:mod:`repro.core.kernels`); the default ``"auto"`` lets the cost
     model pick multi-symbol stepping per block — streaming is a real
@@ -125,7 +119,6 @@ class StreamingExecutor:
     sub_chunks_per_worker: int = 64
     kernel: str = "auto"
     collapse: str | CollapseConfig | None = "auto"
-    schedule: str = "barrier"
     resilience: ResilienceConfig | None = DEFAULT_RESILIENCE
     fault_plan: FaultPlan | None = None
 
@@ -146,15 +139,6 @@ class StreamingExecutor:
         if self.backend not in ("simulate", "pool"):
             raise ValueError(
                 f"backend must be 'simulate' or 'pool', got {self.backend!r}"
-            )
-        if self.schedule not in ("barrier", "ooo"):
-            raise ValueError(
-                f"schedule must be 'barrier' or 'ooo', got {self.schedule!r}"
-            )
-        if self.backend == "pool" and self.schedule != "barrier":
-            raise ValueError(
-                "backend='pool' runs the barrier merge only; "
-                f"got schedule={self.schedule!r}"
             )
         if self.backend == "pool":
             self._pool = ScaleoutPool(
@@ -259,7 +243,6 @@ class StreamingExecutor:
                     price=False,
                     kernel=self.kernel,
                     collapse=self.collapse,
-                    schedule=self.schedule,
                 )
                 if self.collect_matches:
                     new_matches = sim.match_positions + self.items_consumed

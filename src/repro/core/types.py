@@ -186,8 +186,6 @@ class ExecStats:
     reexec_wall_items: int = 0  # critical-path items: sum over levels of the
     # largest single eager resolution at that level
     reexec_max_chain: int = 0  # longest dependent chain of re-executions
-    reexec_chunks_early: int = 0  # scoreboard misses re-executed pre-merge-completion
-    reexec_items_early: int = 0
     fixup_chunks: int = 0  # necessary re-executions in delayed fix-up
     fixup_items: int = 0
     fixup_probes: int = 0  # map lookups during fix-up descent
@@ -215,9 +213,17 @@ class ExecStats:
     def total_reexec_items(self) -> int:
         """All re-executed items regardless of strategy."""
         return (
-            self.reexec_items_seq + self.reexec_items_eager
-            + self.reexec_items_early + self.fixup_items
+            self.reexec_items_seq + self.reexec_items_eager + self.fixup_items
         )
+
+    @property
+    def reexec_items_early(self) -> int:
+        """Always 0: no resolver re-executes ahead of the merge any more.
+
+        Kept read-only because ``perfbench/inproc_apps.py`` still adds it
+        into its re-executed item count.
+        """
+        return 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -264,7 +270,6 @@ class ExecStats:
             local_gathers=int(round(self.local_gathers * factor)),
             reexec_items_seq=int(round(self.reexec_items_seq * factor)),
             reexec_items_eager=int(round(self.reexec_items_eager * factor)),
-            reexec_items_early=int(round(self.reexec_items_early * factor)),
             reexec_wall_items=int(round(self.reexec_wall_items * factor)),
             fixup_items=int(round(self.fixup_items * factor)),
             cache_hits=int(round(self.cache_hits * factor)),

@@ -13,8 +13,8 @@ invisible to the result. This package adds the cross-host level:
   a ``k``-entry boundary row);
 * :mod:`repro.dist.agent` — :class:`HostAgent`, one per host, embedding
   the existing :class:`repro.core.mp_executor.ScaleoutPool` (native
-  backend and out-of-order scoreboard included) behind the wire
-  protocol, plus :class:`LocalCluster` for N-agent localhost topologies;
+  backend included) behind the wire protocol, plus
+  :class:`LocalCluster` for N-agent localhost topologies;
 * :mod:`repro.dist.coordinator` — :class:`ShardCoordinator`, which
   shards the input across hosts, supervises them with heartbeats and
   EWMA per-shard deadlines (host-level reuse of PR 4's

@@ -88,13 +88,14 @@ def plan_from_lengths(lengths: np.ndarray) -> ChunkPlan:
     """Build a :class:`ChunkPlan` from explicit per-chunk lengths.
 
     Chunks are laid out contiguously in the given order. Unlike
-    :func:`plan_chunks`, the lengths may be arbitrarily skewed — the
-    scoreboard scheduler (:mod:`repro.core.scoreboard`) uses such plans to
-    model straggler chunks, where one long chunk holds every barrier stage
-    hostage. Lock-step helpers that assume near-equal chunks
-    (:func:`transform_layout`, :func:`repro.core.local.process_chunks`)
-    reject skewed plans; the engine routes them to the ragged execution
-    paths instead.
+    :func:`plan_chunks`, the lengths may be arbitrarily skewed: such plans
+    model straggler chunks, where one long chunk sets the step count of a
+    lock-step pass, and a request batch of mixed sizes
+    (:func:`repro.core.multipattern.coalesce`) is one. Lock-step helpers
+    that assume near-equal chunks (:func:`transform_layout`,
+    :func:`repro.core.local.process_chunks`) reject skewed plans; the
+    engine steps them with :func:`repro.core.local.process_chunks_ragged`
+    (live chunks only) or the compiled per-chunk loop instead.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or lengths.size == 0:

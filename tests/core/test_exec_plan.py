@@ -315,12 +315,11 @@ def _skewed_plan(size: int, seed: int):
     mi=machines_and_inputs(),
     k=st.sampled_from([1, 2, None]),
     merge=st.sampled_from(["parallel", "sequential"]),
-    schedule=st.sampled_from(["barrier", "ooo"]),
     matches=st.booleans(),
     partition=st.sampled_from(["serial", "chunked", "skewed"]),
     seed=st.integers(0, 99),
 )
-def test_cpu_plan_is_bit_exact(mi, k, merge, schedule, matches, partition, seed):
+def test_cpu_plan_is_bit_exact(mi, k, merge, matches, partition, seed):
     dfa, x = mi
     plan = {
         "serial": None,
@@ -330,7 +329,7 @@ def test_cpu_plan_is_bit_exact(mi, k, merge, schedule, matches, partition, seed)
     skewed = plan is not None and plan.max_len - plan.min_len > 1
     collect = ("match_positions",) if matches and not skewed else ()
     r = repro.run_speculative(
-        dfa, x, k=k, merge=merge, schedule=schedule, collect=collect, plan=plan,
+        dfa, x, k=k, merge=merge, collect=collect, plan=plan,
     )
     assert r.config.plan == "cpu"
     assert r.config.rung == ("serial" if plan is None else "chunked")

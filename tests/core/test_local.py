@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.local import process_chunks, recover_accepts, recover_emissions
+from repro.apps import APPLICATIONS
+from repro.core.engine import run_speculative, run_speculative_batch
+from repro.core.local import (
+    process_chunks,
+    process_chunks_ragged,
+    recover_accepts,
+    recover_emissions,
+)
 from repro.core.types import ExecStats
-from repro.fsm.run import run_segment
-from repro.workloads.chunking import plan_chunks, transform_layout
+from repro.fsm.run import run_reference, run_reference_trace, run_segment
+from repro.workloads.chunking import plan_chunks, plan_from_lengths, transform_layout
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -92,6 +99,58 @@ class TestProcessChunks:
         plan = plan_chunks(50, 2)
         with pytest.raises(ValueError, match="spec"):
             process_chunks(dfa, inp, plan, np.zeros((3, 2), dtype=np.int32))
+
+
+def zipf_lengths(num_items, num_chunks, alpha=1.2, seed=0):
+    """Chunk lengths ~ shuffled Zipf(alpha) ranks, summing to ``num_items``."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, num_chunks + 1, dtype=np.float64) ** alpha
+    rng.shuffle(weights)
+    lengths = np.maximum((weights / weights.sum() * num_items).astype(np.int64), 1)
+    lengths[int(np.argmax(lengths))] += num_items - int(lengths.sum())
+    return lengths
+
+
+class TestRaggedLiveChunks:
+    """A skewed plan steps only its live chunks: ``sum(lengths) * k`` gathers."""
+
+    def test_matches_brute_force(self):
+        dfa = make_random_dfa(7, 3, seed=4)
+        lengths = np.array([300, 0, 1, 57, 2, 300, 11], dtype=np.int64)
+        inp = random_input(3, int(lengths.sum()), seed=5)
+        plan = plan_from_lengths(lengths)
+        spec = np.random.default_rng(6).integers(0, 7, size=(7, 3)).astype(np.int32)
+        stats = ExecStats()
+        end = process_chunks_ragged(dfa, inp, plan, spec, stats=stats)
+        np.testing.assert_array_equal(end, brute_force_end(dfa, inp, plan, spec))
+        assert stats.local_steps == 300
+        assert stats.local_gathers == stats.local_transitions == int(lengths.sum()) * 3
+
+    def test_engine_zipf_plan(self):
+        dfa, inp = APPLICATIONS["div7"].build(40_000, seed=8)
+        lengths = zipf_lengths(inp.size, 64, seed=9)
+        plan = plan_from_lengths(lengths)
+        assert plan.max_len > 10 * plan.min_len
+        r = run_speculative(dfa, inp, k=4, plan=plan, backend="vectorized")
+        assert r.config.backend == "vectorized" and r.config.rung == "chunked"
+        assert r.stats.local_gathers == int(lengths.sum()) * 4
+        assert r.stats.local_steps == plan.max_len
+        assert r.final_state == run_reference(dfa, inp)
+        trace = run_reference_trace(dfa, inp)
+        want = np.where(plan.starts == 0, dfa.start, trace[plan.starts - 1])
+        np.testing.assert_array_equal(r.true_starts, want)
+
+    def test_six_request_batch(self):
+        dfa, corpus = APPLICATIONS["div7"].build(40_000, seed=3)
+        sizes = [6000, 2048, 9000, 1, 4096, 700]
+        segs = [corpus[i * 6000 : i * 6000 + n] for i, n in enumerate(sizes)]
+        res = run_speculative_batch(dfa, segs, k=3, chunk_items=2048)
+        lengths = res.plan.lengths
+        assert res.plan.max_len - res.plan.min_len > 1
+        assert res.stats.local_gathers == int(lengths.sum()) * 3 == sum(sizes) * 3
+        assert res.stats.local_steps == res.plan.max_len
+        for r, seg in enumerate(segs):
+            assert res.final_states[r] == run_reference(dfa, seg)
 
 
 class TestRecovery:

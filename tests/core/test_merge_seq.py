@@ -5,7 +5,7 @@ import numpy as np
 from repro.core.local import process_chunks
 from repro.core.merge_seq import merge_sequential
 from repro.core.types import ChunkResults, ExecStats
-from repro.fsm.run import run_reference, run_reference_trace
+from repro.fsm.run import run_reference, run_reference_trace, run_segment
 from repro.workloads.chunking import plan_chunks
 from tests.conftest import make_random_dfa, random_input
 
@@ -145,3 +145,26 @@ class TestMergeSequential:
         stats = ExecStats()
         run_pipeline(dfa, inp, 4, spec, stats=stats)
         assert stats.seq_merge_steps == 4
+
+    def test_seeds_restart_the_walk(self):
+        # Chunks 0-1, 2-4 and 5 are three independent segments; a seed pins
+        # each head. The walk must give every chunk its out-state, never
+        # carry one segment's tail into the next, and not score a head.
+        dfa = make_random_dfa(7, 3, seed=6)
+        inp = random_input(3, 120, seed=7)
+        plan = plan_chunks(120, 6)
+        spec = np.full((6, 2), [0, 1], dtype=np.int32)
+        end, _ = process_chunks(dfa, inp, plan, spec)
+        results = ChunkResults(spec=spec, end=end, valid=np.ones_like(spec, dtype=bool))
+        seeds = {0: 3, 2: 5, 5: 0}
+        stats = ExecStats()
+        exits, starts = merge_sequential(
+            dfa, inp, plan, results, stats=stats, seeds=seeds
+        )
+        state = None
+        for c in range(6):
+            state = seeds.get(c, state)
+            assert starts[c] == state
+            state = run_segment(dfa, inp[plan.chunk_slice(c)], state)
+            assert exits[c] == state
+        assert stats.success_total == 3  # chunks 1, 3 and 4

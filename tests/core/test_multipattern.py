@@ -1,7 +1,7 @@
 """Multi-pattern engine tests: batched union stepping, product route,
 request batching, and engine delegation.
 
-Every route and every kernel/schedule combination must be bit-exact
+Every route and every kernel/merge combination must be bit-exact
 against the per-pattern sequential reference — same final states, same
 acceptance, same match positions.
 """
@@ -97,12 +97,12 @@ class TestBatchedRoute:
         assert res.route == "batched"
         _check_batched(res, machines, inputs)
 
-    @pytest.mark.parametrize("schedule", ["barrier", "ooo"])
-    def test_bit_exact_schedules(self, schedule):
+    @pytest.mark.parametrize("merge", ["parallel", "sequential"])
+    def test_bit_exact_merges(self, merge):
         machines = _group([4, 6, 3], seed=5)
         inputs = _stream(6000, seed=9)
         res = run_multipattern(
-            machines, inputs, k=2, num_chunks=24, schedule=schedule,
+            machines, inputs, k=2, num_chunks=24, merge=merge,
             route="batched",
         )
         _check_batched(res, machines, inputs)

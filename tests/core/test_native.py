@@ -216,14 +216,12 @@ class TestBitExact:
 
 @needs_native
 class TestEngineBackend:
-    @pytest.mark.parametrize("schedule", ["barrier", "ooo"])
     @pytest.mark.parametrize("merge", ["parallel", "sequential"])
-    def test_native_equals_vectorized(self, schedule, merge):
+    def test_native_equals_vectorized(self, merge):
         dfa = make_random_dfa(20, 10, seed=14)
         inputs = random_input(10, 60_000, seed=15)
         kw = dict(
-            k=4, num_blocks=2, threads_per_block=32, merge=merge,
-            schedule=schedule, price=False,
+            k=4, num_blocks=2, threads_per_block=32, merge=merge, price=False,
         )
         rn = run_speculative(dfa, inputs, backend="native", **kw)
         rv = run_speculative(dfa, inputs, backend="vectorized", **kw)

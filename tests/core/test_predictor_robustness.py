@@ -3,16 +3,20 @@
 A torn, foreign, or partially-rotten JSON store must never take the
 engine down: the predictor falls back to an empty history (sample-prior
 speculation) and the corruption is visible as the
-``predictor.load_corrupt`` counter on the ambient trace.
+``predictor.load_corrupt`` counter on the ambient trace. ``TestPredictor``
+covers fingerprints, learning, persistence and the engine's ``history=``.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.engine import run_speculative
 from repro.core.predictor import HistoryPredictor, dfa_fingerprint
+from repro.fsm.run import run_reference
 from repro.obs.trace import RunTrace
 
 from tests.conftest import make_random_dfa, random_input
@@ -74,3 +78,45 @@ def test_clean_store_counts_nothing(tmp_path):
     pred, counts = load_counting(path)
     assert "predictor.load_corrupt" not in counts
     assert pred.prior(dfa) is not None
+
+
+class TestPredictor:
+    def test_fingerprint_deterministic_and_distinct(self):
+        a = make_random_dfa(6, 3, seed=1)
+        b = make_random_dfa(6, 3, seed=2)
+        assert dfa_fingerprint(a) == dfa_fingerprint(a)
+        assert dfa_fingerprint(a) != dfa_fingerprint(b)
+
+    def test_observe_shifts_prior(self):
+        dfa = make_random_dfa(5, 2, seed=3)
+        pred = HistoryPredictor()
+        assert pred.prior(dfa) is None  # no history yet
+        # Feed a history where state 2 dominates chunk starts.
+        pred.observe(dfa, np.full(50, 2, dtype=np.int64))
+        skewed = pred.prior(dfa)
+        assert skewed is not None and skewed.argmax() == 2
+        assert pred.ranking(dfa)[2] == 0  # state 2 ranked most likely
+
+    def test_persistence_round_trip(self, tmp_path):
+        path = tmp_path / "priors.json"
+        dfa = make_random_dfa(5, 2, seed=4)
+        pred = HistoryPredictor(path)
+        pred.observe(dfa, np.full(20, 3, dtype=np.int64))
+        pred.save()
+        again = HistoryPredictor(path)
+        assert again.runs_observed(dfa) == 1
+        assert again.ranking(dfa)[3] == 0  # state 3 ranked most likely
+
+    def test_engine_history_integration(self, tmp_path):
+        path = tmp_path / "hist.json"
+        dfa = make_random_dfa(8, 3, seed=5)
+        inp = random_input(3, 8000, seed=6)
+        ref = run_reference(dfa, inp)
+        for _ in range(2):
+            res = run_speculative(
+                dfa, inp, k=2, num_blocks=1, threads_per_block=32,
+                merge="parallel", history=path,
+            )
+            assert res.final_state == ref
+        assert path.exists()
+        assert HistoryPredictor(path).runs_observed(dfa) == 2

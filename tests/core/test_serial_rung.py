@@ -12,8 +12,9 @@ native kernel from ``NATIVE_MIN_ITEMS`` items on (when one loads), the
   native loader forced to return None;
 * a guard that defaults never reach the speculative stages, while an
   explicit ``plan=`` still speculates;
-* the one-lane kernel memo: a new input length does not re-plan, and a
-  failed load is not retried on every call.
+* the loader's request memo: a new input length does not re-plan, and a
+  failed load (a failed plan, or a failed build with no usable compiler)
+  is not retried on every call.
 """
 
 from __future__ import annotations
@@ -188,15 +189,13 @@ def test_defaults_do_not_speculate(forbid_speculation, size, k):
     x = random_input(4, size, seed=51)
     trace = run_reference_trace(dfa, x)
     for merge in ("parallel", "sequential"):
-        for schedule in ("barrier", "ooo"):
-            r = repro.run_speculative(
-                dfa, x, k=k, merge=merge, schedule=schedule,
-                collect=("match_positions",),
-            )
-            assert r.final_state == run_reference(dfa, x)
-            np.testing.assert_array_equal(
-                r.match_positions, np.flatnonzero(dfa.accepting[trace])
-            )
+        r = repro.run_speculative(
+            dfa, x, k=k, merge=merge, collect=("match_positions",),
+        )
+        assert r.final_state == run_reference(dfa, x)
+        np.testing.assert_array_equal(
+            r.match_positions, np.flatnonzero(dfa.accepting[trace])
+        )
     if size >= 64:
         with pytest.raises(Speculated):
             repro.run_speculative(dfa, x, k=k, plan=plan_chunks(size, 64))
@@ -249,10 +248,12 @@ def test_a_new_input_length_does_not_replan():
 
 def test_a_failed_load_is_remembered(monkeypatch):
     calls = []
-    monkeypatch.setattr(
-        native_runtime, "load_native_plan",
-        lambda *a, **kw: calls.append(1) or None,
-    )
+
+    def refuse(*args, **kwargs):
+        calls.append(1)
+        raise ValueError("no plan")
+
+    monkeypatch.setattr(native_runtime, "plan_kernel", refuse)
     dfa = make_random_dfa(13, 3, seed=56)
     x = random_input(3, NATIVE_MIN_ITEMS, seed=57)
     clear_memory_cache()
@@ -266,4 +267,37 @@ def test_a_failed_load_is_remembered(monkeypatch):
             assert r.final_state == run_reference(dfa, x)
         assert len(calls) == 1
     finally:
+        clear_memory_cache()
+
+
+def test_a_failed_build_is_not_retried(tmp_path, monkeypatch):
+    # No usable compiler and a cold artifact cache: the first chunked call
+    # plans the kernel and attempts one build; the second call finds the
+    # remembered failure and neither re-plans nor rebuilds.
+    from repro.core.native import build as native_build
+
+    planned, builds = [], []
+    real_plan, real_compile = native_runtime.plan_kernel, native_build._compile
+    monkeypatch.setattr(
+        native_runtime, "plan_kernel",
+        lambda *a, **kw: planned.append(1) or real_plan(*a, **kw),
+    )
+    monkeypatch.setattr(
+        native_build, "_compile",
+        lambda *a, **kw: builds.append(1) or real_compile(*a, **kw),
+    )
+    monkeypatch.setenv("CC", "/bin/false")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    native_build.reset_build_state()
+    clear_memory_cache()
+    dfa = make_random_dfa(11, 4, seed=58)
+    x = random_input(4, NATIVE_MIN_ITEMS, seed=59)
+    try:
+        for _ in range(2):
+            r = repro.run_speculative(dfa, x, plan=plan_chunks(x.size, 16))
+            assert r.config.rung == "chunked" and r.config.backend == "vectorized"
+            assert r.final_state == run_reference(dfa, x)
+        assert (len(planned), len(builds)) == (1, 1)
+    finally:
+        native_build.reset_build_state()
         clear_memory_cache()

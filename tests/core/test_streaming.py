@@ -188,42 +188,6 @@ class TestPoolBackend:
         with pytest.raises(ValueError):
             StreamingExecutor(dfa, backend="cuda")
 
-    def test_bad_schedule_name(self):
-        dfa = make_random_dfa(4, 2, seed=0)
-        with pytest.raises(ValueError):
-            StreamingExecutor(dfa, schedule="barrier-free")
-
-    def test_pool_rejects_ooo_schedule(self, monkeypatch):
-        # The pool backend has one merge: "ooo" fails at construction,
-        # before any worker process or shared-memory segment exists.
-        import repro.core.streaming as streaming
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("pool built before the schedule was checked")
-
-        monkeypatch.setattr(streaming, "ScaleoutPool", refuse)
-        dfa = make_random_dfa(4, 2, seed=0)
-        with pytest.raises(ValueError, match="barrier"):
-            StreamingExecutor(dfa, backend="pool", schedule="ooo")
-
-    @pytest.mark.parametrize("backend", ["simulate"])
-    def test_ooo_schedule_equals_barrier(self, backend):
-        dfa = make_random_dfa(6, 3, seed=40, accepting_fraction=0.3)
-        stream = random_input(3, 15_000, seed=41)
-        finals, matches = [], []
-        for schedule in ("barrier", "ooo"):
-            with StreamingExecutor(dfa, k=2, num_blocks=2,
-                                   threads_per_block=32, backend=backend,
-                                   pool_workers=2, sub_chunks_per_worker=8,
-                                   collect_matches=True,
-                                   schedule=schedule) as ex:
-                for block in np.array_split(stream, 4):
-                    ex.feed(block)
-                finals.append(ex.state)
-                matches.append(ex.match_positions)
-        assert finals[0] == finals[1] == run_reference(dfa, stream)
-        np.testing.assert_array_equal(matches[0], matches[1])
-
 
 class TestLifetimeStats:
     def test_lifetime_survives_reset(self):

@@ -5,7 +5,7 @@ independent requests into a single seeded chunk plan never changes any
 request's answer. These tests drive :func:`repro.core.engine.run_speculative_batch`
 and compare every per-request final state against the sequential
 reference *and* against individual ``run_speculative`` calls across
-kernel/collapse/schedule settings.
+kernel/collapse settings.
 """
 
 import numpy as np
@@ -46,16 +46,16 @@ class TestEngineBatch:
             )
 
     @pytest.mark.parametrize(
-        "kernel,collapse,schedule",
+        "kernel,collapse",
         [
-            ("lockstep", "off", "barrier"),
-            ("stride4", "off", "barrier"),
-            ("lockstep", "auto", "ooo"),
-            ("auto", "auto", "ooo"),
+            ("lockstep", "off"),
+            ("stride4", "off"),
+            ("lockstep", "auto"),
+            ("auto", "auto"),
         ],
     )
-    def test_matches_individual_runs(self, kernel, collapse, schedule):
-        # Whatever kernel/collapse/schedule an individual run uses, the
+    def test_matches_individual_runs(self, kernel, collapse):
+        # Whatever kernel/collapse an individual run uses, the
         # coalesced batch must agree with it request by request.
         dfa, corpus = APPLICATIONS["regex1"].build(30_000, seed=4)
         segs = windows(corpus, [5000, 2048, 9000, 1, 4096, 700], seed=5)
@@ -74,7 +74,6 @@ class TestEngineBatch:
                 measure_success=False,
                 kernel=kernel,
                 collapse=collapse,
-                schedule=schedule,
             )
             assert res.final_states[r] == alone.final_state
 
