@@ -322,11 +322,13 @@ class PackedInput:
     prefix rows as single-class steps; ``tail`` the one ragged extra class
     of each longer chunk. Together they cover exactly the same symbols, in
     the same order, as :class:`repro.workloads.chunking.TransformedInput`.
+    ``tail_rows`` are the longer chunks' ids, in the order of ``tail``.
     """
 
     packed: np.ndarray  # (min_len // m, num_chunks) int64
     rem: np.ndarray  # (min_len % m, num_chunks) int32
     tail: np.ndarray  # (num_long,) int32
+    tail_rows: np.ndarray  # (num_long,) intp
 
     @property
     def nbytes(self) -> int:
@@ -353,6 +355,7 @@ def pack_stride(
     if m < 1:
         raise ValueError(f"stride m must be >= 1, got {m}")
     q = plan.min_len
+    tail_rows = np.flatnonzero(plan.lengths > q)
     if transformed is not None:
         main = transformed.main
         tail = np.asarray(transformed.tail, dtype=np.int32)
@@ -361,12 +364,7 @@ def pack_stride(
         main = class_inputs[idx] if q else np.zeros(
             (0, plan.num_chunks), dtype=np.int32
         )
-        long_mask = plan.lengths > q
-        tail = (
-            class_inputs[(plan.starts + q)[long_mask]].astype(np.int32)
-            if long_mask.any()
-            else np.zeros(0, dtype=np.int32)
-        )
+        tail = class_inputs[plan.starts[tail_rows] + q].astype(np.int32)
     T = q // m
     if T:
         blocks = np.asarray(main[: T * m], dtype=np.int64).reshape(T, m, -1)
@@ -377,7 +375,7 @@ def pack_stride(
     else:
         packed = np.zeros((0, plan.num_chunks), dtype=np.int64)
     rem = np.ascontiguousarray(np.asarray(main[T * m:], dtype=np.int32))
-    return PackedInput(packed=packed, rem=rem, tail=tail)
+    return PackedInput(packed=packed, rem=rem, tail=tail, tail_rows=tail_rows)
 
 
 def advance_matrix(
@@ -392,8 +390,8 @@ def advance_matrix(
 
     ``w`` is arbitrary: ``k`` speculated states per chunk, or all
     ``num_states`` under spec-N. Consumes the packed stride steps, then
-    the leftover single-class rows, then the ragged tail (first
-    ``tail.size`` chunks only) — the exact symbol order of the lock-step
+    the leftover single-class rows, then the ragged tail (the
+    ``tail_rows`` chunks only) — the exact symbol order of the lock-step
     kernel.
 
     ``collapse`` threads the convergence layer through the stride loop
@@ -438,10 +436,10 @@ def advance_matrix(
     # (num_chunks, w) layout first.
     if collapser is not None:
         S = collapser.expand(S)
-    r = packed.tail.size
-    if r:
-        S[:r] = Tc[packed.tail[:, None], S[:r]]
-        gathered += r if S.ndim == 1 else S[:r].size
+    rows = packed.tail_rows
+    if rows.size:
+        S[rows] = Tc[packed.tail[:, None], S[rows]]
+        gathered += rows.size if S.ndim == 1 else S[rows].size
     if stats is not None:
         stats.local_gathers += gathered
         if collapser is not None:

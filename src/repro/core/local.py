@@ -132,21 +132,23 @@ def process_chunks(
     if collapser is not None:
         S = collapser.expand(S)
 
-    # Ragged step: the first num_long chunks carry one extra symbol.
-    r = plan.num_long
-    if r:
+    # Ragged step: the longer chunks carry one extra symbol. They lead a
+    # plan_chunks partition but may sit anywhere in plan_from_lengths'.
+    long_idx = np.flatnonzero(plan.lengths > q)
+    if long_idx.size:
         if transformed is not None:
             syms_tail = transformed.tail
         else:
-            long_idx = np.flatnonzero(plan.lengths > q)
             syms_tail = inputs[starts[long_idx] + q]
+        S_long = S[long_idx]
         if cache_mask is not None:
-            hits += int(cache_mask[S[:r]].sum())
-            total_accesses += S[:r].size
-        S[:r] = table[syms_tail[:, None], S[:r]]
-        gathered += S[:r].size
+            hits += int(cache_mask[S_long].sum())
+            total_accesses += S_long.size
+        S_long = table[syms_tail[:, None], S_long]
+        S[long_idx] = S_long
+        gathered += S_long.size
         if acc is not None:
-            acc[:r] += accepting[S[:r]]
+            acc[long_idx] += accepting[S_long]
 
     if stats is not None:
         stats.local_steps += plan.max_len

@@ -49,7 +49,7 @@ __all__ = [
 #: Bumped whenever the generated C ABI (function signatures, counter
 #: layout) changes; part of the cache key so stale artifacts are never
 #: loaded by a newer runtime.
-ABI_VERSION = 4
+ABI_VERSION = 6
 
 _ENV_CACHE_DIR = "REPRO_NATIVE_CACHE"
 

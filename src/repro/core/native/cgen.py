@@ -30,9 +30,12 @@ emits one C translation unit containing
   lane per pattern serves the batched union, one lane over the product
   serves the product route, ``W = 1`` serves a single machine.
 * ``nk_process_chunks_rec`` — multi-pattern kernels with the collapse
-  fast path only: ``nk_process_chunks`` that also reports each chunk's
-  collapse position and records ``(position, pattern, state)`` for every
-  accepting step of the collapsed one-lane-per-pattern continuation. It
+  fast path, and the serial rung's one-lane-per-pattern kernels
+  (``k == patterns``, whose every chunk is that continuation from
+  position 0, collapse position 0) only: ``nk_process_chunks`` that also
+  reports each chunk's collapse position and records ``(position,
+  pattern, state)`` for every accepting step of the collapsed
+  one-lane-per-pattern continuation. It
   steps through marked tables: the class table with accepting targets as
   ``~state`` (as in the accept pass) and the stride table with an entry
   stored as ``~state`` when any of its ``m`` sub-steps accepts; a marked
@@ -173,10 +176,18 @@ class NativeSpec:
         return self.cadence > 0 and self.k > self.patterns
 
     @property
+    def one_lane_per_pattern(self) -> bool:
+        """Whether every pattern group is one lane (``k == patterns > 1``):
+        the serial rung's group kernel, which steps each pattern from its
+        known start and has nothing to collapse."""
+        return self.patterns > 1 and self.k == self.patterns
+
+    @property
     def records(self) -> bool:
         """Whether ``nk_process_chunks_rec`` is generated: the kernel has
-        the one-lane-per-pattern continuation of a collapsed chunk."""
-        return self.collapsing and self.patterns > 1
+        the one-lane-per-pattern continuation of a collapsed chunk, or is
+        that continuation from position 0."""
+        return self.patterns > 1 and (self.collapsing or self.one_lane_per_pattern)
 
 
 def _stride_index(spec: NativeSpec, base: str) -> list[str]:
@@ -376,6 +387,47 @@ static int nk_all_equal(const i32 *st) {
         plain_return = "return;"
         process_chunks = _PROCESS_CHUNKS
 
+    if spec.one_lane_per_pattern:
+        # Every lane is its pattern's known start: the chunk is the group
+        # continuation from position 0, so it "collapses" there.
+        advance_chunk = f"""\
+/* Advance one lane per pattern through one chunk. */
+static i64 nk_advance_chunk(const i32 *in, i64 len, i32 *lanes,
+                            const i32 *class_of, const i32 *Tc,
+                            const i32 *Tm, i64 *counters{advance_extra}) {{
+    (void)Tc;
+    /* One gather per lane per stride step, as the K-lane loop counts. */
+    const i64 steps = (M > 1 && Tm) ? len / M + len % M : len;
+    nk_advance_group(in, len, base, lanes, class_of, Ta, Tma, rec);
+    counters[{SLOT_GATHERS}] += steps * NK_P;
+    return 0;
+}}
+"""
+    else:
+        advance_chunk = f"""\
+/* Advance all K lanes of one chunk. */
+static {advance_ret} nk_advance_chunk(const i32 *in, i64 len, i32 *lanes,
+                             const i32 *class_of, const i32 *Tc,
+                             const i32 *Tm, i64 *counters{advance_extra}) {{
+{lane_load}
+    i64 t = 0;
+{collapse_decls}
+    if (M > 1 && Tm) {{
+{stride_loop}
+    }}
+    {{
+        while (t < len) {{
+{tail_step}
+            t += 1;
+            counters[{SLOT_GATHERS}] += K;
+{scan_tail}
+        }}
+    }}
+{lane_store}
+    {plain_return}{collapsed_label}
+}}
+"""
+
     return f"""\
 /* Generated by repro.core.native.cgen — one artifact per
  * (table fingerprint, k, kernel, collapse, dtype, abi). Do not edit. */
@@ -427,28 +479,7 @@ i32 nk_run_segment(const i32 *in, i64 len, i32 s, const i32 *class_of,
     return nk_advance_one(in, len, s, class_of, Tc, Tm);
 }}
 {all_equal_helper}{advance_group_helper}
-/* Advance all K lanes of one chunk. */
-static {advance_ret} nk_advance_chunk(const i32 *in, i64 len, i32 *lanes,
-                             const i32 *class_of, const i32 *Tc,
-                             const i32 *Tm, i64 *counters{advance_extra}) {{
-{lane_load}
-    i64 t = 0;
-{collapse_decls}
-    if (M > 1 && Tm) {{
-{stride_loop}
-    }}
-    {{
-        while (t < len) {{
-{tail_step}
-            t += 1;
-            counters[{SLOT_GATHERS}] += K;
-{scan_tail}
-        }}
-    }}
-{lane_store}
-    {plain_return}{collapsed_label}
-}}
-
+{advance_chunk}
 {process_chunks}
 /* Left fold of per-chunk maps over chunk 0's speculation row: first-match
  * semi-join (compose_maps semantics), native re-execution on a miss, and

@@ -85,7 +85,8 @@ class _CtypesLib:
     """stdlib loader: raw pointers passed as integers through ``c_void_p``.
 
     ``records`` binds ``nk_process_chunks_rec``, which only recording
-    (multi-pattern, collapsing) artifacts export.
+    artifacts export (multi-pattern: collapsing, or one lane per
+    pattern).
     """
 
     def __init__(self, path: str, records: bool = False) -> None:
@@ -312,8 +313,9 @@ class NativeKernel:
     ) -> tuple[np.ndarray, GroupRecords]:
         """:meth:`process_chunks` that also records matches after collapse.
 
-        Only recording kernels (``spec.records``: several patterns and
-        the collapse fast path) have it. Returns the ending-state matrix
+        Only recording kernels (``spec.records``: several patterns, and
+        the collapse fast path or one lane per pattern, whose every chunk
+        collapses at 0) have it. Returns the ending-state matrix
         and the :class:`GroupRecords` of every step into a state with
         ``accept[state]`` set, taken on the one-lane-per-pattern
         continuation of each collapsed chunk. The events of a chunk are
@@ -520,20 +522,37 @@ def _mark_stride(Tc: np.ndarray, Tm: np.ndarray, accept: np.ndarray) -> np.ndarr
 # --------------------------------------------------------------------------- #
 
 
+def _smoke_rows(nk: NativeKernel, dfa: DFA, seg: np.ndarray) -> np.ndarray:
+    """The rows of ``dfa.table`` that the kernel's input ``seg`` selects.
+
+    The kernel reads symbols of its class map's domain. ``dfa`` reads the
+    same symbols when its table has one row per symbol; otherwise it is
+    the machine over the classes (a group's union), and each symbol goes
+    through the class map first. Classes are numbered by first
+    appearance, so the two readings agree whenever the counts match.
+    """
+    class_of = nk.kplan.compaction.class_of
+    return seg if dfa.num_inputs == class_of.size else class_of[seg]
+
+
 def _smoke_check(nk: NativeKernel, dfa: DFA) -> bool:
     """Cross-check the loaded kernel against a pure-Python table walk.
 
-    Covers both single-state re-execution and the accept pass.
+    Covers both single-state re-execution and the accept pass, over raw
+    symbols drawn from the kernel's class map's domain.
     """
     rng = np.random.default_rng(12345)
     n = max(2 * nk.spec.m + 3, 11)
-    seg = rng.integers(0, dfa.num_inputs, size=n, dtype=np.int32)
+    seg = rng.integers(
+        0, nk.kplan.compaction.class_of.size, size=n, dtype=np.int32
+    )
     table = dfa.table
     lanes = list(range(min(dfa.num_states, nk.spec.k + 1)))
     expect = []
+    rows = _smoke_rows(nk, dfa, seg).tolist()
     for start in lanes:
         s = start
-        for t, sym in enumerate(seg.tolist()):
+        for t, sym in enumerate(rows):
             s = int(table[sym, s])
             if dfa.accepting[s]:
                 expect.append((t, start, s))
@@ -551,10 +570,14 @@ def _smoke_check(nk: NativeKernel, dfa: DFA) -> bool:
 def _smoke_records(nk: NativeKernel, dfa: DFA, rng) -> bool:
     """Cross-check the recording pass on two chunks whose lanes start
     collapsed (every lane of a group on one state), so each collapses at
-    its first scan and records the rest of the chunk."""
+    its first scan (at position 0 on a one-lane-per-pattern kernel) and
+    records the rest of the chunk."""
     sp = nk.spec
     length = sp.cadence + 3 * sp.m + 5
-    seg = rng.integers(0, dfa.num_inputs, size=2 * length, dtype=np.int32)
+    seg = rng.integers(
+        0, nk.kplan.compaction.class_of.size, size=2 * length, dtype=np.int32
+    )
+    rows = _smoke_rows(nk, dfa, seg)
     plan = plan_chunks(seg.size, 2)
     states = (7 * np.arange(sp.patterns)[None, :] + np.arange(2)[:, None]) % sp.num_states
     spec = np.repeat(states, sp.groups, axis=1)
@@ -564,7 +587,7 @@ def _smoke_records(nk: NativeKernel, dfa: DFA, rng) -> bool:
     expect = []
     for t in range(length):  # both chunks, every group at once
         pos = plan.starts + t
-        states = dfa.table[seg[pos][:, None], states]
+        states = dfa.table[rows[pos][:, None], states]
         hit = dfa.accepting[states] & (t >= rec.collapse_at)[:, None]
         for c, g in zip(*np.nonzero(hit)):
             expect.append((int(pos[c]), int(g), int(states[c, g])))

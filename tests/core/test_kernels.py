@@ -26,7 +26,7 @@ from repro.core.types import ExecStats
 from repro.fsm.alphabet import compact_alphabet
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference, run_segment
-from repro.workloads.chunking import plan_chunks, transform_layout
+from repro.workloads.chunking import plan_chunks, plan_from_lengths, transform_layout
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -126,6 +126,33 @@ def test_kernel_matches_reference(kernel, n, chunks, k):
         for j in range(k):
             expect[c, j] = run_segment(dfa, seg, int(spec[c, j]))
     np.testing.assert_array_equal(end, expect, err_msg=f"{kernel} {n}/{chunks}/{k}")
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS) + ["process_chunks"])
+@pytest.mark.parametrize("layout", ["natural", "transformed"])
+def test_longer_chunks_anywhere_in_a_near_equal_plan(kernel, layout):
+    """A coalesced request batch is near-equal with its longer chunks
+    interleaved (here 56, 56, 56, 55, 55, 56, 56, 55, 55, 55); the ragged
+    tail must step those chunks, not the leading ones."""
+    dfa = redundant_dfa(11, 4, 13, seed=5)
+    plan = plan_from_lengths([56, 56, 56, 55, 55, 56, 56, 55, 55, 55])
+    inp = random_input(13, plan.num_items, seed=6)
+    spec = np.random.default_rng(7).integers(0, 11, size=(10, 3)).astype(np.int32)
+    transformed = transform_layout(inp, plan) if layout == "transformed" else None
+    if kernel == "process_chunks":
+        end, _ = process_chunks(dfa, inp, plan, spec, transformed=transformed)
+    else:
+        kplan = plan_kernel(
+            dfa, chunk_len=plan.max_len, num_chunks=10, k=3, kernel=kernel
+        )
+        end = process_chunks_kernel(
+            dfa, inp, plan, spec, kplan, transformed=transformed
+        )
+    expect = np.array([
+        [run_segment(dfa, inp[plan.chunk_slice(c)], int(s)) for s in spec[c]]
+        for c in range(10)
+    ])
+    np.testing.assert_array_equal(end, expect)
 
 
 @pytest.mark.parametrize("kernel", ["stride2", "stride4"])
