@@ -26,7 +26,7 @@ from repro.core.multipattern import (
     run_multipattern_batch,
     stack_machines,
 )
-from repro.core.native import load_native_plan
+from repro.core.native import load_serial_kernel
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference
 
@@ -37,7 +37,7 @@ def _entries(backend: str):
     dfa, inputs = get_application("div7").build_instance(4_096, seed=1)
     other = DFA.random(5, dfa.num_inputs, rng=3, name="other")
     stack = stack_machines([dfa, other])
-    native = load_native_plan(dfa, k=2) if backend == "native" else None
+    native = load_serial_kernel(dfa) if backend == "native" else None
 
     def engine(x):
         return run_speculative(dfa, x, k=2, backend=backend, num_blocks=1,
