@@ -66,7 +66,7 @@ from repro.core.native import (
     load_native_plan,
     native_available,
 )
-from repro.core.predictor import HistoryPredictor, dfa_fingerprint
+from repro.core.predictor import dfa_fingerprint
 from repro.core.resilience import (
     DEFAULT_RESILIENCE,
     DeadlineModel,
@@ -90,7 +90,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FeedCursor",
-    "HistoryPredictor",
     "KChoice",
     "KERNELS",
     "KernelPlan",

@@ -35,8 +35,8 @@ from repro.core.lookback import enumerative_spec, speculate, state_prior
 from repro.core.merge_par import MergeTree, merge_parallel
 from repro.core.merge_seq import merge_sequential
 from repro.core.multipattern import (
-    check_lane_options, coalesce, run_lane_batch, run_multipattern,
-    single_lanes,
+    check_chunk_items, check_lane_options, coalesce, run_lane_batch,
+    run_multipattern, single_lanes,
 )
 from repro.core.plan import (
     GPU_NUM_BLOCKS,
@@ -46,7 +46,6 @@ from repro.core.plan import (
     gpu_args_given,
     resolve_plan,
 )
-from repro.core.predictor import HistoryPredictor
 from repro.core.replay import ChunkReplay, replay_path
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.dfa import DFA
@@ -243,7 +242,6 @@ def run_speculative(
     kernel: str | None = None,
     collapse: str | CollapseConfig | None = "auto",
     plan: ChunkPlan | None = None,
-    history: HistoryPredictor | str | None = None,
     trace: RunTrace | None = None,
     dist=None,
 ) -> SpecExecutionResult:
@@ -361,13 +359,6 @@ def run_speculative(
         collapse/cache/collect: the compiled per-chunk loop on the native
         backend, otherwise :func:`repro.core.local.process_chunks_ragged`,
         which gathers only the chunks still running at each step.
-    history:
-        A :class:`repro.core.predictor.HistoryPredictor` (or a path to its
-        JSON store) supplying learned start-state priors: past runs' true
-        chunk-boundary states bias this run's speculation ranking, and
-        this run's recovered truth is folded back in afterwards. Like
-        ``ranking`` and ``lookback``, unused on the serial rung, which has
-        no chunk boundaries.
     trace:
         A :class:`repro.obs.RunTrace` to record per-stage wall-clock spans
         and speculation metrics into. When omitted, the ambient trace (if
@@ -411,8 +402,7 @@ def run_speculative(
                 device=device, ranking=ranking, measure_success=measure_success,
                 collect=collect, price=price, cpu_transition_ns=cpu_transition_ns,
                 keep_merge_tree=keep_merge_tree, backend=backend, kernel=kernel,
-                collapse=collapse, plan=plan, history=history,
-                dist=dist,
+                collapse=collapse, plan=plan, dist=dist,
             )
     if backend is not None:
         check_in_set("backend", backend, ("auto", "vectorized", "native", "dist"))
@@ -434,14 +424,6 @@ def run_speculative(
     plan, n, k_eff = xp.chunk_plan, xp.chunks, xp.k
     nplan, kplan, collapse_cfg = xp.native, xp.kplan, xp.collapse
     collect, device = xp.collect, xp.device
-
-    predictor: HistoryPredictor | None = None
-    if history is not None:
-        predictor = (
-            history
-            if isinstance(history, HistoryPredictor)
-            else HistoryPredictor(history)
-        )
 
     config = EngineConfig(
         k=k_eff,
@@ -489,16 +471,6 @@ def run_speculative(
                 # speculation. This is preprocessing (like the paper's
                 # look-back tables), not counted execution work.
                 prior = state_prior(dfa, sample=inputs[: 1 << 14])
-            if ranking is None and predictor is not None:
-                # Learned boundary-state occupancy from past runs of this
-                # machine — the branch-predictor analog. Blended evenly
-                # with the sample prior (history measures exactly the
-                # boundary distribution speculation needs; the sample
-                # keeps a fresh input from being mis-ranked by stale
-                # history).
-                hist = predictor.prior(dfa)
-                if hist is not None:
-                    prior = hist if prior is None else 0.5 * (prior + hist)
             if prior is None and n == 1 and not inputs.size:
                 # One empty chunk starts at the known start state, so no
                 # prior can change its result or its counters: skip the
@@ -629,10 +601,6 @@ def run_speculative(
             )
             stats.success_hits += hits
             stats.success_total += n - 1
-        if predictor is not None and true_starts is not None:
-            # Ground-truth boundary states feed the cross-run history — the
-            # branch-predictor update step.
-            predictor.observe(dfa, true_starts)
 
     # --- output recovery ----------------------------------------------------------
     match_positions = None
@@ -707,17 +675,49 @@ def run_speculative(
 def _run_serial(
     dfa: DFA, inputs: np.ndarray, xp: ExecPlan, config: EngineConfig
 ) -> SpecExecutionResult:
-    """The CPU plan's serial rung: one pass from the start state.
+    """The CPU plan's serial rung: :func:`one_lane_pass` from the start state."""
+    start = int(dfa.start)
+    final_state, stats, acc, match_positions, emissions = one_lane_pass(
+        dfa, inputs, start, xp.native, xp.collect
+    )
+    run_trace = current_trace()
+    if run_trace is not None:
+        run_trace.count("engine.runs", 1)
+    return SpecExecutionResult(
+        final_state=final_state,
+        stats=stats,
+        config=config,
+        accepted=bool(dfa.accepting[final_state]),
+        true_starts=np.full(1, start, dtype=np.int32),
+        accept_counts=acc,
+        match_positions=match_positions,
+        emissions=emissions,
+        trace=run_trace,
+        native=xp.native,
+    )
+
+
+def one_lane_pass(
+    dfa: DFA,
+    inputs: np.ndarray,
+    start: int,
+    nk: NativeKernel | None,
+    collect: tuple[str, ...] = (),
+) -> tuple[int, ExecStats, np.ndarray | None, np.ndarray | None, tuple | None]:
+    """One pass over validated ``inputs`` from the known state ``start``.
 
     No prior, collapse probe, look-back, lane stepping, merge or truth
-    walk. The one-lane native kernel (``xp.native``) gives the final state
+    walk. The loaded one-lane kernel ``nk``
+    (:func:`repro.core.native.load_serial_kernel`) gives the final state
     and, in a second pass, the match positions. Otherwise, or when
     emissions are collected, the :func:`repro.fsm.run.run_reference`
     loop does, keeping the state trajectory when an output reads it.
+    ``accept_count`` needs that trajectory: pass no kernel with it.
+
+    Returns ``(final_state, stats, accept_counts, match_positions,
+    emissions)``, the outputs ``collect`` did not ask for being None.
     """
     size = int(inputs.size)
-    start = int(dfa.start)
-    nk, collect = xp.native, xp.collect
     stats = ExecStats(
         num_items=size, num_chunks=1, k=1,
         num_states=dfa.num_states, num_inputs=dfa.num_inputs,
@@ -729,16 +729,16 @@ def _run_serial(
     # it; the native kernel has an accept pass but no emission pass.
     states = None
     with trace_span(
-        "engine.local_exec", backend=xp.backend, chunks=1, k=1,
-        kernel=xp.kernel,
+        "engine.local_exec", backend="reference" if nk is None else "native",
+        chunks=1, k=1, kernel="lockstep" if nk is None else nk.kplan.kernel,
     ):
         if "emissions" in collect or (collect and nk is None):
-            states = run_reference_trace(dfa, inputs)
+            states = run_reference_trace(dfa, inputs, start)
             final_state = int(states[-1]) if size else start
         elif nk is not None:
             final_state = nk.run_segment(inputs, start)
         else:
-            final_state = run_reference(dfa, inputs)
+            final_state = run_reference(dfa, inputs, start)
 
     acc = match_positions = emissions = None
     if collect:
@@ -760,21 +760,7 @@ def _run_serial(
                 )
             if "emissions" in collect:
                 emissions = _trace_emissions(dfa, inputs, start, states)
-    run_trace = current_trace()
-    if run_trace is not None:
-        run_trace.count("engine.runs", 1)
-    return SpecExecutionResult(
-        final_state=final_state,
-        stats=stats,
-        config=config,
-        accepted=bool(dfa.accepting[final_state]),
-        true_starts=np.full(1, start, dtype=np.int32),
-        accept_counts=acc,
-        match_positions=match_positions,
-        emissions=emissions,
-        trace=run_trace,
-        native=nk,
-    )
+    return final_state, stats, acc, match_positions, emissions
 
 
 def _trace_emissions(
@@ -890,17 +876,16 @@ def run_speculative_batch(
         ``k`` or ``lookback`` on either rung.
     """
     check_lane_options((dfa,), k, lookback, native)
+    check_chunk_items(chunk_items)
     serial = native is not None
     lanes = single_lanes(dfa, 1 if serial else k, prior)
+    # The serial rung steps each live request as one chunk.
     batch = coalesce(
-        segments, starts, lanes.dfas, chunk_items=chunk_items,
+        segments, starts, lanes.dfas, chunk_items=None if serial else chunk_items,
         num_symbols=dfa.num_inputs,
     )
     finals = batch.starts.astype(np.int32)
-    # The serial rung steps each live request as one chunk.
-    n = 0 if batch.plan is None else (
-        batch.head_requests.size if serial else batch.plan.num_chunks
-    )
+    n = 0 if batch.plan is None else batch.plan.num_chunks
     if stats is None:
         stats = lanes.new_stats(batch.symbols.size, n)
     if batch.plan is not None:
@@ -1024,8 +1009,7 @@ def run_inprocess_fallback(
     retries exhausted or the pool below quorum. It is a thin wrapper over
     :func:`run_speculative` on the CPU plan, with pricing and success
     measurement switched off (a degraded run wants an answer, not
-    instrumentation), honouring a carried ``start`` state for streaming
-    callers.
+    instrumentation), honouring the run's carried ``start`` state.
     """
     run_dfa = dfa if start is None or start == dfa.start else dfa.with_start(start)
     return run_speculative(

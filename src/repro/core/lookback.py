@@ -66,9 +66,8 @@ def state_ranking(
 ) -> np.ndarray:
     """Priority of each state (0 = most likely). Derived from the prior.
 
-    An explicit ``prior`` (e.g. the learned occupancy from
-    :class:`repro.core.predictor.HistoryPredictor`) takes precedence over
-    the sample/stationary estimate.
+    An explicit ``prior`` takes precedence over the sample/stationary
+    estimate.
     """
     if prior is None:
         prior = state_prior(dfa, sample, symbol_probs=symbol_probs)

@@ -76,10 +76,9 @@ from repro.core.kernels import (
     process_chunks_kernel,
     run_segment_kernel,
 )
-from repro.core.local import process_chunks, recover_accepts
+from repro.core.local import process_chunks
 from repro.core.lookback import speculate, state_prior
 from repro.core.merge_par import compose_maps, merge_parallel
-from repro.core.merge_seq import true_boundary_walk
 from repro.core.replay import ChunkReplay
 from repro.core.resilience import (
     DEFAULT_RESILIENCE,
@@ -135,8 +134,7 @@ class PoolRunTiming:
     All fields are seconds on the parent's clock. ``dispatch_s`` is task
     serialization + submission; ``wait_s`` the wait for worker results
     (covers the workers' own execution); ``merge_s`` the parent's binary
-    tree merge including any fix-up re-execution; ``collect_s`` the
-    parent's accept pass of a ``collect_matches=True`` run. ``total_s`` is
+    tree merge including any fix-up re-execution. ``total_s`` is
     measured independently around the whole call — the stage test asserts
     the components sum to within tolerance of it.
     """
@@ -147,14 +145,13 @@ class PoolRunTiming:
     wait_s: float
     merge_s: float
     total_s: float
-    collect_s: float = 0.0
 
     @property
     def stages_s(self) -> float:
         """Sum of the attributed stage components (seconds)."""
         return (
             self.speculate_s + self.publish_s + self.dispatch_s
-            + self.wait_s + self.merge_s + self.collect_s
+            + self.wait_s + self.merge_s
         )
 
 
@@ -172,11 +169,6 @@ class MultiprocessResult:
     scaled out. ``recovery`` carries the run's
     :class:`repro.core.resilience.SupervisionReport` whenever any recovery
     action fired (always on degraded runs; None on clean runs).
-
-    ``match_positions`` (``collect_matches=True`` runs only) holds the
-    sorted global positions at which the machine sat in an accepting
-    state — identical to the in-process engine's
-    ``collect=("match_positions",)`` output.
     """
 
     final_state: int
@@ -188,7 +180,6 @@ class MultiprocessResult:
     worker_timings: tuple[WorkerTiming, ...] = field(default=())
     degraded: bool = False
     recovery: SupervisionReport | None = None
-    match_positions: np.ndarray | None = None
 
 
 # --------------------------------------------------------------------------- #
@@ -667,8 +658,8 @@ class ScaleoutPool:
     Created once per machine: the DFA table, accepting mask, and state prior
     are published to shared memory at construction, the input buffer on the
     first :meth:`run` (grown geometrically afterwards), and worker processes
-    persist across calls — so repeated runs (streaming blocks, many inputs
-    against one machine) pay no per-call pickling of tables or input and no
+    persist across calls — so repeated runs (many inputs against one
+    machine) pay no per-call pickling of tables or input and no
     process spawn after warm-up.
 
     Use as a context manager, or call :meth:`close` when done — the pool
@@ -1004,13 +995,10 @@ class ScaleoutPool:
 
     def _replay(self, inputs: np.ndarray, plan, *, first: int = 0) -> ChunkReplay:
         """The call's one replay hook: :meth:`_run_segment` over ``plan``."""
+        path = "native" if self._ensure_native() is not None else "vectorized"
         return ChunkReplay(
-            self._run_segment, inputs, plan, path=self._replay_path(),
-            first=first,
+            self._run_segment, inputs, plan, path=path, first=first,
         )
-
-    def _replay_path(self) -> str:
-        return "native" if self._ensure_native() is not None else "vectorized"
 
     def _resolve_collapse(self, inputs: np.ndarray) -> None:
         """Resolve ``"auto"`` collapse on the first non-empty input (cached)."""
@@ -1060,35 +1048,6 @@ class ScaleoutPool:
         )
         stats.pool_calls += 1
         return stats
-
-    def _local_matches(self, inputs: np.ndarray, start: int) -> np.ndarray:
-        """Accepting positions of ``inputs`` entered at ``start``, in-process.
-
-        With a loaded native kernel this is its accept pass over the whole
-        input from ``start`` — one compiled lane needs no speculation.
-        Without one it is the standard two-pass recovery: speculative
-        chunk maps, an uncounted truth walk pinned at ``start``, then
-        :func:`repro.core.local.recover_accepts` from the true per-chunk
-        states.
-        """
-        if inputs.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        nk = self._ensure_native()
-        if nk is not None:
-            pos, _, _ = nk.accept_positions(
-                inputs, [0], [inputs.size], [[start]], self.dfa.accepting
-            )
-            return pos
-        dfa = self.dfa if start == self.dfa.start else self.dfa.with_start(start)
-        plan = plan_chunks(inputs.size, self.sub_chunks_per_worker)
-        # No boundary row: speculation leads chunk 0 with dfa.start, the truth.
-        spec, end, _ = _segment_maps(
-            dfa, self._kplan, inputs, plan, None,
-            k=self.k, lookback=self.lookback, prior=self._prior,
-        )
-        results = ChunkResults(spec=spec, end=end, valid=np.ones_like(spec, dtype=bool))
-        _, tstarts = true_boundary_walk(dfa, inputs, plan, results)
-        return recover_accepts(dfa, inputs, plan, tstarts)
 
     def _task(self, n: int, lo: int, hi: int, row) -> _Task:
         """Build one worker task — the only constructor of :class:`_Task`.
@@ -1231,20 +1190,15 @@ class ScaleoutPool:
         inputs: np.ndarray,
         *,
         start: int | None = None,
-        collect_matches: bool = False,
     ) -> MultiprocessResult:
         """Compute the final state of ``inputs``, starting from ``start``.
 
-        ``start`` defaults to the machine's initial state; streaming callers
-        pass the carried state instead. The result is bit-identical to the
-        sequential reference (property tests assert this over machines ×
-        inputs × worker counts × k). Every worker's folded segment map is
-        stacked and combined with the binary tree merge.
-
-        ``collect_matches=True`` adds the accepting-state positions
-        (regex match ends) on ``MultiprocessResult.match_positions``,
-        sorted and global: one accept pass over the input in the parent,
-        from the true start (:meth:`_local_matches`).
+        ``start`` defaults to the machine's initial state; a caller that
+        carries the state across calls passes it instead. The result is
+        bit-identical to the sequential reference (property tests assert
+        this over machines × inputs × worker counts × k). Every worker's
+        folded segment map is stacked and combined with the binary tree
+        merge.
 
         With supervision on (the default), worker failure is recovered —
         killed workers are respawned, stragglers and errors retried, and
@@ -1265,21 +1219,13 @@ class ScaleoutPool:
         self.calls += 1
         stats = self._new_stats(n, self.k_eff)
         if n == 0:
-            return MultiprocessResult(
-                start, w, 0, stats,
-                match_positions=(
-                    np.zeros(0, dtype=np.int64) if collect_matches else None
-                ),
-            )
+            return MultiprocessResult(start, w, 0, stats)
         if w == 1:
             # Single-worker degenerate case: no dispatch, run in-process.
             check_symbols(inputs, self.dfa.num_inputs)
             final = self._run_segment(inputs, start)
             stats.pool_shm_bytes = self.shm_bytes
-            positions = self._local_matches(inputs, start) if collect_matches else None
-            return MultiprocessResult(
-                final, 1, 0, stats, match_positions=positions,
-            )
+            return MultiprocessResult(final, 1, 0, stats)
 
         report = SupervisionReport()
         self._publish_input(inputs, stats, report)
@@ -1328,7 +1274,7 @@ class ScaleoutPool:
             return self._degraded_result(
                 inputs, start, stats, report,
                 t_run=t_run, t_publish=t_publish, t_spec=t_spec,
-                t_dispatch=rnd.t_dispatch, collect_matches=collect_matches,
+                t_dispatch=rnd.t_dispatch,
             )
         maps = rnd.outs
 
@@ -1369,26 +1315,18 @@ class ScaleoutPool:
             if stats.checks_skipped:
                 obs.count("spec.checks_skipped", stats.checks_skipped)
 
-        match_positions = None
-        if collect_matches:
-            with trace_span("pool.collect", workers=w, replay=self._replay_path()):
-                match_positions = self._local_matches(inputs, start)
-        t_collect = time.perf_counter()
-
         timing = PoolRunTiming(
             speculate_s=t_spec - t_publish,
             publish_s=t_publish - t_run,
             dispatch_s=rnd.t_dispatch - t_spec,
             wait_s=rnd.t_wait - rnd.t_dispatch,
             merge_s=t_merge - rnd.t_wait,
-            total_s=t_collect - t_run,
-            collect_s=t_collect - t_merge,
+            total_s=t_merge - t_run,
         )
         return MultiprocessResult(
             int(final), w, len(reexec_segments), stats, reexec_segments,
             timing=timing, worker_timings=rnd.timings,
             recovery=report if report.events else None,
-            match_positions=match_positions,
         )
 
     def run_map(
@@ -1511,7 +1449,6 @@ class ScaleoutPool:
         t_publish: float,
         t_spec: float,
         t_dispatch: float,
-        collect_matches: bool = False,
     ) -> MultiprocessResult:
         """Finish an unrecoverable run on the in-process engine.
 
@@ -1527,7 +1464,6 @@ class ScaleoutPool:
             fallback = run_inprocess_fallback(
                 self.dfa, inputs, start=start, k=self.k
             )
-        positions = self._local_matches(inputs, start) if collect_matches else None
         t_done = time.perf_counter()
         stats = stats.merged_with(fallback.stats)
         stats.pool_shm_bytes = self.shm_bytes
@@ -1542,7 +1478,6 @@ class ScaleoutPool:
         return MultiprocessResult(
             int(fallback.final_state), self.num_workers, 0, stats,
             timing=timing, degraded=True, recovery=report,
-            match_positions=positions,
         )
 
     # ------------------------------------------------------------------ #

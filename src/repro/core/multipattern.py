@@ -987,6 +987,12 @@ def check_lane_options(dfas, k, lookback: int, native=None) -> None:
         )
 
 
+def check_chunk_items(chunk_items: int) -> None:
+    """A batch's target chunk size must be positive, on either rung."""
+    if chunk_items < 1:
+        raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
+
+
 class Lanes(NamedTuple):
     """The lane layout of one pass: ``P >= 1`` machines in one union table.
 
@@ -1058,7 +1064,8 @@ class RequestBatch(NamedTuple):
 
 
 def coalesce(
-    segments, starts, dfas, *, chunk_items: int, num_symbols: int | None = None
+    segments, starts, dfas, *, chunk_items: int | None,
+    num_symbols: int | None = None,
 ) -> RequestBatch:
     """Validate a request batch and concatenate it into one chunk plan.
 
@@ -1066,7 +1073,9 @@ def coalesce(
     ``(R,)`` for one machine or ``(R, P)``, and a wrong shape or state
     raises one ``ValueError`` before anything runs. ``num_symbols``
     range-checks the segments (None: the caller does). A request
-    contributes ``ceil(len / chunk_items)`` near-equal chunks.
+    contributes ``ceil(len / chunk_items)`` near-equal chunks
+    (:func:`check_chunk_items` vets the size first), or one chunk when
+    ``chunk_items`` is None: the serial rung.
     """
     R, P = len(segments), len(dfas)
     if starts is None:
@@ -1081,8 +1090,6 @@ def coalesce(
     if bad.size:
         p = int(bad[0])
         raise ValueError(f"starts out of range: machine {p} has states [0, {bound[p]})")
-    if chunk_items < 1:
-        raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
     segs = [np.ascontiguousarray(np.asarray(seg)) for seg in segments]
     for i, seg in enumerate(segs):
         if seg.ndim != 1:
@@ -1090,17 +1097,18 @@ def coalesce(
         if num_symbols is not None:
             check_symbols(seg, num_symbols)
     live = [r for r, seg in enumerate(segs) if seg.size]
-    parts = [plan_chunks(segs[r].size, -(-segs[r].size // chunk_items)) for r in live]
-    counts = np.array([part.num_chunks for part in parts], dtype=np.int64)
+    sizes = np.array([segs[r].size for r in live], dtype=np.int64)
+    if chunk_items is None:
+        counts, lengths = np.ones_like(sizes), [sizes]
+    else:
+        counts = -(-sizes // chunk_items)
+        lengths = [plan_chunks(int(s), int(c)).lengths for s, c in zip(sizes, counts)]
     tails = np.full(R, -1, dtype=np.int64)
     tails[live] = np.cumsum(counts) - 1
     return RequestBatch(
         starts=starts,
         symbols=np.concatenate([segs[r] for r in live]) if live else np.zeros(0),
-        plan=(
-            plan_from_lengths(np.concatenate([part.lengths for part in parts]))
-            if live else None
-        ),
+        plan=plan_from_lengths(np.concatenate(lengths)) if live else None,
         heads=np.cumsum(counts) - counts,
         head_requests=np.asarray(live, dtype=np.int64),
         tails=tails,
@@ -1226,9 +1234,10 @@ def run_lane_batch(
 
     ``symbols`` is ``batch.symbols`` in the alphabet the stepping reads:
     a ``native`` kernel's own, otherwise the lanes'. With a ``native``
-    kernel (one lane per pattern) this is the serial rung: each live
-    request is one chunk stepped from its known starts
-    (:func:`serial_pass`), and its final states are that chunk's end row.
+    kernel (one lane per pattern) this is the serial rung: ``batch`` was
+    coalesced with one chunk per live request, stepped from its known
+    starts (:func:`serial_pass`), and its final states are that chunk's
+    end row.
     Without one, the chunked NumPy fallback: request heads are pinned;
     all lanes step at once (kernel layer on a near-equal plan, on the
     caller's ``kernel_plan`` when given; live-chunk ragged pass
@@ -1242,9 +1251,7 @@ def run_lane_batch(
         live = batch.tails >= 0
         finals = batch.starts.astype(np.int32)
         finals[live], _ = serial_pass(
-            native, lanes, symbols,
-            plan_from_lengths(np.add.reduceat(plan.lengths, batch.heads)),
-            batch.starts[live], stats=stats,
+            native, lanes, symbols, plan, batch.starts[live], stats=stats,
         )
         return finals
     cols, spec, _ = speculate_lanes(
@@ -1471,17 +1478,18 @@ def run_multipattern_batch(
     patterns' own state spaces.
     """
     check_lane_options(stack.class_dfas, k, lookback)
+    check_chunk_items(chunk_items)
     native = stack.serial_kernel()
     serial = native is not None
     lanes = group_lanes(stack, 1 if serial else k)
+    # The serial rung steps each live request as one chunk.
     batch = coalesce(
-        segments, starts, lanes.dfas, chunk_items=chunk_items,
+        segments, starts, lanes.dfas, chunk_items=None if serial else chunk_items,
         num_symbols=stack.joint.num_symbols,
     )
     finals = batch.starts.astype(np.int32)
     if batch.plan is not None:
-        # The serial rung steps each live request as one chunk.
-        n = batch.head_requests.size if serial else batch.plan.num_chunks
+        n = batch.plan.num_chunks
         if stats is None:
             stats = lanes.new_stats(batch.symbols.size, n)
         with trace_span(

@@ -10,8 +10,7 @@ Artifacts are cached at two levels:
 
 Disk writes are atomic and safe under concurrent compilers racing on the
 same fingerprint: each compile targets a unique temp path in the cache
-directory and is published with ``os.replace`` (the same tmp+rename
-protocol ``HistoryPredictor`` uses for its JSON store). Two racers both
+directory and is published with ``os.replace``. Two racers both
 compile, both rename, last one wins — the artifact content is identical
 by construction, so either is valid.
 

@@ -1,53 +1,56 @@
-"""Streaming execution: speculative processing of unbounded inputs.
+"""Streaming execution: one machine over an unbounded input, block by block.
 
 NIDS-style deployments process packets/blocks as they arrive. A
-:class:`StreamingExecutor` carries the exact machine state across blocks
-and runs each block through the speculative engine — the block's chunk 0
-starts from the carried state (never a guess), so results are exact and
-block boundaries cost nothing.
+:class:`StreamingExecutor` carries the exact machine state across blocks.
+Every block starts from that carried state — a known start, like the
+paper's chunk 0 — so at defaults a feed speculates nothing: it is one pass
+of the machine's one-lane compiled kernel from the carried state
+(:func:`repro.core.engine.one_lane_pass`, the pass of the engine's serial
+rung), with match positions from the same kernel's accept pass. The
+kernel (:func:`repro.core.native.load_serial_kernel`) loads once per
+executor and does not depend on the start state, so a stream compiles at
+most once; with no usable compiler the pass is the
+:func:`repro.fsm.run.run_reference` loop.
 
-Two backends:
+Passing any of ``num_blocks``, ``threads_per_block`` or ``device`` runs
+every block through the modeled-GPU plan of
+:func:`repro.core.engine.run_speculative` instead (20 blocks of 256
+threads on the modeled V100 unless given), with full speculation and
+event counting, so a whole session can be priced with the cost model.
 
-* ``backend="simulate"`` (default) — the functional GPU simulation via
-  :func:`repro.core.engine.run_speculative`, with full event counting and
-  optional match-position collection;
-* ``backend="pool"`` — real CPU scale-out through a persistent
-  :class:`repro.core.mp_executor.ScaleoutPool`. The pool (worker processes
-  and shared-memory segments) is created once and reused across ``feed``
-  calls, so per-block dispatch cost is a few hundred pickled bytes; call
-  :meth:`close` (or use the executor as a context manager) when done.
-
-The executor accumulates :class:`repro.core.types.ExecStats` across blocks
-so a whole session can be priced with the cost model, and can optionally
-collect match positions (offset-adjusted to the global stream).
-
+The executor accumulates :class:`repro.core.types.ExecStats` across
+blocks and can collect match positions (offset to the global stream).
 :meth:`StreamingExecutor.feed` is **atomic**: the carried state, the
 consumption counters, and the collected matches are only committed after
-the block fully executes, so a feed that raises (a closed pool, bad input)
-leaves the executor exactly at its pre-feed :class:`FeedCursor` — re-feed
-the same block, nothing was consumed. Pool-backend feeds that came back
-from the degraded in-process fallback still commit (the state is correct);
-they are counted in :attr:`StreamingExecutor.degraded_feeds` and flagged
-on :attr:`StreamingExecutor.last_feed_degraded`.
+the block fully executes, so a feed that raises (bad input) leaves the
+executor exactly at its pre-feed :class:`FeedCursor` — re-feed the same
+block, nothing was consumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.convergence import CollapseConfig
-from repro.core.engine import run_speculative
-from repro.core.faultinject import FaultPlan
-from repro.core.mp_executor import ScaleoutPool
-from repro.core.resilience import DEFAULT_RESILIENCE, ResilienceConfig
+from repro.core.engine import one_lane_pass, run_speculative
+from repro.core.plan import resolve_plan
 from repro.core.types import ExecStats
 from repro.fsm.dfa import DFA
 from repro.gpu.device import DeviceSpec, TESLA_V100
 from repro.obs.trace import trace_span
+from repro.util.validation import check_symbols
+
+if TYPE_CHECKING:
+    from repro.core.native import NativeKernel
 
 __all__ = ["FeedCursor", "StreamingExecutor"]
+
+# The modeled grid a stream runs on when only part of it is given.
+STREAM_NUM_BLOCKS = 20
+STREAM_THREADS_PER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -75,29 +78,16 @@ class FeedCursor:
 
 @dataclass
 class StreamingExecutor:
-    """Process an input stream block by block, speculatively.
+    """Process an input stream block by block from the carried state.
 
-    Parameters mirror :func:`repro.core.engine.run_speculative`; the
-    executor pins ``measure_success`` on so per-block hit rates accumulate.
-    With ``backend="pool"``, ``pool_workers`` processes execute each block
-    and ``num_blocks``/``threads_per_block``/``merge``/``device`` are
-    ignored (they describe the simulated GPU, not the CPU pool);
-    ``collect_matches`` works on both backends — the pool recovers match
-    positions with one accept pass in the parent
-    (:meth:`repro.core.mp_executor.ScaleoutPool.run` with
-    ``collect_matches=True``).
-
-    ``kernel`` selects the local stepping kernel
-    (:mod:`repro.core.kernels`); the default ``"auto"`` lets the cost
-    model pick multi-symbol stepping per block — streaming is a real
-    deployment surface, so wall clock (not modeled GPU fidelity) is the
-    default objective. The pool backend resolves the kernel once at pool
-    construction and reuses its stride tables for every block.
-    ``collapse`` configures the convergence layer
-    (:mod:`repro.core.convergence`) the same way — ``"auto"`` probes the
-    machine once (per block for the simulated backend, on the first block
-    for the pool) and collapses duplicate speculative lanes mid-chunk
-    when the machine converges; results are bit-identical either way.
+    At defaults each :meth:`feed` is one serial pass from :attr:`state`
+    (see the module docstring); ``kernel`` picks the compiled kernel's
+    stepping (:mod:`repro.core.kernels`), and ``k``, ``merge``,
+    ``lookback`` and ``collapse`` are unused. Passing ``num_blocks``,
+    ``threads_per_block`` or ``device`` selects the modeled-GPU plan,
+    where every parameter means what it means for
+    :func:`repro.core.engine.run_speculative` and per-block hit rates
+    accumulate. Options are validated once, at construction.
 
     Three stats surfaces, all :class:`repro.core.types.ExecStats`:
 
@@ -108,64 +98,68 @@ class StreamingExecutor:
 
     dfa: DFA
     k: int | None = 4
-    num_blocks: int = 20
-    threads_per_block: int = 256
+    num_blocks: int | None = None
+    threads_per_block: int | None = None
     merge: str = "parallel"
     lookback: int = 8
-    device: DeviceSpec = TESLA_V100
+    device: DeviceSpec | None = None
     collect_matches: bool = False
-    backend: str = "simulate"
-    pool_workers: int = 4
-    sub_chunks_per_worker: int = 64
     kernel: str = "auto"
     collapse: str | CollapseConfig | None = "auto"
-    resilience: ResilienceConfig | None = DEFAULT_RESILIENCE
-    fault_plan: FaultPlan | None = None
 
     state: int = field(init=False)
     items_consumed: int = field(init=False, default=0)
     blocks_consumed: int = field(init=False, default=0)
-    degraded_feeds: int = field(init=False, default=0)
-    last_feed_degraded: bool = field(init=False, default=False)
     stats: ExecStats = field(init=False)
+    _gpu: bool = field(init=False, repr=False)
+    _collect: tuple = field(init=False, repr=False)
+    _kernel: NativeKernel | None = field(init=False, default=None, repr=False)
     _matches: list = field(init=False, default_factory=list)
-    _pool: ScaleoutPool | None = field(init=False, default=None, repr=False)
     _lifetime_base: ExecStats = field(init=False, repr=False)
     _lifetime_items: int = field(init=False, default=0)
     _lifetime_blocks: int = field(init=False, default=0)
     _last_feed_stats: ExecStats | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.backend not in ("simulate", "pool"):
-            raise ValueError(
-                f"backend must be 'simulate' or 'pool', got {self.backend!r}"
-            )
-        if self.backend == "pool":
-            self._pool = ScaleoutPool(
-                self.dfa,
-                num_workers=self.pool_workers,
-                k=self.k,
-                sub_chunks_per_worker=self.sub_chunks_per_worker,
-                lookback=self.lookback,
-                kernel=self.kernel,
-                collapse=self.collapse,
-                resilience=self.resilience,
-                fault_plan=self.fault_plan,
-            )
+        self._gpu = any(
+            v is not None
+            for v in (self.num_blocks, self.threads_per_block, self.device)
+        )
+        if self._gpu:
+            if self.num_blocks is None:
+                self.num_blocks = STREAM_NUM_BLOCKS
+            if self.threads_per_block is None:
+                self.threads_per_block = STREAM_THREADS_PER_BLOCK
+            if self.device is None:
+                self.device = TESLA_V100
+        self._collect = ("match_positions",) if self.collect_matches else ()
+        # The engine's validator, on an empty block: bad options raise here,
+        # on either plan, rather than at the first feed (or never).
+        resolve_plan(
+            self.dfa, np.zeros(0, dtype=np.int32), k=self.k,
+            num_blocks=self.num_blocks,
+            threads_per_block=self.threads_per_block, merge=self.merge,
+            device=self.device, collect=self._collect, kernel=self.kernel,
+            collapse=self.collapse,
+        )
+        if not self._gpu:
+            from repro.core.native import load_serial_kernel
+
+            self._kernel = load_serial_kernel(self.dfa, kernel=self.kernel)
         self.state = self.dfa.start
         self.stats = self._fresh_stats()
         self._lifetime_base = self._fresh_stats()
 
     def _fresh_stats(self) -> ExecStats:
         """A zeroed per-session stats object carrying the config echoes."""
-        num_chunks = (
-            self.pool_workers
-            if self.backend == "pool"
-            else self.num_blocks * self.threads_per_block
-        )
+        if not self._gpu:
+            num_chunks = k = 1
+        else:
+            num_chunks = self.num_blocks * self.threads_per_block
+            k = self.k if isinstance(self.k, int) else self.dfa.num_states
         return ExecStats(
             num_chunks=num_chunks,
-            k=self.k if isinstance(self.k, int) else self.dfa.num_states,
+            k=k,
             num_states=self.dfa.num_states,
             num_inputs=self.dfa.num_inputs,
         )
@@ -203,33 +197,20 @@ class StreamingExecutor:
         Atomic: every executor field is committed only after the block
         fully executes, so a feed that raises leaves the carried state,
         counters, stats, and matches untouched — re-feed the same block.
-        A pool feed that recovered through the degraded fallback still
-        commits (its state is exact) and bumps :attr:`degraded_feeds`.
         """
         block = np.asarray(block)
-        if block.size == 0:
-            # An empty block is a successful (trivial) feed: it must not
-            # leave a previous feed's degraded flag sticking to it.
-            self.last_feed_degraded = False
+        size = int(block.size)
+        if size == 0:
             return self.state
-        degraded = False
-        new_matches = None
+        if block.ndim != 1:
+            raise ValueError(f"block must be 1-D, got shape {block.shape}")
+        block = np.ascontiguousarray(block)
+        check_symbols(block, self.dfa.num_inputs)
         with trace_span(
-            "stream.feed", block=self.blocks_consumed, items=int(block.size),
-            backend=self.backend,
+            "stream.feed", block=self.blocks_consumed, items=size,
+            plan="gpu" if self._gpu else "cpu",
         ):
-            if self._pool is not None:
-                result = self._pool.run(
-                    block, start=self.state, collect_matches=self.collect_matches,
-                )
-                if self.collect_matches:
-                    new_matches = result.match_positions + self.items_consumed
-                feed_stats = result.stats
-                new_stats = self.stats.merged_with(feed_stats)
-                new_stats.pool_shm_bytes = feed_stats.pool_shm_bytes
-                final_state = result.final_state
-                degraded = result.degraded
-            else:
+            if self._gpu:
                 sim = run_speculative(
                     self.dfa.with_start(self.state),
                     block,
@@ -239,33 +220,26 @@ class StreamingExecutor:
                     merge=self.merge,
                     lookback=self.lookback,
                     device=self.device,
-                    collect=("match_positions",) if self.collect_matches else (),
+                    collect=self._collect,
                     price=False,
                     kernel=self.kernel,
                     collapse=self.collapse,
                 )
-                if self.collect_matches:
-                    new_matches = sim.match_positions + self.items_consumed
-                feed_stats = sim.stats
-                new_stats = self.stats.merged_with(feed_stats)
-                final_state = sim.final_state
+                final_state, feed_stats = sim.final_state, sim.stats
+                matches = sim.match_positions
+            else:
+                final_state, feed_stats, _, matches, _ = one_lane_pass(
+                    self.dfa, block, self.state, self._kernel, self._collect
+                )
         # Commit point: nothing above mutated the executor.
-        if new_matches is not None:
-            self._matches.append(new_matches)
-        # Copy before adjusting num_items: feed_stats aliases the result
-        # object the engine/pool returned, and mutating that in place would
-        # change what a caller holding it observes.
-        feed_stats = replace(feed_stats)
-        feed_stats.num_items = int(block.size)
+        if matches is not None:
+            self._matches.append(matches + self.items_consumed)
         self._last_feed_stats = feed_stats
-        self.stats = new_stats
-        self.stats.num_items += int(block.size)
-        self.items_consumed += int(block.size)
+        self.stats = self.stats.merged_with(feed_stats)
+        self.stats.num_items += size
+        self.items_consumed += size
         self.blocks_consumed += 1
         self.state = final_state
-        self.last_feed_degraded = degraded
-        if degraded:
-            self.degraded_feeds += 1
         return self.state
 
     @property
@@ -287,9 +261,7 @@ class StreamingExecutor:
         resets per connection) can still be priced as one run.
         """
         combined = self._lifetime_base.merged_with(self.stats)
-        combined.num_items = self._lifetime_items + self.stats.num_items
-        if self.stats.pool_shm_bytes:
-            combined.pool_shm_bytes = self.stats.pool_shm_bytes
+        combined.num_items += self.stats.num_items
         return combined
 
     @property
@@ -320,12 +292,9 @@ class StreamingExecutor:
         Session counters (:attr:`stats`, :attr:`items_consumed`,
         :attr:`blocks_consumed`, collected matches) are cleared, but the
         session's event counts are folded into :attr:`lifetime_stats`
-        first — nothing is dropped. A pool backend keeps its workers and
-        shared segments alive — reset clears session state, not the pool.
+        first — nothing is dropped.
         """
-        base = self._lifetime_base.merged_with(self.stats)
-        base.num_items = self._lifetime_items + self.stats.num_items
-        self._lifetime_base = base
+        self._lifetime_base = self.lifetime_stats
         self._lifetime_items += self.items_consumed
         self._lifetime_blocks += self.blocks_consumed
         self.state = self.dfa.start
@@ -333,14 +302,3 @@ class StreamingExecutor:
         self.blocks_consumed = 0
         self._matches.clear()
         self.stats = self._fresh_stats()
-
-    def close(self) -> None:
-        """Release the pool backend's processes and shared memory (if any)."""
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "StreamingExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

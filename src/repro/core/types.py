@@ -232,19 +232,17 @@ class ExecStats:
         return self.cache_hits / total if total else 1.0
 
     def merged_with(self, other: "ExecStats") -> "ExecStats":
-        """Sum all counters (config echoes keep ``self``'s values)."""
-        out = replace(self)
-        for f in fields(ExecStats):
-            if f.name in (
-                "num_items",
-                "num_chunks",
-                "k",
-                "num_states",
-                "num_inputs",
-                "pool_shm_bytes",
-            ):
-                continue
-            setattr(out, f.name, getattr(self, f.name) + getattr(other, f.name))
+        """Sum all counters (config echoes keep ``self``'s values).
+
+        Copies the field dict rather than re-running ``__init__``: a
+        stream folds every feed through here.
+        """
+        values = dict(self.__dict__)
+        theirs = other.__dict__
+        for name in _SUMMED:
+            values[name] += theirs[name]
+        out = object.__new__(ExecStats)
+        out.__dict__ = values
         return out
 
     def project(self, target_items: int) -> "ExecStats":
@@ -276,3 +274,13 @@ class ExecStats:
             cache_misses=int(round(self.cache_misses * factor)),
         )
         return scaled
+
+
+# Every ExecStats field but the config echoes and the shared-memory gauge.
+_SUMMED = tuple(
+    f.name for f in fields(ExecStats)
+    if f.name not in (
+        "num_items", "num_chunks", "k", "num_states", "num_inputs",
+        "pool_shm_bytes",
+    )
+)

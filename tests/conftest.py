@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,19 @@ def random_input(
         .integers(0, num_inputs, size=length)
         .astype(np.int32)
     )
+
+
+def native_builds() -> bool:
+    """Whether a C compiler builds a kernel here, not just loads a cached one.
+
+    The probe compiles into a fresh artifact directory: with ``CC=/bin/false``
+    a warm artifact cache still loads every kernel compiled into it before,
+    so a probe through that cache reports a compiler that is not there.
+    """
+    from repro.core.native import load_native_plan, native_available
+
+    if not native_available():
+        return False
+    with tempfile.TemporaryDirectory() as fresh:
+        probe = DFA.random(4, 3, rng=0)
+        return load_native_plan(probe, k=1, cache_dir=fresh) is not None

@@ -9,7 +9,7 @@ pattern, or one shared product lane) exactly: on stride kernels (the
 pass steps per symbol), empty input, chunks shorter than the stride,
 ragged tails, and through its buffer-overflow re-run. The public entry
 points — ``run_multipattern``, ``run_speculative(collect=...)`` and
-``ScaleoutPool.run(collect_matches=True)`` — must return
+``StreamingExecutor(collect_matches=True)`` — must return
 the same arrays natively and through the NumPy fallback (``CC=/bin/false``).
 """
 
@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.engine import run_speculative
 from repro.core.local import recover_accepts
-from repro.core.mp_executor import ScaleoutPool
+from repro.core.streaming import StreamingExecutor
 from repro.core.multipattern import (
     _batched_accept_matrix,
     _build_product,
@@ -216,12 +216,11 @@ def _entry_point_results(backend: str) -> dict:
         (span,) = trace.find("engine.output_recovery")
         out[f"engine.{merge}.replay"] = span.attrs["replay"]
         out[f"engine.{merge}"] = res.match_positions.tolist()
-    with ScaleoutPool(dfa, num_workers=2, k=1, sub_chunks_per_worker=8,
-                      backend=backend) as pool:
-        trace = RunTrace("pool")
-        with trace.activate():
-            out["pool.barrier"] = pool.run(x, collect_matches=True).match_positions.tolist()
-        out["pool.replay"] = sorted({s.attrs["replay"] for s in trace.find("pool.collect")})
+    # The stream's accept pass runs from the carried state of each block.
+    ex = StreamingExecutor(dfa, collect_matches=True)
+    for block in np.array_split(x, 5):
+        ex.feed(block)
+    out["stream"] = ex.match_positions.tolist()
     out["expect.mp"] = [_reference_matches(m, raw).tolist() for m in group]
     out["expect.engine"] = _reference_matches(dfa, x).tolist()
     return out
@@ -234,8 +233,7 @@ def _check_entry_points(out: dict, path: str) -> None:
     for merge in ("parallel", "sequential"):
         assert out[f"engine.{merge}"] == out["expect.engine"]
         assert out[f"engine.{merge}.replay"] == path
-    assert out["pool.barrier"] == out["expect.engine"]
-    assert out["pool.replay"] == [path]
+    assert out["stream"] == out["expect.engine"]
 
 
 @needs_native

@@ -538,15 +538,3 @@ class TestScaleout:
                 ex.feed(block)
             finals[mode] = ex.state
         assert finals["off"] == finals["auto"] == ref
-
-    def test_streaming_pool_collapse(self):
-        dfa, inputs = get_application("huffman").build(1 << 16, seed=17)
-        ref = run_reference(dfa, inputs)
-        with StreamingExecutor(
-            dfa=dfa, k=8, lookback=16, backend="pool", pool_workers=2,
-            collapse="auto",
-        ) as ex:
-            for block in np.array_split(inputs, 3):
-                ex.feed(block)
-            assert ex.state == ref
-            assert ex.stats.chunks_converged > 0

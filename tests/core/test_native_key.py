@@ -12,19 +12,13 @@ import pytest
 
 from repro.apps.registry import get_application
 from repro.core.engine import run_inprocess_fallback
-from repro.core.native import clear_memory_cache, load_native_plan, native_available
+from repro.core.native import clear_memory_cache
 from repro.core.native.build import build_stats
-from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference
+from tests.conftest import native_builds
 
 
-def _native_loads() -> bool:
-    if not native_available():
-        return False
-    return load_native_plan(DFA.random(4, 3, rng=0), k=2) is not None
-
-
-@pytest.mark.skipif(not _native_loads(), reason="no working C compiler")
+@pytest.mark.skipif(not native_builds(), reason="no working C compiler")
 def test_carried_starts_compile_once(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     clear_memory_cache()

@@ -6,8 +6,7 @@ pin what that shared path guarantees for both:
 
 * bad symbols are rejected up front, before anything is speculated or
   dispatched, on both backends;
-* every worker fault the harness can inject is recovered bit-exactly,
-  including on a ``collect_matches=True`` run.
+* every worker fault the harness can inject is recovered bit-exactly.
 """
 
 import numpy as np
@@ -16,8 +15,7 @@ import pytest
 from repro.core import faultinject as fi
 from repro.core.mp_executor import ScaleoutPool
 from repro.core.native import load_native_plan, native_available
-from repro.fsm import DFA
-from repro.fsm.run import run_reference, run_reference_trace
+from repro.fsm.run import run_reference
 from repro.obs.trace import RunTrace
 from tests.conftest import make_random_dfa, random_input
 
@@ -33,12 +31,6 @@ needs_native = pytest.mark.skipif(
 )
 
 BACKENDS = ["vectorized", pytest.param("native", marks=needs_native)]
-
-
-def _trace_and_matches(dfa: DFA, inputs: np.ndarray, start=None):
-    states = run_reference_trace(dfa, inputs, start)
-    final = int(states[-1]) if states.size else int(dfa.start)
-    return final, np.flatnonzero(dfa.accepting[states]).tolist()
 
 
 BAD_CALLS = {
@@ -104,10 +96,9 @@ def _drill_run(plan):
     dfa = make_random_dfa(8, 3, seed=21)
     inp = random_input(3, 12_000, seed=22)
     with ScaleoutPool(dfa, k=3, fault_plan=plan, **POOL_KW) as pool:
-        res = pool.run(inp, collect_matches=True)
+        res = pool.run(inp)
     assert res.degraded is False
-    got = (res.final_state, res.match_positions.tolist())
-    return got, _trace_and_matches(dfa, inp)
+    return res.final_state, run_reference(dfa, inp)
 
 
 def _drill_run_map(plan):

@@ -9,7 +9,6 @@ path taken to it.
 import glob
 import random
 
-import numpy as np
 import pytest
 
 from repro.core import faultinject as fi
@@ -278,24 +277,3 @@ class TestLifecycleAndLeaks:
             ScaleoutPool(dfa, num_workers=0)
         # Constructor raised before registration; nothing to clean, and
         # any later GC of the partial object must stay silent.
-
-    def test_streaming_degraded_feed_commits_and_counts(self):
-        from repro.core.streaming import StreamingExecutor
-
-        dfa = make_random_dfa(8, 3, seed=22)
-        stream = random_input(3, 16_000, seed=23)
-        ref = run_reference(dfa, stream)
-        plan = fi.FaultPlan([fi.kill_worker(0, at_task=0)])
-        cfg = ResilienceConfig(retry=RetryPolicy(max_retries=0),
-                               max_respawns=0, quorum_fraction=1.0)
-        with StreamingExecutor(dfa, k=3, backend="pool", pool_workers=2,
-                               sub_chunks_per_worker=8, resilience=cfg,
-                               fault_plan=plan) as ex:
-            blocks = np.array_split(stream, 4)
-            ex.feed(blocks[0])
-            assert ex.last_feed_degraded is True
-            assert ex.degraded_feeds == 1
-            for block in blocks[1:]:
-                ex.feed(block)
-            assert ex.degraded_feeds == 1  # later feeds ran scaled out
-            assert ex.state == ref

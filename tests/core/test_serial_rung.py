@@ -29,19 +29,16 @@ import repro.core.lookback as lookback
 import repro.core.merge_seq as merge_seq
 import repro.core.native as native_pkg
 import repro.core.plan as plan_mod
-from repro.core.native import clear_memory_cache, load_native_plan, native_available
+from repro.core.native import clear_memory_cache
 from repro.core.native import runtime as native_runtime
 from repro.core.plan import NATIVE_MIN_ITEMS
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference, run_reference_trace
 from repro.obs import RunTrace
 from repro.workloads.chunking import plan_chunks
-from tests.conftest import make_random_dfa, random_input
+from tests.conftest import make_random_dfa, native_builds, random_input
 
-HAVE_NATIVE = (
-    native_available()
-    and load_native_plan(make_random_dfa(4, 3, seed=0), k=1) is not None
-)
+HAVE_NATIVE = native_builds()
 needs_native = pytest.mark.skipif(not HAVE_NATIVE, reason="no working C compiler")
 
 # Empty, one symbol, shorter than every stride, short, and both sides of
@@ -77,6 +74,12 @@ def _emissions_oracle(dfa: DFA, x: np.ndarray) -> tuple[list, list]:
     return positions, values
 
 
+@pytest.fixture(scope="module")
+def cold_cache(tmp_path_factory) -> str:
+    """An artifact cache nothing was compiled into."""
+    return str(tmp_path_factory.mktemp("cold-native-cache"))
+
+
 def _expected_backend(size: int, backend: str | None, collect, loader_ok: bool) -> str:
     wants_native = backend == "native" or (backend is None and size >= NATIVE_MIN_ITEMS)
     if wants_native and "accept_count" not in collect and loader_ok and HAVE_NATIVE:
@@ -101,7 +104,8 @@ def _expected_backend(size: int, backend: str | None, collect, loader_ok: bool) 
     loader_ok=st.booleans(),
 )
 def test_serial_rung_is_bit_exact(
-    num_states, num_inputs, seed, size, start, emits, collect, backend, k, loader_ok,
+    cold_cache, num_states, num_inputs, seed, size, start, emits, collect,
+    backend, k, loader_ok,
 ):
     dfa = make_random_dfa(num_states, num_inputs, seed=seed)
     if emits:
@@ -116,6 +120,10 @@ def test_serial_rung_is_bit_exact(
     with pytest.MonkeyPatch.context() as mp:
         if not loader_ok:
             mp.setattr(native_pkg, "load_serial_kernel", lambda *a, **kw: None)
+        if not HAVE_NATIVE:
+            # Without a compiler, kernels cached by an earlier run must not
+            # load either.
+            mp.setenv("REPRO_NATIVE_CACHE", cold_cache)
         r = repro.run_speculative(dfa, x, k=k, backend=backend, collect=collect)
 
     c = r.config

@@ -1,12 +1,29 @@
-"""Tests for the streaming executor."""
+"""Tests for the streaming executor.
+
+At defaults a feed is one pass from the carried state; with geometry it is
+the modeled-GPU ``run_speculative`` call. Beside the unit cases, a
+Hypothesis differential draws a machine and a stream cut into blocks
+(empty and one-item ones included) with checkpoint/restore and reset
+between them, with and without match collection and with the kernel
+loader forced to return None, and checks states, acceptance and matches
+against ``run_reference`` over the concatenation.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.native as native_pkg
+import repro.core.streaming as streaming_mod
+from repro.apps import get_application
+from repro.core.engine import run_speculative
 from repro.core.streaming import FeedCursor, StreamingExecutor
+from repro.core.types import ExecStats
 from repro.fsm.run import run_reference, run_reference_trace
-from tests.conftest import make_random_dfa, random_input
+from repro.gpu.device import TESLA_V100
+from tests.conftest import make_random_dfa, native_builds, random_input
+
+HAVE_NATIVE = native_builds()
 
 
 class TestStreaming:
@@ -141,52 +158,44 @@ class TestStreaming:
         assert ex.state == run_reference(dfa, stream)
 
 
-class TestPoolBackend:
+class TestDefaultFeed:
+    """The default feed: one serial pass from the carried state (the pool
+    backend these cases once drove is gone)."""
+
     def test_blocks_equal_one_shot(self):
         dfa = make_random_dfa(6, 3, seed=0)
         stream = random_input(3, 20_000, seed=1)
-        with StreamingExecutor(dfa, k=2, backend="pool", pool_workers=2,
-                               sub_chunks_per_worker=8) as ex:
-            for block in np.array_split(stream, 5):
-                ex.feed(block)
-            assert ex.state == run_reference(dfa, stream)
-            assert ex.blocks_consumed == 5
-            assert ex.stats.pool_calls == 5
-            assert ex.stats.num_items == 20_000
-            assert ex.stats.pool_shm_bytes > 0
+        ex = StreamingExecutor(dfa, k=2)
+        for block in np.array_split(stream, 5):
+            ex.feed(block)
+        assert ex.state == run_reference(dfa, stream)
+        assert ex.blocks_consumed == 5
+        assert ex.stats.num_items == ex.stats.local_transitions == 20_000
+        assert (ex.stats.num_chunks, ex.stats.k) == (1, 1)
 
-    def test_pool_persists_across_feeds_and_reset(self):
+    def test_kernel_persists_across_feeds_and_reset(self):
         dfa = make_random_dfa(5, 2, seed=2)
         stream = random_input(2, 6_000, seed=3)
-        with StreamingExecutor(dfa, k=None, backend="pool", pool_workers=2,
-                               sub_chunks_per_worker=8) as ex:
-            pool = ex._pool
-            ex.feed(stream)
-            ex.reset()
-            assert ex._pool is pool and not pool.closed
-            assert ex.stats.num_items == 0
-            ex.feed(stream)
-            assert ex.state == run_reference(dfa, stream)
-        assert pool.closed
+        ex = StreamingExecutor(dfa, k=None)
+        kernel = ex._kernel
+        ex.feed(stream)
+        ex.reset()
+        assert ex._kernel is kernel
+        assert ex.stats.num_items == 0
+        ex.feed(stream)
+        assert ex.state == run_reference(dfa, stream)
 
-    def test_pool_collect_matches(self):
-        """The pool recovers match positions with a second worker round;
-        the stream sees them at global offsets, same as the simulator."""
+    def test_collect_matches(self):
+        """Each block's accept pass starts at its carried state; the stream
+        sees the matches at global offsets."""
         dfa = make_random_dfa(5, 2, seed=4, accepting_fraction=0.4)
         stream = random_input(2, 12_000, seed=5)
         trace = run_reference_trace(dfa, stream)
         want = np.flatnonzero(dfa.accepting[trace])
-        with StreamingExecutor(dfa, k=2, backend="pool", pool_workers=2,
-                               sub_chunks_per_worker=8,
-                               collect_matches=True) as ex:
-            for block in np.array_split(stream, 5):
-                ex.feed(block)
-            np.testing.assert_array_equal(ex.match_positions, want)
-
-    def test_bad_backend_name(self):
-        dfa = make_random_dfa(4, 2, seed=0)
-        with pytest.raises(ValueError):
-            StreamingExecutor(dfa, backend="cuda")
+        ex = StreamingExecutor(dfa, k=2, collect_matches=True)
+        for block in np.array_split(stream, 5):
+            ex.feed(block)
+        np.testing.assert_array_equal(ex.match_positions, want)
 
 
 class TestLifetimeStats:
@@ -254,36 +263,47 @@ class TestFeedCursor:
             ex.feed(block)
         assert ex.state == run_reference(dfa, stream)
 
-    def test_failed_feed_leaves_cursor_untouched(self):
+    def test_failed_feed_leaves_cursor_untouched(self, monkeypatch):
         """A feed that raises consumes nothing: same state, counters, and
         matches as before — the caller just re-feeds the block."""
-        dfa = make_random_dfa(6, 3, seed=32)
+        dfa = make_random_dfa(6, 3, seed=32, accepting_fraction=0.4)
         stream = random_input(3, 12_000, seed=33)
-        with StreamingExecutor(dfa, k=2, backend="pool", pool_workers=2,
-                               sub_chunks_per_worker=8) as ex:
-            blocks = np.array_split(stream, 3)
-            ex.feed(blocks[0])
-            before = ex.checkpoint()
-            before_items = ex.stats.num_items
-            ex._pool.close()  # force the next feed to fail mid-stream
-            with pytest.raises(Exception):
+        ex = StreamingExecutor(dfa, collect_matches=True)
+        blocks = np.array_split(stream, 3)
+        ex.feed(blocks[0])
+        before = ex.checkpoint()
+        before_stats = ex.stats
+        matches = ex.match_positions.copy()
+
+        def broken_pass(*args, **kwargs):
+            raise RuntimeError("pass failed mid-stream")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(streaming_mod, "one_lane_pass", broken_pass)
+            with pytest.raises(RuntimeError):
                 ex.feed(blocks[1])
-            assert ex.checkpoint() == before
-            assert ex.stats.num_items == before_items
-            assert ex.last_feed_degraded is False
+        assert ex.checkpoint() == before
+        assert ex.stats is before_stats
+        np.testing.assert_array_equal(ex.match_positions, matches)
+        for block in blocks[1:]:  # re-feed: nothing was consumed
+            ex.feed(block)
+        assert ex.state == run_reference(dfa, stream)
+        trace = run_reference_trace(dfa, stream)
+        np.testing.assert_array_equal(
+            ex.match_positions, np.flatnonzero(dfa.accepting[trace])
+        )
 
     def test_bad_block_does_not_consume(self):
         dfa = make_random_dfa(6, 3, seed=34)
-        ex = StreamingExecutor(dfa, k=2, backend="pool", pool_workers=2,
-                               sub_chunks_per_worker=8)
-        try:
+        for geometry in ({}, {"num_blocks": 1}):  # serial pass, modeled GPU
+            ex = StreamingExecutor(dfa, k=2, **geometry)
             ex.feed(random_input(3, 4_000, seed=35))
             before = ex.checkpoint()
             with pytest.raises(ValueError):
                 ex.feed(np.zeros((2, 2), dtype=np.int32))  # not 1-D
+            with pytest.raises(ValueError):
+                ex.feed(np.array([0, 3], dtype=np.int32))  # symbol out of range
             assert ex.checkpoint() == before
-        finally:
-            ex.close()
 
 
 class TestFeedRegressions:
@@ -324,13 +344,23 @@ class TestFeedRegressions:
         assert first.num_items == 3_000
         assert ex.last_feed_stats.num_items == 1_000
 
-    def test_empty_block_clears_degraded_flag(self):
-        dfa = make_random_dfa(4, 2, seed=55)
-        ex = StreamingExecutor(dfa, num_blocks=1, threads_per_block=32)
-        ex.last_feed_degraded = True  # as if the previous feed degraded
-        state = ex.feed(np.zeros(0, dtype=np.int32))
-        assert state == dfa.start
-        assert ex.last_feed_degraded is False
+
+    def test_lifetime_counts_rewound_work_across_reset(self):
+        # Stats count work done, rewound feeds included; a reset must not
+        # drop the rewound items from the lifetime count.
+        dfa = make_random_dfa(5, 2, seed=56)
+        a, b = random_input(2, 1_000, seed=57), random_input(2, 3_000, seed=58)
+        ex = StreamingExecutor(dfa)
+        ex.feed(a)
+        cur = ex.checkpoint()
+        ex.feed(b)
+        ex.restore(cur)
+        ex.feed(b)
+        assert ex.lifetime_stats.num_items == 7_000
+        ex.reset()
+        assert ex.lifetime_stats.num_items == 7_000
+        assert ex.lifetime_stats.local_transitions == 7_000
+        assert ex.lifetime_items_consumed == 4_000
 
 
 class TestCheckpointRestoreProperty:
@@ -377,3 +407,175 @@ class TestCheckpointRestoreProperty:
         assert ex.items_consumed == straight.items_consumed
         np.testing.assert_array_equal(ex.match_positions,
                                       straight.match_positions)
+
+
+# --------------------------------------------------------------------------- #
+# differential: the default feed against the reference over the concatenation
+# --------------------------------------------------------------------------- #
+
+# A small fixed pool keeps the compiles bounded: one one-lane kernel per
+# machine, loaded once per executor.
+MACHINES = {
+    "one-state": lambda: make_random_dfa(1, 2, seed=0),
+    "random-5x2": lambda: make_random_dfa(5, 2, seed=40, accepting_fraction=0.4),
+    "random-12x6": lambda: make_random_dfa(12, 6, seed=41),
+    "regex1": lambda: get_application("regex1").build_instance(1, seed=0)[0],
+    "div7": lambda: get_application("div7").build_instance(1, seed=0)[0],
+}
+
+# Empty and one-item blocks on purpose, then anything up to a few strides.
+block_sizes = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 700))
+ops = st.lists(
+    st.tuples(
+        st.sampled_from(["feed"] * 6 + ["checkpoint", "restore", "reset"]),
+        block_sizes,
+    ),
+    min_size=1, max_size=14,
+)
+
+
+def _stream(name: str, dfa, n: int, seed: int) -> np.ndarray:
+    if name in ("regex1", "div7"):
+        return get_application(name).build_instance(n, seed=seed)[1]
+    return random_input(dfa.num_inputs, n, seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MACHINES)),
+    seed=st.integers(0, 1_000),
+    steps=ops,
+    collect=st.booleans(),
+    kernel_loads=st.booleans(),
+)
+def test_default_feeds_match_reference(name, seed, steps, collect, kernel_loads):
+    dfa = MACHINES[name]()
+    source = _stream(name, dfa, sum(n for _, n in steps) + 1, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if not kernel_loads:
+            mp.setattr(native_pkg, "load_serial_kernel", lambda *a, **kw: None)
+        ex = StreamingExecutor(dfa, collect_matches=collect)
+    consumed: list[np.ndarray] = []  # the blocks the session stands on
+    cursors: list[tuple[FeedCursor, int]] = []
+    used = session = 0  # items taken from source; fed since the last reset
+    for op, n in steps:
+        if op == "feed":
+            block = source[used:used + n]
+            used += n
+            ex.feed(block)
+            session += n
+            if n:
+                consumed.append(block)
+        elif op == "checkpoint":
+            cursors.append((ex.checkpoint(), len(consumed)))
+        elif op == "restore" and cursors:
+            # Any open cursor, not just the latest.
+            cursor, depth = cursors[seed % len(cursors)]
+            ex.restore(cursor)
+            del consumed[depth:]
+            cursors = [c for c in cursors if c[1] <= depth]
+        elif op == "reset":
+            ex.reset()
+            session = 0
+            consumed.clear()
+            cursors.clear()
+        stream = np.concatenate(consumed) if consumed else source[:0]
+        assert ex.state == run_reference(dfa, stream)
+        assert ex.accepted == bool(dfa.accepting[ex.state])
+        assert ex.items_consumed == stream.size
+        # Stats count work done, feeds later rewound past included.
+        assert ex.stats.num_items == ex.stats.local_transitions == session
+        assert ex.blocks_consumed == len(consumed)
+        if collect:
+            want = np.flatnonzero(dfa.accepting[run_reference_trace(dfa, stream)])
+            np.testing.assert_array_equal(ex.match_positions, want)
+        else:
+            assert ex.match_positions.size == 0
+    assert ex.lifetime_stats.num_items == used
+    if not kernel_loads:
+        assert ex._kernel is None
+    elif HAVE_NATIVE:
+        assert ex._kernel is not None
+
+
+def test_default_feed_is_one_pass_from_the_carried_state(monkeypatch):
+    """Defaults never speculate: after construction no feed resolves a plan
+    or calls the engine, the kernel loads once per stream, and every
+    block's stats are one lane's."""
+    dfa, x = get_application("regex1").build_instance(1 << 14, seed=2)
+    loads = []
+    real = native_pkg.load_serial_kernel
+
+    def counting(*a, **kw):
+        loads.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(native_pkg, "load_serial_kernel", counting)
+    ex = StreamingExecutor(dfa, collect_matches=True)
+
+    def forbidden(*a, **kw):
+        raise AssertionError("a default feed must not reach the engine")
+
+    monkeypatch.setattr(streaming_mod, "run_speculative", forbidden)
+    monkeypatch.setattr(streaming_mod, "resolve_plan", forbidden)
+    for block in np.array_split(x, 8):
+        ex.feed(block)
+        s = ex.last_feed_stats
+        assert (s.num_chunks, s.k) == (1, 1)
+        assert s.local_transitions == s.local_steps == block.size
+        assert s.success_total == 0
+    assert len(loads) == 1
+    assert ex.state == run_reference(dfa, x)
+    assert (ex.stats.num_chunks, ex.stats.k) == (1, 1)
+    assert ex.stats.local_transitions == x.size
+
+
+@pytest.mark.parametrize("geometry", [
+    {"num_blocks": 1, "threads_per_block": 32},
+    {"num_blocks": 2},
+    {"device": TESLA_V100},
+])
+def test_explicit_geometry_keeps_the_modeled_gpu_feed(geometry):
+    """With geometry a feed is the modeled-GPU ``run_speculative`` call from
+    the carried state (20 x 256 threads unless given); its ExecStats and
+    matches are that call's."""
+    dfa = make_random_dfa(7, 3, seed=60, accepting_fraction=0.3)
+    stream = random_input(3, 9_000, seed=61)
+    ex = StreamingExecutor(dfa, k=2, collect_matches=True, **geometry)
+    want = dict(num_blocks=20, threads_per_block=256, device=TESLA_V100)
+    want.update(geometry)
+    assert (ex.num_blocks, ex.threads_per_block, ex.device) == (
+        want["num_blocks"], want["threads_per_block"], want["device"]
+    )
+    session = ExecStats(
+        num_chunks=want["num_blocks"] * want["threads_per_block"], k=2,
+        num_states=dfa.num_states, num_inputs=dfa.num_inputs,
+    )
+    state, offset, matches = dfa.start, 0, []
+    for block in np.array_split(stream, 3):
+        ex.feed(block)
+        r = run_speculative(
+            dfa.with_start(state), block, k=2, merge="parallel", lookback=8,
+            collect=("match_positions",), price=False, kernel="auto",
+            collapse="auto", **want,
+        )
+        assert r.config.plan == "gpu"
+        assert ex.last_feed_stats == r.stats
+        session = session.merged_with(r.stats)
+        session.num_items += block.size
+        matches.append(r.match_positions + offset)
+        state, offset = r.final_state, offset + block.size
+    assert ex.stats == session
+    assert ex.state == state == run_reference(dfa, stream)
+    np.testing.assert_array_equal(ex.match_positions, np.concatenate(matches))
+
+
+@pytest.mark.parametrize("bad", [
+    {"k": 0}, {"merge": "tree"}, {"kernel": "stride3"}, {"collapse": "maybe"},
+    {"num_blocks": 0},
+])
+def test_bad_options_raise_at_construction(bad):
+    """One validator, on both plans: a bad option never reaches a feed."""
+    dfa = make_random_dfa(4, 2, seed=62)
+    with pytest.raises(ValueError):
+        StreamingExecutor(dfa, **bad)

@@ -1,5 +1,7 @@
 """Tests for the chunk-result algebra and ExecStats."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,24 @@ class TestExecStats:
         m = a.merged_with(b)
         assert m.local_transitions == 30
         assert m.num_items == 5  # config echo keeps self's value
+
+    def test_merged_with_sums_every_counter_and_keeps_every_echo(self):
+        echoes = {"num_items", "num_chunks", "k", "num_states", "num_inputs",
+                  "pool_shm_bytes"}
+        names = [f.name for f in fields(ExecStats)]
+        a = ExecStats(**{n: 3 * i + 1 for i, n in enumerate(names)})
+        b = ExecStats(**{n: 5 * i + 2 for i, n in enumerate(names)})
+        before = replace(a)
+        m = a.merged_with(b)
+        assert type(m) is ExecStats and m is not a
+        for i, n in enumerate(names):
+            want = 3 * i + 1 if n in echoes else (3 * i + 1) + (5 * i + 2)
+            assert getattr(m, n) == want, n
+        assert a == before  # operands untouched
+        m.local_steps += 1  # the result owns its fields
+        assert a == before
+        # The summed-fields memo covers exactly the non-echo fields.
+        assert m == replace(a, **{
+            n: getattr(a, n) + getattr(b, n) + (n == "local_steps")
+            for n in names if n not in echoes
+        })
