@@ -112,8 +112,6 @@ def bench_served(machines, workload, args) -> tuple[list[int], float, list[float
             ServeConfig(
                 max_queue_depth=max(1024, 2 * args.requests),
                 max_batch_requests=128,
-                k=args.k,
-                lookback=args.lookback,
                 round_budget_items=args.round_budget,
                 chunk_items=args.chunk_items,
             )
@@ -148,8 +146,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--items", type=int, default=1 << 17, help="corpus items")
     ap.add_argument("--mean-items", type=int, default=2048)
     ap.add_argument("--alpha", type=float, default=1.2, help="Zipf skew")
-    ap.add_argument("--k", type=int, default=4)
-    ap.add_argument("--lookback", type=int, default=8)
+    ap.add_argument(
+        "--k", type=int, default=4, help="the sequential baseline's speculation width"
+    )
+    ap.add_argument(
+        "--lookback", type=int, default=8,
+        help="the sequential baseline's look-back window",
+    )
     ap.add_argument("--round-budget", type=int, default=1 << 16)
     ap.add_argument("--chunk-items", type=int, default=1 << 12)
     ap.add_argument("--seed", type=int, default=0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cache.hotstates import HotStateCache, plan_hot_states
 from repro.core.convergence import CollapseConfig, converged_chunks
-from repro.core.kernels import KernelPlan, process_chunks_kernel
+from repro.core.kernels import process_chunks_kernel
 from repro.core.local import (
     process_chunks,
     process_chunks_ragged,
@@ -34,10 +34,7 @@ from repro.core.local import (
 from repro.core.lookback import enumerative_spec, speculate, state_prior
 from repro.core.merge_par import MergeTree, merge_parallel
 from repro.core.merge_seq import merge_sequential
-from repro.core.multipattern import (
-    check_chunk_items, check_lane_options, coalesce, run_lane_batch,
-    run_multipattern, single_lanes,
-)
+from repro.core.multipattern import coalesce, run_multipattern
 from repro.core.plan import (
     GPU_NUM_BLOCKS,
     GPU_THREADS_PER_BLOCK,
@@ -790,9 +787,11 @@ class BatchExecutionResult:
     accepted:
         ``(num_requests,)`` bool — whether each final state is accepting.
     stats:
-        Counted algorithmic events for the whole coalesced batch (one
-        :class:`repro.core.types.ExecStats` — per-request attribution is
-        not meaningful once chunks share a plan).
+        Counted algorithmic events for the whole batch (one
+        :class:`repro.core.types.ExecStats`): one chunk and one lane per
+        live request, so ``num_chunks`` counts those requests,
+        ``local_steps`` is the longest one, and transitions, reads and
+        gathers each equal the items, whichever leg ran.
     num_requests:
         Number of coalesced requests (including empty ones).
     plan:
@@ -812,34 +811,25 @@ def run_speculative_batch(
     segments: list[np.ndarray],
     *,
     starts: list[int] | np.ndarray | None = None,
-    k: int | None = 4,
-    lookback: int = 8,
-    check: str = "auto",
-    chunk_items: int = 1 << 13,
-    kernel_plan: KernelPlan | None = None,
-    prior: np.ndarray | None = None,
     stats: ExecStats | None = None,
     native=None,
 ) -> BatchExecutionResult:
-    """Coalesce many independent requests into one speculative execution.
+    """Run many independent requests against one machine in one call.
 
     Every request shares ``dfa`` but is otherwise independent: request
     ``r`` starts at ``starts[r]`` (default ``dfa.start``) and its final
-    state is exactly what running it alone would produce. A thin adapter
-    over the one batch pass, :func:`repro.core.multipattern.run_lane_batch`,
-    with the machine as a pattern group of one over its raw symbols (no
-    alphabet remap, no second kernel): the segments coalesce into one
-    chunk plan, step in one pass, and resolve on one sequential walk that
-    restarts at each request's head, so nothing crosses a request
-    boundary. Given a one-lane ``native`` kernel
+    state is exactly what running it alone would produce. Each request
+    arrives with a known start, so the batch takes the serial rung: the
+    segments are validated and coalesced into one chunk per live request
+    (:func:`repro.core.multipattern.coalesce`), and each chunk steps once
+    from its request's start, with no prior, look-back, merge or walk.
+    Given this machine's one-lane ``native`` kernel
     (:func:`repro.core.native.load_serial_kernel`; the server loads one
-    at registration) the batch takes the serial rung instead: each
-    request is one chunk stepped from its known start, with no prior,
-    look-back or walk.
+    at registration) every chunk steps in one compiled call; without one,
+    each request runs the :func:`repro.fsm.run.run_reference` loop. On
+    one thread a speculative split of the requests only adds work.
 
-    This is the serving layer's execution primitive (:mod:`repro.serve`):
-    the per-call overhead of ``run_speculative`` (prior sampling,
-    planning, a step loop per request) is paid once per batch.
+    This is the serving layer's execution primitive (:mod:`repro.serve`).
 
     Parameters
     ----------
@@ -850,61 +840,63 @@ def run_speculative_batch(
         its start state without executing.
     starts:
         Optional per-request starting states, for continuation segments.
-    k:
-        Speculation width per chunk (None = enumerative spec-N).
-    lookback:
-        Look-back window; head chunks also get their known start pinned.
-    check:
-        Runtime-check implementation for the walk's probes.
-    chunk_items:
-        Target items per chunk: long requests split so stragglers don't
-        serialize the batch.
-    kernel_plan:
-        Optional :class:`repro.core.kernels.KernelPlan` for this machine
-        at width ``k``: without ``native`` it steps a near-equal plan and
-        re-executes speculation misses.
-    prior:
-        Optional speculation prior, used without ``native`` (sampled from
-        the batch otherwise).
     stats:
         An :class:`repro.core.types.ExecStats` to accumulate into (the
         server carries one per round) instead of a fresh one.
     native:
-        This machine's one-lane :class:`repro.core.native.NativeKernel`:
-        the serial rung above, bit-identical to the chunked path. A
-        kernel of any other width raises ``ValueError``, as does a bad
-        ``k`` or ``lookback`` on either rung.
+        This machine's one-lane :class:`repro.core.native.NativeKernel`,
+        bit-identical to the reference loop. A kernel of any other width
+        raises ``ValueError``.
     """
-    check_lane_options((dfa,), k, lookback, native)
-    check_chunk_items(chunk_items)
-    serial = native is not None
-    lanes = single_lanes(dfa, 1 if serial else k, prior)
-    # The serial rung steps each live request as one chunk.
+    if native is not None and native.spec.k != 1:
+        raise ValueError(
+            "native must step one lane per pattern (1), got a kernel of "
+            f"{native.spec.k} lanes"
+        )
     batch = coalesce(
-        segments, starts, lanes.dfas, chunk_items=None if serial else chunk_items,
-        num_symbols=dfa.num_inputs,
+        segments, starts, (dfa,), chunk_items=None, num_symbols=dfa.num_inputs
     )
-    finals = batch.starts.astype(np.int32)
-    n = 0 if batch.plan is None else batch.plan.num_chunks
+    finals = batch.starts[:, 0].astype(np.int32)
+    plan = batch.plan
+    n = 0 if plan is None else plan.num_chunks
     if stats is None:
-        stats = lanes.new_stats(batch.symbols.size, n)
-    if batch.plan is not None:
-        reason = "serial: one stepping thread" if serial else "no native kernel"
+        stats = ExecStats(
+            num_items=batch.symbols.size, num_chunks=n, k=1,
+            num_states=dfa.num_states, num_inputs=dfa.num_inputs,
+        )
+    if plan is not None:
+        live = batch.head_requests
         with trace_span(
             "engine.batch", requests=len(segments), chunks=n,
-            k=lanes.k_total, items=int(batch.symbols.size),
-            rung="serial" if serial else "chunked", reason=reason,
+            items=int(batch.symbols.size), rung="serial",
+            reason="serial: one stepping thread" + (
+                "" if native is not None else ", no native kernel"
+            ),
         ):
-            finals = run_lane_batch(
-                lanes, batch, batch.symbols, lookback=lookback, check=check,
-                stats=stats, kernel_plan=kernel_plan, native=native,
-            )
+            if native is not None:
+                end = native.process_chunks(
+                    batch.symbols, plan, batch.starts[live], stats=stats
+                )
+                finals[live] = end[:, 0]
+            else:
+                finals[live] = [
+                    run_reference(dfa, batch.symbols[a : a + m], int(q))
+                    for a, m, q in zip(plan.starts, plan.lengths, finals[live])
+                ]
+                # One lane, as the native kernel counts it: every item is
+                # one transition, read and gather; the longest request
+                # sets the steps.
+                items = int(batch.symbols.size)
+                stats.local_steps += plan.max_len
+                stats.local_transitions += items
+                stats.local_input_reads += items
+                stats.local_gathers += items
     return BatchExecutionResult(
-        final_states=finals[:, 0],
-        accepted=dfa.accepting[finals[:, 0]].astype(bool),
+        final_states=finals,
+        accepted=dfa.accepting[finals].astype(bool),
         stats=stats,
         num_requests=len(segments),
-        plan=batch.plan,
+        plan=plan,
     )
 
 
@@ -1000,18 +992,15 @@ def run_inprocess_fallback(
     inputs: np.ndarray,
     *,
     start: int | None = None,
-    k: int | None = 4,
 ) -> SpecExecutionResult:
     """Degraded-mode execution: one process, no pool, guaranteed to finish.
 
     The resilience layer (:mod:`repro.core.resilience`) calls this when a
     :class:`repro.core.mp_executor.ScaleoutPool` run cannot be recovered —
     retries exhausted or the pool below quorum. It is a thin wrapper over
-    :func:`run_speculative` on the CPU plan, with pricing and success
-    measurement switched off (a degraded run wants an answer, not
-    instrumentation), honouring the run's carried ``start`` state.
+    :func:`run_speculative` at defaults, the CPU plan's serial rung: one
+    pass from the run's carried ``start`` state, with nothing to
+    speculate, price or measure.
     """
     run_dfa = dfa if start is None or start == dfa.start else dfa.with_start(start)
-    return run_speculative(
-        run_dfa, inputs, k=k, price=False, measure_success=False
-    )
+    return run_speculative(run_dfa, inputs)

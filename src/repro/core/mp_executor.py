@@ -1461,9 +1461,7 @@ class ScaleoutPool:
             "fault.degrade", reason=report.degrade_reason,
             workers=self.num_workers,
         ):
-            fallback = run_inprocess_fallback(
-                self.dfa, inputs, start=start, k=self.k
-            )
+            fallback = run_inprocess_fallback(self.dfa, inputs, start=start)
         t_done = time.perf_counter()
         stats = stats.merged_with(fallback.stats)
         stats.pool_shm_bytes = self.shm_bytes

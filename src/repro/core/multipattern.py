@@ -53,10 +53,11 @@ paper's delayed re-execution, §3.3, applied to outputs). Matches are
 bit-exact against the sequential reference on every kernel / merge /
 collapse combination — the property tests assert exactly that.
 
-The batched route and the one request-batch driver (:func:`run_lane_batch`,
-behind :func:`run_multipattern_batch` and
-:func:`repro.core.engine.run_speculative_batch`) share one set of lane
-stages over ``P >= 1`` patterns: a single DFA is a group of one.
+The batched route and the group request-batch driver
+(:func:`run_lane_batch`, behind :func:`run_multipattern_batch`) share one
+set of lane stages over ``P >= 1`` patterns. A single machine's request
+batch (:func:`repro.core.engine.run_speculative_batch`) shares only
+:func:`coalesce`: it always runs one pass per request from its start.
 """
 
 from __future__ import annotations
@@ -78,9 +79,8 @@ from repro.core.kernels import (
     KernelPlan,
     plan_kernel,
     process_chunks_kernel,
-    run_segment_kernel,
 )
-from repro.core.lookback import enumerative_spec, pin_states, speculate, state_prior
+from repro.core.lookback import enumerative_spec, pin_states, speculate
 from repro.core.local import process_chunks_ragged
 from repro.core.merge_par import merge_parallel
 from repro.core.merge_seq import merge_sequential, true_boundary_walk
@@ -969,22 +969,15 @@ def _widths(dfas, k) -> tuple:
     return tuple(d.num_states if k is None else min(int(k), d.num_states) for d in dfas)
 
 
-def check_lane_options(dfas, k, lookback: int, native=None) -> None:
-    """Validate a pass's ``k``, ``lookback`` and ``native`` up front.
+def check_lane_options(dfas, k, lookback: int) -> None:
+    """Validate a pass's ``k`` and ``lookback`` up front.
 
     Called before the rung is chosen, so a bad value raises the same
-    ``ValueError`` whether or not a kernel loads. ``native`` (when
-    given) must step one lane per pattern: it is the serial rung's
-    kernel.
+    ``ValueError`` whether or not a kernel loads.
     """
     _widths(dfas, k)
     if lookback < 0:
         raise ValueError(f"lookback must be >= 0, got {lookback}")
-    if native is not None and native.spec.k != len(dfas):
-        raise ValueError(
-            f"native must step one lane per pattern ({len(dfas)}), got a "
-            f"kernel of {native.spec.k} lanes"
-        )
 
 
 def check_chunk_items(chunk_items: int) -> None:
@@ -998,8 +991,8 @@ class Lanes(NamedTuple):
 
     Pattern ``p`` steps as ``dfas[p]`` on union states ``offsets[p] ..
     offsets[p+1] - 1`` and owns the next ``widths[p]`` lane columns;
-    ``prior(p, sample)`` ranks its speculation. A single DFA is a group
-    of one over its raw symbols, with no ``compaction`` to plan from.
+    ``prior(p, sample)`` ranks its speculation, and ``compaction`` is the
+    union's identity compaction the kernel layer plans from.
     """
 
     dfas: tuple
@@ -1007,7 +1000,7 @@ class Lanes(NamedTuple):
     widths: tuple
     union: DFA
     prior: Callable
-    compaction: AlphabetCompaction | None = None
+    compaction: AlphabetCompaction
 
     @property
     def k_total(self) -> int:
@@ -1029,16 +1022,6 @@ def group_lanes(stack: MachineStack, k) -> Lanes:
         stack.class_dfas, stack.offsets, _widths(stack.class_dfas, k),
         stack.union_dfa, stack.pattern_prior, stack.identity_compaction(),
     )
-
-
-def single_lanes(dfa: DFA, k, prior: np.ndarray | None = None) -> Lanes:
-    """One DFA as a group of one; ``prior`` (None: sampled) ranks its lanes."""
-
-    def prior_of(p: int, sample: np.ndarray) -> np.ndarray:
-        return state_prior(dfa, sample=sample) if prior is None else prior
-
-    offsets = np.array([0, dfa.num_states], dtype=np.int64)
-    return Lanes((dfa,), offsets, _widths((dfa,), k), dfa, prior_of)
 
 
 class RequestBatch(NamedTuple):
@@ -1227,10 +1210,9 @@ def serial_pass(
 
 def run_lane_batch(
     lanes: Lanes, batch: RequestBatch, symbols: np.ndarray, *, lookback: int,
-    check: str, stats: ExecStats, kernel_plan: KernelPlan | None = None,
-    native=None,
+    check: str, stats: ExecStats, native=None,
 ) -> np.ndarray:
-    """The one in-process batch pass: ``(R, P)`` final states of ``batch``.
+    """A pattern group's batch pass: ``(R, P)`` final states of ``batch``.
 
     ``symbols`` is ``batch.symbols`` in the alphabet the stepping reads:
     a ``native`` kernel's own, otherwise the lanes'. With a ``native``
@@ -1239,12 +1221,11 @@ def run_lane_batch(
     starts (:func:`serial_pass`), and its final states are that chunk's
     end row.
     Without one, the chunked NumPy fallback: request heads are pinned;
-    all lanes step at once (kernel layer on a near-equal plan, on the
-    caller's ``kernel_plan`` when given; live-chunk ragged pass
-    otherwise); each pattern resolves on a sequential walk that restarts
-    at every request head, so resolution never crosses a request, and
-    each request's final state is its tail chunk's out-state. Misses
-    replay on ``kernel_plan``, or on the table.
+    all lanes step at once (kernel layer on a near-equal plan, live-chunk
+    ragged pass otherwise); each pattern resolves on a sequential walk
+    that restarts at every request head, so resolution never crosses a
+    request, and each request's final state is its tail chunk's
+    out-state. Misses replay on the table.
     """
     plan = batch.plan
     if native is not None:
@@ -1263,22 +1244,19 @@ def run_lane_batch(
         # lanes of every chunk still running in one fused gather per step.
         end = process_chunks_ragged(lanes.union, symbols, plan, spec, stats=stats)
     else:
-        kplan = kernel_plan or plan_kernel(
+        kplan = plan_kernel(
             lanes.union, chunk_len=plan.max_len, num_chunks=plan.num_chunks,
             k=lanes.k_total, kernel="auto", compaction=lanes.compaction,
         )
         end = process_chunks_kernel(
             lanes.union, symbols, plan, spec, kplan, stats=stats
         )
-    replay = None
-    if kernel_plan is not None:
-        replay = ChunkReplay(partial(run_segment_kernel, kernel_plan), symbols, plan)
     finals = batch.starts.astype(np.int32)
     live = batch.tails >= 0
     for p in range(len(lanes.dfas)):
         exits, _ = resolve_pattern(
             lanes, p, symbols, plan, cols[p], end, check=check, stats=stats,
-            replay=replay, seeds=batch.seeds(p), truth=False,
+            seeds=batch.seeds(p), truth=False,
         )
         finals[live, p] = exits[batch.tails[live]]
     return finals
@@ -1458,7 +1436,7 @@ def run_multipattern_batch(
 
     The serving layer's multi-pattern primitive: every request's raw
     segment is checked against **all** patterns of the group. A thin
-    adapter over the one batch pass, :func:`run_lane_batch`. When the
+    adapter over the group batch pass, :func:`run_lane_batch`. When the
     stack's serial kernel loads (:meth:`MachineStack.serial_kernel`,
     compiled on first use and memoized on the stack; the server loads it
     at registration), this is the serial rung: each request is one chunk

@@ -873,7 +873,7 @@ class ShardCoordinator:
                     )
                 except Exception:  # noqa: BLE001 - next rung catches all
                     add_count("dist.local_pool_failed")
-            fb = run_inprocess_fallback(self.dfa, inputs, start=start, k=cfg.k)
+            fb = run_inprocess_fallback(self.dfa, inputs, start=start)
             report.record("degrade", detail=f"inprocess: {reason}")
             return DistResult(
                 int(fb.final_state),

@@ -45,8 +45,8 @@ async def _demo(args: argparse.Namespace) -> int:
             chunk_items=1 << 12,
         )
     )
-    # alpha and gamma share the div7 machine: registering both builds the
-    # prior/kernel plan exactly once.
+    # alpha and gamma share the div7 machine: registering both builds its
+    # one-lane kernel exactly once.
     tenants = {
         "alpha": server.register_tenant("alpha", div7_dfa, weight=2.0),
         "beta": server.register_tenant("beta", regex_dfa),

@@ -7,9 +7,11 @@ tenants and turns them into coalesced batch executions:
   tenant's DFA to a shared :class:`_MachineState` keyed by
   :func:`repro.core.predictor.dfa_fingerprint` — the compiled serial-rung
   kernel (:mod:`repro.core.native`: one lane per machine, or one lane per
-  pattern for a group; chunked NumPy speculation when none loads) is
-  built once per *machine*, not per tenant, so two tenants serving the
-  same regex share everything — including the compile.
+  pattern for a group) is built once per *machine*, not per tenant, so
+  two tenants serving the same regex share everything — including the
+  compile. When none loads, a single machine's rounds run the
+  :func:`repro.fsm.run.run_reference` loop and a group's rounds
+  speculate on chunked NumPy.
 * **Admission + scheduling** rides
   :class:`repro.serve.scheduler.WeightedFairScheduler`: bounded queue
   depths shed excess load as explicit ``status="shed"`` responses, WFQ
@@ -24,9 +26,10 @@ tenants and turns them into coalesced batch executions:
   one seeded batch — :func:`repro.core.engine.run_speculative_batch`
   (or, for a pattern group,
   :func:`repro.core.multipattern.run_multipattern_batch`). Every request
-  arrives with a known start (its carried state), so with a loaded
-  kernel each one is a single chunk stepped from that start: the serial
-  rung, with no speculation or merge. Unfinished requests re-queue with
+  arrives with a known start (its carried state), so each one is a
+  single chunk stepped from that start: the serial rung, with no
+  speculation or merge (a group without a kernel is the exception).
+  Unfinished requests re-queue with
   their carried state and the *next* round is re-formed from scratch, so
   new arrivals join between rounds instead of waiting for a drain.
 
@@ -45,8 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import run_speculative_batch
-from repro.core.kernels import KernelPlan, plan_kernel
-from repro.core.lookback import state_prior
 from repro.core.native import NativeKernel, load_serial_kernel
 from repro.core.predictor import dfa_fingerprint
 from repro.core.resilience import DeadlineModel
@@ -54,6 +55,7 @@ from repro.fsm.dfa import DFA
 from repro.obs.trace import RunTrace
 from repro.serve.batcher import RoundPlan, carve_round
 from repro.serve.scheduler import QueuedRequest, WeightedFairScheduler
+from repro.util.validation import check_symbols
 
 __all__ = ["FSMServer", "ServeConfig", "ServeResponse", "Tenant"]
 
@@ -73,15 +75,14 @@ class ServeConfig:
         Target symbols per round; long requests are carved to an equal
         share of it and continue in later rounds (continuous batching).
     chunk_items:
-        The smallest per-round slice of a request; when a batch
-        speculates, also its chunk length (the coalescing granularity).
-    k, lookback:
-        Speculation width and look-back window for batch execution.
-        Rounds run :func:`repro.core.engine.run_speculative_batch` in a
-        worker thread of this process. ``k`` and ``lookback`` (and
-        ``chunk_items`` as a chunk length) matter only when no kernel
-        loads for a machine: with one, each request steps from its known
-        start in one lane per pattern.
+        The smallest per-round slice of a request. A pattern group's
+        round that speculates (no kernel loads for the group) also uses
+        it as its chunk length, at
+        :func:`repro.core.multipattern.run_multipattern_batch`'s default
+        ``k`` and ``lookback``. Rounds run in a worker thread of this
+        process; a single machine's round is always one pass per request
+        from its carried state
+        (:func:`repro.core.engine.run_speculative_batch`).
     deadline_model:
         :class:`repro.core.resilience.DeadlineModel`, used to predict a
         request's service time for EDF urgency (over the server's
@@ -93,8 +94,6 @@ class ServeConfig:
     max_batch_requests: int = 64
     round_budget_items: int = 1 << 18
     chunk_items: int = 1 << 13
-    k: int | None = 4
-    lookback: int = 8
     deadline_model: DeadlineModel = field(
         default_factory=lambda: DeadlineModel(
             floor_s=0.05, bytes_per_sec_floor=2e6, safety_factor=4.0
@@ -145,19 +144,14 @@ class _GroupInfo:
 class _MachineState:
     """Everything shareable across tenants serving the same DFA.
 
-    ``native`` is a single machine's one-lane kernel; a group's kernel
-    lives on its stack (:meth:`repro.core.multipattern.MachineStack.serial_kernel`).
-    ``prior`` and ``kplan`` are built only when a single machine's kernel
-    does not load: its rounds then speculate on chunked NumPy, and read
-    them instead of sampling and planning per round. Group rounds draw
-    priors from the stack.
+    ``native`` is a single machine's one-lane kernel (None: its rounds run
+    the reference loop); a group's kernel lives on its stack
+    (:meth:`repro.core.multipattern.MachineStack.serial_kernel`).
     """
 
     dfa: DFA
     fingerprint: str
     native: NativeKernel | None = None
-    prior: np.ndarray | None = None
-    kplan: KernelPlan | None = None
     group: _GroupInfo | None = None
 
 
@@ -222,10 +216,10 @@ class FSMServer:
     ) -> Tenant:
         """Register a tenant and build (or share) its machine state.
 
-        The expensive per-machine preparation — the compiled one-lane
-        kernel, or without one the state prior and autotuned kernel plan
-        — happens at most once per DFA fingerprint, however many tenants
-        register it. ``weight`` sets the tenant's WFQ share.
+        The expensive per-machine preparation — compiling (or loading
+        from the artifact cache) the one-lane kernel — happens at most
+        once per DFA fingerprint, off the request path, however many
+        tenants register it. ``weight`` sets the tenant's WFQ share.
         """
         if self._closed:
             raise RuntimeError("FSMServer is closed")
@@ -235,7 +229,9 @@ class FSMServer:
         ms = self._machines.get(fp)
         if ms is None:
             with self.trace.span("serve.machine_build", machine=fp[:12]):
-                ms = self._build_machine(dfa, fp)
+                ms = _MachineState(
+                    dfa=dfa, fingerprint=fp, native=load_serial_kernel(dfa)
+                )
             self._machines[fp] = ms
             self.trace.count("serve.machines", 1)
         tenant = Tenant(name=name, fingerprint=fp, weight=float(weight))
@@ -311,38 +307,6 @@ class FSMServer:
             self.trace.count("serve.tenants", 1)
             tenants.append(tenant)
         return tuple(tenants)
-
-    def _build_machine(self, dfa: DFA, fp: str) -> _MachineState:
-        """Build the shared per-DFA state: its one-lane native kernel.
-
-        Compiled (or loaded from the artifact cache) here, off the request
-        path, and shared by every tenant of this machine. When none loads
-        (no compiler, or a failed smoke check) the rounds speculate on
-        chunked NumPy, so the state prior and the autotuned kernel plan
-        they read are built here instead.
-        """
-        native = load_serial_kernel(dfa)
-        if native is not None:
-            return _MachineState(dfa=dfa, fingerprint=fp, native=native)
-        cfg = self.config
-        k_eff = (
-            dfa.num_states
-            if cfg.k is None or cfg.k >= dfa.num_states
-            else cfg.k
-        )
-        return _MachineState(
-            dfa=dfa,
-            fingerprint=fp,
-            prior=state_prior(dfa),
-            kplan=plan_kernel(
-                dfa,
-                chunk_len=cfg.chunk_items,
-                num_chunks=max(1, cfg.round_budget_items // cfg.chunk_items),
-                k=k_eff,
-                kernel="auto",
-                amortize_builds=16,
-            ),
-        )
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -428,14 +392,12 @@ class FSMServer:
         else:
             num_inputs = int(ms.dfa.table.shape[0])
             init_state = int(ms.dfa.start)
-        if symbols.size and not (
-            0 <= int(symbols.min()) and int(symbols.max()) < num_inputs
-        ):
+        try:
+            check_symbols(symbols, num_inputs)
+        except ValueError as exc:
             raise ValueError(
-                f"symbols out of range for tenant {name!r}: machine expects "
-                f"ids in [0, {num_inputs}), got "
-                f"[{int(symbols.min())}, {int(symbols.max())}]"
-            )
+                f"symbols out of range for tenant {name!r}: {exc}"
+            ) from None
         self._seq += 1
         rid = request_id if request_id is not None else f"{name}-{self._seq}"
         now = time.monotonic()
@@ -512,7 +474,6 @@ class FSMServer:
 
     def _execute_round(self, rnd: RoundPlan) -> np.ndarray:
         """Run one carved round (worker thread; no scheduler access here)."""
-        cfg = self.config
         ms = self._machines[rnd.fingerprint]
         segments = [
             req.symbols[req.offset : req.offset + take]
@@ -532,24 +493,12 @@ class FSMServer:
             starts_mat[rows, cols] = starts
             self.trace.count("serve.group_rounds", 1)
             finals_mat, _accepted = run_multipattern_batch(
-                stack,
-                segments,
-                k=cfg.k,
-                lookback=cfg.lookback,
-                chunk_items=cfg.chunk_items,
+                stack, segments, chunk_items=self.config.chunk_items,
                 starts=starts_mat,
             )
             return finals_mat[rows, cols]
         res = run_speculative_batch(
-            ms.dfa,
-            segments,
-            starts=starts,
-            k=cfg.k,
-            lookback=cfg.lookback,
-            chunk_items=cfg.chunk_items,
-            kernel_plan=ms.kplan,
-            prior=ms.prior,
-            native=ms.native,
+            ms.dfa, segments, starts=starts, native=ms.native
         )
         return res.final_states
 

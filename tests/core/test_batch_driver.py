@@ -1,29 +1,34 @@
-"""One batch driver: a single DFA runs as a pattern group of one.
+"""The request-batch entry points and what they share.
 
-``run_speculative_batch`` and ``run_multipattern_batch`` are adapters over
-:func:`repro.core.multipattern.run_lane_batch`. These tests pin the
-properties the adapters rely on: the one-pattern path reads raw symbols
-(no joint-alphabet remap), both adapters agree with each other and with
-the serial reference, one ``starts`` validator guards both entry points, a pattern group's
-serving registration builds nothing its rounds never read (its kernel
-steps every round from known starts), and the
-degraded in-process fallback runs the CPU plan.
+``run_speculative_batch`` runs each request of one machine as one pass
+from its start: on a one-lane native kernel, or on the ``run_reference``
+loop without one. ``run_multipattern_batch`` is the pattern-group adapter
+over :func:`repro.core.multipattern.run_lane_batch`. These tests pin a
+Hypothesis differential of the single-machine legs against
+``run_reference`` (final states, ``ExecStats`` and validation errors),
+that the one-pattern path reads raw symbols (no joint-alphabet remap),
+that both entry points agree with each other and with the serial
+reference, that one ``starts`` validator guards both, that a pattern
+group's serving registration builds nothing its rounds never read (its
+kernel steps every round from known starts), and that the degraded
+in-process fallback runs the CPU plan.
 """
 
 import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import APPLICATIONS
 from repro.core import multipattern as mp
 from repro.core.engine import run_inprocess_fallback, run_speculative_batch
 from repro.core.lookback import pin_states
 from repro.core.multipattern import run_multipattern_batch, stack_machines
-from repro.core.native import load_serial_kernel
+from repro.core.native import load_native_plan, load_serial_kernel
 from repro.fsm.alphabet import JointCompaction
+from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference
-from repro.serve import server as server_mod
 from repro.serve import FSMServer, ServeConfig
 
 PAPER_APPS = ("huffman", "regex1", "regex2", "html", "div7")
@@ -62,9 +67,7 @@ class TestGroupOfOne:
             raise AssertionError("the one-pattern path remapped its input")
 
         monkeypatch.setattr(JointCompaction, "remap", refuse)
-        res = run_speculative_batch(
-            dfa, segs, starts=starts, k=3, chunk_items=1024
-        )
+        res = run_speculative_batch(dfa, segs, starts=starts)
         for r, (seg, s0) in enumerate(zip(segs, starts)):
             assert res.final_states[r] == run_reference(dfa, seg, start=s0)
 
@@ -78,18 +81,20 @@ class TestGroupOfOne:
             JointCompaction, "remap",
             lambda self, symbols: pytest.fail("remapped"),
         )
-        res = run_speculative_batch(dfa, segs, k=3, native=native)
+        res = run_speculative_batch(dfa, segs, native=native)
         for r, seg in enumerate(segs):
             assert res.final_states[r] == run_reference(dfa, seg)
 
     @pytest.mark.parametrize("app", PAPER_APPS)
     @pytest.mark.parametrize("chunk_items", [1024, 3000])
-    def test_adapters_agree(self, app, chunk_items):
-        # chunk_items=3000 makes the coalesced plan near-equal for some
-        # apps' windows (kernel-layer stepping), 1024 keeps it ragged.
+    def test_adapters_agree(self, app, chunk_items, monkeypatch):
+        # A group of one without its kernel speculates: chunk_items=3000
+        # makes its coalesced plan near-equal (kernel-layer stepping),
+        # 1024 keeps it ragged.
+        monkeypatch.setattr(mp.MachineStack, "serial_kernel", lambda self, **kw: None)
         dfa, corpus = APPLICATIONS[app].build(20_000, seed=5)
         segs = _segments(corpus, sizes=(3000, 3000, 0, 3000), seed=6)
-        single = run_speculative_batch(dfa, segs, k=2, chunk_items=chunk_items)
+        single = run_speculative_batch(dfa, segs)
         finals, accepted = run_multipattern_batch(
             stack_machines([dfa]), segs, k=2, chunk_items=chunk_items
         )
@@ -97,6 +102,118 @@ class TestGroupOfOne:
         assert accepted[:, 0].tolist() == single.accepted.tolist()
         for r, seg in enumerate(segs):
             assert single.final_states[r] == run_reference(dfa, seg)
+
+
+# --------------------------------------------------------------------------- #
+# differential: every leg of run_speculative_batch against run_reference
+# --------------------------------------------------------------------------- #
+
+# Random machines (a one-symbol alphabet, a one-state machine, wider
+# ones) and the five paper apps.
+MACHINES = [
+    DFA.random(1, 3, rng=80, name="one-state"),
+    DFA.random(6, 1, rng=81, name="one-symbol"),
+    DFA.random(9, 4, rng=82, accepting_fraction=0.3, name="r9"),
+    DFA.random(40, 16, rng=83, accepting_fraction=0.2, name="r40"),
+] + [APPLICATIONS[app].build(1_000, seed=9)[0] for app in PAPER_APPS]
+_LEGS: dict = {}
+
+
+def _legs(m: int) -> dict:
+    """Machine ``m``'s legs: no kernel, then whichever one-lane kernels load."""
+    if m not in _LEGS:
+        dfa = MACHINES[m]
+        kernels = {
+            "auto": load_serial_kernel(dfa),
+            "lockstep": load_serial_kernel(dfa, kernel="lockstep"),
+        }
+        _LEGS[m] = {"reference": None} | {
+            leg: nk for leg, nk in kernels.items() if nk is not None
+        }
+    return _LEGS[m]
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    m=st.integers(0, len(MACHINES) - 1),
+    sizes=st.lists(
+        st.one_of(st.sampled_from([0, 1]), st.integers(2, 1_500)), max_size=70
+    ),
+    carried=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_every_leg_matches_reference(m, sizes, carried, seed):
+    dfa = MACHINES[m]
+    rng = np.random.default_rng(seed)
+    segs = [
+        rng.integers(0, dfa.num_inputs, size=n).astype(np.int32) for n in sizes
+    ]
+    starts = rng.integers(0, dfa.num_states, size=len(sizes)) if carried else None
+    firsts = [dfa.start] * len(sizes) if starts is None else starts.tolist()
+    expect = [run_reference(dfa, x, start=int(q)) for x, q in zip(segs, firsts)]
+    live = [n for n in sizes if n]
+    stats = {}
+    for leg, native in _legs(m).items():
+        res = run_speculative_batch(dfa, segs, starts=starts, native=native)
+        assert res.num_requests == len(sizes)
+        assert res.final_states.tolist() == expect, leg
+        np.testing.assert_array_equal(res.accepted, dfa.accepting[expect])
+        assert (res.plan is None) == (not live)
+        stats[leg] = res.stats
+    ref = stats["reference"]
+    assert (ref.num_items, ref.num_chunks, ref.k) == (sum(sizes), len(live), 1)
+    assert ref.local_steps == max(live, default=0)
+    assert (
+        ref.local_transitions == ref.local_input_reads == ref.local_gathers
+        == sum(sizes)
+    )
+    if "lockstep" in stats:
+        assert ref == stats["lockstep"]
+
+
+def _bad_call(case: str, dfa: DFA, corpus: np.ndarray):
+    """The arguments of one malformed call."""
+    segs = [corpus[:300], corpus[:0], corpus[300:301]]
+    if case == "starts_shape":
+        return segs, [0, 1], None
+    if case == "starts_range":
+        return segs, [0, dfa.num_states, 1], None
+    if case == "symbol":
+        bad = corpus[:50].copy()
+        bad[7] = dfa.num_inputs
+        return segs + [bad], None, None
+    if case == "negative_symbol":
+        bad = corpus[:50].astype(np.int64)
+        bad[7] = -1
+        return segs + [bad], None, None
+    return segs, None, load_native_plan(dfa, k=3, kernel="lockstep")
+
+
+@pytest.mark.parametrize(
+    "case", ["starts_shape", "starts_range", "symbol", "negative_symbol", "width"]
+)
+@pytest.mark.parametrize("app", ["div7", "huffman"])
+def test_bad_calls_raise_the_same_error_on_every_leg(case, app):
+    m = len(MACHINES) - len(PAPER_APPS) + PAPER_APPS.index(app)
+    dfa = MACHINES[m]
+    corpus = np.random.default_rng(10).integers(0, dfa.num_inputs, size=2_000)
+    segs, starts, wide = _bad_call(case, dfa, corpus.astype(np.int32))
+    if case == "width" and wide is None:
+        pytest.skip("no working C compiler")
+    errors = set()
+    for native in _legs(m).values():
+        with pytest.raises(ValueError) as info:
+            run_speculative_batch(
+                dfa, segs, starts=starts, native=wide if case == "width" else native
+            )
+        errors.add(str(info.value))
+    assert len(errors) == 1
+    want = {"symbol": "symbols outside", "negative_symbol": "symbols outside",
+            "width": "one lane per pattern"}
+    assert want.get(case, "starts") in errors.pop()
 
 
 # --------------------------------------------------------------------------- #
@@ -111,7 +228,7 @@ def div7():
 
 def _call(entry, dfa, segs, starts):
     if entry == "run_speculative_batch":
-        return run_speculative_batch(dfa, segs, starts=starts, k=2)
+        return run_speculative_batch(dfa, segs, starts=starts)
     return run_multipattern_batch(stack_machines([dfa]), segs, starts=starts, k=2)
 
 
@@ -149,14 +266,10 @@ def test_bad_starts_raise_before_speculation(entry, case, div7, monkeypatch):
 def test_group_registration_builds_no_union_prior_or_plan(monkeypatch):
     # A group registers its one-lane-per-pattern kernel, and its rounds
     # step on it from each request's known start. Without a kernel the
-    # rounds speculate on per-pattern priors drawn from the stack; no
-    # union-wide prior or kernel plan is built either way.
-    from repro.fsm import DFA
-
-    calls = {
-        "state_prior": 0, "plan_kernel": 0, "pattern_prior": 0,
-        "speculate_lanes": 0,
-    }
+    # rounds speculate on per-pattern priors drawn from the stack;
+    # registration samples none, and the server builds no union-wide
+    # prior or kernel plan of its own.
+    calls = {"pattern_prior": 0, "speculate_lanes": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -165,10 +278,6 @@ def test_group_registration_builds_no_union_prior_or_plan(monkeypatch):
 
         return wrapper
 
-    for name in ("state_prior", "plan_kernel"):
-        monkeypatch.setattr(
-            server_mod, name, counting(name, getattr(server_mod, name))
-        )
     monkeypatch.setattr(
         mp.MachineStack, "pattern_prior",
         counting("pattern_prior", mp.MachineStack.pattern_prior),
@@ -196,7 +305,6 @@ def test_group_registration_builds_no_union_prior_or_plan(monkeypatch):
 
     registered, stack, syms, resp = asyncio.run(drive())
     assert set(registered.values()) == {0}
-    assert (calls["state_prior"], calls["plan_kernel"]) == (0, 0)
     if stack.serial_kernel() is not None:
         assert set(calls.values()) == {0}
     for m, s, r in zip(machines, syms, resp):
@@ -207,6 +315,6 @@ def test_group_registration_builds_no_union_prior_or_plan(monkeypatch):
 def test_inprocess_fallback_runs_cpu_plan(app):
     dfa, inputs = APPLICATIONS[app].build(20_000, seed=8)
     start = (dfa.start + 1) % dfa.num_states
-    res = run_inprocess_fallback(dfa, inputs, start=start, k=3)
+    res = run_inprocess_fallback(dfa, inputs, start=start)
     assert res.config.plan == "cpu"
     assert res.final_state == run_reference(dfa, inputs, start=start)

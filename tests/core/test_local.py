@@ -144,11 +144,12 @@ class TestRaggedLiveChunks:
         dfa, corpus = APPLICATIONS["div7"].build(40_000, seed=3)
         sizes = [6000, 2048, 9000, 1, 4096, 700]
         segs = [corpus[i * 6000 : i * 6000 + n] for i, n in enumerate(sizes)]
-        res = run_speculative_batch(dfa, segs, k=3, chunk_items=2048)
+        res = run_speculative_batch(dfa, segs)
+        # One lane per request, each request one chunk.
         lengths = res.plan.lengths
-        assert res.plan.max_len - res.plan.min_len > 1
-        assert res.stats.local_gathers == int(lengths.sum()) * 3 == sum(sizes) * 3
-        assert res.stats.local_steps == res.plan.max_len
+        assert lengths.tolist() == sizes
+        assert res.stats.local_gathers == int(lengths.sum()) == sum(sizes)
+        assert res.stats.local_steps == res.plan.max_len == max(sizes)
         for r, seg in enumerate(segs):
             assert res.final_states[r] == run_reference(dfa, seg)
 

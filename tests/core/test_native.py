@@ -239,7 +239,7 @@ class TestEngineBackend:
         starts = [0, 2, 5, 1]
         nk = load_serial_kernel(dfa)
         assert nk is not None, "native kernel failed to load"
-        res = run_speculative_batch(dfa, segs, starts=starts, k=4, native=nk)
+        res = run_speculative_batch(dfa, segs, starts=starts, native=nk)
         assert res.stats.num_chunks == 3  # one chunk per non-empty request
         for i, (seg, s0) in enumerate(zip(segs, starts)):
             assert res.final_states[i] == run_reference(dfa, seg, start=s0)

@@ -5,8 +5,9 @@ At defaults (no ``num_chunks``, no ``plan=``, no GPU argument) a native
 pattern from its start state in one lane: the batched route on the
 group's one-lane-per-pattern kernel over the raw symbols, which records
 the matches in the same pass; the product route on ``run_speculative``'s
-serial rung. Request batches take the same rung when given such a kernel:
-every request is one chunk from its known (carried) starts. These tests
+serial rung. Request batches take the same rung: every request is one
+chunk from its known (carried) starts, on such a kernel (a single
+machine's batch runs the reference loop without one). These tests
 check
 
 * a Hypothesis differential against ``run_reference`` over random DFAs,
@@ -17,12 +18,13 @@ check
 * a guard that the defaults never reach speculation, resolution, the
   merges, the collapse probe or the joint remap, while an explicit
   ``num_chunks`` still does;
-* the chunked NumPy batch path, which runs when no kernel loads;
+* the chunked NumPy group batch path, which runs when no kernel loads;
 * that ``k``, ``lookback`` and a kernel's width are checked before the
   rung is chosen, and that a failed group build is not retried;
 * the server: a group tenant and single tenants answer exactly as
   ``run_reference`` across requests carved into several rounds, and
-  without a kernel its rounds neither sample a prior nor plan a kernel.
+  without a kernel a single machine's rounds neither sample a prior nor
+  plan a kernel.
 """
 
 from __future__ import annotations
@@ -208,13 +210,12 @@ def test_batches_match_reference(g, sizes, chunk_items, seed):
         trace = RunTrace("batch")
         with trace.activate():
             res = run_speculative_batch(
-                dfa, segs, starts=starts[:, 0], chunk_items=chunk_items,
-                native=load_serial_kernel(dfa),
+                dfa, segs, starts=starts[:, 0], native=load_serial_kernel(dfa),
             )
         np.testing.assert_array_equal(res.final_states, expect[:, 0])
         np.testing.assert_array_equal(res.accepted, dfa.accepting[expect[:, 0]])
         rungs = [s.attrs["rung"] for s in trace.find("engine.batch")]
-        assert rungs in ([], ["serial" if HAVE_NATIVE else "chunked"])
+        assert rungs in ([], ["serial"])
 
 
 @settings(
@@ -228,8 +229,8 @@ def test_batches_match_reference(g, sizes, chunk_items, seed):
     seed=st.integers(0, 2**16),
 )
 def test_chunked_batches_match_reference(g, sizes, chunk_items, seed):
-    # The chunked NumPy path of both batch adapters, which runs when no
-    # kernel loads: with a compiler present it is reached only this way.
+    # The chunked NumPy path of the group batch adapter, which runs when
+    # no kernel loads: with a compiler present it is reached only this way.
     segs, starts, expect = _batch_case(g, sizes, seed)
     trace = RunTrace("batch")
     with pytest.MonkeyPatch.context() as patch, trace.activate():
@@ -237,15 +238,8 @@ def test_chunked_batches_match_reference(g, sizes, chunk_items, seed):
         finals, _ = run_multipattern_batch(
             STACKS[g], segs, starts=starts, k=2, chunk_items=chunk_items
         )
-        singles = [
-            run_speculative_batch(
-                m, segs, starts=starts[:, p], k=2, chunk_items=chunk_items
-            ).final_states
-            for p, m in enumerate(GROUPS[g])
-        ]
     np.testing.assert_array_equal(finals, expect)
-    np.testing.assert_array_equal(np.stack(singles, axis=1), expect)
-    spans = trace.find("mp.batch") + trace.find("engine.batch")
+    spans = trace.find("mp.batch")
     assert {sp.attrs["rung"] for sp in spans} <= {"chunked"}
     assert {sp.attrs["reason"] for sp in spans} <= {"no native kernel"}
 
@@ -262,12 +256,9 @@ def test_bad_options_raise_on_both_rungs(option, kernel, monkeypatch):
         pytest.skip("no working C compiler")
     if not kernel:
         monkeypatch.setattr(mp.MachineStack, "serial_kernel", lambda self, **kw: None)
-    dfa, stack = GROUPS[1][1], STACKS[1]
+    stack = STACKS[1]
     segs = [_symbols(1, 300, seed=1), _symbols(1, 0, seed=2)]
     x = _symbols(1, NATIVE_MIN_ITEMS, seed=3)
-    native = load_serial_kernel(dfa) if kernel else None
-    with pytest.raises(ValueError, match=next(iter(option))):
-        run_speculative_batch(dfa, segs, native=native, **option)
     with pytest.raises(ValueError, match=next(iter(option))):
         run_multipattern_batch(stack, segs, **option)
     with pytest.raises(ValueError, match=next(iter(option))):
@@ -431,26 +422,31 @@ def test_server_group_and_single_tenants_exact():
 
 
 def test_server_fallback_rounds_neither_sample_nor_plan(monkeypatch):
-    # Without a kernel a single machine's rounds speculate on chunked
-    # NumPy; registration builds the prior and the kernel plan they read,
-    # so no round samples a prior or plans a kernel.
+    # Without a kernel a single machine's rounds, and a direct batch call,
+    # run the reference loop: no prior, kernel plan, speculation or walk.
+    import repro.core.kernels as kernels
+    import repro.core.lookback as lookback
+    import repro.core.merge_seq as merge_seq
+    import repro.core.plan as plan_mod
     import repro.serve.server as server_mod
 
     monkeypatch.setattr(server_mod, "load_serial_kernel", lambda dfa: None)
-    calls = {"state_prior": 0, "plan_kernel": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
+    for owner, name in [
+        (engine, "speculate"), (engine, "state_prior"),
+        (engine, "merge_sequential"), (lookback, "speculate"),
+        (lookback, "state_prior"), (mp, "speculate"), (mp, "plan_kernel"),
+        (mp, "merge_sequential"), (kernels, "plan_kernel"),
+        (plan_mod, "plan_kernel"), (merge_seq, "merge_sequential"),
+    ]:
+        monkeypatch.setattr(owner, name, _refuse(name))
     dfa = div7_dfa()
     rng = np.random.default_rng(92)
     xs = [rng.integers(0, dfa.num_inputs, size=n) for n in (0, 1, 3_000, 5_000)]
+    starts = [3, 0, 6, 2]
+    res = run_speculative_batch(dfa, xs, starts=starts)
+    assert res.final_states.tolist() == [
+        run_reference(dfa, x, start=q) for x, q in zip(xs, starts)
+    ]
 
     async def drive():
         server = FSMServer(ServeConfig(round_budget_items=2048, chunk_items=256))
@@ -462,9 +458,8 @@ def test_server_fallback_rounds_neither_sample_nor_plan(monkeypatch):
         return ms, resp
 
     ms, resp = asyncio.run(drive())
-    assert ms.native is None and ms.prior is not None and ms.kplan is not None
+    assert ms.native is None
     assert max(r.rounds for r in resp) > 1
-    assert calls == {"state_prior": 0, "plan_kernel": 0}
     for x, r in zip(xs, resp):
         assert r.final_state == run_reference(dfa, x)
 

@@ -44,7 +44,7 @@ def _entries(backend: str):
                                threads_per_block=64, price=False).final_state
 
     def batch(x):
-        return run_speculative_batch(dfa, [x[:100], x], k=2, native=native).final_states[1]
+        return run_speculative_batch(dfa, [x[:100], x], native=native).final_states[1]
 
     def multi(x):
         res = run_multipattern([dfa, other], x, backend=backend, stack=stack,

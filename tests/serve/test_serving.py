@@ -298,6 +298,34 @@ class TestServing:
         assert resp.final_state == run_segment(dfa, good.symbols, dfa.start)
         assert counters["serve.round_errors"] == 1
 
+    def test_float_request_fails_at_submit_not_its_round(self):
+        machines, workload = _serve_case(num_requests=4)
+        good = next(w for w in workload if w.tenant in ("alpha", "gamma"))
+
+        async def drive():
+            server = FSMServer(ServeConfig())
+            t = server.register_tenant("alpha", machines["alpha"])
+            # Both are submitted before the loop starts, so a float request
+            # that got past submit would share (and fail) the rider's round.
+            rider = asyncio.create_task(server.submit(t, good.symbols))
+            floats = asyncio.create_task(
+                server.submit(t, np.array([1.0, 0.0, 1.0]))
+            )
+            await asyncio.sleep(0)
+            await server.start()
+            out = await asyncio.gather(rider, floats, return_exceptions=True)
+            counters = dict(server.trace.counters_with_prefix("serve."))
+            await server.close()
+            return out, counters
+
+        (resp, err), counters = asyncio.run(drive())
+        assert isinstance(err, ValueError)
+        assert "'alpha'" in str(err) and "integer symbol ids" in str(err)
+        assert resp.status == "ok"
+        dfa = machines["alpha"]
+        assert resp.final_state == run_segment(dfa, good.symbols, dfa.start)
+        assert counters.get("serve.round_errors", 0) == 0
+
     def test_registration_errors(self):
         machines, _ = _serve_case(num_requests=1)
 
