@@ -30,6 +30,7 @@ import time
 from repro.apps.registry import APPLICATIONS, get_application
 from repro.core.engine import run_speculative
 from repro.fsm.run import run_reference
+from repro.gpu.device import Grid
 
 MODES = ("off", "on", "auto")
 
@@ -60,10 +61,8 @@ def bench_case(
     ref = run_reference(dfa, inputs)
     kw = dict(
         k=k,
-        num_blocks=num_blocks,
-        threads_per_block=threads_per_block,
         lookback=app.default_lookback,
-        price=False,
+        grid=Grid(num_blocks=num_blocks, threads_per_block=threads_per_block),
     )
 
     best: dict[str, float] = {m: float("inf") for m in MODES}

@@ -11,6 +11,7 @@ import time
 import repro
 from repro.bench.experiments import fig14_layout
 from repro.bench.runner import app_instance, bench_items
+from repro.gpu.device import Grid
 
 
 def test_fig14_reproduction(benchmark, save_result):
@@ -30,8 +31,8 @@ def test_real_wallclock_layout_effect(save_result):
     def run(layout: str) -> float:
         t0 = time.perf_counter()
         repro.run_speculative(
-            dfa, inputs, k=None, num_blocks=40, threads_per_block=256,
-            layout=layout, measure_success=False, price=False,
+            dfa, inputs, k=None, measure_success=False,
+            grid=Grid(num_blocks=40, layout=layout),
         )
         return time.perf_counter() - t0
 

@@ -69,6 +69,7 @@ from repro.core.multipattern import (
 )
 from repro.fsm.alphabet import Alphabet
 from repro.fsm.product import ProductStateBudget
+from repro.gpu.device import Grid
 from repro.regex import compile_search, compress_inputs
 from repro.util.rng import ensure_rng
 
@@ -148,9 +149,9 @@ def bench_group(
             t0 = time.perf_counter()
             for comp in compressed:
                 run_speculative(
-                    comp.dfa, comp.encode_inputs(stream), k=k,
-                    num_blocks=1, threads_per_block=num_chunks, collect=(),
+                    comp.dfa, comp.encode_inputs(stream), k=k, collect=(),
                     backend=be,
+                    grid=Grid(num_blocks=1, threads_per_block=num_chunks),
                 )
             baseline = min(baseline, time.perf_counter() - t0)
         batched = float("inf")

@@ -37,6 +37,7 @@ import numpy as np
 from repro.apps.registry import get_application
 from repro.core.engine import run_speculative
 from repro.fsm.run import run_segment
+from repro.gpu.device import Grid
 from repro.serve.client import ServeClient, zipf_workload
 from repro.serve.server import FSMServer, ServeConfig
 
@@ -91,12 +92,10 @@ def bench_sequential(machines, workload, *, k: int, lookback: int):
             machines[w.tenant],
             w.symbols,
             k=k,
-            num_blocks=1,
-            threads_per_block=32,
             lookback=lookback,
-            price=False,
             measure_success=False,
             collapse="off",
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         lat.append(time.perf_counter() - s)
         finals.append(int(res.final_state))

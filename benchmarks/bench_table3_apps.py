@@ -12,6 +12,7 @@ import repro
 from repro.bench.experiments import table3_applications
 from repro.bench.runner import app_instance, bench_items
 from repro.apps.registry import APPLICATIONS, get_application
+from repro.gpu.device import Grid
 
 
 def test_table3_reproduction(benchmark, save_result):
@@ -40,9 +41,7 @@ def test_engine_wall_time(benchmark, name):
         dfa,
         inputs,
         k=app.best_k,
-        num_blocks=20,
-        threads_per_block=256,
         lookback=app.default_lookback,
         measure_success=False,
-        price=False,
+        grid=Grid(num_blocks=20),
     )

@@ -13,6 +13,7 @@ import numpy as np
 import repro
 from repro.apps import TOKEN_NAMES, build_html_tokenizer, reference_tokenize
 from repro.fsm.alphabet import Alphabet
+from repro.gpu import Grid
 from repro.workloads import synthetic_pages
 
 
@@ -28,9 +29,8 @@ def main() -> None:
         dfa,
         ids,
         k=1,
-        num_blocks=40,
-        threads_per_block=256,
         lookback=64,
+        grid=Grid(num_blocks=40),
         collect=("emissions",),
     )
     positions, kinds = result.emissions

@@ -15,6 +15,7 @@ import numpy as np
 import repro
 from repro.apps import HuffmanCode
 from repro.cache import plan_hot_states
+from repro.gpu import Grid
 from repro.util.bitstream import bits_to_bytes
 from repro.workloads import synthetic_book
 
@@ -46,11 +47,9 @@ def main() -> None:
         dfa,
         bits.astype(np.int32),
         k=8,
-        num_blocks=80,
-        threads_per_block=256,
         lookback=16,
-        cache_table=True,
         collect=("emissions",),
+        grid=Grid(cache_table=True),
     )
     _, decoded = result.emissions
     assert np.array_equal(decoded, text), "round trip must be exact"
@@ -64,8 +63,8 @@ def main() -> None:
     PAPER_BITS = 1_243_106_627
     on = price_at_scale(result, PAPER_BITS, cpu_transition_ns=2.22)
     off_run = repro.run_speculative(
-        dfa, bits.astype(np.int32), k=8, num_blocks=80, lookback=16,
-        cache_table=False, measure_success=False,
+        dfa, bits.astype(np.int32), k=8, lookback=16, measure_success=False,
+        grid=Grid(),
     )
     off = price_at_scale(off_run, PAPER_BITS, cpu_transition_ns=2.22)
     print(f"modeled V100 speedup at paper scale: {on.speedup:.0f}x "

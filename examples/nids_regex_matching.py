@@ -14,7 +14,7 @@ shared alphabet, then answers "which rules fired, and where" two ways:
 2. **multi-pattern one-pass** — the whole rule group runs in a single
    pass: joint cross-pattern alphabet compaction, block-diagonal union
    table, every pattern's lanes advanced by one fused gather per step
-   (``repro.run_speculative([dfa, ...], stream)``).
+   (``repro.run_multipattern([dfa, ...], stream)``).
 
 Both are verified bit-exact against the sequential reference trace.
 
@@ -28,6 +28,7 @@ import numpy as np
 import repro
 from repro.fsm.alphabet import Alphabet
 from repro.fsm.run import run_reference_trace
+from repro.gpu import Grid
 from repro.regex import compile_search, compress_inputs
 from repro.util.rng import ensure_rng
 
@@ -75,10 +76,9 @@ def main() -> None:
             comp.dfa,
             inputs,
             k=4,
-            num_blocks=40,
-            threads_per_block=256,
             lookback=8,
             collect=("match_positions",),
+            grid=Grid(num_blocks=40),
         )
         assert np.array_equal(result.match_positions, expected[name])
         first = (
@@ -95,16 +95,15 @@ def main() -> None:
     t_base = time.perf_counter() - t0
 
     # ---- multi-pattern: the whole group in ONE pass -------------------- #
-    # A list of machines routes through repro.core.multipattern: joint
-    # alphabet compaction across the group, a block-diagonal union table,
-    # and one fused gather advancing every pattern's lanes per symbol.
+    # repro.run_multipattern answers the whole group: joint alphabet
+    # compaction across the group, a block-diagonal union table, and one
+    # fused gather advancing every pattern's lanes per symbol.
     t0 = time.perf_counter()
-    mres = repro.run_speculative(
+    mres = repro.run_multipattern(
         list(machines.values()),
         stream_ids,
         k=4,
-        num_blocks=16,
-        threads_per_block=16,
+        num_chunks=256,
         lookback=8,
         collect=("match_positions",),
     )

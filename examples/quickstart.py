@@ -12,6 +12,7 @@ Run:  python examples/quickstart.py
 import repro
 from repro.apps import div7_dfa
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 from repro.workloads import random_bits
 
 
@@ -34,9 +35,8 @@ def main() -> None:
         dfa,
         bits,
         k=None,  # spec-N
-        num_blocks=80,
-        threads_per_block=256,
         merge="parallel",
+        grid=Grid(),  # the paper's launch; Grid(num_blocks=20) is smaller
     )
     assert result.final_state == expected, "speculation must be exact"
     print(f"speculative final state:          {result.final_state}  (match)")
@@ -57,8 +57,8 @@ def main() -> None:
         speeds = []
         for blocks in (20, 40, 80):
             r = repro.run_speculative(
-                dfa, bits, k=None, num_blocks=blocks, merge=merge,
-                measure_success=False,
+                dfa, bits, k=None, merge=merge, measure_success=False,
+                grid=Grid(num_blocks=blocks),
             )
             # project counted stats to the paper's 2^30-item input
             proj = r.stats.project(2**30)

@@ -11,6 +11,7 @@ Run:  python examples/tuning_speculation.py
 
 import repro
 from repro.apps.registry import get_application
+from repro.gpu import Grid
 from repro.gpu.cost import CostModel
 
 
@@ -27,8 +28,8 @@ def main() -> None:
     for k in (1, 2, 4, 8, 16, None):
         for merge in ("sequential", "parallel"):
             r = repro.run_speculative(
-                dfa, inputs, k=k, num_blocks=80, threads_per_block=256,
-                merge=merge, lookback=app.default_lookback, price=False,
+                dfa, inputs, k=k, merge=merge, lookback=app.default_lookback,
+                grid=Grid(),
             )
             tb = model.price(
                 r.stats.project(app.paper_num_items),

@@ -12,8 +12,9 @@ Speculative Execution of Finite-State Machines with Parallel Merge*
   (:mod:`repro.core`), the central entry point being
   :func:`repro.run_speculative`;
 * a V100-shaped cost model that prices the counted execution events into
-  modeled GPU time (:mod:`repro.gpu`), plus the hot-state transition-table
-  cache (:mod:`repro.cache`);
+  modeled GPU time (:mod:`repro.gpu`; pass ``grid=repro.gpu.Grid(...)`` to
+  :func:`repro.run_speculative` to run the paper's modeled launch), plus
+  the hot-state transition-table cache (:mod:`repro.cache`);
 * the per-figure experiment harness (:mod:`repro.bench`);
 * unified observability — per-stage wall-clock tracing, speculation
   metrics, JSON/Chrome-trace export (:mod:`repro.obs`; see
@@ -23,11 +24,12 @@ Quick start::
 
     import repro
     from repro.apps import div7_dfa
+    from repro.gpu import Grid
     from repro.workloads import random_bits
 
     dfa = div7_dfa()
     bits = random_bits(1_000_000, rng=0)
-    result = repro.run_speculative(dfa, bits, k=None, num_blocks=20)
+    result = repro.run_speculative(dfa, bits, k=None, grid=Grid(num_blocks=20))
     assert result.final_state == dfa.run(bits)
     print(result.timing.speedup)
 """

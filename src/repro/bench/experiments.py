@@ -430,6 +430,7 @@ def ablation_check_crossover(
     from repro.bench.runner import bench_items
     from repro.fsm.dfa import DFA
     from repro.gpu import calibration as cal
+    from repro.gpu.device import Grid
     from repro.workloads.binary import random_symbols
 
     res = ExperimentResult("ablation-check", "Runtime check crossover")
@@ -443,9 +444,9 @@ def ablation_check_crossover(
 
     def check_ns(k_eff: int, check: str) -> float:
         r = run_speculative(
-            dfa, inputs, k=k_eff, num_blocks=20, threads_per_block=256,
-            merge="parallel", check=check, reexec="delayed", lookback=0,
-            price=False, measure_success=False,
+            dfa, inputs, k=k_eff, merge="parallel", check=check,
+            reexec="delayed", lookback=0, measure_success=False,
+            grid=Grid(num_blocks=20),
         )
         s = r.stats
         if check == "nested":
@@ -494,6 +495,7 @@ def ablation_divm_family(
     import repro
     from repro.apps.div import div_dfa, residues_converge
     from repro.bench.runner import bench_items
+    from repro.gpu.device import Grid
     from repro.workloads.binary import random_bits
 
     res = ExperimentResult("ablation-divm", "Speculation vs convergence (div-m family)")
@@ -503,8 +505,8 @@ def ablation_divm_family(
         dfa = div_dfa(m)
         k = max(1, m // 3)
         r = repro.run_speculative(
-            dfa, bits, k=k, num_blocks=8, threads_per_block=64, lookback=8,
-            price=False,
+            dfa, bits, k=k, lookback=8,
+            grid=Grid(num_blocks=8, threads_per_block=64),
         )
         res.rows.append(
             {
@@ -536,7 +538,7 @@ def ablation_device_comparison(
     import repro
     from repro.bench.runner import app_instance, bench_items
     from repro.gpu.cost import CostModel
-    from repro.gpu.device import GTX_1080TI, TESLA_V100
+    from repro.gpu.device import GTX_1080TI, TESLA_V100, Grid
 
     res = ExperimentResult("ablation-device", "V100 vs GTX 1080 Ti")
     app = get_application("div7")
@@ -549,9 +551,8 @@ def ablation_device_comparison(
             else:
                 resident_note = ""
             r = repro.run_speculative(
-                dfa, inputs, k=None, num_blocks=blocks, threads_per_block=256,
-                merge="parallel", device=device, price=False,
-                measure_success=False,
+                dfa, inputs, k=None, merge="parallel", measure_success=False,
+                grid=Grid(num_blocks=blocks, device=device),
             )
             model = CostModel(device=device,
                               cpu_transition_ns=app.paper_cpu_ns_per_item)
@@ -588,14 +589,14 @@ def ablation_cache_budget(
     import repro
     from repro.bench.runner import app_instance, bench_items
     from repro.gpu.cost import price_at_scale
+    from repro.gpu.device import Grid
 
     res = ExperimentResult("ablation-cache-budget", "Cache budget sweep (Huffman)")
     app = get_application("huffman")
     n = num_items if num_items is not None else bench_items()
     dfa, inputs = app_instance("huffman", n, seed)
     base_run = repro.run_speculative(
-        dfa, inputs, k=8, num_blocks=80, threads_per_block=256,
-        lookback=16, cache_table=False, measure_success=False,
+        dfa, inputs, k=8, lookback=16, measure_success=False, grid=Grid(),
     )
     base = price_at_scale(
         base_run, app.paper_num_items,
@@ -603,9 +604,8 @@ def ablation_cache_budget(
     )
     for budget in budgets:
         r = repro.run_speculative(
-            dfa, inputs, k=8, num_blocks=80, threads_per_block=256,
-            lookback=16, cache_table=True, cache_budget_bytes=budget,
-            measure_success=False,
+            dfa, inputs, k=8, lookback=16, measure_success=False,
+            grid=Grid(cache_table=True, cache_budget_bytes=budget),
         )
         tb = price_at_scale(
             r, app.paper_num_items, cpu_transition_ns=app.paper_cpu_ns_per_item

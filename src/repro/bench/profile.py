@@ -51,6 +51,7 @@ def run_profile(
     """
     from repro.apps.registry import get_application
     from repro.core.engine import run_speculative
+    from repro.gpu.device import Grid
 
     app = get_application(app_name)
     dfa, inputs = app.build_instance(num_items, seed=seed)
@@ -75,10 +76,9 @@ def run_profile(
             dfa,
             inputs,
             k=k_run,
-            num_blocks=num_blocks,
-            threads_per_block=threads_per_block,
             merge=merge,
             lookback=app.default_lookback,
+            grid=Grid(num_blocks=num_blocks, threads_per_block=threads_per_block),
         )
         wall_s = time.perf_counter() - t0
     trace.meta["final_state"] = int(result.final_state)

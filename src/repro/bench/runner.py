@@ -19,7 +19,7 @@ from repro.apps.registry import Application, get_application
 from repro.core.engine import run_speculative
 from repro.fsm.dfa import DFA
 from repro.gpu.cost import CostModel, TimeBreakdown
-from repro.gpu.device import TESLA_V100
+from repro.gpu.device import TESLA_V100, Grid
 
 __all__ = ["BenchConfig", "ExperimentResult", "measure", "bench_items", "app_instance"]
 
@@ -113,15 +113,16 @@ def measure(
         dfa,
         inputs,
         k=config.k,
-        num_blocks=config.num_blocks,
-        threads_per_block=config.threads_per_block,
         merge=config.merge,
         check=config.check,
         reexec=config.reexec,
-        layout=config.layout,
         lookback=lookback,
-        cache_table=config.cache_table,
-        price=False,
+        grid=Grid(
+            num_blocks=config.num_blocks,
+            threads_per_block=config.threads_per_block,
+            layout=config.layout,
+            cache_table=config.cache_table,
+        ),
     )
     stats = result.stats
     if project_to_paper_scale:

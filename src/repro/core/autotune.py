@@ -19,8 +19,9 @@ more than a small factor worse than exhaustively measuring every k.
 The other automatic choices are rules, not probes: the stepping kernel
 comes from :func:`repro.core.kernels.plan_kernel`'s cost model, the lane
 collapse cadence from :func:`repro.core.convergence.probe_cadence`, the
-multi-pattern route from :func:`repro.core.multipattern._select_route`'s
-product-size check, and the backend from whether
+multi-pattern route from the backend (batched on the native one) and
+:func:`repro.core.multipattern._select_route`'s product-size check, and
+the backend from whether
 :func:`repro.core.native.load_native_plan` returns a kernel.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 from repro.core.engine import run_speculative
 from repro.fsm.dfa import DFA
 from repro.gpu.cost import CostModel
-from repro.gpu.device import DeviceSpec, TESLA_V100
+from repro.gpu.device import TESLA_V100, DeviceSpec, Grid
 
 __all__ = ["KChoice", "candidate_ks", "choose_k"]
 
@@ -110,13 +111,14 @@ def choose_k(
             else {}
         ),
     )
+    grid = Grid(
+        num_blocks=num_blocks, threads_per_block=threads_per_block, device=device
+    )
     per_k: dict = {}
     best: tuple[int | None, float] = (1, -1.0)
     for k in candidates:
         result = run_speculative(
-            dfa, probe, k=k, num_blocks=num_blocks,
-            threads_per_block=threads_per_block, merge=merge,
-            lookback=lookback, device=device, price=False,
+            dfa, probe, k=k, merge=merge, lookback=lookback, grid=grid,
         )
         projected = result.stats.project(int(target_items))
         timing = model.price(

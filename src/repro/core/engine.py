@@ -4,7 +4,8 @@
 pipeline — partition, look-back speculation, lock-step local processing,
 then a sequential or parallel merge — while counting every algorithmic
 event. Its execution plan (:mod:`repro.core.plan`) either simulates the
-paper's GPU grid and prices the events into modeled V100 time via
+paper's GPU launch given as ``grid=`` (a :class:`repro.gpu.device.Grid`)
+and prices the events into modeled V100 time via
 :class:`repro.gpu.cost.CostModel`, or, at defaults, runs the CPU plan for
 wall-clock speed: one serial pass from the start state, since nothing
 steps in parallel there (an explicit ``plan=`` forces chunked
@@ -32,23 +33,16 @@ from repro.core.local import (
     recover_emissions,
 )
 from repro.core.lookback import enumerative_spec, speculate, state_prior
-from repro.core.merge_par import MergeTree, merge_parallel
+from repro.core.merge_par import merge_parallel
 from repro.core.merge_seq import merge_sequential
-from repro.core.multipattern import coalesce, run_multipattern
-from repro.core.plan import (
-    GPU_NUM_BLOCKS,
-    GPU_THREADS_PER_BLOCK,
-    ExecPlan,
-    auto_backend,
-    gpu_args_given,
-    resolve_plan,
-)
+from repro.core.multipattern import coalesce
+from repro.core.plan import ExecPlan, resolve_plan
 from repro.core.replay import ChunkReplay, replay_path
 from repro.core.types import ChunkResults, ExecStats
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference, run_reference_trace
 from repro.gpu.cost import CostModel, TimeBreakdown
-from repro.gpu.device import DeviceSpec, TESLA_V100
+from repro.gpu.device import TESLA_V100, DeviceSpec, Grid
 from repro.obs.trace import RunTrace, current_trace, trace_span
 from repro.util.validation import check_in_set, check_symbols
 from repro.workloads.chunking import ChunkPlan, transform_layout
@@ -113,8 +107,7 @@ class EngineConfig:
         loads, visible here and under the ``native.fallback`` counter).
     plan:
         ``"cpu"`` (no pricing; one serial pass unless ``plan=`` is given)
-        or ``"gpu"`` (the modeled V100 grid, selected by passing any
-        modeled-GPU argument or ``price=True``).
+        or ``"gpu"`` (the modeled grid passed as ``grid=``).
     num_chunks:
         The chunk count the run executed (an explicit ``plan=`` overrides
         the geometry's).
@@ -176,14 +169,12 @@ class SpecExecutionResult:
         ``(positions, symbols)`` arrays from the machine's emission table
         (``collect`` ``"emissions"`` only).
     timing:
-        Modeled V100 :class:`repro.gpu.cost.TimeBreakdown` in seconds
-        (``price=True`` only). Modeled time, not wall clock — wall clock
-        lives in ``trace``.
+        Modeled :class:`repro.gpu.cost.TimeBreakdown` in seconds (GPU
+        plan only). Modeled time, not wall clock — wall clock lives in
+        ``trace``.
     cache:
-        The hot-state cache plan when ``cache_table`` was enabled.
-    merge_tree:
-        The full parallel-merge reduction history
-        (``keep_merge_tree=True`` only).
+        The hot-state cache plan when the grid's ``cache_table`` was
+        enabled.
     trace:
         The :class:`repro.obs.RunTrace` that observed this run (None when
         observability was disabled).
@@ -204,7 +195,6 @@ class SpecExecutionResult:
     emissions: tuple[np.ndarray, np.ndarray] | None = None
     timing: TimeBreakdown | None = None
     cache: HotStateCache | None = None
-    merge_tree: MergeTree | None = field(default=None, repr=False)
     trace: RunTrace | None = field(default=None, repr=False)
     native: NativeKernel | None = field(default=None, repr=False)
 
@@ -219,39 +209,29 @@ def run_speculative(
     inputs: np.ndarray,
     *,
     k: int | None = 4,
-    num_blocks: int | None = None,
-    threads_per_block: int | None = None,
     merge: str = "parallel",
     check: str = "auto",
     reexec: str = "delayed",
-    layout: str | None = None,
     lookback: int = 8,
-    cache_table: bool | None = None,
-    cache_budget_bytes: int | None = None,
-    device: DeviceSpec | None = None,
-    ranking: np.ndarray | None = None,
     measure_success: bool = True,
     collect: tuple[str, ...] = (),
-    price: bool | None = None,
-    cpu_transition_ns: float | None = None,
-    keep_merge_tree: bool = False,
     backend: str | None = None,
     kernel: str | None = None,
     collapse: str | CollapseConfig | None = "auto",
     plan: ChunkPlan | None = None,
     trace: RunTrace | None = None,
     dist=None,
+    grid: Grid | None = None,
 ) -> SpecExecutionResult:
     """Execute ``dfa`` over ``inputs`` with spec-k speculation.
 
     Every execution choice resolves once, up front, into a
     :class:`repro.core.plan.ExecPlan` (recorded in ``result.config`` and on
-    the ``engine.plan`` span). A call that passes any modeled-GPU argument
-    (``num_blocks``, ``threads_per_block``, ``device``, ``layout``,
-    ``cache_table``, ``cache_budget_bytes``, ``cpu_transition_ns``) or
-    ``price=True`` runs the **GPU plan**: the paper's simulated V100 grid
-    (80 x 256 chunks unless given), vectorized lockstep stepping and
-    modeled-time pricing. Every other call runs the **CPU plan**, where
+    the ``engine.plan`` span). A call that passes ``grid=``
+    (a :class:`repro.gpu.device.Grid`) runs the **GPU plan**: the paper's
+    simulated launch (``Grid()`` is 80 x 256 chunks on the V100),
+    vectorized lockstep stepping and modeled-time pricing. Every other
+    call (``grid=None``) runs the **CPU plan**, where
     nothing is priced and nothing runs in parallel. Without ``plan=`` it
     takes the **serial rung**: one chunk, one lane from the start state,
     and no prior, collapse probe, look-back, merge or truth walk — the
@@ -273,9 +253,6 @@ def run_speculative(
         Speculation width (states speculated per chunk). ``None`` selects
         spec-N (enumerative execution); values are clamped to
         ``dfa.num_states``.
-    num_blocks, threads_per_block:
-        Simulated launch geometry; one chunk per thread. Passing either
-        selects the GPU plan (80 blocks of 256 threads unless given).
     merge:
         ``"sequential"`` (baseline, Figure 4a) or ``"parallel"`` (the
         paper's tree merge).
@@ -283,28 +260,12 @@ def run_speculative(
         ``"nested"``, ``"hash"``, or ``"auto"`` (hash iff k > 12).
     reexec:
         ``"delayed"`` (Section 3.3) or ``"eager"`` — parallel merge only.
-    layout:
-        ``"transformed"`` (coalesced, Section 4.1) or ``"natural"``.
-        Selects the GPU plan; the CPU plan uses ``"transformed"`` on the
-        NumPy path and ``"natural"`` on the native one.
     lookback:
         Look-back window length for speculation.
-    cache_table:
-        Enable the hot-state shared-memory cache (Section 4.2). Selects
-        the GPU plan, like ``cache_budget_bytes`` and ``device`` (the
-        modeled GPU, :data:`repro.gpu.device.TESLA_V100` by default).
     collect:
         Extra outputs: ``"accept_count"``, ``"match_positions"``,
         ``"emissions"``. The latter two require the true chunk states and
         imply ``measure_success``-style truth recovery.
-    price:
-        Attach a modeled-V100 :class:`TimeBreakdown`. None (default)
-        prices on the GPU plan only; ``True`` selects the GPU plan;
-        ``False`` turns pricing off on either plan.
-    cpu_transition_ns:
-        CPU baseline cost per input item (defaults to the calibrated
-        constant; pass a Table 3-derived value for paper-scale speedups).
-        Selects the GPU plan.
     backend:
         None (default) resolves to ``"auto"`` on the CPU plan and to
         ``"vectorized"`` on the GPU plan. ``"auto"`` picks ``"native"``
@@ -319,11 +280,11 @@ def run_speculative(
         specialized C for ``(k, kernel, collapse)``, JIT-compiles it with
         the system compiler, and caches artifacts by DFA fingerprint; it
         falls back to ``"vectorized"`` when no compiler is usable.
-        Functionally identical; native does not support ``cache_table``
-        or ``accept_count``. ``"dist"`` hands the whole run to the
-        cross-host layer (:mod:`repro.dist`) — see the ``dist``
-        parameter; only ``k`` and ``lookback`` carry over, the
-        modeled-GPU knobs do not apply across hosts.
+        Functionally identical; native does not support the grid's
+        ``cache_table`` or ``accept_count``. ``"dist"`` hands the whole
+        run to the cross-host layer (:mod:`repro.dist`) — see the
+        ``dist`` parameter; only ``k`` and ``lookback`` carry over, and
+        ``grid`` is refused.
     kernel:
         Local-processing stepping kernel. None (default) resolves to
         ``"auto"`` on the CPU plan and to ``"lockstep"`` on the GPU plan.
@@ -333,8 +294,8 @@ def run_speculative(
         (:mod:`repro.core.kernels`); ``"auto"`` selects by the cost
         model. Every kernel is functionally identical and fills
         the same algorithmic event counters; stride kernels change real wall clock, not modeled
-        time. ``cache_table`` and ``accept_count`` need per-symbol
-        stepping and force ``lockstep`` under ``"auto"``.
+        time. The grid's ``cache_table`` and ``accept_count`` need
+        per-symbol stepping and force ``lockstep`` under ``"auto"``.
     collapse:
         Convergence layer (:mod:`repro.core.convergence`): ``"auto"``
         (default — probe the machine, enable lane collapse when a
@@ -348,9 +309,9 @@ def run_speculative(
         either way.
     plan:
         Explicit :class:`repro.workloads.chunking.ChunkPlan` overriding
-        the default partition (its chunk count then overrides the launch
-        geometry's; on the CPU plan it selects the chunked speculative
-        path over the serial rung). A *skewed* plan
+        the default partition (its chunk count then overrides the grid's;
+        on the CPU plan it selects the chunked speculative path over the
+        serial rung). A *skewed* plan
         (lengths differing by more than one — straggler modeling) runs in
         the natural layout with the lockstep kernel and no
         collapse/cache/collect: the compiled per-chunk loop on the native
@@ -368,6 +329,11 @@ def run_speculative(
         :func:`repro.dist.coordinator.run_distributed` keyword arguments
         (``num_agents``, ``agent_workers``, ``config``, ``net_faults``),
         or None for an ephemeral 2-agent loopback cluster.
+    grid:
+        The modeled GPU launch (:class:`repro.gpu.device.Grid`: geometry,
+        device, layout, hot-state cache, CPU baseline). Given, the call
+        runs the GPU plan and ``result.timing`` holds its modeled time;
+        None (default) runs the CPU plan.
 
     Returns
     -------
@@ -375,31 +341,13 @@ def run_speculative(
         Final state, statistics, optional outputs, optional modeled timing,
         and the observing trace (if any).
     """
-    if isinstance(dfa, (list, tuple)):
-        return _run_group(
-            dfa, inputs, k=k, num_blocks=num_blocks,
-            threads_per_block=threads_per_block, merge=merge, check=check,
-            lookback=lookback, kernel=kernel, collapse=collapse,
-            backend=backend, collect=tuple(collect),
-            plan=plan, trace=trace, gpu_given=gpu_args_given(
-                price, num_blocks=num_blocks,
-                threads_per_block=threads_per_block, device=device,
-                layout=layout, cache_table=cache_table,
-                cache_budget_bytes=cache_budget_bytes,
-                cpu_transition_ns=cpu_transition_ns,
-            ),
-        )
     if trace is not None:
         with trace.activate():
             return run_speculative(
-                dfa, inputs, k=k, num_blocks=num_blocks,
-                threads_per_block=threads_per_block, merge=merge, check=check,
-                reexec=reexec, layout=layout, lookback=lookback,
-                cache_table=cache_table, cache_budget_bytes=cache_budget_bytes,
-                device=device, ranking=ranking, measure_success=measure_success,
-                collect=collect, price=price, cpu_transition_ns=cpu_transition_ns,
-                keep_merge_tree=keep_merge_tree, backend=backend, kernel=kernel,
-                collapse=collapse, plan=plan, dist=dist,
+                dfa, inputs, k=k, merge=merge, check=check, reexec=reexec,
+                lookback=lookback, measure_success=measure_success,
+                collect=collect, backend=backend, kernel=kernel,
+                collapse=collapse, plan=plan, dist=dist, grid=grid,
             )
     if backend is not None:
         check_in_set("backend", backend, ("auto", "vectorized", "native", "dist"))
@@ -408,31 +356,36 @@ def run_speculative(
         raise ValueError(f"inputs must be 1-D, got shape {inputs.shape}")
     check_symbols(inputs, dfa.num_inputs)
     if backend == "dist":
+        if grid is not None:
+            raise ValueError("grid does not apply to backend='dist'")
         return _run_dist(dfa, inputs, k=k, lookback=lookback, dist=dist)
     xp = resolve_plan(
-        dfa, inputs, k=k, num_blocks=num_blocks,
-        threads_per_block=threads_per_block, merge=merge, check=check,
-        reexec=reexec, layout=layout, cache_table=cache_table,
-        cache_budget_bytes=cache_budget_bytes, device=device,
-        measure_success=measure_success, collect=collect, price=price,
-        cpu_transition_ns=cpu_transition_ns, backend=backend, kernel=kernel,
-        collapse=collapse, plan=plan,
+        dfa, inputs, k=k, merge=merge, check=check, reexec=reexec,
+        measure_success=measure_success, collect=collect, backend=backend,
+        kernel=kernel, collapse=collapse, plan=plan, grid=grid,
     )
     plan, n, k_eff = xp.chunk_plan, xp.chunks, xp.k
     nplan, kplan, collapse_cfg = xp.native, xp.kplan, xp.collapse
-    collect, device = xp.collect, xp.device
+    collect = xp.collect
+    if grid is None:
+        # The CPU plan has no launch grid: record one block of n chunks.
+        num_blocks, threads_per_block, device = 1, n, TESLA_V100
+    else:
+        num_blocks, threads_per_block = grid.num_blocks, grid.threads_per_block
+        device = grid.device
+    cache_table = grid is not None and grid.cache_table
 
     config = EngineConfig(
         k=k_eff,
         enumerative=xp.enumerative,
-        num_blocks=xp.num_blocks,
-        threads_per_block=xp.threads_per_block,
+        num_blocks=num_blocks,
+        threads_per_block=threads_per_block,
         merge=merge,
         check=check,
         reexec=reexec,
         layout=xp.layout,
         lookback=lookback,
-        cache_table=xp.cache_table,
+        cache_table=cache_table,
         device=device,
         kernel=xp.kernel,
         collapse=collapse_cfg.label if collapse_cfg is not None else "off",
@@ -462,7 +415,7 @@ def run_speculative(
                 covered = np.ones(n, dtype=bool)
         else:
             prior = None
-            if ranking is None and inputs.size:
+            if inputs.size:
                 # Weight states by measured occupancy over an input-prefix
                 # sample — the offline-profiling analog of principled
                 # speculation. This is preprocessing (like the paper's
@@ -480,7 +433,6 @@ def run_speculative(
                 k_eff,
                 lookback=lookback,
                 prior=prior,
-                ranking=ranking,
                 stats=stats,
                 return_coverage=xp.collapse_requested,
             )
@@ -489,10 +441,10 @@ def run_speculative(
     # --- hot-state cache plan ---------------------------------------------- #
     cache = None
     cache_mask = None
-    if xp.cache_table:
+    if cache_table:
         budget = (
-            xp.cache_budget_bytes
-            if xp.cache_budget_bytes is not None
+            grid.cache_budget_bytes
+            if grid.cache_budget_bytes is not None
             else device.shared_mem_per_sm_bytes // 2
         )
         cache = plan_hot_states(dfa, shared_budget_bytes=budget)
@@ -547,7 +499,6 @@ def run_speculative(
         if nplan is not None
         else None
     )
-    tree = None
     true_starts: np.ndarray | None = None
     with trace_span(
         "engine.merge", strategy=merge, check=check, reexec=reexec
@@ -562,14 +513,14 @@ def run_speculative(
                 replay=replay,
             )
         else:
-            final_state, tree = merge_parallel(
+            final_state, _ = merge_parallel(
                 dfa,
                 inputs,
                 plan,
                 results,
                 check=check,
                 reexec=reexec,
-                threads_per_block=xp.threads_per_block,
+                threads_per_block=threads_per_block,
                 warp_size=device.warp_size,
                 stats=stats,
                 replay=replay,
@@ -619,23 +570,23 @@ def run_speculative(
 
     # --- modeled timing --------------------------------------------------------------
     timing = None
-    if xp.price:
+    if grid is not None:
         with trace_span("engine.price"):
             model = CostModel(
                 device=device,
                 **(
-                    {"cpu_transition_ns": xp.cpu_transition_ns}
-                    if xp.cpu_transition_ns is not None
+                    {"cpu_transition_ns": grid.cpu_transition_ns}
+                    if grid.cpu_transition_ns is not None
                     else {}
                 ),
             )
             timing = model.price(
                 stats,
-                num_blocks=xp.num_blocks,
-                threads_per_block=xp.threads_per_block,
+                num_blocks=num_blocks,
+                threads_per_block=threads_per_block,
                 merge=merge,
                 layout_transformed=(xp.layout == "transformed"),
-                cache_enabled=xp.cache_table,
+                cache_enabled=cache_table,
             )
     run_trace = current_trace()
     if run_trace is not None:
@@ -663,7 +614,6 @@ def run_speculative(
         emissions=emissions,
         timing=timing,
         cache=cache,
-        merge_tree=tree if keep_merge_tree else None,
         trace=run_trace,
         native=nplan,
     )
@@ -897,42 +847,6 @@ def run_speculative_batch(
         stats=stats,
         num_requests=len(segments),
         plan=plan,
-    )
-
-
-def _run_group(
-    machines, inputs, *, num_blocks, threads_per_block, kernel, backend,
-    collect, gpu_given, **options,
-):
-    """``run_speculative([dfa, ...], x)``: one pass answers every machine.
-
-    Dispatches to :func:`repro.core.multipattern.run_multipattern`
-    (route="auto" — batched union stepping, or the minimised product when
-    it fits); use that entry point directly for route control. The chunk
-    count follows the engine's plans: the simulated grid when a
-    modeled-GPU argument was passed, the CPU rule otherwise.
-    """
-    if backend is not None:
-        check_in_set("backend", backend, ("auto", "vectorized", "native"))
-    for item in collect:
-        check_in_set("collect item", item, ("match_positions",))
-    size = int(np.size(inputs))
-    if gpu_given:
-        backend = backend or "vectorized"
-        kernel = kernel or "lockstep"
-    else:
-        backend = backend or "auto"
-        kernel = kernel or "auto"
-    if backend == "auto":
-        backend = auto_backend(size)
-    num_chunks = None  # run_multipattern's CPU rule
-    if gpu_given:
-        num_chunks = (num_blocks or GPU_NUM_BLOCKS) * (
-            threads_per_block or GPU_THREADS_PER_BLOCK
-        )
-    return run_multipattern(
-        machines, inputs, num_chunks=num_chunks, kernel=kernel,
-        backend=backend, collect=collect, **options,
     )
 
 

@@ -9,14 +9,12 @@ executes the plan.
 
 Two plans exist:
 
-* **GPU plan** — the paper's modeled V100 grid. Selected when the call
-  passes any modeled-GPU parameter (``num_blocks``, ``threads_per_block``,
-  ``device``, ``layout``, ``cache_table``, ``cache_budget_bytes``,
-  ``cpu_transition_ns``) or ``price=True``. One chunk per simulated
-  thread (80 x 256 unless given), the vectorized backend, the lockstep
-  kernel, and modeled-time pricing: exactly what the paper's figures
-  measure.
-* **CPU plan** — every other call. No pricing. It has two rungs:
+* **GPU plan** — the paper's modeled V100 grid, selected by passing a
+  :class:`repro.gpu.device.Grid` as ``grid=``. One chunk per simulated
+  thread (80 x 256 at ``Grid()``'s defaults), the vectorized backend, the
+  lockstep kernel, and modeled-time pricing: exactly what the paper's
+  figures measure.
+* **CPU plan** — ``grid=None``, the default. No pricing. It has two rungs:
 
   - **serial** (the default): the CPU plan steps on one thread, so
     speculation would only add look-back, k-lane stepping and a merge to
@@ -52,7 +50,7 @@ import numpy as np
 from repro.core.convergence import CollapseConfig, resolve_collapse
 from repro.core.kernels import KERNELS, KernelPlan, plan_kernel
 from repro.fsm.dfa import DFA
-from repro.gpu.device import DeviceSpec, TESLA_V100, launch_geometry
+from repro.gpu.device import Grid
 from repro.obs.trace import trace_span
 from repro.util.validation import check_in_set
 from repro.workloads.chunking import ChunkPlan, plan_chunks
@@ -64,18 +62,11 @@ __all__ = [
     "CPU_CHUNK_ITEMS",
     "CPU_MAX_CHUNKS",
     "ExecPlan",
-    "GPU_NUM_BLOCKS",
-    "GPU_THREADS_PER_BLOCK",
     "NATIVE_MIN_ITEMS",
     "auto_backend",
     "cpu_chunks",
-    "gpu_args_given",
     "resolve_plan",
 ]
-
-# GPU plan: the paper's launch grid (one chunk per simulated thread).
-GPU_NUM_BLOCKS = 80
-GPU_THREADS_PER_BLOCK = 256
 
 # CPU chunk rule (the multi-pattern driver's default partition, and the one
 # to pass as plan= for chunked CPU speculation): one chunk per
@@ -107,18 +98,6 @@ def cpu_chunks(num_items: int, backend: str) -> int:
     return min(CPU_MAX_CHUNKS, max(1, -(-int(num_items) // per_chunk)))
 
 
-def gpu_args_given(price: bool | None, **gpu_args) -> list[str]:
-    """Names of the modeled-GPU arguments a call passed (None = not passed).
-
-    A non-empty result selects the GPU plan; ``price=True`` counts, an
-    explicit ``price=False`` does not.
-    """
-    given = [name for name, value in gpu_args.items() if value is not None]
-    if price:
-        given.append("price")
-    return given
-
-
 def auto_backend(num_items: int) -> str:
     """What ``backend="auto"`` tries first for ``num_items`` symbols.
 
@@ -134,8 +113,9 @@ class ExecPlan:
 
     Attributes
     ----------
-    kind:
-        ``"cpu"`` or ``"gpu"`` (see the module docstring).
+    grid:
+        The modeled launch of the GPU plan (its geometry, device, cache
+        and pricing baseline), or None on the CPU plan.
     rung:
         ``"serial"`` (one pass from the start state, no speculation) or
         ``"chunked"`` (speculate, step chunks, merge).
@@ -146,13 +126,9 @@ class ExecPlan:
     chunks, chunk_plan, ragged:
         Chunk count, the partition itself, and whether its lengths differ
         by more than one (a skewed straggler plan).
-    num_blocks, threads_per_block, device:
-        Launch geometry the merge attributes its levels to and the cost
-        model prices (the CPU plan records one block of ``chunks``).
-    layout, cache_table, cache_budget_bytes:
-        Input layout and hot-state cache settings.
-    price, cpu_transition_ns:
-        Whether to attach modeled V100 time, and the CPU baseline it uses.
+    layout:
+        The input layout local processing reads: ``"transformed"``
+        (coalesced) or ``"natural"``.
     measure_success, collect:
         Whether truth recovery runs, and the validated extra outputs.
     backend, kernel:
@@ -167,7 +143,7 @@ class ExecPlan:
         off), and whether convergence bookkeeping was asked for at all.
     """
 
-    kind: str
+    grid: Grid | None
     rung: str
     reason: str
     k: int
@@ -175,14 +151,7 @@ class ExecPlan:
     chunks: int
     chunk_plan: ChunkPlan
     ragged: bool
-    num_blocks: int
-    threads_per_block: int
-    device: DeviceSpec
     layout: str
-    cache_table: bool
-    cache_budget_bytes: int | None
-    price: bool
-    cpu_transition_ns: float | None
     measure_success: bool
     collect: tuple[str, ...]
     backend: str
@@ -191,6 +160,11 @@ class ExecPlan:
     native: "NativeKernel | None"
     collapse: CollapseConfig | None
     collapse_requested: bool
+
+    @property
+    def kind(self) -> str:
+        """``"gpu"`` when a modeled grid was given, ``"cpu"`` otherwise."""
+        return "cpu" if self.grid is None else "gpu"
 
 
 def resolve_plan(dfa: DFA, inputs: np.ndarray, **requested) -> ExecPlan:
@@ -216,29 +190,22 @@ def _resolve(
     inputs: np.ndarray,
     *,
     k: int | None = 4,
-    num_blocks: int | None = None,
-    threads_per_block: int | None = None,
     merge: str = "parallel",
     check: str = "auto",
     reexec: str = "delayed",
-    layout: str | None = None,
-    cache_table: bool | None = None,
-    cache_budget_bytes: int | None = None,
-    device: DeviceSpec | None = None,
     measure_success: bool = True,
     collect: tuple[str, ...] = (),
-    price: bool | None = None,
-    cpu_transition_ns: float | None = None,
     backend: str | None = None,
     kernel: str | None = None,
     collapse: str | CollapseConfig | None = "auto",
     plan: ChunkPlan | None = None,
+    grid: Grid | None = None,
 ) -> ExecPlan:
     check_in_set("merge", merge, ("sequential", "parallel"))
     check_in_set("check", check, ("auto", "nested", "hash"))
     check_in_set("reexec", reexec, ("delayed", "eager"))
-    if layout is not None:
-        check_in_set("layout", layout, ("transformed", "natural"))
+    if grid is not None and not isinstance(grid, Grid):
+        raise TypeError(f"grid must be a repro.gpu.Grid or None, got {grid!r}")
     if backend is not None:
         check_in_set("backend", backend, ("auto", "vectorized", "native"))
     if kernel is not None:
@@ -255,27 +222,15 @@ def _resolve(
         raise ValueError(f"k must be >= 1, got {k}")
     size = int(inputs.size)
 
-    gpu_given = gpu_args_given(
-        price, num_blocks=num_blocks, threads_per_block=threads_per_block,
-        device=device, layout=layout, cache_table=cache_table,
-        cache_budget_bytes=cache_budget_bytes,
-        cpu_transition_ns=cpu_transition_ns,
-    )
-    gpu = bool(gpu_given)
-    device = device if device is not None else TESLA_V100
-    layout = layout if layout is not None else "transformed"
-    cache_table = bool(cache_table)
-    if gpu:
-        num_blocks = num_blocks if num_blocks is not None else GPU_NUM_BLOCKS
-        threads_per_block = (
-            threads_per_block
-            if threads_per_block is not None
-            else GPU_THREADS_PER_BLOCK
-        )
-        grid = launch_geometry(device, num_blocks, threads_per_block).total_threads
+    cache_table = grid is not None and grid.cache_table
+    layout = "transformed" if grid is None else grid.layout
+    if grid is not None:
         backend = backend if backend is not None else "vectorized"
         kernel = kernel if kernel is not None else "lockstep"
-        reason = "gpu: " + ",".join(gpu_given)
+        reason = (
+            f"gpu: {grid.num_blocks}x{grid.threads_per_block} on "
+            f"{grid.device.name}"
+        )
     else:
         backend = backend if backend is not None else "auto"
         kernel = kernel if kernel is not None else "auto"
@@ -298,13 +253,13 @@ def _resolve(
                 f"plan covers {plan.num_items} items but inputs has {size}"
             )
         reason += ", explicit plan"
-    elif not gpu:
+    elif grid is None:
         return _serial(
             dfa, size, reason=reason, backend=backend, kernel=kernel,
-            per_symbol=needs_per_symbol, device=device,
-            measure_success=measure_success, collect=collect,
+            per_symbol=needs_per_symbol, measure_success=measure_success,
+            collect=collect,
         )
-    chunk_plan = plan if plan is not None else plan_chunks(size, grid)
+    chunk_plan = plan if plan is not None else plan_chunks(size, grid.num_threads)
 
     ragged = plan is not None and plan.max_len - plan.min_len > 1
     collapse_mode = collapse
@@ -390,27 +345,16 @@ def _resolve(
             else:
                 kernel_resolved = kplan.kernel
 
-    n = chunk_plan.num_chunks
-    if not gpu:
-        # The CPU plan has no launch grid: record one block of n chunks.
-        num_blocks, threads_per_block = 1, n
     return ExecPlan(
-        kind="gpu" if gpu else "cpu",
+        grid=grid,
         rung="chunked",
         reason=reason,
         k=k_eff,
         enumerative=enumerative,
-        chunks=n,
+        chunks=chunk_plan.num_chunks,
         chunk_plan=chunk_plan,
         ragged=ragged,
-        num_blocks=num_blocks,
-        threads_per_block=threads_per_block,
-        device=device,
         layout=layout,
-        cache_table=cache_table,
-        cache_budget_bytes=cache_budget_bytes,
-        price=bool(price) if price is not None else gpu,
-        cpu_transition_ns=cpu_transition_ns,
         measure_success=measure_success,
         collect=collect,
         backend=backend,
@@ -430,7 +374,6 @@ def _serial(
     backend: str,
     kernel: str,
     per_symbol: bool,
-    device: DeviceSpec,
     measure_success: bool,
     collect: tuple[str, ...],
 ) -> ExecPlan:
@@ -459,7 +402,7 @@ def _serial(
         if native is None:
             reason += ", no native kernel"
     return ExecPlan(
-        kind="cpu",
+        grid=None,
         rung="serial",
         reason=reason,
         k=1,
@@ -467,14 +410,7 @@ def _serial(
         chunks=1,
         chunk_plan=plan_chunks(size, 1),
         ragged=False,
-        num_blocks=1,
-        threads_per_block=1,
-        device=device,
         layout="natural",
-        cache_table=False,
-        cache_budget_bytes=None,
-        price=False,
-        cpu_transition_ns=None,
         measure_success=measure_success,
         collect=collect,
         backend="native" if native is not None else "reference",

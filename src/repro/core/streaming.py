@@ -10,13 +10,10 @@ rung), with match positions from the same kernel's accept pass. The
 kernel (:func:`repro.core.native.load_serial_kernel`) loads once per
 executor and does not depend on the start state, so a stream compiles at
 most once; with no usable compiler the pass is the
-:func:`repro.fsm.run.run_reference` loop.
-
-Passing any of ``num_blocks``, ``threads_per_block`` or ``device`` runs
-every block through the modeled-GPU plan of
-:func:`repro.core.engine.run_speculative` instead (20 blocks of 256
-threads on the modeled V100 unless given), with full speculation and
-event counting, so a whole session can be priced with the cost model.
+:func:`repro.fsm.run.run_reference` loop. To price a session on the
+modeled GPU, run each block through
+``run_speculative(dfa.with_start(state), block, grid=Grid(...))``
+instead (``examples/streaming_utf8_monitor.py`` does).
 
 The executor accumulates :class:`repro.core.types.ExecStats` across
 blocks and can collect match positions (offset to the global stream).
@@ -34,23 +31,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.convergence import CollapseConfig
-from repro.core.engine import one_lane_pass, run_speculative
-from repro.core.plan import resolve_plan
+from repro.core.engine import one_lane_pass
+from repro.core.kernels import KERNELS
 from repro.core.types import ExecStats
 from repro.fsm.dfa import DFA
-from repro.gpu.device import DeviceSpec, TESLA_V100
 from repro.obs.trace import trace_span
-from repro.util.validation import check_symbols
+from repro.util.validation import check_in_set, check_symbols
 
 if TYPE_CHECKING:
     from repro.core.native import NativeKernel
 
 __all__ = ["FeedCursor", "StreamingExecutor"]
-
-# The modeled grid a stream runs on when only part of it is given.
-STREAM_NUM_BLOCKS = 20
-STREAM_THREADS_PER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -80,14 +71,10 @@ class FeedCursor:
 class StreamingExecutor:
     """Process an input stream block by block from the carried state.
 
-    At defaults each :meth:`feed` is one serial pass from :attr:`state`
-    (see the module docstring); ``kernel`` picks the compiled kernel's
-    stepping (:mod:`repro.core.kernels`), and ``k``, ``merge``,
-    ``lookback`` and ``collapse`` are unused. Passing ``num_blocks``,
-    ``threads_per_block`` or ``device`` selects the modeled-GPU plan,
-    where every parameter means what it means for
-    :func:`repro.core.engine.run_speculative` and per-block hit rates
-    accumulate. Options are validated once, at construction.
+    Each :meth:`feed` is one serial pass from :attr:`state` (see the
+    module docstring); ``kernel`` picks the compiled kernel's stepping
+    (:mod:`repro.core.kernels`, validated at construction) and
+    ``collect_matches`` records match positions.
 
     Three stats surfaces, all :class:`repro.core.types.ExecStats`:
 
@@ -97,21 +84,13 @@ class StreamingExecutor:
     """
 
     dfa: DFA
-    k: int | None = 4
-    num_blocks: int | None = None
-    threads_per_block: int | None = None
-    merge: str = "parallel"
-    lookback: int = 8
-    device: DeviceSpec | None = None
     collect_matches: bool = False
     kernel: str = "auto"
-    collapse: str | CollapseConfig | None = "auto"
 
     state: int = field(init=False)
     items_consumed: int = field(init=False, default=0)
     blocks_consumed: int = field(init=False, default=0)
     stats: ExecStats = field(init=False)
-    _gpu: bool = field(init=False, repr=False)
     _collect: tuple = field(init=False, repr=False)
     _kernel: NativeKernel | None = field(init=False, default=None, repr=False)
     _matches: list = field(init=False, default_factory=list)
@@ -121,45 +100,20 @@ class StreamingExecutor:
     _last_feed_stats: ExecStats | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self._gpu = any(
-            v is not None
-            for v in (self.num_blocks, self.threads_per_block, self.device)
-        )
-        if self._gpu:
-            if self.num_blocks is None:
-                self.num_blocks = STREAM_NUM_BLOCKS
-            if self.threads_per_block is None:
-                self.threads_per_block = STREAM_THREADS_PER_BLOCK
-            if self.device is None:
-                self.device = TESLA_V100
+        check_in_set("kernel", self.kernel, ("auto",) + tuple(sorted(KERNELS)))
         self._collect = ("match_positions",) if self.collect_matches else ()
-        # The engine's validator, on an empty block: bad options raise here,
-        # on either plan, rather than at the first feed (or never).
-        resolve_plan(
-            self.dfa, np.zeros(0, dtype=np.int32), k=self.k,
-            num_blocks=self.num_blocks,
-            threads_per_block=self.threads_per_block, merge=self.merge,
-            device=self.device, collect=self._collect, kernel=self.kernel,
-            collapse=self.collapse,
-        )
-        if not self._gpu:
-            from repro.core.native import load_serial_kernel
+        from repro.core.native import load_serial_kernel
 
-            self._kernel = load_serial_kernel(self.dfa, kernel=self.kernel)
+        self._kernel = load_serial_kernel(self.dfa, kernel=self.kernel)
         self.state = self.dfa.start
         self.stats = self._fresh_stats()
         self._lifetime_base = self._fresh_stats()
 
     def _fresh_stats(self) -> ExecStats:
         """A zeroed per-session stats object carrying the config echoes."""
-        if not self._gpu:
-            num_chunks = k = 1
-        else:
-            num_chunks = self.num_blocks * self.threads_per_block
-            k = self.k if isinstance(self.k, int) else self.dfa.num_states
         return ExecStats(
-            num_chunks=num_chunks,
-            k=k,
+            num_chunks=1,
+            k=1,
             num_states=self.dfa.num_states,
             num_inputs=self.dfa.num_inputs,
         )
@@ -206,31 +160,10 @@ class StreamingExecutor:
             raise ValueError(f"block must be 1-D, got shape {block.shape}")
         block = np.ascontiguousarray(block)
         check_symbols(block, self.dfa.num_inputs)
-        with trace_span(
-            "stream.feed", block=self.blocks_consumed, items=size,
-            plan="gpu" if self._gpu else "cpu",
-        ):
-            if self._gpu:
-                sim = run_speculative(
-                    self.dfa.with_start(self.state),
-                    block,
-                    k=self.k,
-                    num_blocks=self.num_blocks,
-                    threads_per_block=self.threads_per_block,
-                    merge=self.merge,
-                    lookback=self.lookback,
-                    device=self.device,
-                    collect=self._collect,
-                    price=False,
-                    kernel=self.kernel,
-                    collapse=self.collapse,
-                )
-                final_state, feed_stats = sim.final_state, sim.stats
-                matches = sim.match_positions
-            else:
-                final_state, feed_stats, _, matches, _ = one_lane_pass(
-                    self.dfa, block, self.state, self._kernel, self._collect
-                )
+        with trace_span("stream.feed", block=self.blocks_consumed, items=size):
+            final_state, feed_stats, _, matches, _ = one_lane_pass(
+                self.dfa, block, self.state, self._kernel, self._collect
+            )
         # Commit point: nothing above mutated the executor.
         if matches is not None:
             self._matches.append(matches + self.items_consumed)

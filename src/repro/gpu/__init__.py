@@ -5,7 +5,9 @@ algorithms run functionally in NumPy while this subpackage prices the
 counted work in modeled device time:
 
 * :mod:`repro.gpu.device` — device descriptions (Table 2's V100 and
-  others), warp/block/grid geometry, persistent-thread residency.
+  others), warp/block/grid geometry, persistent-thread residency, and
+  :class:`Grid`, the ``grid=`` value that runs
+  :func:`repro.core.engine.run_speculative` on the modeled launch.
 * :mod:`repro.gpu.memory` — latency/bandwidth model for global (coalesced
   and not), L2, shared memory, and warp shuffles.
 * :mod:`repro.gpu.occupancy` — registers/shared-memory occupancy, including
@@ -19,7 +21,13 @@ counted work in modeled device time:
 
 from repro.gpu.coalescing import TransactionCount, count_input_transactions
 from repro.gpu.cost import CostModel, TimeBreakdown, price_at_scale
-from repro.gpu.device import DeviceSpec, GTX_1080TI, TESLA_V100, launch_geometry
+from repro.gpu.device import (
+    GTX_1080TI,
+    TESLA_V100,
+    DeviceSpec,
+    Grid,
+    launch_geometry,
+)
 from repro.gpu.memory import MemoryModel
 from repro.gpu.occupancy import occupancy_report, spill_factor
 from repro.gpu.simulate import SimCounters, simulate_hierarchical_merge
@@ -28,6 +36,7 @@ __all__ = [
     "CostModel",
     "DeviceSpec",
     "GTX_1080TI",
+    "Grid",
     "MemoryModel",
     "SimCounters",
     "TESLA_V100",

@@ -3,14 +3,24 @@
 :data:`TESLA_V100` transcribes Table 2 of the paper. The persistent-thread
 model (Section 4.1) launches only as many blocks as can be simultaneously
 resident; :func:`launch_geometry` computes residency and the resulting
-grid-stride work assignment.
+grid-stride work assignment. :class:`Grid` is the one value that selects
+the modeled plan of :func:`repro.core.engine.run_speculative`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DeviceSpec", "TESLA_V100", "GTX_1080TI", "launch_geometry", "LaunchGeometry"]
+from repro.util.validation import check_in_set
+
+__all__ = [
+    "DeviceSpec",
+    "GTX_1080TI",
+    "Grid",
+    "LaunchGeometry",
+    "TESLA_V100",
+    "launch_geometry",
+]
 
 
 @dataclass(frozen=True)
@@ -118,3 +128,51 @@ def launch_geometry(
         total_threads=num_blocks * threads_per_block,
         warps_per_block=threads_per_block // device.warp_size,
     )
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The modeled GPU launch a :func:`repro.core.engine.run_speculative`
+    call runs on: ``grid=Grid()`` selects the modeled plan, ``grid=None``
+    (the default) the CPU plan.
+
+    The defaults are the paper's V100 setup (Sections 4.1-4.2): 80 blocks
+    of 256 persistent threads, one chunk per thread, over the coalesced
+    (``"transformed"``) layout, without the hot-state cache. A modeled run
+    steps with the vectorized lockstep kernel unless ``backend``/``kernel``
+    say otherwise, and is always priced into modeled time.
+
+    Attributes
+    ----------
+    num_blocks, threads_per_block:
+        Launch geometry, validated against ``device``.
+    device:
+        The modeled GPU (pricing and launch limits).
+    layout:
+        ``"transformed"`` (coalesced, Section 4.1) or ``"natural"``.
+    cache_table:
+        Enable the hot-state shared-memory cache (Section 4.2).
+    cache_budget_bytes:
+        The cache's shared-memory budget; None is half of the device's
+        shared memory per SM.
+    cpu_transition_ns:
+        CPU baseline cost per input item for the modeled speedup; None is
+        the calibrated constant.
+    """
+
+    num_blocks: int = 80
+    threads_per_block: int = 256
+    device: DeviceSpec = TESLA_V100
+    layout: str = "transformed"
+    cache_table: bool = False
+    cache_budget_bytes: int | None = None
+    cpu_transition_ns: float | None = None
+
+    def __post_init__(self) -> None:
+        check_in_set("layout", self.layout, ("transformed", "natural"))
+        launch_geometry(self.device, self.num_blocks, self.threads_per_block)
+
+    @property
+    def num_threads(self) -> int:
+        """Total simulated threads (= chunks of the launch)."""
+        return self.num_blocks * self.threads_per_block

@@ -42,7 +42,7 @@ def modeled_run_trace(
     """
     tb = timing if timing is not None else result.timing
     if tb is None:
-        raise ValueError("result carries no timing; run with price=True or pass timing=")
+        raise ValueError("result carries no timing; run with grid= or pass timing=")
     cfg = result.config
     trace = RunTrace(f"{cfg.device.name} (modeled)")
     lanes = max(1, min(sm_lanes, cfg.device.num_sms))
@@ -104,7 +104,7 @@ def trace_events(
     """
     tb = timing if timing is not None else result.timing
     if tb is None:
-        raise ValueError("result carries no timing; run with price=True or pass timing=")
+        raise ValueError("result carries no timing; run with grid= or pass timing=")
     us = 1e6  # chrome traces are in microseconds
     events = chrome_trace_events(
         modeled_run_trace(result, timing=tb, sm_lanes=sm_lanes), pid=0

@@ -212,7 +212,6 @@ class FSMServer:
         dfa: DFA,
         *,
         weight: float = 1.0,
-        request_k: int | None = None,
     ) -> Tenant:
         """Register a tenant and build (or share) its machine state.
 

@@ -13,6 +13,7 @@ from repro.apps.csv_tok import (
 )
 from repro.fsm.alphabet import Alphabet
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 
 AB = Alphabet.ascii(128)
 
@@ -110,8 +111,8 @@ class TestThroughEngine:
         dfa = build_csv_tokenizer()
         ids = AB.encode_text(text).astype(np.int32)
         r = repro.run_speculative(
-            dfa, ids, k=2, num_blocks=2, threads_per_block=64, lookback=32,
-            collect=("emissions",), price=False,
+            dfa, ids, k=2, lookback=32, collect=("emissions",),
+            grid=Grid(num_blocks=2, threads_per_block=64),
         )
         positions, kinds = r.emissions
         got = list(zip(positions.tolist(), kinds.tolist()))
@@ -124,7 +125,7 @@ class TestThroughEngine:
         text = synthetic_csv(30_000, quoted_fraction=0.9, rng=4)
         dfa = build_csv_tokenizer()
         ids = AB.encode_text(text).astype(np.int32)
-        r = repro.run_speculative(dfa, ids, k=2, num_blocks=1,
-                                  threads_per_block=128, lookback=8,
-                                  price=False)
+        r = repro.run_speculative(
+            dfa, ids, k=2, lookback=8, grid=Grid(num_blocks=1, threads_per_block=128),
+        )
         assert r.final_state == run_reference(dfa, ids)

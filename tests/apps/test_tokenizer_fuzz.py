@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.csv_tok import build_csv_tokenizer, reference_tokenize_csv
 from repro.apps.html_tok import build_html_tokenizer, reference_tokenize
 from repro.fsm.alphabet import Alphabet
+from repro.gpu import Grid
 
 AB = Alphabet.ascii(128)
 
@@ -66,8 +67,8 @@ class TestCsvFuzz:
         dfa = build_csv_tokenizer()
         ids = AB.encode_text(text).astype(np.int32)
         r = repro.run_speculative(
-            dfa, ids, k=2, num_blocks=1, threads_per_block=32, lookback=2,
-            collect=("emissions",), price=False,
+            dfa, ids, k=2, lookback=2, collect=("emissions",),
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         positions, kinds = r.emissions
         got = list(zip(positions.tolist(), kinds.tolist()))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.apps.utf8 import encode_utf8_workload, utf8_validator_dfa
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 
 
 def is_valid_utf8(data: bytes) -> bool:
@@ -100,8 +101,9 @@ class TestWorkload:
 
     def test_through_engine(self, dfa):
         stream = encode_utf8_workload(80_000, rng=1)
-        r = repro.run_speculative(dfa, stream, k=2, num_blocks=2,
-                                  threads_per_block=64, lookback=8, price=False)
+        r = repro.run_speculative(
+            dfa, stream, k=2, lookback=8, grid=Grid(num_blocks=2, threads_per_block=64),
+        )
         assert r.final_state == run_reference(dfa, stream)
         # look-back disambiguates continuation position: success is high
         assert r.success_rate > 0.95
@@ -109,6 +111,7 @@ class TestWorkload:
     def test_multibyte_boundary_speculation(self, dfa):
         # chunks landing mid-sequence must still merge correctly
         stream = encode_utf8_workload(9_973, rng=2)  # prime-ish size
-        r = repro.run_speculative(dfa, stream, k=3, num_blocks=1,
-                                  threads_per_block=96, lookback=4, price=False)
+        r = repro.run_speculative(
+            dfa, stream, k=3, lookback=4, grid=Grid(num_blocks=1, threads_per_block=96),
+        )
         assert r.final_state == run_reference(dfa, stream)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cache.hotstates import plan_hot_states
 from repro.fsm.dfa import DFA
+from repro.gpu import Grid
 from tests.conftest import make_random_dfa
 
 
@@ -123,9 +124,10 @@ class TestEngineIntegration:
         from repro.apps.registry import get_application
 
         dfa, bits = get_application("huffman").build_instance(100_000, seed=0)
-        r = repro.run_speculative(dfa, bits, k=4, num_blocks=1,
-                                  threads_per_block=64, cache_table=True,
-                                  price=False)
+        r = repro.run_speculative(
+            dfa, bits, k=4,
+            grid=Grid(num_blocks=1, threads_per_block=64, cache_table=True),
+        )
         # Huffman row accesses are heavily skewed: static plan caches all
         # rows (tiny table) or at least yields a high hit rate.
         assert r.stats.cache_hit_rate > 0.9
@@ -135,8 +137,12 @@ class TestEngineIntegration:
         from repro.apps.registry import get_application
 
         dfa, bits = get_application("huffman").build_instance(50_000, seed=0)
-        r = repro.run_speculative(dfa, bits, k=2, num_blocks=1,
-                                  threads_per_block=32, cache_table=True,
-                                  cache_budget_bytes=64, price=False)
+        r = repro.run_speculative(
+            dfa, bits, k=2,
+            grid=Grid(
+                num_blocks=1, threads_per_block=32, cache_table=True,
+                cache_budget_bytes=64,
+            ),
+        )
         assert r.cache.shared_bytes <= 64
         assert 0 < r.stats.cache_hit_rate < 1.0

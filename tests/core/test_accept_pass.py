@@ -38,6 +38,7 @@ from repro.core.multipattern import (
 from repro.core.native import load_native_plan, native_available
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference_trace
+from repro.gpu import Grid
 from repro.obs.trace import RunTrace
 from repro.workloads.chunking import plan_chunks
 from tests.conftest import random_input
@@ -209,10 +210,10 @@ def _entry_point_results(backend: str) -> dict:
     x = random_input(4, 20_003, seed=33)
     for merge in ("parallel", "sequential"):
         trace = RunTrace("engine")
-        res = run_speculative(dfa, x, k=1, backend=backend, merge=merge,
-                              num_blocks=1, threads_per_block=64,
-                              collect=("match_positions",), price=False,
-                              trace=trace)
+        res = run_speculative(
+            dfa, x, k=1, backend=backend, merge=merge, collect=("match_positions",),
+            trace=trace, grid=Grid(num_blocks=1, threads_per_block=64),
+        )
         (span,) = trace.find("engine.output_recovery")
         out[f"engine.{merge}.replay"] = span.attrs["replay"]
         out[f"engine.{merge}"] = res.match_positions.tolist()

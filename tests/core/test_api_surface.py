@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-import repro
 from repro.bench.runner import ExperimentResult
 from repro.core.codegen.select import plan_kernel
-from repro.core.lookback import state_ranking
+from repro.core.lookback import speculate, state_ranking
 from repro.regex.ast import Alternation, Concat, Literal
+from repro.workloads.chunking import plan_chunks
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -45,24 +45,26 @@ class TestDfaHelpers:
 
 
 class TestEngineRankingParam:
+    """``ranking`` of the engine's look-back stage
+    (:func:`repro.core.lookback.speculate`)."""
+
     def test_explicit_ranking_used(self):
         dfa = make_random_dfa(6, 2, seed=2)
         inp = random_input(2, 5000, seed=3)
+        plan = plan_chunks(inp.size, 32)
         ranking = state_ranking(dfa, sample=inp[:1000])
-        r = repro.run_speculative(dfa, inp, k=2, num_blocks=1,
-                                  threads_per_block=32, ranking=ranking,
-                                  price=False)
-        from repro.fsm.run import run_reference
-
-        assert r.final_state == run_reference(dfa, inp)
+        # With no look-back every row but chunk 0's ties on the prior, so
+        # the ranking alone orders them.
+        flat = np.ones(dfa.num_states)
+        spec = speculate(dfa, inp, plan, 2, lookback=0, prior=flat, ranking=ranking)
+        want = np.argsort(ranking)[:2]
+        np.testing.assert_array_equal(spec[1:], np.tile(want, (31, 1)))
 
     def test_bad_ranking_shape(self):
         dfa = make_random_dfa(6, 2, seed=2)
         inp = random_input(2, 100, seed=3)
         with pytest.raises(ValueError, match="ranking"):
-            repro.run_speculative(dfa, inp, k=2, num_blocks=1,
-                                  threads_per_block=32,
-                                  ranking=np.arange(3), price=False)
+            speculate(dfa, inp, plan_chunks(inp.size, 32), 2, ranking=np.arange(3))
 
 
 class TestHuffmanHelpers:

@@ -32,9 +32,9 @@ from repro.core.kernels import KERNELS, plan_kernel, process_chunks_kernel
 from repro.core.local import process_chunks
 from repro.core.lookback import speculate
 from repro.core.mp_executor import ScaleoutPool
-from repro.core.streaming import StreamingExecutor
 from repro.core.types import ExecStats
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 from repro.workloads.chunking import plan_chunks
 from tests.conftest import make_random_dfa, random_input
 
@@ -356,8 +356,8 @@ class TestEngineEquivalence:
         dfa, inputs = app.build(60_000, seed=11)
         ref = run_reference(dfa, inputs)
         kw = dict(
-            k=8, num_blocks=2, threads_per_block=32, merge=merge,
-            lookback=app.default_lookback, price=False,
+            k=8, merge=merge, lookback=app.default_lookback,
+            grid=Grid(num_blocks=2, threads_per_block=32),
         )
         base = run_speculative(dfa, inputs, collapse="off", **kw)
         assert base.final_state == ref
@@ -374,9 +374,8 @@ class TestEngineEquivalence:
         ref = run_reference(dfa, inputs)
         for mode in ("off", "on"):
             r = run_speculative(
-                dfa, inputs, k=3, num_blocks=2, threads_per_block=32,
-                merge="parallel", reexec=reexec, lookback=4,
-                collapse=mode, price=False,
+                dfa, inputs, k=3, merge="parallel", reexec=reexec, lookback=4,
+                collapse=mode, grid=Grid(num_blocks=2, threads_per_block=32),
             )
             assert r.final_state == ref
 
@@ -386,8 +385,8 @@ class TestEngineEquivalence:
         inputs = random_input(5, 40_000, seed=32)
         ref = run_reference(dfa, inputs)
         r = run_speculative(
-            dfa, inputs, k=4, num_blocks=1, threads_per_block=32,
-            lookback=8, kernel=kernel, collapse="on", price=False,
+            dfa, inputs, k=4, lookback=8, kernel=kernel, collapse="on",
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         assert r.final_state == ref
 
@@ -395,8 +394,8 @@ class TestEngineEquivalence:
         dfa = make_random_dfa(5, 3, seed=41)
         inputs = random_input(3, 20_000, seed=42)
         r = run_speculative(
-            dfa, inputs, k=16, num_blocks=1, threads_per_block=32,
-            collapse="on", price=False,
+            dfa, inputs, k=16, collapse="on",
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         assert r.final_state == run_reference(dfa, inputs)
 
@@ -405,8 +404,8 @@ class TestEngineEquivalence:
         for n in (0, 1, 7):
             inputs = random_input(2, n, seed=n)
             r = run_speculative(
-                dfa, inputs, k=4, num_blocks=1, threads_per_block=32,
-                collapse="on", price=False,
+                dfa, inputs, k=4, collapse="on",
+                grid=Grid(num_blocks=1, threads_per_block=32),
             )
             assert r.final_state == run_reference(dfa, inputs)
 
@@ -417,9 +416,8 @@ class TestEngineEquivalence:
         ref = run_reference(dfa, inputs)
         for merge in ("sequential", "parallel"):
             r = run_speculative(
-                dfa, inputs, k=8, num_blocks=2, threads_per_block=64,
-                merge=merge, lookback=16, collapse="on", price=False,
-                keep_merge_tree=True,
+                dfa, inputs, k=8, merge=merge, lookback=16, collapse="on",
+                grid=Grid(num_blocks=2, threads_per_block=64),
             )
             assert r.final_state == ref
             s = r.stats
@@ -428,14 +426,10 @@ class TestEngineEquivalence:
             assert s.check_comparisons == 0
             assert s.reexec_chunks_seq == 0
             assert s.reexec_chunks_eager == 0 and s.fixup_chunks == 0
-            if merge == "parallel" and r.merge_tree is not None:
-                assert not r.merge_tree.reexecuted
 
     def test_modeled_counters_lockstep_invariant(self):
         dfa, inputs = get_application("huffman").build(1 << 18, seed=7)
-        kw = dict(
-            k=8, num_blocks=2, threads_per_block=64, lookback=16, price=False
-        )
+        kw = dict(k=8, lookback=16, grid=Grid(num_blocks=2, threads_per_block=64))
         off = run_speculative(dfa, inputs, collapse="off", **kw).stats
         on = run_speculative(dfa, inputs, collapse="on", **kw).stats
         assert on.local_transitions == off.local_transitions
@@ -449,8 +443,8 @@ class TestEngineEquivalence:
         dfa, inputs = get_application("huffman").build(1 << 17, seed=8)
         t = RunTrace("collapse")
         run_speculative(
-            dfa, inputs, k=8, num_blocks=1, threads_per_block=64,
-            lookback=16, collapse="on", price=False, trace=t,
+            dfa, inputs, k=8, lookback=16, collapse="on", trace=t,
+            grid=Grid(num_blocks=1, threads_per_block=64),
         )
         counters = t.counters
         assert counters["spec.collapse_scans"].value > 0
@@ -461,13 +455,13 @@ class TestEngineEquivalence:
     def test_engine_config_label(self):
         dfa, inputs = get_application("huffman").build(1 << 15, seed=9)
         r = run_speculative(
-            dfa, inputs, k=8, num_blocks=1, threads_per_block=32,
-            lookback=16, collapse="on", price=False,
+            dfa, inputs, k=8, lookback=16, collapse="on",
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         assert r.config.collapse == f"on(W={DEFAULT_CADENCE})"
         r = run_speculative(
-            dfa, inputs, k=8, num_blocks=1, threads_per_block=32,
-            lookback=16, collapse="off", price=False,
+            dfa, inputs, k=8, lookback=16, collapse="off",
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         assert r.config.collapse == "off"
 
@@ -530,11 +524,13 @@ class TestScaleout:
         ref = run_reference(dfa, inputs)
         finals = {}
         for mode in ("off", "auto"):
-            ex = StreamingExecutor(
-                dfa=dfa, k=8, num_blocks=2, threads_per_block=64,
-                lookback=16, collapse=mode,
-            )
+            # A modeled-GPU session: each block speculates on the grid from
+            # the state carried into it.
+            state = dfa.start
             for block in np.array_split(inputs, 4):
-                ex.feed(block)
-            finals[mode] = ex.state
+                state = run_speculative(
+                    dfa.with_start(state), block, k=8, lookback=16,
+                    collapse=mode, grid=Grid(num_blocks=2, threads_per_block=64),
+                ).final_state
+            finals[mode] = state
         assert finals["off"] == finals["auto"] == ref

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 from repro.gpu.device import GTX_1080TI
 from repro.workloads.chunking import plan_chunks
 from tests.conftest import make_random_dfa, random_input
@@ -31,7 +32,7 @@ class TestValidation:
     def test_bad_layout(self, small_case):
         dfa, inp = small_case
         with pytest.raises(ValueError, match="layout"):
-            repro.run_speculative(dfa, inp, layout="blocked")
+            repro.run_speculative(dfa, inp, grid=Grid(layout="blocked"))
 
     def test_bad_collect(self, small_case):
         dfa, inp = small_case
@@ -56,46 +57,51 @@ class TestValidation:
     def test_bad_threads_per_block(self, small_case):
         dfa, inp = small_case
         with pytest.raises(ValueError, match="warp"):
-            repro.run_speculative(dfa, inp, threads_per_block=50)
+            repro.run_speculative(dfa, inp, grid=Grid(threads_per_block=50))
 
     def test_bad_num_blocks(self, small_case):
         dfa, inp = small_case
         with pytest.raises(ValueError, match="num_blocks"):
-            repro.run_speculative(dfa, inp, num_blocks=0)
+            repro.run_speculative(dfa, inp, grid=Grid(num_blocks=0))
 
 
 class TestConfig:
     def test_k_clamped_to_num_states(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, k=99, num_blocks=1,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=99, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.config.k == dfa.num_states
         assert r.config.enumerative
 
     def test_spec_n_via_none(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, k=None, num_blocks=1,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=None, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.config.enumerative
 
     def test_num_threads(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, num_blocks=2, threads_per_block=64,
-                                  price=False)
+        r = repro.run_speculative(
+            dfa, inp, grid=Grid(num_blocks=2, threads_per_block=64),
+        )
         assert r.config.num_threads == 128
         assert r.stats.num_chunks == 128
 
     def test_alternate_device(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, num_blocks=2, threads_per_block=32,
-                                  device=GTX_1080TI)
+        r = repro.run_speculative(
+            dfa, inp, grid=Grid(num_blocks=2, threads_per_block=32, device=GTX_1080TI),
+        )
         assert r.config.device.name == "GTX 1080 Ti"
         assert r.timing is not None
 
     def test_stats_echo_config(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, k=3, num_blocks=1,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=3, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         s = r.stats
         assert (s.num_items, s.k, s.num_states, s.num_inputs) == (
             inp.size, 3, dfa.num_states, dfa.num_inputs
@@ -105,47 +111,40 @@ class TestConfig:
 class TestOutputs:
     def test_timing_attached_by_default(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32)
+        r = repro.run_speculative(
+            dfa, inp, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.timing is not None
         assert r.timing.total_s > 0
         assert r.timing.speedup > 0
 
-    def test_price_false_skips_timing(self, small_case):
-        dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                  price=False)
-        assert r.timing is None
-
     def test_cpu_ns_override_scales_cpu_time(self, small_case):
         dfa, inp = small_case
-        r1 = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                   cpu_transition_ns=2.0)
-        r2 = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                   cpu_transition_ns=4.0)
+        r1 = repro.run_speculative(
+            dfa, inp,
+            grid=Grid(num_blocks=1, threads_per_block=32, cpu_transition_ns=2.0),
+        )
+        r2 = repro.run_speculative(
+            dfa, inp,
+            grid=Grid(num_blocks=1, threads_per_block=32, cpu_transition_ns=4.0),
+        )
         assert r2.timing.cpu_s == pytest.approx(2 * r1.timing.cpu_s)
 
     def test_measure_success_off(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                  merge="parallel", measure_success=False,
-                                  price=False)
+        r = repro.run_speculative(
+            dfa, inp, merge="parallel", measure_success=False,
+            grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.true_starts is None
         assert r.stats.success_total == 0
 
-    def test_merge_tree_kept_on_request(self, small_case):
-        dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                  merge="parallel", keep_merge_tree=True,
-                                  price=False)
-        assert r.merge_tree is not None
-        r2 = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                   merge="parallel", price=False)
-        assert r2.merge_tree is None
-
     def test_empty_input(self, small_case):
         dfa, _ = small_case
-        r = repro.run_speculative(dfa, np.zeros(0, dtype=np.int32), num_blocks=1,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, np.zeros(0, dtype=np.int32),
+            grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.final_state == dfa.start
 
     def test_empty_input_skips_the_stationary_prior(self, monkeypatch):
@@ -170,14 +169,16 @@ class TestOutputs:
     def test_input_shorter_than_threads(self, small_case):
         dfa, _ = small_case
         inp = random_input(3, 10, seed=1)
-        r = repro.run_speculative(dfa, inp, num_blocks=2, threads_per_block=64,
-                                  price=False)
+        r = repro.run_speculative(
+            dfa, inp, grid=Grid(num_blocks=2, threads_per_block=64),
+        )
         assert r.final_state == run_reference(dfa, inp)
 
     def test_cache_table_attached(self, small_case):
         dfa, inp = small_case
-        r = repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                  cache_table=True, price=False)
+        r = repro.run_speculative(
+            dfa, inp, grid=Grid(num_blocks=1, threads_per_block=32, cache_table=True),
+        )
         assert r.cache is not None
         assert r.stats.cache_hits + r.stats.cache_misses > 0
 
@@ -186,5 +187,7 @@ class TestOutputs:
         # refused before any cache plan is built, naming the bad value.
         dfa, inp = small_case
         with pytest.raises(ValueError, match="codegen"):
-            repro.run_speculative(dfa, inp, num_blocks=1, threads_per_block=32,
-                                  cache_table=True, backend="codegen")
+            repro.run_speculative(
+                dfa, inp, backend="codegen",
+                grid=Grid(num_blocks=1, threads_per_block=32, cache_table=True),
+            )

@@ -1,6 +1,6 @@
 """The execution-plan resolver (``core/plan.py``) and the CPU plan end to end.
 
-Resolver rules: which calls get the modeled-GPU plan, the CPU plan's serial
+Resolver rules: ``grid=`` selects the modeled-GPU plan, the CPU plan's serial
 rung at defaults and its chunked path under an explicit ``plan=`` (with the
 CPU chunk rule at its breakpoints), the per-symbol and no-compiler
 fallbacks. Then one Hypothesis differential: every CPU-plan configuration
@@ -30,6 +30,7 @@ from repro.core.plan import (
     resolve_plan,
 )
 from repro.fsm.run import run_reference, run_reference_trace
+from repro.gpu import Grid
 from repro.gpu.device import TESLA_V100
 from repro.obs import RunTrace
 from repro.workloads.chunking import plan_chunks, plan_from_lengths
@@ -40,7 +41,8 @@ HAVE_NATIVE = (
     and load_native_plan(make_random_dfa(4, 3, seed=0), k=2) is not None
 )
 
-# Every modeled-GPU argument, with a value that keeps today's defaults.
+# Every Grid field, with a value that keeps the defaults' launch; "price"
+# is Grid() itself, which the modeled plan always prices.
 GPU_ARGS = [
     {"num_blocks": 80},
     {"threads_per_block": 256},
@@ -49,14 +51,14 @@ GPU_ARGS = [
     {"cache_table": False},
     {"cache_budget_bytes": 1 << 14},
     {"cpu_transition_ns": 2.5},
-    {"price": True},
+    {},
 ]
+GPU_ARG_IDS = [next(iter(a), "price") for a in GPU_ARGS]
 
 # The GPU plan's defaults spelled out: what a GPU-plan call must equal.
 OLD_DEFAULTS = dict(
     num_blocks=80, threads_per_block=256, layout="transformed",
-    cache_table=False, device=TESLA_V100, price=True,
-    backend="vectorized", kernel="lockstep",
+    cache_table=False, device=TESLA_V100,
 )
 
 
@@ -67,13 +69,14 @@ def case():
 
 
 class TestGpuPlan:
-    @pytest.mark.parametrize(
-        "arg", GPU_ARGS, ids=[next(iter(a)) for a in GPU_ARGS]
-    )
+    @pytest.mark.parametrize("arg", GPU_ARGS, ids=GPU_ARG_IDS)
     def test_each_gpu_argument_selects_todays_config(self, case, arg):
         dfa, x = case
-        got = repro.run_speculative(dfa, x, k=2, **arg)
-        want = repro.run_speculative(dfa, x, k=2, **{**OLD_DEFAULTS, **arg})
+        got = repro.run_speculative(dfa, x, k=2, grid=Grid(**arg))
+        want = repro.run_speculative(
+            dfa, x, k=2, backend="vectorized", kernel="lockstep",
+            grid=Grid(**{**OLD_DEFAULTS, **arg}),
+        )
         assert got.config.plan == "gpu"
         assert got.config == want.config
         assert (got.config.num_blocks, got.config.threads_per_block) == (80, 256)
@@ -83,16 +86,15 @@ class TestGpuPlan:
         assert got.timing is not None and got.timing == want.timing
         assert got.final_state == run_reference(dfa, x)
 
-    def test_explicit_price_false_keeps_the_grid_when_geometry_given(self, case):
+    def test_a_grid_that_is_not_a_grid_is_refused(self, case):
         dfa, x = case
-        r = repro.run_speculative(dfa, x, num_blocks=2, threads_per_block=32, price=False)
-        assert r.config.plan == "gpu" and r.timing is None
-        assert r.config.num_chunks == 64
+        with pytest.raises(TypeError, match="grid"):
+            repro.run_speculative(dfa, x, grid=80)
 
     def test_warp_validation_stays_on_the_gpu_plan(self, case):
         dfa, x = case
         with pytest.raises(ValueError, match="warp"):
-            repro.run_speculative(dfa, x, threads_per_block=50)
+            repro.run_speculative(dfa, x, grid=Grid(threads_per_block=50))
 
 
 def _chunked(size: int, backend: str = "vectorized"):
@@ -123,10 +125,6 @@ class TestCpuPlan:
         )
         assert r.final_state == run_reference(dfa, x)
 
-    def test_explicit_price_false_stays_cpu(self, case):
-        dfa, x = case
-        assert repro.run_speculative(dfa, x, price=False).config.plan == "cpu"
-
     @pytest.mark.parametrize("backend", ["vectorized", "native"])
     def test_chunk_rule_breakpoints(self, backend):
         per, cap = CPU_CHUNK_ITEMS[backend], CPU_MAX_CHUNKS
@@ -151,7 +149,7 @@ class TestCpuPlan:
         assert (xp.native is not None) == native
         assert xp.chunk_plan.num_items == size
         assert xp.collapse is None and not xp.collapse_requested
-        assert not xp.price and xp.measure_success
+        assert xp.grid is None and xp.measure_success
         # The chunked path, forced by plan=, keeps the CPU chunk rule.
         xp = resolve_plan(dfa, x, plan=_chunked(size, "native" if native else "vectorized"))
         assert (xp.kind, xp.rung) == ("cpu", "chunked")
@@ -159,7 +157,7 @@ class TestCpuPlan:
         assert (xp.native is not None) == native
         assert xp.chunks == cpu_chunks(size, xp.backend)
         assert xp.chunk_plan.num_items == size
-        assert not xp.price and xp.measure_success
+        assert xp.grid is None and xp.measure_success
         # 1-31 chunks are legal: nothing validates against a warp size.
         if size <= 1:
             assert xp.chunks == 1
@@ -252,19 +250,11 @@ class TestGroupDispatch:
     def test_group_uses_the_cpu_chunk_rule(self):
         machines = [make_random_dfa(5, 3, seed=s) for s in (40, 41)]
         x = random_input(3, 5000, seed=42)
-        res = repro.run_speculative(
-            machines, x, backend="auto", collect=("match_positions",)
-        )
+        res = repro.run_multipattern(machines, x, collect=("match_positions",))
         assert res.plan.num_chunks == cpu_chunks(x.size, "vectorized")
         for m, pr in zip(machines, res.patterns):
             want = np.flatnonzero(m.accepting[run_reference_trace(m, x)])
             np.testing.assert_array_equal(pr.match_positions, want)
-
-    def test_group_with_geometry_keeps_the_grid(self):
-        machines = [make_random_dfa(5, 3, seed=s) for s in (43, 44)]
-        x = random_input(3, 2000, seed=45)
-        res = repro.run_speculative(machines, x, num_blocks=2, threads_per_block=32)
-        assert res.plan.num_chunks == 64
 
 
 # --------------------------------------------------------------------------- #

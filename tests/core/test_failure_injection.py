@@ -14,6 +14,7 @@ from repro.core.merge_seq import merge_sequential
 from repro.core.types import ChunkResults
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 from repro.workloads.chunking import plan_chunks
 from tests.conftest import make_random_dfa, random_input
 
@@ -109,23 +110,26 @@ class TestDegenerateShapes:
         dfa = DFA(table=np.zeros((2, 1), dtype=np.int32), start=0,
                   accepting=np.array([True]))
         inp = random_input(2, 100, seed=0)
-        r = repro.run_speculative(dfa, inp, k=1, num_blocks=1,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=1, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.final_state == 0
         assert r.success_rate == 1.0
 
     def test_single_item_input(self):
         dfa = make_random_dfa(4, 2, seed=1)
         inp = np.array([1], dtype=np.int32)
-        r = repro.run_speculative(dfa, inp, k=2, num_blocks=1,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=2, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.final_state == run_reference(dfa, inp)
 
     def test_input_length_equals_chunks(self):
         dfa = make_random_dfa(4, 2, seed=2)
         inp = random_input(2, 32, seed=3)
-        r = repro.run_speculative(dfa, inp, k=2, num_blocks=1,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=2, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.final_state == run_reference(dfa, inp)
 
     def test_identity_machine_rows(self):
@@ -133,8 +137,9 @@ class TestDegenerateShapes:
         table = np.stack([np.arange(5), np.roll(np.arange(5), 1)]).astype(np.int32)
         dfa = DFA(table=table, start=0, accepting=np.zeros(5, dtype=bool))
         inp = random_input(2, 500, seed=4)
-        r = repro.run_speculative(dfa, inp, k=3, num_blocks=2,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=3, grid=Grid(num_blocks=2, threads_per_block=32),
+        )
         assert r.final_state == run_reference(dfa, inp)
 
     def test_absorbing_machine(self):
@@ -142,7 +147,8 @@ class TestDegenerateShapes:
         table = np.zeros((2, 6), dtype=np.int32)
         dfa = DFA(table=table, start=3, accepting=np.zeros(6, dtype=bool))
         inp = random_input(2, 100, seed=5)
-        r = repro.run_speculative(dfa, inp, k=1, num_blocks=1,
-                                  threads_per_block=32, lookback=1, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=1, lookback=1, grid=Grid(num_blocks=1, threads_per_block=32),
+        )
         assert r.final_state == 0
         assert r.success_rate == 1.0  # convergence makes speculation trivial

@@ -26,6 +26,7 @@ from repro.core.types import ExecStats
 from repro.fsm.alphabet import compact_alphabet
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference, run_segment
+from repro.gpu import Grid
 from repro.workloads.chunking import plan_chunks, plan_from_lengths, transform_layout
 from tests.conftest import make_random_dfa, random_input
 
@@ -242,8 +243,7 @@ class TestEngineIntegration:
         inp = random_input(14, 9_000, seed=4)
         ref = run_reference(dfa, inp)
         res = run_speculative(
-            dfa, inp, k=3, num_blocks=2, threads_per_block=32,
-            kernel=kernel, price=False,
+            dfa, inp, k=3, kernel=kernel, grid=Grid(num_blocks=2, threads_per_block=32),
         )
         assert res.final_state == ref
         assert res.config.kernel in KERNELS
@@ -252,12 +252,12 @@ class TestEngineIntegration:
         dfa = redundant_dfa(10, 4, 12, seed=13)
         inp = random_input(12, 5_000, seed=14)
         base = run_speculative(
-            dfa, inp, k=2, num_blocks=1, threads_per_block=64,
-            collect=("match_positions",), price=False,
+            dfa, inp, k=2, collect=("match_positions",),
+            grid=Grid(num_blocks=1, threads_per_block=64),
         )
         strided = run_speculative(
-            dfa, inp, k=2, num_blocks=1, threads_per_block=64,
-            collect=("match_positions",), kernel="stride4", price=False,
+            dfa, inp, k=2, collect=("match_positions",), kernel="stride4",
+            grid=Grid(num_blocks=1, threads_per_block=64),
         )
         np.testing.assert_array_equal(base.match_positions, strided.match_positions)
 
@@ -266,13 +266,13 @@ class TestEngineIntegration:
         inp = random_input(12, 1_000, seed=16)
         with pytest.raises(ValueError, match="per-symbol"):
             run_speculative(
-                dfa, inp, k=2, num_blocks=1, threads_per_block=32,
-                kernel="stride2", cache_table=True, price=False,
+                dfa, inp, k=2, kernel="stride2",
+                grid=Grid(num_blocks=1, threads_per_block=32, cache_table=True),
             )
         # "auto" quietly falls back to lockstep instead.
         res = run_speculative(
-            dfa, inp, k=2, num_blocks=1, threads_per_block=32,
-            kernel="auto", cache_table=True, price=False,
+            dfa, inp, k=2, kernel="auto",
+            grid=Grid(num_blocks=1, threads_per_block=32, cache_table=True),
         )
         assert res.config.kernel == "lockstep"
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 
 
 @st.composite
@@ -35,8 +36,8 @@ def engine_case(draw):
         .astype(np.int32)
     )
     return dfa, inp, dict(
-        k=k, num_blocks=blocks, threads_per_block=tpb, merge=merge,
-        check=check, reexec=reexec, layout=layout, lookback=lookback,
+        k=k, merge=merge, check=check, reexec=reexec, lookback=lookback,
+        grid=Grid(num_blocks=blocks, threads_per_block=tpb, layout=layout),
     )
 
 
@@ -44,7 +45,7 @@ def engine_case(draw):
 @given(case=engine_case())
 def test_final_state_equals_reference(case):
     dfa, inp, kwargs = case
-    result = repro.run_speculative(dfa, inp, price=False, **kwargs)
+    result = repro.run_speculative(dfa, inp, **kwargs)
     assert result.final_state == run_reference(dfa, inp)
 
 
@@ -53,7 +54,7 @@ def test_final_state_equals_reference(case):
 def test_spec_n_equals_reference(case):
     dfa, inp, kwargs = case
     kwargs["k"] = None  # enumerative
-    result = repro.run_speculative(dfa, inp, price=False, **kwargs)
+    result = repro.run_speculative(dfa, inp, **kwargs)
     assert result.final_state == run_reference(dfa, inp)
     # spec-N speculation can never miss
     if kwargs["merge"] == "sequential" or inp.size:
@@ -64,7 +65,7 @@ def test_spec_n_equals_reference(case):
 @given(case=engine_case())
 def test_true_starts_are_true(case):
     dfa, inp, kwargs = case
-    result = repro.run_speculative(dfa, inp, price=False, **kwargs)
+    result = repro.run_speculative(dfa, inp, **kwargs)
     assert result.true_starts is not None
     # verify a random boundary against a prefix run
     n_chunks = result.true_starts.size
@@ -85,8 +86,8 @@ def test_delayed_never_reexecutes_more_than_eager(case):
         return
     kwargs_d = dict(kwargs, reexec="delayed")
     kwargs_e = dict(kwargs, reexec="eager")
-    rd = repro.run_speculative(dfa, inp, price=False, **kwargs_d)
-    re_ = repro.run_speculative(dfa, inp, price=False, **kwargs_e)
+    rd = repro.run_speculative(dfa, inp, **kwargs_d)
+    re_ = repro.run_speculative(dfa, inp, **kwargs_e)
     assert rd.final_state == re_.final_state
     # Delayed's necessary re-executions never exceed eager's total work.
     assert rd.stats.fixup_items <= re_.stats.reexec_items_eager or (
@@ -98,6 +99,6 @@ def test_delayed_never_reexecutes_more_than_eager(case):
 @given(case=engine_case())
 def test_check_implementation_does_not_change_result(case):
     dfa, inp, kwargs = case
-    rn = repro.run_speculative(dfa, inp, price=False, **dict(kwargs, check="nested"))
-    rh = repro.run_speculative(dfa, inp, price=False, **dict(kwargs, check="hash"))
+    rn = repro.run_speculative(dfa, inp, **dict(kwargs, check="nested"))
+    rh = repro.run_speculative(dfa, inp, **dict(kwargs, check="hash"))
     assert rn.final_state == rh.final_state

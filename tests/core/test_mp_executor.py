@@ -6,6 +6,7 @@ import pytest
 from repro.apps.div import div7_dfa
 from repro.core.mp_executor import PoolClosedError, ScaleoutPool
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -192,8 +193,9 @@ class TestBitIdentical:
 
         dfa = make_random_dfa(9, 3, seed=8)
         inp = random_input(3, 8_000, seed=9)
-        want = run_speculative(dfa, inp, k=3, num_blocks=1,
-                               threads_per_block=32, price=False).final_state
+        want = run_speculative(
+            dfa, inp, k=3, grid=Grid(num_blocks=1, threads_per_block=32),
+        ).final_state
         for k in (1, 3, None):
             res = _pool_run(dfa, inp, num_workers=4, k=k,
                             sub_chunks_per_worker=8)

@@ -10,7 +10,6 @@ import numpy as np
 
 import pytest
 
-import repro
 from repro.core.multipattern import (
     MachineStack,
     MultiPatternResult,
@@ -20,6 +19,7 @@ from repro.core.multipattern import (
 )
 from repro.fsm import DFA
 from repro.fsm.run import run_reference_trace, run_segment
+from repro.obs import RunTrace
 
 
 def _group(sizes, num_inputs=6, seed=0):
@@ -157,6 +157,11 @@ class TestBatchedRoute:
         )
         _check_batched(res, machines, inputs)
 
+    def test_unsupported_backend_rejected(self):
+        machines = _group([3, 4], seed=31)
+        with pytest.raises(ValueError, match="backend"):
+            run_multipattern(machines, _stream(100, seed=31), backend="numba")
+
 
 class TestProductRoute:
     def test_product_matches_batched(self):
@@ -179,6 +184,21 @@ class TestProductRoute:
         assert res.route == "product"
         _expected_pos = _expected(machines, inputs)
         for pr, (fin, pos) in zip(res.patterns, _expected_pos):
+            assert np.array_equal(pr.match_positions, pos)
+
+    def test_route_auto_on_native_is_batched_without_a_probe(self):
+        # The group that picks the product on the vectorized backend: on
+        # the native one "auto" is batched, and the product is never built.
+        machines = _group([2, 3], num_inputs=4, seed=14)
+        inputs = _stream(1000, num_inputs=4, seed=14)
+        trace = RunTrace("route")
+        res = run_multipattern(
+            machines, inputs, route="auto", backend="native", trace=trace
+        )
+        assert res.route == "batched"
+        assert trace.find("mp.route_probe") == []
+        _check_batched(res, machines, inputs)
+        for pr, (fin, pos) in zip(res.patterns, _expected(machines, inputs)):
             assert np.array_equal(pr.match_positions, pos)
 
     def test_route_auto_large_group_stays_batched(self):
@@ -246,23 +266,3 @@ class TestBatchAPI:
         with pytest.raises(ValueError):
             run_multipattern_batch(stack, seg, starts=bad)
 
-
-class TestEngineDelegation:
-    def test_list_of_machines_routes_to_multipattern(self):
-        machines = _group([3, 5], seed=30)
-        inputs = _stream(2000, seed=30)
-        res = repro.run_speculative(
-            machines, inputs, k=3, collect=("match_positions",)
-        )
-        assert isinstance(res, MultiPatternResult)
-        if res.route == "batched":
-            _check_batched(res, machines, inputs)
-        for pr, (fin, pos) in zip(res.patterns, _expected(machines, inputs)):
-            assert np.array_equal(pr.match_positions, pos)
-
-    def test_unsupported_backend_rejected(self):
-        machines = _group([3, 4], seed=31)
-        with pytest.raises(ValueError):
-            repro.run_speculative(
-                machines, _stream(100, seed=31), backend="numba"
-            )

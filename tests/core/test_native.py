@@ -43,6 +43,7 @@ from repro.core.native import (
 )
 from repro.core.native.build import ensure_artifact
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 from repro.workloads.chunking import plan_chunks, plan_from_lengths
 from tests.conftest import make_random_dfa, random_input
 
@@ -221,9 +222,7 @@ class TestEngineBackend:
     def test_native_equals_vectorized(self, merge):
         dfa = make_random_dfa(20, 10, seed=14)
         inputs = random_input(10, 60_000, seed=15)
-        kw = dict(
-            k=4, num_blocks=2, threads_per_block=32, merge=merge, price=False,
-        )
+        kw = dict(k=4, merge=merge, grid=Grid(num_blocks=2, threads_per_block=32))
         rn = run_speculative(dfa, inputs, backend="native", **kw)
         rv = run_speculative(dfa, inputs, backend="vectorized", **kw)
         assert rn.final_state == rv.final_state == run_reference(dfa, inputs)
@@ -436,8 +435,8 @@ print(json.dumps(build_stats()))
             assert load_native_plan(dfa, k=3) is None
             inputs = random_input(4, 30_000, seed=22)
             res = run_speculative(
-                dfa, inputs, k=3, num_blocks=2, threads_per_block=32,
-                backend="native", price=False,
+                dfa, inputs, k=3, backend="native",
+                grid=Grid(num_blocks=2, threads_per_block=32),
             )
             assert res.final_state == run_reference(dfa, inputs)
             assert res.config.backend == "vectorized"  # silent fallback

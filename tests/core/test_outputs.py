@@ -8,6 +8,7 @@ import repro
 from repro.apps.huffman import HuffmanCode
 from repro.apps.paper_regexes import build_regex1, regex1_alphabet
 from repro.fsm.run import run_reference_trace
+from repro.gpu import Grid
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -19,8 +20,8 @@ class TestMatchPositions:
         text = "".join(rng.choice(list("likeapxyz"), size=3000))
         ids = class_of[ab.encode_text(text)].astype(np.int32)
         r = repro.run_speculative(
-            dfa, ids, k=4, num_blocks=2, threads_per_block=32,
-            collect=("match_positions",), price=False,
+            dfa, ids, k=4, collect=("match_positions",),
+            grid=Grid(num_blocks=2, threads_per_block=32),
         )
         trace = run_reference_trace(dfa, ids)
         want = np.flatnonzero(dfa.accepting[trace])
@@ -30,8 +31,8 @@ class TestMatchPositions:
         dfa = make_random_dfa(5, 2, seed=0, accepting_fraction=0.4)
         inp = random_input(2, 300, seed=1)
         r = repro.run_speculative(
-            dfa, inp, k=2, num_blocks=1, threads_per_block=32,
-            collect=("accept_count",), price=False,
+            dfa, inp, k=2, collect=("accept_count",),
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         assert r.accept_counts is not None
         assert r.accept_counts.shape == (32, 2)
@@ -41,8 +42,8 @@ class TestMatchPositions:
         # class 6 is 'other': no match can ever complete
         ids = np.full(500, 6, dtype=np.int32)
         r = repro.run_speculative(
-            dfa, ids, k=2, num_blocks=1, threads_per_block=32,
-            collect=("match_positions",), price=False,
+            dfa, ids, k=2, collect=("match_positions",),
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         assert r.match_positions.size == 0
 
@@ -55,8 +56,8 @@ class TestEmissions:
         bits = code.encode(data).astype(np.int32)
         dfa = code.decoder_dfa()
         r = repro.run_speculative(
-            dfa, bits, k=3, num_blocks=2, threads_per_block=32, merge=merge,
-            lookback=16, collect=("emissions",), price=False,
+            dfa, bits, k=3, merge=merge, lookback=16, collect=("emissions",),
+            grid=Grid(num_blocks=2, threads_per_block=32),
         )
         positions, values = r.emissions
         np.testing.assert_array_equal(values, data)
@@ -72,8 +73,8 @@ class TestEmissions:
         dfa = build_html_tokenizer()
         ids = Alphabet.ascii(128).encode_text(page).astype(np.int32)
         r = repro.run_speculative(
-            dfa, ids, k=1, num_blocks=1, threads_per_block=64, lookback=64,
-            collect=("emissions",), price=False,
+            dfa, ids, k=1, lookback=64, collect=("emissions",),
+            grid=Grid(num_blocks=1, threads_per_block=64),
         )
         positions, values = r.emissions
         want = reference_tokenize(page)
@@ -88,8 +89,8 @@ class TestEmissions:
         outs = []
         for chunks in ((1, 32), (2, 64)):
             r = repro.run_speculative(
-                dfa, bits, k=2, num_blocks=chunks[0], threads_per_block=chunks[1],
-                collect=("emissions",), price=False,
+                dfa, bits, k=2, collect=("emissions",),
+                grid=Grid(num_blocks=chunks[0], threads_per_block=chunks[1]),
             )
             outs.append(r.emissions[1])
         np.testing.assert_array_equal(outs[0], outs[1])

@@ -38,7 +38,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.core.engine as engine
 import repro.core.multipattern as mp
 from repro.apps.div import div7_dfa
-from repro.core.engine import run_speculative, run_speculative_batch
+from repro.core.engine import run_speculative_batch
 from repro.core.multipattern import (
     run_multipattern,
     run_multipattern_batch,
@@ -349,13 +349,16 @@ def test_defaults_never_speculate(monkeypatch):
         monkeypatch.setattr(owner, name, _refuse(name))
     for g in (0, 2, 4, 7):
         x = _symbols(g, NATIVE_MIN_ITEMS + 5, seed=g)
-        for route in ("auto", "batched"):
+        routes = ("auto", "batched") + (("product",) if PRODUCT_OK[g] else ())
+        for route in routes:
             res = run_multipattern(
                 GROUPS[g], x, backend="native", route=route, stack=STACKS[g]
             )
             _assert_exact(g, x, res, ("match_positions",))
-        # run_speculative([dfa, ...]) at defaults: native from the floor on.
-        res = run_speculative(GROUPS[g], x, collect=("match_positions",))
+        # A group built inside the call takes the same rung.
+        res = run_multipattern(
+            GROUPS[g], x, backend="native", collect=("match_positions",)
+        )
         assert res.plan.num_chunks == 1
         _assert_exact(g, x, res, ("match_positions",))
         segs, starts, expect = _batch_case(g, [0, 1, 700, 3000], seed=g)

@@ -130,7 +130,7 @@ def test_serial_rung_is_bit_exact(
     assert (c.plan, c.rung, c.num_chunks, c.k) == ("cpu", "serial", 1, 1)
     assert c.backend == _expected_backend(size, backend, collect, loader_ok)
     assert (r.native is not None) == (c.backend == "native")
-    assert r.timing is None and r.merge_tree is None
+    assert r.timing is None
     assert r.final_state == run_reference(dfa, x)
     assert r.accepted == bool(dfa.accepting[r.final_state])
     np.testing.assert_array_equal(r.true_starts, [dfa.start])

@@ -1,7 +1,8 @@
 """Tests for the streaming executor.
 
-At defaults a feed is one pass from the carried state; with geometry it is
-the modeled-GPU ``run_speculative`` call. Beside the unit cases, a
+A feed is one pass from the carried state; a modeled-GPU session is
+``run_speculative(dfa.with_start(state), block, grid=...)`` per block.
+Beside the unit cases, a
 Hypothesis differential draws a machine and a stream cut into blocks
 (empty and one-item ones included) with checkpoint/restore and reset
 between them, with and without match collection and with the kernel
@@ -13,13 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.engine as engine_mod
 import repro.core.native as native_pkg
+import repro.core.plan as plan_mod
 import repro.core.streaming as streaming_mod
 from repro.apps import get_application
 from repro.core.engine import run_speculative
 from repro.core.streaming import FeedCursor, StreamingExecutor
-from repro.core.types import ExecStats
 from repro.fsm.run import run_reference, run_reference_trace
+from repro.gpu import Grid
 from repro.gpu.device import TESLA_V100
 from tests.conftest import make_random_dfa, native_builds, random_input
 
@@ -30,7 +33,7 @@ class TestStreaming:
     def test_blocks_equal_one_shot(self):
         dfa = make_random_dfa(6, 3, seed=0)
         stream = random_input(3, 30_000, seed=1)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=64)
+        ex = StreamingExecutor(dfa)
         for block in np.array_split(stream, 7):
             ex.feed(block)
         assert ex.state == run_reference(dfa, stream)
@@ -39,7 +42,7 @@ class TestStreaming:
 
     def test_empty_block_noop(self):
         dfa = make_random_dfa(4, 2, seed=1)
-        ex = StreamingExecutor(dfa, num_blocks=1, threads_per_block=32)
+        ex = StreamingExecutor(dfa)
         s = ex.feed(np.zeros(0, dtype=np.int32))
         assert s == dfa.start
         assert ex.blocks_consumed == 0
@@ -47,7 +50,7 @@ class TestStreaming:
     def test_irregular_block_sizes(self):
         dfa = make_random_dfa(5, 2, seed=2)
         stream = random_input(2, 5000, seed=3)
-        ex = StreamingExecutor(dfa, k=1, num_blocks=1, threads_per_block=32)
+        ex = StreamingExecutor(dfa)
         offsets = [0, 17, 17 + 2048, 17 + 2048 + 1, 5000]
         for lo, hi in zip(offsets, offsets[1:]):
             ex.feed(stream[lo:hi])
@@ -56,9 +59,7 @@ class TestStreaming:
     def test_match_positions_global_offsets(self):
         dfa = make_random_dfa(5, 2, seed=4, accepting_fraction=0.4)
         stream = random_input(2, 8000, seed=5)
-        ex = StreamingExecutor(
-            dfa, k=2, num_blocks=1, threads_per_block=32, collect_matches=True
-        )
+        ex = StreamingExecutor(dfa, collect_matches=True)
         for block in np.array_split(stream, 5):
             ex.feed(block)
         trace = run_reference_trace(dfa, stream)
@@ -69,7 +70,7 @@ class TestStreaming:
         from repro.apps.div import div7_dfa
 
         dfa = div7_dfa()
-        ex = StreamingExecutor(dfa, k=None, num_blocks=1, threads_per_block=32)
+        ex = StreamingExecutor(dfa)
         ex.feed(np.array([1, 1, 1, 0], dtype=np.int32))  # 14: divisible by 7
         assert ex.accepted
         ex.feed(np.array([1], dtype=np.int32))  # 29: not divisible
@@ -77,7 +78,7 @@ class TestStreaming:
 
     def test_stats_accumulate(self):
         dfa = make_random_dfa(5, 2, seed=6)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=32)
+        ex = StreamingExecutor(dfa)
         ex.feed(random_input(2, 1000, seed=7))
         first = ex.stats.local_transitions
         ex.feed(random_input(2, 1000, seed=8))
@@ -86,8 +87,7 @@ class TestStreaming:
 
     def test_reset(self):
         dfa = make_random_dfa(5, 2, seed=6)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=32,
-                               collect_matches=True)
+        ex = StreamingExecutor(dfa, collect_matches=True)
         ex.feed(random_input(2, 500, seed=9))
         ex.reset()
         assert ex.state == dfa.start
@@ -100,9 +100,7 @@ class TestStreaming:
         # simulated grid spans several blocks of threads.
         dfa = make_random_dfa(6, 2, seed=10, accepting_fraction=0.3)
         stream = random_input(2, 9_000, seed=11)
-        ex = StreamingExecutor(
-            dfa, k=2, num_blocks=4, threads_per_block=32, collect_matches=True
-        )
+        ex = StreamingExecutor(dfa, collect_matches=True)
         offsets = [0, 3, 1_000, 1_001, 4_096, 9_000]
         for lo, hi in zip(offsets, offsets[1:]):
             ex.feed(stream[lo:hi])
@@ -123,8 +121,7 @@ class TestStreaming:
         # same states, same matches, same counters.
         dfa = make_random_dfa(6, 2, seed=13, accepting_fraction=0.3)
         stream = random_input(2, 4_000, seed=14)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=32,
-                               collect_matches=True)
+        ex = StreamingExecutor(dfa, collect_matches=True)
         for block in np.array_split(stream, 3):
             ex.feed(block)
         first_matches = ex.match_positions.copy()
@@ -150,8 +147,7 @@ class TestStreaming:
 
         dfa = utf8_validator_dfa()
         stream = encode_utf8_workload(20_000, rng=3)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=64,
-                               lookback=4)
+        ex = StreamingExecutor(dfa)
         for block in np.array_split(stream, 13):
             ex.feed(block)
         assert ex.accepted
@@ -165,7 +161,7 @@ class TestDefaultFeed:
     def test_blocks_equal_one_shot(self):
         dfa = make_random_dfa(6, 3, seed=0)
         stream = random_input(3, 20_000, seed=1)
-        ex = StreamingExecutor(dfa, k=2)
+        ex = StreamingExecutor(dfa)
         for block in np.array_split(stream, 5):
             ex.feed(block)
         assert ex.state == run_reference(dfa, stream)
@@ -176,7 +172,7 @@ class TestDefaultFeed:
     def test_kernel_persists_across_feeds_and_reset(self):
         dfa = make_random_dfa(5, 2, seed=2)
         stream = random_input(2, 6_000, seed=3)
-        ex = StreamingExecutor(dfa, k=None)
+        ex = StreamingExecutor(dfa)
         kernel = ex._kernel
         ex.feed(stream)
         ex.reset()
@@ -192,7 +188,7 @@ class TestDefaultFeed:
         stream = random_input(2, 12_000, seed=5)
         trace = run_reference_trace(dfa, stream)
         want = np.flatnonzero(dfa.accepting[trace])
-        ex = StreamingExecutor(dfa, k=2, collect_matches=True)
+        ex = StreamingExecutor(dfa, collect_matches=True)
         for block in np.array_split(stream, 5):
             ex.feed(block)
         np.testing.assert_array_equal(ex.match_positions, want)
@@ -202,7 +198,7 @@ class TestLifetimeStats:
     def test_lifetime_survives_reset(self):
         dfa = make_random_dfa(6, 2, seed=20)
         stream = random_input(2, 12_000, seed=21)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=64)
+        ex = StreamingExecutor(dfa)
         for block in np.array_split(stream, 3):
             ex.feed(block)
         session_items = ex.stats.num_items
@@ -218,7 +214,7 @@ class TestLifetimeStats:
         dfa = make_random_dfa(5, 2, seed=22)
         a = random_input(2, 4_000, seed=23)
         b = random_input(2, 6_000, seed=24)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=64)
+        ex = StreamingExecutor(dfa)
         ex.feed(a)
         ex.reset()
         ex.feed(b)
@@ -230,7 +226,7 @@ class TestLifetimeStats:
 
     def test_last_feed_stats_per_block(self):
         dfa = make_random_dfa(6, 2, seed=25)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=64)
+        ex = StreamingExecutor(dfa)
         assert ex.last_feed_stats is None
         ex.feed(random_input(2, 3_000, seed=26))
         first = ex.last_feed_stats
@@ -247,7 +243,7 @@ class TestFeedCursor:
     def test_checkpoint_restore_round_trip(self):
         dfa = make_random_dfa(6, 3, seed=30)
         stream = random_input(3, 12_000, seed=31)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=64)
+        ex = StreamingExecutor(dfa)
         blocks = np.array_split(stream, 4)
         ex.feed(blocks[0])
         cur = ex.checkpoint()
@@ -295,8 +291,8 @@ class TestFeedCursor:
 
     def test_bad_block_does_not_consume(self):
         dfa = make_random_dfa(6, 3, seed=34)
-        for geometry in ({}, {"num_blocks": 1}):  # serial pass, modeled GPU
-            ex = StreamingExecutor(dfa, k=2, **geometry)
+        for collect in (False, True):
+            ex = StreamingExecutor(dfa, collect_matches=collect)
             ex.feed(random_input(3, 4_000, seed=35))
             before = ex.checkpoint()
             with pytest.raises(ValueError):
@@ -315,8 +311,7 @@ class TestFeedRegressions:
         dfa = make_random_dfa(5, 2, seed=50, accepting_fraction=0.4)
         stream = random_input(2, 8_000, seed=51)
         blocks = np.array_split(stream, 4)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=32,
-                               collect_matches=True)
+        ex = StreamingExecutor(dfa, collect_matches=True)
         ex.feed(blocks[0])
         cur = ex.checkpoint()
         kept = ex.match_positions.copy()
@@ -335,7 +330,7 @@ class TestFeedRegressions:
         # last_feed_stats is a per-block copy: committing num_items must not
         # write through to the stats object the engine result owns.
         dfa = make_random_dfa(5, 2, seed=52)
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=32)
+        ex = StreamingExecutor(dfa)
         ex.feed(random_input(2, 3_000, seed=53))
         first = ex.last_feed_stats
         assert first.num_items == 3_000
@@ -381,14 +376,11 @@ class TestCheckpointRestoreProperty:
         stream = random_input(3, n, seed=seed + 1)
         blocks = np.array_split(stream, n_blocks)
 
-        straight = StreamingExecutor(dfa, k=2, num_blocks=1,
-                                     threads_per_block=32,
-                                     collect_matches=True)
+        straight = StreamingExecutor(dfa, collect_matches=True)
         for b in blocks:
             straight.feed(b)
 
-        ex = StreamingExecutor(dfa, k=2, num_blocks=1, threads_per_block=32,
-                               collect_matches=True)
+        ex = StreamingExecutor(dfa, collect_matches=True)
         i = 0
         while i < len(blocks):
             cur = ex.checkpoint()
@@ -516,8 +508,9 @@ def test_default_feed_is_one_pass_from_the_carried_state(monkeypatch):
     def forbidden(*a, **kw):
         raise AssertionError("a default feed must not reach the engine")
 
-    monkeypatch.setattr(streaming_mod, "run_speculative", forbidden)
-    monkeypatch.setattr(streaming_mod, "resolve_plan", forbidden)
+    monkeypatch.setattr(engine_mod, "run_speculative", forbidden)
+    monkeypatch.setattr(engine_mod, "resolve_plan", forbidden)
+    monkeypatch.setattr(plan_mod, "resolve_plan", forbidden)
     for block in np.array_split(x, 8):
         ex.feed(block)
         s = ex.last_feed_stats
@@ -536,37 +529,25 @@ def test_default_feed_is_one_pass_from_the_carried_state(monkeypatch):
     {"device": TESLA_V100},
 ])
 def test_explicit_geometry_keeps_the_modeled_gpu_feed(geometry):
-    """With geometry a feed is the modeled-GPU ``run_speculative`` call from
-    the carried state (20 x 256 threads unless given); its ExecStats and
-    matches are that call's."""
+    """A modeled-GPU session runs ``run_speculative`` on the grid from the
+    state the executor carried into each block: its final states and
+    matches are the stream's, and every block is priced."""
     dfa = make_random_dfa(7, 3, seed=60, accepting_fraction=0.3)
     stream = random_input(3, 9_000, seed=61)
-    ex = StreamingExecutor(dfa, k=2, collect_matches=True, **geometry)
-    want = dict(num_blocks=20, threads_per_block=256, device=TESLA_V100)
-    want.update(geometry)
-    assert (ex.num_blocks, ex.threads_per_block, ex.device) == (
-        want["num_blocks"], want["threads_per_block"], want["device"]
-    )
-    session = ExecStats(
-        num_chunks=want["num_blocks"] * want["threads_per_block"], k=2,
-        num_states=dfa.num_states, num_inputs=dfa.num_inputs,
-    )
-    state, offset, matches = dfa.start, 0, []
+    grid = Grid(**geometry)
+    ex = StreamingExecutor(dfa, collect_matches=True)
+    matches = []
     for block in np.array_split(stream, 3):
-        ex.feed(block)
         r = run_speculative(
-            dfa.with_start(state), block, k=2, merge="parallel", lookback=8,
-            collect=("match_positions",), price=False, kernel="auto",
-            collapse="auto", **want,
+            dfa.with_start(ex.state), block, k=2,
+            collect=("match_positions",), grid=grid,
         )
-        assert r.config.plan == "gpu"
-        assert ex.last_feed_stats == r.stats
-        session = session.merged_with(r.stats)
-        session.num_items += block.size
-        matches.append(r.match_positions + offset)
-        state, offset = r.final_state, offset + block.size
-    assert ex.stats == session
-    assert ex.state == state == run_reference(dfa, stream)
+        matches.append(r.match_positions + ex.items_consumed)
+        ex.feed(block)
+        assert (r.config.plan, r.config.num_chunks) == ("gpu", grid.num_threads)
+        assert r.timing is not None
+        assert r.final_state == ex.state
+    assert ex.state == run_reference(dfa, stream)
     np.testing.assert_array_equal(ex.match_positions, np.concatenate(matches))
 
 
@@ -575,7 +556,8 @@ def test_explicit_geometry_keeps_the_modeled_gpu_feed(geometry):
     {"num_blocks": 0},
 ])
 def test_bad_options_raise_at_construction(bad):
-    """One validator, on both plans: a bad option never reaches a feed."""
+    """A bad kernel name, or an option the serial feed does not take, is
+    refused before any feed."""
     dfa = make_random_dfa(4, 2, seed=62)
-    with pytest.raises(ValueError):
+    with pytest.raises((TypeError, ValueError)):
         StreamingExecutor(dfa, **bad)

@@ -29,6 +29,7 @@ from repro.core.multipattern import (
 from repro.core.native import load_serial_kernel
 from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -40,8 +41,9 @@ def _entries(backend: str):
     native = load_serial_kernel(dfa) if backend == "native" else None
 
     def engine(x):
-        return run_speculative(dfa, x, k=2, backend=backend, num_blocks=1,
-                               threads_per_block=64, price=False).final_state
+        return run_speculative(
+            dfa, x, k=2, backend=backend, grid=Grid(num_blocks=1, threads_per_block=64),
+        ).final_state
 
     def batch(x):
         return run_speculative_batch(dfa, [x[:100], x], native=native).final_states[1]
@@ -105,4 +107,4 @@ def test_native_in_subprocess():
 def test_non_integer_symbols_rejected():
     dfa = DFA.random(4, 3, rng=0)
     with pytest.raises(ValueError, match="integer symbol ids"):
-        run_speculative(dfa, np.zeros(10, dtype=np.float64), price=False)
+        run_speculative(dfa, np.zeros(10, dtype=np.float64))

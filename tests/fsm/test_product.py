@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fsm.product import product_dfa
 from repro.fsm.run import run_reference, run_reference_trace
+from repro.gpu import Grid
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -87,8 +88,9 @@ class TestProduct:
         )
         rng = np.random.default_rng(1)
         ids = rng.integers(0, 3, size=20_000).astype(np.int32)
-        r = repro.run_speculative(prod.dfa, ids, k=4, num_blocks=2,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            prod.dfa, ids, k=4, grid=Grid(num_blocks=2, threads_per_block=32),
+        )
         assert r.final_state == run_reference(prod.dfa, ids)
 
     def test_component_names(self):

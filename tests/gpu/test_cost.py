@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.core.types import ExecStats
+from repro.gpu import Grid
 from repro.gpu.cost import CostModel, TimeBreakdown
 from repro.gpu.device import TESLA_V100
 from tests.conftest import make_random_dfa, random_input
@@ -13,8 +14,7 @@ def stats_for(merge: str, num_blocks: int, dfa=None, inp=None, **kwargs) -> Exec
     dfa = dfa if dfa is not None else make_random_dfa(6, 2, seed=0)
     inp = inp if inp is not None else random_input(2, 200_000, seed=1)
     r = repro.run_speculative(
-        dfa, inp, num_blocks=num_blocks, threads_per_block=256, merge=merge,
-        price=False, **kwargs,
+        dfa, inp, merge=merge, grid=Grid(num_blocks=num_blocks), **kwargs
     )
     return r.stats
 
@@ -98,8 +98,10 @@ class TestPaperShapes:
         return div7_dfa(), random_bits(200_000, rng=0)
 
     def measure(self, dfa, inp, merge, blocks):
-        r = repro.run_speculative(dfa, inp, k=None, num_blocks=blocks,
-                                  threads_per_block=256, merge=merge, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=None, merge=merge,
+            grid=Grid(num_blocks=blocks, threads_per_block=256),
+        )
         proj = r.stats.project(2**30)
         return CostModel(cpu_transition_ns=2.23).price(
             proj, num_blocks=blocks, threads_per_block=256, merge=merge,
@@ -136,9 +138,10 @@ class TestPaperShapes:
         inp = random_input(2, 200_000, seed=4)
 
         def local_time(k):
-            r = repro.run_speculative(dfa, inp, k=k, num_blocks=80,
-                                      threads_per_block=256, price=False,
-                                      measure_success=False)
+            r = repro.run_speculative(
+                dfa, inp, k=k, measure_success=False,
+                grid=Grid(num_blocks=80, threads_per_block=256),
+            )
             proj = r.stats.project(2**30)
             return CostModel().price(
                 proj, num_blocks=80, threads_per_block=256, merge="parallel",

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.bench.runner import BenchConfig, app_instance, bench_items, measure
+from repro.gpu import Grid
 from repro.gpu.cost import price_at_scale
 from repro.gpu.device import GTX_1080TI
 from tests.conftest import make_random_dfa, random_input
@@ -14,8 +15,9 @@ class TestPriceAtScale:
     def result(self):
         dfa = make_random_dfa(6, 2, seed=0)
         inp = random_input(2, 50_000, seed=1)
-        return repro.run_speculative(dfa, inp, k=2, num_blocks=2,
-                                     threads_per_block=64, price=False)
+        return repro.run_speculative(
+            dfa, inp, k=2, grid=Grid(num_blocks=2, threads_per_block=64),
+        )
 
     def test_scales_local_time(self, result):
         small = price_at_scale(result, 50_000)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro
+from repro.gpu import Grid
 from repro.gpu.trace import trace_events, write_trace
 from tests.conftest import make_random_dfa, random_input
 
@@ -13,8 +14,9 @@ from tests.conftest import make_random_dfa, random_input
 def result():
     dfa = make_random_dfa(6, 2, seed=0)
     inp = random_input(2, 30_000, seed=1)
-    return repro.run_speculative(dfa, inp, k=2, num_blocks=2,
-                                 threads_per_block=64)
+    return repro.run_speculative(
+        dfa, inp, k=2, grid=Grid(num_blocks=2, threads_per_block=64),
+    )
 
 
 class TestTraceEvents:
@@ -40,10 +42,9 @@ class TestTraceEvents:
             ends = e["ts"] + e["dur"]
 
     def test_requires_timing(self):
+        # The CPU plan is never priced.
         dfa = make_random_dfa(4, 2, seed=2)
-        r = repro.run_speculative(dfa, random_input(2, 100, seed=3),
-                                  num_blocks=1, threads_per_block=32,
-                                  price=False)
+        r = repro.run_speculative(dfa, random_input(2, 100, seed=3))
         with pytest.raises(ValueError, match="timing"):
             trace_events(r)
 

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.apps.registry import APPLICATIONS, get_application
 from repro.fsm.run import run_reference
+from repro.gpu import Grid
 
 N = 80_000
 
@@ -35,17 +36,20 @@ class TestFinalStates:
     def test_engine_equals_reference(self, instances, name, cfg):
         dfa, inp = instances[name]
         app = get_application(name)
+        options = dict(CONFIGS[cfg])
+        grid = Grid(num_blocks=2, threads_per_block=64, layout=options.pop("layout"))
         r = repro.run_speculative(
-            dfa, inp, k=app.best_k, num_blocks=2, threads_per_block=64,
-            lookback=app.default_lookback, price=False, **CONFIGS[cfg],
+            dfa, inp, k=app.best_k, lookback=app.default_lookback, grid=grid,
+            **options,
         )
         assert r.final_state == run_reference(dfa, inp)
 
     @pytest.mark.parametrize("name", sorted(APPLICATIONS))
     def test_spec_n_equals_reference(self, instances, name):
         dfa, inp = instances[name]
-        r = repro.run_speculative(dfa, inp, k=None, num_blocks=2,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, inp, k=None, grid=Grid(num_blocks=2, threads_per_block=32),
+        )
         assert r.final_state == run_reference(dfa, inp)
 
 
@@ -53,8 +57,8 @@ class TestApplicationOutputs:
     def test_huffman_decode_roundtrip(self, instances):
         dfa, bits = instances["huffman"]
         r = repro.run_speculative(
-            dfa, bits, k=8, num_blocks=2, threads_per_block=64, lookback=16,
-            collect=("emissions",), price=False,
+            dfa, bits, k=8, lookback=16, collect=("emissions",),
+            grid=Grid(num_blocks=2, threads_per_block=64),
         )
         _, values = r.emissions
         # decode sequentially with the same transducer
@@ -70,8 +74,8 @@ class TestApplicationOutputs:
     def test_html_tokens_sorted_and_valid(self, instances):
         dfa, ids = instances["html"]
         r = repro.run_speculative(
-            dfa, ids, k=1, num_blocks=2, threads_per_block=32, lookback=64,
-            collect=("emissions",), price=False,
+            dfa, ids, k=1, lookback=64, collect=("emissions",),
+            grid=Grid(num_blocks=2, threads_per_block=32),
         )
         positions, values = r.emissions
         assert np.all(np.diff(positions) > 0)
@@ -83,8 +87,8 @@ class TestApplicationOutputs:
         from repro.fsm.run import run_reference_trace
 
         r = repro.run_speculative(
-            dfa, ids, k=8, num_blocks=2, threads_per_block=32, lookback=0,
-            collect=("match_positions",), price=False,
+            dfa, ids, k=8, lookback=0, collect=("match_positions",),
+            grid=Grid(num_blocks=2, threads_per_block=32),
         )
         trace = run_reference_trace(dfa, ids)
         np.testing.assert_array_equal(
@@ -93,8 +97,9 @@ class TestApplicationOutputs:
 
     def test_div7_acceptance(self, instances):
         dfa, bits = instances["div7"]
-        r = repro.run_speculative(dfa, bits, k=None, num_blocks=2,
-                                  threads_per_block=32, price=False)
+        r = repro.run_speculative(
+            dfa, bits, k=None, grid=Grid(num_blocks=2, threads_per_block=32),
+        )
         value_mod_7 = 0
         for b in bits:
             value_mod_7 = (2 * value_mod_7 + int(b)) % 7
@@ -107,13 +112,14 @@ class TestSuccessRates:
             dfa, inp = instances[name]
             app = get_application(name)
             r = repro.run_speculative(
-                dfa, inp, k=app.best_k, num_blocks=2, threads_per_block=64,
-                lookback=app.default_lookback, price=False,
+                dfa, inp, k=app.best_k, lookback=app.default_lookback,
+                grid=Grid(num_blocks=2, threads_per_block=64),
             )
             assert r.success_rate > 0.98, name
 
     def test_div7_success_is_k_over_7(self, instances):
         dfa, bits = instances["div7"]
-        r = repro.run_speculative(dfa, bits, k=2, num_blocks=2,
-                                  threads_per_block=64, price=False)
+        r = repro.run_speculative(
+            dfa, bits, k=2, grid=Grid(num_blocks=2, threads_per_block=64),
+        )
         assert r.success_rate == pytest.approx(2 / 7, abs=0.06)

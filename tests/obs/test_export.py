@@ -3,6 +3,7 @@
 import json
 import time
 
+from repro.gpu import Grid
 from repro.obs.export import (
     chrome_trace_events,
     format_profile,
@@ -107,7 +108,7 @@ class TestChromeTrace:
         dfa = make_random_dfa(6, 2, seed=0)
         result = repro.run_speculative(
             dfa, random_input(2, 30_000, seed=1), k=2,
-            num_blocks=2, threads_per_block=64,
+            grid=Grid(num_blocks=2, threads_per_block=64),
         )
         mt = modeled_run_trace(result)
         assert isinstance(mt, RunTrace)

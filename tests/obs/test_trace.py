@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from repro.gpu import Grid
 from repro.obs import trace as trace_mod
 from repro.obs.trace import (
     Counter,
@@ -199,8 +200,7 @@ class TestEngineIntegration:
         inp = random_input(2, 20_000, seed=1)
         t = RunTrace("engine")
         result = repro.run_speculative(
-            dfa, inp, k=2, num_blocks=1, threads_per_block=64,
-            price=False, trace=t,
+            dfa, inp, k=2, trace=t, grid=Grid(num_blocks=1, threads_per_block=64),
         )
         names = {s.name for s in t.spans}
         assert {"engine.speculate", "engine.local_exec", "engine.merge"} <= names
@@ -217,8 +217,8 @@ class TestEngineIntegration:
         t = RunTrace()
         with t.activate():
             repro.run_speculative(
-                dfa, inp, k=2, num_blocks=1, threads_per_block=64,
-                merge="sequential", price=False,
+                dfa, inp, k=2, merge="sequential",
+                grid=Grid(num_blocks=1, threads_per_block=64),
             )
         skipped = t.counters.get("merge.semijoin.skipped")
         total = (
@@ -236,8 +236,8 @@ class TestEngineIntegration:
 
         dfa = make_random_dfa(4, 2, seed=4)
         r = repro.run_speculative(
-            dfa, random_input(2, 500, seed=5), num_blocks=1,
-            threads_per_block=32, price=False,
+            dfa, random_input(2, 500, seed=5),
+            grid=Grid(num_blocks=1, threads_per_block=32),
         )
         assert r.trace is None
 

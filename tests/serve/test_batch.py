@@ -14,6 +14,7 @@ import pytest
 from repro.apps import APPLICATIONS
 from repro.core.engine import run_speculative, run_speculative_batch
 from repro.fsm.run import run_segment
+from repro.gpu import Grid
 from tests.conftest import make_random_dfa, random_input
 
 
@@ -64,15 +65,8 @@ class TestEngineBatch:
                 assert res.final_states[r] == dfa.start
                 continue
             alone = run_speculative(
-                dfa,
-                seg,
-                k=3,
-                num_blocks=1,
-                threads_per_block=32,
-                price=False,
-                measure_success=False,
-                kernel=kernel,
-                collapse=collapse,
+                dfa, seg, k=3, measure_success=False, kernel=kernel, collapse=collapse,
+                grid=Grid(num_blocks=1, threads_per_block=32),
             )
             assert res.final_states[r] == alone.final_state
 
