@@ -35,7 +35,7 @@ from repro.core.local import (
 from repro.core.lookback import enumerative_spec, speculate, state_prior
 from repro.core.merge_par import merge_parallel
 from repro.core.merge_seq import merge_sequential
-from repro.core.multipattern import coalesce
+from repro.core.multipattern import check_batch
 from repro.core.plan import ExecPlan, resolve_plan
 from repro.core.replay import ChunkReplay, replay_path
 from repro.core.types import ChunkResults, ExecStats
@@ -43,9 +43,9 @@ from repro.fsm.dfa import DFA
 from repro.fsm.run import run_reference, run_reference_trace
 from repro.gpu.cost import CostModel, TimeBreakdown
 from repro.gpu.device import TESLA_V100, DeviceSpec, Grid
-from repro.obs.trace import RunTrace, current_trace, trace_span
+from repro.obs.trace import RunTrace, add_count, current_trace, trace_span
 from repro.util.validation import check_in_set, check_symbols
-from repro.workloads.chunking import ChunkPlan, transform_layout
+from repro.workloads.chunking import ChunkPlan, plan_from_lengths, transform_layout
 
 if TYPE_CHECKING:
     from repro.core.native import NativeKernel
@@ -743,17 +743,23 @@ class BatchExecutionResult:
         ``local_steps`` is the longest one, and transitions, reads and
         gathers each equal the items, whichever leg ran.
     num_requests:
-        Number of coalesced requests (including empty ones).
-    plan:
-        The coalesced :class:`repro.workloads.chunking.ChunkPlan`, or None
-        when every segment was empty.
+        Number of requests in the batch (including empty ones).
+    sizes:
+        The length of each live (non-empty) request, in request order.
     """
 
     final_states: np.ndarray
     accepted: np.ndarray
     stats: ExecStats
     num_requests: int
-    plan: ChunkPlan | None = None
+    sizes: tuple[int, ...] = ()
+
+    @property
+    def plan(self) -> ChunkPlan | None:
+        """One chunk per live request, in request order
+        (:class:`repro.workloads.chunking.ChunkPlan`), or None when every
+        segment was empty. Built on read: serving rounds never read it."""
+        return plan_from_lengths(self.sizes) if self.sizes else None
 
 
 def run_speculative_batch(
@@ -770,14 +776,15 @@ def run_speculative_batch(
     ``r`` starts at ``starts[r]`` (default ``dfa.start``) and its final
     state is exactly what running it alone would produce. Each request
     arrives with a known start, so the batch takes the serial rung: the
-    segments are validated and coalesced into one chunk per live request
-    (:func:`repro.core.multipattern.coalesce`), and each chunk steps once
-    from its request's start, with no prior, look-back, merge or walk.
+    segments are validated (:func:`repro.core.multipattern.check_batch`)
+    and each live request is one chunk, stepped in place from its start,
+    with no prior, look-back, merge or walk and no concatenated copy.
     Given this machine's one-lane ``native`` kernel
     (:func:`repro.core.native.load_serial_kernel`; the server loads one
-    at registration) every chunk steps in one compiled call; without one,
-    each request runs the :func:`repro.fsm.run.run_reference` loop. On
-    one thread a speculative split of the requests only adds work.
+    at registration) each request steps in one compiled
+    :meth:`~repro.core.native.NativeKernel.run_segment` call; without
+    one, each request runs the :func:`repro.fsm.run.run_reference` loop.
+    On one thread a speculative split of the requests only adds work.
 
     This is the serving layer's execution primitive (:mod:`repro.serve`).
 
@@ -803,50 +810,47 @@ def run_speculative_batch(
             "native must step one lane per pattern (1), got a kernel of "
             f"{native.spec.k} lanes"
         )
-    batch = coalesce(
-        segments, starts, (dfa,), chunk_items=None, num_symbols=dfa.num_inputs
+    starts, segs = check_batch(
+        segments, starts, (dfa,), num_symbols=dfa.num_inputs
     )
-    finals = batch.starts[:, 0].astype(np.int32)
-    plan = batch.plan
-    n = 0 if plan is None else plan.num_chunks
+    finals = starts[:, 0].astype(np.int32)
+    live = [r for r, seg in enumerate(segs) if seg.size]
+    sizes = tuple(segs[r].size for r in live)
+    items = sum(sizes)
     if stats is None:
         stats = ExecStats(
-            num_items=batch.symbols.size, num_chunks=n, k=1,
+            num_items=items, num_chunks=len(live), k=1,
             num_states=dfa.num_states, num_inputs=dfa.num_inputs,
         )
-    if plan is not None:
-        live = batch.head_requests
+    if live:
         with trace_span(
-            "engine.batch", requests=len(segments), chunks=n,
-            items=int(batch.symbols.size), rung="serial",
+            "engine.batch", requests=len(segments), chunks=len(live),
+            items=items, rung="serial",
             reason="serial: one stepping thread" + (
                 "" if native is not None else ", no native kernel"
             ),
         ):
+            # Each request steps in place from its start: one compiled
+            # call, or the reference loop.
             if native is not None:
-                end = native.process_chunks(
-                    batch.symbols, plan, batch.starts[live], stats=stats
-                )
-                finals[live] = end[:, 0]
+                for r in live:
+                    finals[r] = native.run_segment(segs[r], finals[r])
+                add_count("native.chunks", len(live))
             else:
-                finals[live] = [
-                    run_reference(dfa, batch.symbols[a : a + m], int(q))
-                    for a, m, q in zip(plan.starts, plan.lengths, finals[live])
-                ]
-                # One lane, as the native kernel counts it: every item is
-                # one transition, read and gather; the longest request
-                # sets the steps.
-                items = int(batch.symbols.size)
-                stats.local_steps += plan.max_len
-                stats.local_transitions += items
-                stats.local_input_reads += items
-                stats.local_gathers += items
+                for r in live:
+                    finals[r] = run_reference(dfa, segs[r], int(finals[r]))
+        # One lane, as a one-lane kernel counts it: every item is one
+        # transition, read and gather; the longest request sets the steps.
+        stats.local_steps += max(sizes)
+        stats.local_transitions += items
+        stats.local_input_reads += items
+        stats.local_gathers += items
     return BatchExecutionResult(
         final_states=finals,
-        accepted=dfa.accepting[finals].astype(bool),
+        accepted=dfa.accepting[finals],
         stats=stats,
         num_requests=len(segments),
-        plan=plan,
+        sizes=sizes,
     )
 
 

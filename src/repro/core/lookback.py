@@ -110,7 +110,6 @@ def speculate(
     *,
     lookback: int = 8,
     prior: np.ndarray | None = None,
-    ranking: np.ndarray | None = None,
     stats: ExecStats | None = None,
     return_coverage: bool = False,
 ):
@@ -118,8 +117,8 @@ def speculate(
 
     Chunk 0's first entry is the true initial state (it is never a guess).
     Within each row states are distinct, ordered by decreasing posterior.
-    ``ranking`` only breaks ties and orders the zero-posterior padding; it
-    defaults to the prior's ordering.
+    The prior's own ordering (stable, by decreasing prior) breaks ties and
+    orders the zero-posterior padding.
 
     With ``return_coverage=True`` returns ``(spec, covered)`` where
     ``covered[c]`` flags chunks whose speculation row contains the *whole*
@@ -140,13 +139,9 @@ def speculate(
     prior = np.asarray(prior, dtype=np.float64)
     if prior.shape != (n_states,):
         raise ValueError(f"prior must have shape ({n_states},), got {prior.shape}")
-    if ranking is None:
-        order = np.argsort(-prior, kind="stable")
-        ranking = np.empty(n_states, dtype=np.int64)
-        ranking[order] = np.arange(n_states)
-    ranking = np.asarray(ranking, dtype=np.int64)
-    if ranking.shape != (n_states,):
-        raise ValueError(f"ranking must have shape ({n_states},), got {ranking.shape}")
+    by_prior = np.argsort(-prior, kind="stable")
+    ranking = np.empty(n_states, dtype=np.int64)
+    ranking[by_prior] = np.arange(n_states)
 
     n = plan.num_chunks
     inputs = np.asarray(inputs)
@@ -186,9 +181,7 @@ def speculate(
     spec = np.take_along_axis(top, order, axis=1).astype(np.int32)
 
     # Chunk 0 starts from the true initial state, padded best-first.
-    row0 = [dfa.start] + [
-        int(s) for s in np.argsort(ranking, kind="stable") if int(s) != dfa.start
-    ]
+    row0 = [dfa.start] + [int(s) for s in by_prior if int(s) != dfa.start]
     spec[0] = np.asarray(row0[:k], dtype=np.int32)
     if not return_coverage:
         return spec

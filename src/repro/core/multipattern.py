@@ -59,7 +59,8 @@ The batched route and the group request-batch driver
 (:func:`run_lane_batch`, behind :func:`run_multipattern_batch`) share one
 set of lane stages over ``P >= 1`` patterns. A single machine's request
 batch (:func:`repro.core.engine.run_speculative_batch`) shares only
-:func:`coalesce`: it always runs one pass per request from its start.
+the validator, :func:`check_batch`: it always runs one pass per request
+from its start, in place, with no coalesced copy.
 """
 
 from __future__ import annotations
@@ -1054,19 +1055,16 @@ class RequestBatch(NamedTuple):
         return dict(zip(self.heads.tolist(), states.tolist()))
 
 
-def coalesce(
-    segments, starts, dfas, *, chunk_items: int | None,
-    num_symbols: int | None = None,
-) -> RequestBatch:
-    """Validate a request batch and concatenate it into one chunk plan.
+def check_batch(
+    segments, starts, dfas, *, num_symbols: int | None = None,
+) -> tuple[np.ndarray, list]:
+    """Validate a request batch: ``(starts, segments)``.
 
     The one validator of every batch entry point: ``starts`` is None,
     ``(R,)`` for one machine or ``(R, P)``, and a wrong shape or state
     raises one ``ValueError`` before anything runs. ``num_symbols``
-    range-checks the segments (None: the caller does). A request
-    contributes ``ceil(len / chunk_items)`` near-equal chunks
-    (:func:`check_chunk_items` vets the size first), or one chunk when
-    ``chunk_items`` is None: the serial rung.
+    range-checks the segments (None: the caller does). Returns the
+    ``(R, P)`` int64 starts and each segment as a contiguous 1-D array.
     """
     R, P = len(segments), len(dfas)
     if starts is None:
@@ -1076,17 +1074,36 @@ def coalesce(
     if starts.shape != want:
         raise ValueError(f"starts must have shape {want}, got {starts.shape}")
     starts = starts.reshape(R, P)
-    bound = np.array([d.num_states for d in dfas])
-    bad = np.flatnonzero(((starts < 0) | (starts >= bound)).any(axis=0))
-    if bad.size:
-        p = int(bad[0])
-        raise ValueError(f"starts out of range: machine {p} has states [0, {bound[p]})")
+    if R:
+        # Plain Python over the few starts of a round: cheaper than the
+        # reductions NumPy would dispatch.
+        for p, (d, col) in enumerate(zip(dfas, starts.T.tolist())):
+            if min(col) < 0 or max(col) >= d.num_states:
+                raise ValueError(
+                    f"starts out of range: machine {p} has states [0, {d.num_states})"
+                )
     segs = [np.ascontiguousarray(np.asarray(seg)) for seg in segments]
     for i, seg in enumerate(segs):
         if seg.ndim != 1:
             raise ValueError(f"segment {i} must be 1-D, got shape {seg.shape}")
         if num_symbols is not None:
             check_symbols(seg, num_symbols)
+    return starts, segs
+
+
+def coalesce(
+    segments, starts, dfas, *, chunk_items: int | None,
+    num_symbols: int | None = None,
+) -> RequestBatch:
+    """Validate a request batch (:func:`check_batch`) and concatenate it
+    into one chunk plan.
+
+    A request contributes ``ceil(len / chunk_items)`` near-equal chunks
+    (:func:`check_chunk_items` vets the size first), or one chunk when
+    ``chunk_items`` is None: the serial rung.
+    """
+    starts, segs = check_batch(segments, starts, dfas, num_symbols=num_symbols)
+    R = len(segs)
     live = [r for r, seg in enumerate(segs) if seg.size]
     sizes = np.array([segs[r].size for r in live], dtype=np.int64)
     if chunk_items is None:

@@ -86,7 +86,9 @@ class _CtypesLib:
 
     ``records`` binds ``nk_process_chunks_rec``, which only recording
     artifacts export (multi-pattern: collapsing, or one lane per
-    pattern).
+    pattern). ``tables`` is the kernel's ``(class_of, Tc, Tm)`` addresses,
+    bound once when it loads (``class_of`` alone for the accept pass);
+    every other array is converted on each call.
     """
 
     def __init__(self, path: str, records: bool = False) -> None:
@@ -115,56 +117,46 @@ class _CtypesLib:
             ]
         self._lib = lib
 
-    @staticmethod
-    def _ptr(a: np.ndarray | None) -> int | None:
-        return None if a is None else a.ctypes.data
-
     def abi(self) -> int:
         return int(self._lib.nk_abi())
 
     def meta(self, which: int) -> int:
         return int(self._lib.nk_meta(which))
 
-    def run_segment(self, inputs, start, class_of, Tc, Tm) -> int:
+    def run_segment(self, inputs, start, tables) -> int:
         return int(
             self._lib.nk_run_segment(
-                self._ptr(inputs), inputs.size, int(start),
-                self._ptr(class_of), self._ptr(Tc), self._ptr(Tm),
+                _ptr(inputs), inputs.size, int(start), *tables
             )
         )
 
     def process_chunks(
-        self, inputs, starts, lengths, spec, end, class_of, Tc, Tm, counters
+        self, inputs, starts, lengths, spec, end, tables, counters
     ) -> None:
         self._lib.nk_process_chunks(
-            self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
-            int(starts.size), self._ptr(spec), self._ptr(end),
-            self._ptr(class_of), self._ptr(Tc), self._ptr(Tm),
-            self._ptr(counters),
+            _ptr(inputs), _ptr(starts), _ptr(lengths), int(starts.size),
+            _ptr(spec), _ptr(end), *tables, _ptr(counters),
         )
 
     def process_chunks_rec(
-        self, inputs, starts, lengths, spec, end, class_of, Tc, Tm, Ta, Tma,
+        self, inputs, starts, lengths, spec, end, tables, Ta, Tma,
         out_pos, out_pat, out_state, collapse_at, counters,
     ) -> None:
         self._lib.nk_process_chunks_rec(
-            self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
-            int(starts.size), self._ptr(spec), self._ptr(end),
-            self._ptr(class_of), self._ptr(Tc), self._ptr(Tm), self._ptr(Ta),
-            self._ptr(Tma), self._ptr(out_pos), self._ptr(out_pat),
-            self._ptr(out_state), int(out_pos.size), self._ptr(collapse_at),
-            self._ptr(counters),
+            _ptr(inputs), _ptr(starts), _ptr(lengths), int(starts.size),
+            _ptr(spec), _ptr(end), *tables, _ptr(Ta), _ptr(Tma),
+            _ptr(out_pos), _ptr(out_pat), _ptr(out_state), int(out_pos.size),
+            _ptr(collapse_at), _ptr(counters),
         )
 
     def fold_maps(
-        self, spec, end, inputs, starts, lengths, converged,
-        class_of, Tc, Tm, row, counters,
+        self, spec, end, inputs, starts, lengths, converged, tables, row,
+        counters,
     ) -> None:
         self._lib.nk_fold_maps(
-            self._ptr(spec), self._ptr(end), int(starts.size),
-            self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
-            self._ptr(converged), self._ptr(class_of), self._ptr(Tc),
-            self._ptr(Tm), self._ptr(row), self._ptr(counters),
+            _ptr(spec), _ptr(end), int(starts.size), _ptr(inputs),
+            _ptr(starts), _ptr(lengths), _ptr(converged), *tables,
+            _ptr(row), _ptr(counters),
         )
 
     def accept_positions(
@@ -173,12 +165,19 @@ class _CtypesLib:
     ) -> int:
         return int(
             self._lib.nk_accept_positions(
-                self._ptr(inputs), self._ptr(starts), self._ptr(lengths),
-                int(starts.size), int(states0.shape[1]), self._ptr(states0),
-                self._ptr(class_of), self._ptr(Ta), self._ptr(out_pos),
-                self._ptr(out_lane), self._ptr(out_state), int(out_pos.size),
+                _ptr(inputs), _ptr(starts), _ptr(lengths), int(starts.size),
+                int(states0.shape[1]), _ptr(states0), class_of, _ptr(Ta),
+                _ptr(out_pos), _ptr(out_lane), _ptr(out_state),
+                int(out_pos.size),
             )
         )
+
+
+def _ptr(a: np.ndarray | None) -> int | None:
+    # As fast as ``a.ctypes.data`` with warm caches and ~25% faster with
+    # cold ones (a serving round between event-loop work): the latter
+    # builds a helper object per call.
+    return None if a is None else a.__array_interface__["data"][0]
 
 
 # --------------------------------------------------------------------------- #
@@ -242,9 +241,15 @@ class NativeKernel:
         self._Tm = (
             _i32(kplan.tables.table_m) if kplan.tables is not None else None
         )
+        # The tables never change, so their addresses are taken once; the
+        # arrays above keep them valid for the kernel's life.
+        self._tables = (
+            _ptr(self._class_of), _ptr(self._Tc), _ptr(self._Tm)
+        )
         # (accept flags, class table with accepting targets as ~state,
         # stride table with accepting steps as ~state or None) of the last
-        # accept vector: one kernel serves one accept vector.
+        # accept vector: one kernel serves one accept vector. Built by the
+        # first call that needs them (the smoke check's are dropped).
         self._marked: tuple[bytes, np.ndarray, np.ndarray | None] | None = None
 
     @property
@@ -269,9 +274,7 @@ class NativeKernel:
         symbols = _i32(symbols)
         if symbols.size == 0:
             return int(start)
-        return self._lib.run_segment(
-            symbols, int(start), self._class_of, self._Tc, self._Tm
-        )
+        return self._lib.run_segment(symbols, start, self._tables)
 
     def process_chunks(
         self,
@@ -296,8 +299,7 @@ class NativeKernel:
             "native.process_chunks", chunks=plan.num_chunks, k=self.spec.k
         ):
             self._lib.process_chunks(
-                inputs, starts, lengths, spec, end,
-                self._class_of, self._Tc, self._Tm, counters,
+                inputs, starts, lengths, spec, end, self._tables, counters
             )
         self._drain(plan, counters, stats)
         return end
@@ -341,9 +343,8 @@ class NativeKernel:
                 pat = np.empty(cap, dtype=np.int32)
                 state = np.empty(cap, dtype=np.int32)
                 self._lib.process_chunks_rec(
-                    inputs, starts, lengths, spec, end, self._class_of,
-                    self._Tc, self._Tm, Ta, Tma, pos, pat, state,
-                    collapse_at, counters,
+                    inputs, starts, lengths, spec, end, self._tables, Ta,
+                    Tma, pos, pat, state, collapse_at, counters,
                 )
                 total = int(counters[SLOT_RECORDS])
                 if total <= cap:
@@ -438,8 +439,8 @@ class NativeKernel:
         )
         counters = np.zeros(NUM_SLOTS, dtype=np.int64)
         self._lib.fold_maps(
-            spec, end, inputs, starts, lengths, conv,
-            self._class_of, self._Tc, self._Tm, row, counters,
+            spec, end, inputs, starts, lengths, conv, self._tables, row,
+            counters,
         )
         return row, NativeCounters(
             gathers=int(counters[SLOT_GATHERS]),
@@ -492,7 +493,7 @@ class NativeKernel:
                 lane = np.empty(cap, dtype=np.int32)
                 state = np.empty(cap, dtype=np.int32)
                 total = self._lib.accept_positions(
-                    inputs, starts, lengths, states0, self._class_of, Ta,
+                    inputs, starts, lengths, states0, self._tables[0], Ta,
                     pos, lane, state,
                 )
                 if total <= cap:
@@ -813,6 +814,10 @@ def _materialize(
         ok = _smoke_check(nk, dfa)
     except Exception:
         ok = False
+    # The accept-marked tables the check built are a copy of the stride
+    # table (megabytes for a group's): a kernel that never records should
+    # not keep them, and the first recording call rebuilds them.
+    nk._marked = None
     if not ok:
         _build.note_fallback("smoke")
         return None

@@ -3,7 +3,7 @@
 Continuous batching executes *slices*, not whole requests: every round
 the server takes the scheduler's selection (requests sharing one DFA),
 carves each down to a bounded number of symbols, and runs the carved
-segments as a single coalesced batch
+segments as a single batch
 (:func:`repro.core.engine.run_speculative_batch`). A request longer
 than its slice carries its end state into the next round — by then new
 arrivals have joined the queue, so the *next* round's batch is

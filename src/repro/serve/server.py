@@ -33,8 +33,13 @@ tenants and turns them into coalesced batch executions:
   their carried state and the *next* round is re-formed from scratch, so
   new arrivals join between rounds instead of waiting for a drain.
 
-Rounds execute in a worker thread (``asyncio.to_thread``) so the event
-loop keeps admitting, shedding, and timing requests while numpy crunches.
+A round whose machine has a loaded kernel (``native``, or a group's
+:meth:`repro.core.multipattern.MachineStack.serial_kernel`) runs inline
+on the event loop: it is one compiled call per request, bounded by the
+round's item budget, and cheaper than a thread hop. A round without one
+(the Python reference loop, or chunked NumPy for a group) takes
+milliseconds and runs in a worker thread (``asyncio.to_thread``), so the
+loop keeps admitting, shedding, and timing requests meanwhile.
 All ``serve.*`` spans/counters land on the server's own
 :class:`repro.obs.RunTrace` (catalog in ``docs/OBSERVABILITY.md``).
 """
@@ -74,15 +79,18 @@ class ServeConfig:
     round_budget_items:
         Target symbols per round; long requests are carved to an equal
         share of it and continue in later rounds (continuous batching).
+        It also bounds how long a round with a kernel, which runs inline,
+        holds the event loop (2^18 items: ~0.3 ms at ~1 ns per item).
     chunk_items:
         The smallest per-round slice of a request. A pattern group's
         round that speculates (no kernel loads for the group) also uses
         it as its chunk length, at
         :func:`repro.core.multipattern.run_multipattern_batch`'s default
-        ``k`` and ``lookback``. Rounds run in a worker thread of this
-        process; a single machine's round is always one pass per request
-        from its carried state
-        (:func:`repro.core.engine.run_speculative_batch`).
+        ``k`` and ``lookback``. A single machine's round is always one
+        pass per request from its carried state
+        (:func:`repro.core.engine.run_speculative_batch`). Rounds with a
+        loaded kernel run inline on the event loop, the others in a
+        worker thread of this process.
     deadline_model:
         :class:`repro.core.resilience.DeadlineModel`, used to predict a
         request's service time for EDF urgency (over the server's
@@ -449,30 +457,52 @@ class FSMServer:
                     budget_items=cfg.round_budget_items,
                     chunk_items=cfg.chunk_items,
                 )
+                inline = self._has_kernel(self._machines[rnd.fingerprint])
                 t0 = time.monotonic()
                 with self.trace.span(
                     "serve.round",
                     machine=rnd.fingerprint[:12],
                     requests=rnd.num_requests,
                     items=rnd.total_items,
+                    inline=inline,
                 ):
                     try:
-                        finals = await asyncio.to_thread(
-                            self._execute_round, rnd
-                        )
+                        # A kernel round is one compiled call per request
+                        # (a fraction of a millisecond at the item
+                        # budget), cheaper than a thread hop; the Python
+                        # loop and chunked NumPy take milliseconds and
+                        # run in a worker thread.
+                        if inline:
+                            finals = self._execute_round(rnd)
+                        else:
+                            finals = await asyncio.to_thread(
+                                self._execute_round, rnd
+                            )
                     except Exception as exc:
                         # A poisoned round must not kill the loop (every
                         # pending future would hang forever) and must not
                         # re-queue (it would poison the next round too):
                         # fail exactly its own riders and keep serving.
                         self._fail_round(rnd, exc)
-                        continue
-                self._finish_round(rnd, finals, t0, time.monotonic())
+                        finals = None
+                if finals is not None:
+                    self._finish_round(rnd, finals, t0, time.monotonic())
+                if inline:
+                    # Let arrivals and finished callers run between rounds.
+                    await asyncio.sleep(0)
             if self._stopping:
                 return
 
+    @staticmethod
+    def _has_kernel(ms: _MachineState) -> bool:
+        """Whether ``ms``'s rounds step on a loaded compiled kernel."""
+        if ms.group is not None:
+            return ms.group.stack.serial_kernel() is not None
+        return ms.native is not None
+
     def _execute_round(self, rnd: RoundPlan) -> np.ndarray:
-        """Run one carved round (worker thread; no scheduler access here)."""
+        """Run one carved round (inline or in a worker thread; no scheduler
+        access here)."""
         ms = self._machines[rnd.fingerprint]
         segments = [
             req.symbols[req.offset : req.offset + take]

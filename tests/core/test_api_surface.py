@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench.runner import ExperimentResult
 from repro.core.codegen.select import plan_kernel
-from repro.core.lookback import speculate, state_ranking
+from repro.core.lookback import speculate
 from repro.regex.ast import Alternation, Concat, Literal
 from repro.workloads.chunking import plan_chunks
 from tests.conftest import make_random_dfa, random_input
@@ -44,27 +44,29 @@ class TestDfaHelpers:
         assert "states=5" in text and "demo" in text
 
 
-class TestEngineRankingParam:
-    """``ranking`` of the engine's look-back stage
-    (:func:`repro.core.lookback.speculate`)."""
+class TestSpeculateOrder:
+    """The look-back stage's order (:func:`repro.core.lookback.speculate`):
+    the prior's own ordering breaks ties and pads, with no override."""
 
-    def test_explicit_ranking_used(self):
+    def test_prior_order_breaks_ties_and_pads(self):
         dfa = make_random_dfa(6, 2, seed=2)
         inp = random_input(2, 5000, seed=3)
         plan = plan_chunks(inp.size, 32)
-        ranking = state_ranking(dfa, sample=inp[:1000])
-        # With no look-back every row but chunk 0's ties on the prior, so
-        # the ranking alone orders them.
-        flat = np.ones(dfa.num_states)
-        spec = speculate(dfa, inp, plan, 2, lookback=0, prior=flat, ranking=ranking)
-        want = np.argsort(ranking)[:2]
-        np.testing.assert_array_equal(spec[1:], np.tile(want, (31, 1)))
+        # With no look-back each row's posterior is the prior: states 1
+        # and 2 tie at the top (the lower index first), and k=4 pads past
+        # the support {1, 2, 3} with the best zero-prior state, 0.
+        prior = np.array([0.0, 2.0, 2.0, 1.0, 0.0, 0.0])
+        spec = speculate(dfa, inp, plan, 4, lookback=0, prior=prior)
+        np.testing.assert_array_equal(spec[1:], np.tile([1, 2, 3, 0], (31, 1)))
+        assert spec[0].tolist() == [dfa.start] + [
+            s for s in [1, 2, 3, 0, 4, 5] if s != dfa.start
+        ][:3]
 
-    def test_bad_ranking_shape(self):
+    def test_ranking_is_not_an_argument(self):
         dfa = make_random_dfa(6, 2, seed=2)
         inp = random_input(2, 100, seed=3)
-        with pytest.raises(ValueError, match="ranking"):
-            speculate(dfa, inp, plan_chunks(inp.size, 32), 2, ranking=np.arange(3))
+        with pytest.raises(TypeError, match="ranking"):
+            speculate(dfa, inp, plan_chunks(inp.size, 32), 2, ranking=np.arange(6))
 
 
 class TestHuffmanHelpers:

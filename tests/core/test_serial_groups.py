@@ -499,3 +499,31 @@ def test_kernels_with_a_class_map_pass_the_smoke_check():
     assert one is not None
     x = _symbols(1, 999, seed=3)
     assert one.run_segment(x, cd.start) == run_reference(cd, x)
+
+
+@needs_native
+def test_a_loaded_kernel_keeps_no_marked_tables_until_it_records():
+    # The smoke check builds the accept-marked tables to check the
+    # recording pass, but a kernel that never records must not hold them
+    # (for a stride4 group they are a copy of the stride table). The
+    # first recording call builds them once, and later calls reuse them.
+    machines = [_literal(lit) for lit in ("cd", "dca", "abb")]
+    stack = stack_machines(machines)
+    nk = stack.serial_kernel()
+    assert nk is not None and nk.spec.records
+    assert nk._marked is None
+    x = np.random.default_rng(4).integers(0, 4, size=5000).astype(np.int32)
+    run_multipattern_batch(stack, [x[:2000], x[2000:]])
+    assert nk._marked is None  # a batch round records nothing
+    first = run_multipattern(machines, x, backend="native", stack=stack)
+    marked = nk._marked
+    assert marked is not None
+    again = run_multipattern(machines, x, backend="native", stack=stack)
+    assert nk._marked is marked
+    for res in (first, again):
+        for pr, m in zip(res.patterns, machines):
+            trace = run_reference_trace(m, x)
+            assert pr.final_state == run_reference(m, x)
+            assert pr.match_positions.tolist() == np.flatnonzero(
+                m.accepting[trace]
+            ).tolist()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.apps import APPLICATIONS
+from repro.core.predictor import dfa_fingerprint
 from repro.fsm.run import run_segment
 from repro.serve import (
     FSMServer,
@@ -270,33 +271,57 @@ class TestServing:
     def test_bad_symbols_rejected_and_round_failure_isolated(self):
         machines, workload = _serve_case(num_requests=4)
         good = next(w for w in workload if w.tenant in ("alpha", "gamma"))
+        other = machines["beta"].num_inputs - 1
 
         async def drive():
             server = FSMServer(ServeConfig())
             t = server.register_tenant("alpha", machines["alpha"])
+            b = server.register_tenant("beta", machines["beta"])
             await server.start()
             # Out-of-alphabet ids are rejected at submission time.
             with pytest.raises(ValueError, match="out of range"):
                 await server.submit(t, np.full(64, 9, dtype=np.int32))
             # An execution failure fails exactly its round's futures and
-            # leaves the loop serving: the next request still completes.
+            # leaves the loop serving: alpha's round (inline when its
+            # kernel loads) fails both its riders, beta's round and the
+            # next alpha request still complete.
             real_execute = server._execute_round
+
             def boom(rnd):
-                server._execute_round = real_execute
-                raise RuntimeError("injected round failure")
+                if rnd.fingerprint == t.fingerprint:
+                    server._execute_round = real_execute
+                    raise RuntimeError("injected round failure")
+                return real_execute(rnd)
+
             server._execute_round = boom
-            with pytest.raises(RuntimeError, match="injected"):
-                await server.submit(t, good.symbols)
+            out = await asyncio.gather(
+                server.submit(t, good.symbols),
+                server.submit(t, good.symbols[:100]),
+                server.submit(b, np.full(50, other, dtype=np.int32)),
+                return_exceptions=True,
+            )
             resp = await server.submit(t, good.symbols)
             counters = dict(server.trace.counters_with_prefix("serve."))
+            rounds = server.trace.find("serve.round")
             await server.close()
-            return resp, counters
+            return out, resp, counters, rounds, server
 
-        resp, counters = asyncio.run(drive())
+        out, resp, counters, rounds, server = asyncio.run(drive())
+        assert all(
+            isinstance(e, RuntimeError) and "injected" in str(e)
+            for e in out[:2]
+        )
+        dfa, beta = machines["alpha"], machines["beta"]
+        assert out[2].status == "ok"
+        assert out[2].final_state == run_segment(
+            beta, np.full(50, other, dtype=np.int32), beta.start
+        )
         assert resp.status == "ok"
-        dfa = machines["alpha"]
         assert resp.final_state == run_segment(dfa, good.symbols, dfa.start)
         assert counters["serve.round_errors"] == 1
+        fp = dfa_fingerprint(dfa)
+        failed = next(s for s in rounds if s.attrs["machine"] == fp[:12])
+        assert failed.attrs["inline"] == (server._machines[fp].native is not None)
 
     def test_float_request_fails_at_submit_not_its_round(self):
         machines, workload = _serve_case(num_requests=4)
@@ -345,7 +370,8 @@ class TestServing:
 
     def test_no_compiler_serves_bit_exact_on_numpy(self, tmp_path):
         """With no working compiler (and a cold artifact cache) a default
-        server registers its machines on NumPy and still answers exactly."""
+        server registers its machines on NumPy, runs its rounds in a worker
+        thread and still answers exactly."""
         code = """
 import asyncio
 from repro.serve import FSMServer, ServeClient, ServeConfig
@@ -353,6 +379,13 @@ from repro.fsm.run import run_segment
 from tests.serve.test_serving import _serve_case
 
 machines, workload = _serve_case(num_requests=12)
+# Rounds without a kernel run the reference loop in a worker thread.
+hops = []
+real_to_thread = asyncio.to_thread
+async def to_thread(fn, *args):
+    hops.append(fn)
+    return await real_to_thread(fn, *args)
+asyncio.to_thread = to_thread
 
 async def drive():
     server = FSMServer(ServeConfig())
@@ -370,6 +403,7 @@ for w, r in zip(workload, asyncio.run(drive())):
     dfa = machines[w.tenant]
     assert r.status == "ok", r
     assert r.final_state == run_segment(dfa, w.symbols, dfa.start)
+assert hops
 print("ok")
 """
         env = dict(
